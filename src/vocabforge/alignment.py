@@ -16,14 +16,12 @@ distribution.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embeddings import EmbeddingMatrix
+from .embeddings import EmbeddingMatrix, read_record, write_record
 from .errors import (
-    BadMagic,
     DimensionMismatch,
     EmptyIntersection,
     NonFiniteLoss,
@@ -164,9 +162,10 @@ def collect_pairs(
         raise EmptyIntersection("partition has no shared tokens")
     target_ids = np.array([tid for _, _, tid in part.shared])
     source_ids = np.array([sid for _, sid, _ in part.shared])
-    if target_ids.max() >= helper.rows or source_ids.max() >= source.rows:
+    if (target_ids.min() < 0 or source_ids.min() < 0
+            or target_ids.max() >= helper.rows or source_ids.max() >= source.rows):
         raise DimensionMismatch(
-            "partition ids exceed the helper or source matrix row count"
+            "partition ids fall outside the helper or source matrix rows"
         )
     if limit is not None and limit < len(target_ids):
         rng = np.random.default_rng(seed)
@@ -316,31 +315,12 @@ _RECORD_ORDER = (
 )
 
 
-def _write_record(fh, array: np.ndarray) -> None:
-    arr = np.atleast_2d(np.asarray(array, dtype="<f4"))
-    fh.write(b"EMB1")
-    fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-    fh.write(b"\x00\x00\x00\x00")
-    fh.write(arr.tobytes())
-
-
-def _read_record(fh) -> np.ndarray:
-    header = fh.read(16)
-    if len(header) < 16 or header[:4] != b"EMB1":
-        raise BadMagic("map container record is not EMB1")
-    rows, dim = struct.unpack("<II", header[4:12])
-    data = np.frombuffer(fh.read(rows * dim * 4), dtype="<f4")
-    return data.reshape(rows, dim).astype(np.float64)
-
-
 def save_map(phi: AffineMap, path: str) -> None:
     with open(path, "wb") as fh:
-        _write_record(fh, phi.weight)
-        _write_record(fh, phi.bias)
-        _write_record(fh, phi.input_scaler.mean)
-        _write_record(fh, phi.input_scaler.std)
-        _write_record(fh, phi.output_scaler.mean)
-        _write_record(fh, phi.output_scaler.std)
+        for array in (phi.weight, phi.bias, phi.input_scaler.mean,
+                      phi.input_scaler.std, phi.output_scaler.mean,
+                      phi.output_scaler.std):
+            write_record(fh, np.atleast_2d(array))
     sidecar = {
         "schema_version": "1",
         "records": list(_RECORD_ORDER),
@@ -364,7 +344,10 @@ def load_map(path: str) -> AffineMap:
     with open(path + ".json", encoding="utf-8") as fh:
         meta = json.load(fh)
     with open(path, "rb") as fh:
-        records = {name: _read_record(fh) for name in meta["records"]}
+        records = {
+            name: read_record(fh, path).astype(np.float64)
+            for name in meta["records"]
+        }
     m = int(meta["in_dim"])
     n = int(meta["out_dim"])
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -271,11 +270,6 @@ def cmd_params(args) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON file of flag defaults")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument(
-        "--threads", type=int,
-        default=int(os.environ.get("VOCABFORGE_THREADS", "0")),
-        help="cap internal parallelism (0 = library default)",
-    )
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 

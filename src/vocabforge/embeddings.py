@@ -14,6 +14,7 @@ load and save.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -75,28 +76,48 @@ class EmbeddingStats:
         }
 
 
+def write_record(fh, data: np.ndarray) -> None:
+    """Write one EMB1 record (header + payload) of a 2-D array."""
+    fh.write(MAGIC)
+    fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
+    fh.write(b"\x00\x00\x00\x00")
+    fh.write(np.asarray(data, dtype="<f4").tobytes())
+
+
+def read_record(fh, path: str, last: bool = False) -> np.ndarray:
+    """Read one EMB1 record at the file position as a read-only float32 array.
+
+    The payload is read no further than the file goes, whatever the header
+    claims; with `last` it must also end the file.
+    """
+    header = fh.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE or header[:4] != MAGIC:
+        raise BadMagic(f"{path}: not an EMB1 record")
+    rows, dim = struct.unpack("<II", header[4:12])
+    expected = rows * dim * 4
+    # An exact-size read fills one buffer; read() after the buffered header
+    # would join two and hold the payload twice.
+    size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: read to the end
+    payload = fh.read(min(expected, size - fh.tell()) if size else None)
+    found = len(payload)
+    if last and found == expected:
+        found += len(fh.read())
+    if found != expected:
+        raise SizeMismatch(
+            f"{path}: header claims {rows}x{dim} ({expected} bytes), "
+            f"payload has {found} bytes"
+        )
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
+
+
 def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", matrix.rows, matrix.dim))
-        fh.write(b"\x00\x00\x00\x00")
-        fh.write(matrix.data.astype("<f4", copy=False).tobytes())
+        write_record(fh, matrix.data)
 
 
 def load_matrix(path: str, label: str = "") -> EmbeddingMatrix:
     with open(path, "rb") as fh:
-        header = fh.read(HEADER_SIZE)
-        if len(header) < HEADER_SIZE or header[:4] != MAGIC:
-            raise BadMagic(f"{path}: not an EMB1 file")
-        rows, dim = struct.unpack("<II", header[4:12])
-        payload = fh.read()
-    expected = rows * dim * 4
-    if len(payload) != expected:
-        raise SizeMismatch(
-            f"{path}: header claims {rows}x{dim} ({expected} bytes), "
-            f"payload has {len(payload)} bytes"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
+        data = read_record(fh, path, last=True)
     return EmbeddingMatrix(data, label=label or path)
 
 

@@ -27,6 +27,9 @@ METHODS = ("random", "fvt", "clp", "sava")
 HELPER_METHODS = ("clp", "sava")
 
 _MASK64 = (1 << 64) - 1
+# Bytes of float64 similarities per CLP block: caps CLP working memory
+# whatever the vocabulary size.
+BUDGET = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -87,7 +90,32 @@ class AdaptationReport:
         return out
 
 
-# --- per-token initializers -------------------------------------------
+# --- row kernels --------------------------------------------------------
+#
+# Each method fills all novel rows at once. A kernel takes the novel
+# target ids (and tokens) in partition order and returns float64 rows,
+# plus, where a row can fail, a bool mask of rows it could build. The
+# single-row functions g_random/g_fvt/g_clp/g_sava call the same kernels.
+
+
+def random_rows(
+    token_ids,
+    source_stats: EmbeddingStats,
+    seed: int,
+    moments: str = "per-dimension",
+) -> np.ndarray:
+    """Sample one row per id from N(mu, sigma^2) of the source embedding space.
+
+    Each row comes from a counter-based generator keyed by (seed, token
+    id), so it is independent of evaluation order and batching.
+    """
+    draws = np.empty((len(token_ids), len(source_stats.mean)))
+    for row, tid in zip(draws, np.asarray(token_ids).tolist()):
+        key = ((seed & _MASK64) << 64) | (tid & _MASK64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+    if moments == "scalar":
+        return source_stats.scalar_mean + np.sqrt(source_stats.scalar_variance) * draws
+    return source_stats.mean + np.sqrt(source_stats.variance) * draws
 
 
 def g_random(
@@ -96,18 +124,33 @@ def g_random(
     seed: int,
     moments: str = "per-dimension",
 ) -> np.ndarray:
-    """Sample a row from N(mu, sigma^2) of the source embedding space.
+    """One row of random_rows."""
+    return random_rows([token_id], source_stats, seed, moments)[0]
 
-    Uses a counter-based generator keyed by (seed, token id), so the
-    result is independent of evaluation order and parallelism.
+
+def fvt_rows(
+    pieces,
+    source_model: TokenizerModel,
+    source_emb: EmbeddingMatrix,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Average the source embeddings of each piece's source tokenization.
+
+    Pieces must already carry the source marker convention. Unknown ids
+    are dropped from the average; an unencodable or all-unknown piece
+    gets ok=False.
     """
-    dim = len(source_stats.mean)
-    key = ((seed & _MASK64) << 64) | (token_id & _MASK64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    draw = rng.standard_normal(dim)
-    if moments == "scalar":
-        return source_stats.scalar_mean + np.sqrt(source_stats.scalar_variance) * draw
-    return source_stats.mean + np.sqrt(source_stats.variance) * draw
+    rows = np.zeros((len(pieces), source_emb.dim))
+    ok = np.zeros(len(pieces), dtype=bool)
+    for i, piece in enumerate(pieces):
+        try:
+            ids = source_model.encode_piece(piece)
+        except UnencodableInput:
+            continue
+        ids = [t for t in ids if t != source_model.unk_id]
+        if ids:
+            rows[i] = source_emb.data[ids].astype(np.float64).mean(axis=0)
+            ok[i] = True
+    return rows, ok
 
 
 def g_fvt(
@@ -115,20 +158,11 @@ def g_fvt(
     source_model: TokenizerModel,
     source_emb: EmbeddingMatrix,
 ) -> np.ndarray:
-    """Average the source embeddings of the piece's source tokenization.
-
-    The piece must already carry the source marker convention. Unknown
-    ids are dropped from the average; an empty or all-unknown
-    tokenization signals fallback.
-    """
-    try:
-        ids = source_model.encode_piece(piece)
-    except UnencodableInput as exc:
-        raise FallbackRequired(str(exc)) from exc
-    ids = [i for i in ids if i != source_model.unk_id]
-    if not ids:
+    """One row of fvt_rows; a piece without a row raises FallbackRequired."""
+    rows, ok = fvt_rows([piece], source_model, source_emb)
+    if not ok[0]:
         raise FallbackRequired(f"piece {piece!r} has no known source tokens")
-    return source_emb.data[ids].astype(np.float64).mean(axis=0)
+    return rows[0]
 
 
 class ClpInitializer:
@@ -136,7 +170,9 @@ class ClpInitializer:
 
     Weights are cosine similarities in the helper space, post-processed
     by the negative policy, optionally truncated to the top-k support,
-    and normalized to sum to 1.
+    and normalized to sum to 1. Rows are computed BUDGET bytes of
+    similarities at a time: one GEMM against the shared helper rows for
+    the weights, one against the shared source rows for the result.
     """
 
     def __init__(
@@ -149,11 +185,11 @@ class ClpInitializer:
         if part.shared_count == 0:
             raise PartitionInconsistent("CLP needs a non-empty intersection")
         self.cfg = cfg
-        self.helper = helper_emb.data.astype(np.float64)
+        self.helper = helper_emb.data  # float32; blocks are converted as used
         tids = np.array([tid for _, _, tid in part.shared])
         sids = np.array([sid for _, sid, _ in part.shared])
         self.shared_source_rows = source_emb.data[sids].astype(np.float64)
-        anchors = self.helper[tids]
+        anchors = self.helper[tids].astype(np.float64)
         norms = np.linalg.norm(anchors, axis=1)
         if np.any(norms == 0):
             raise ZeroNormEmbedding(
@@ -161,37 +197,62 @@ class ClpInitializer:
             )
         self.anchor_unit = anchors / norms[:, None]
 
-    def weights(self, token_id: int) -> np.ndarray:
-        v = self.helper[token_id]
-        norm = np.linalg.norm(v)
-        if norm == 0:
+    def _weights(self, token_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Weight rows for a block of ids; ok is False where all vanished."""
+        v = self.helper[token_ids].astype(np.float64)
+        norms = np.linalg.norm(v, axis=1)
+        zero = norms == 0
+        if zero.any():
             raise ZeroNormEmbedding(
-                f"token id {token_id} has a zero-norm helper embedding"
+                f"token id {token_ids[zero.argmax()]} has a zero-norm helper "
+                f"embedding"
             )
-        sims = self.anchor_unit @ (v / norm)
+        w = (v / norms[:, None]) @ self.anchor_unit.T
         policy = self.cfg.clp_negative_policy
         if policy == "clamp-zero":
-            w = np.maximum(sims, 0.0)
+            np.maximum(w, 0.0, out=w)
         elif policy == "shift-min":
-            w = sims - sims.min()
+            w -= w.min(axis=1, keepdims=True)
         else:
-            w = np.abs(sims)
+            np.abs(w, out=w)
         k = self.cfg.clp_top_k
-        if 0 < k < len(w):
-            # stable top-k: ties resolved by lowest shared index
-            order = np.lexsort((np.arange(len(w)), -w))
-            mask = np.zeros(len(w), dtype=bool)
-            mask[order[:k]] = True
-            w = np.where(mask, w, 0.0)
-        total = w.sum()
-        if total <= 0.0:
-            raise DegenerateSimilarity(
-                f"all CLP weights vanished for token id {token_id}"
-            )
-        return w / total
+        if 0 < k < w.shape[1]:
+            # a stable sort keeps the lowest shared index first among ties
+            top = np.argsort(-w, axis=1, kind="stable")[:, :k]
+            kept = np.take_along_axis(w, top, axis=1)
+            w[:] = 0.0
+            np.put_along_axis(w, top, kept, axis=1)
+        total = w.sum(axis=1)
+        ok = total > 0.0
+        w /= np.where(ok, total, 1.0)[:, None]
+        return w, ok
+
+    def rows(self, token_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Rows for the given target ids; ok is False where all weights vanished."""
+        token_ids = np.asarray(token_ids, dtype=np.int64)
+        out = np.empty((len(token_ids), self.shared_source_rows.shape[1]))
+        ok = np.empty(len(token_ids), dtype=bool)
+        step = max(1, BUDGET // (8 * len(self.anchor_unit)))
+        for lo in range(0, len(token_ids), step):
+            w, ok[lo:lo + step] = self._weights(token_ids[lo:lo + step])
+            out[lo:lo + step] = w @ self.shared_source_rows
+            del w  # free this block before the next one is built
+        return out, ok
+
+    def weights(self, token_id: int) -> np.ndarray:
+        return _clp_single(self._weights(np.array([token_id])), token_id)
 
     def __call__(self, token_id: int) -> np.ndarray:
-        return self.weights(token_id) @ self.shared_source_rows
+        return _clp_single(self.rows([token_id]), token_id)
+
+
+def _clp_single(result: tuple[np.ndarray, np.ndarray], token_id: int) -> np.ndarray:
+    rows, ok = result
+    if not ok[0]:
+        raise DegenerateSimilarity(
+            f"all CLP weights vanished for token id {token_id}"
+        )
+    return rows[0]
 
 
 def g_clp(
@@ -204,79 +265,100 @@ def g_clp(
     return ClpInitializer(source_emb, helper_emb, part, cfg)(token_id)
 
 
-def g_sava(token_id: int, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
-    """Map a helper row through the trained affine alignment."""
+def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
+    """Map helper rows through the trained affine alignment."""
     if helper_emb.dim != phi.in_dim:
         raise DimensionMismatch(
             f"helper dim {helper_emb.dim} != map input dim {phi.in_dim}"
         )
-    return phi.apply(helper_emb.data[token_id].astype(np.float64))
+    return phi.apply_batch(helper_emb.data[np.asarray(token_ids)].astype(np.float64))
+
+
+def g_sava(token_id: int, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
+    """One row of sava_rows."""
+    return sava_rows([token_id], helper_emb, phi)[0]
 
 
 # --- assembly ----------------------------------------------------------
+
+PROVENANCE = ("copied", "heuristic", "fallback")
+
+
+def _check_rows(rows, count: int, dim: int, what: str) -> None:
+    if np.shape(rows) != (count, dim):
+        raise DimensionMismatch(
+            f"{what} returned shape {np.shape(rows)}, expected ({count}, {dim})"
+        )
 
 
 def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
-    g,
+    init=None,
     fallback=None,
     method: HeuristicConfig | None = None,
 ) -> tuple[EmbeddingMatrix, AdaptationReport]:
     """Build the target matrix: copy shared rows, initialize novel rows.
 
-    g(token, target_id) produces a novel row; raising FallbackRequired
-    routes the token to the fallback initializer (or re-raises when no
-    fallback is given). Shared rows are copied bit-exactly.
+    init(tokens, target_ids) gets the novel tokens and their target ids
+    in partition order and returns (rows, ok): float64 rows of shape
+    (n, dim) and a bool mask. Rows with ok=False are replaced in one
+    batch by fallback(target_ids), or raise FallbackRequired when no
+    fallback is given. Shared rows are copied bit-exactly.
     """
     start = time.perf_counter()
     target_size = part.shared_count + part.novel_count
     dim = source_emb.dim
-    seen = np.zeros(target_size, dtype=bool)
+    sids = np.array([sid for _, sid, _ in part.shared], dtype=np.int64)
+    shared_tids = np.array([tid for _, _, tid in part.shared], dtype=np.int64)
+    novel_tids = np.array([tid for _, tid in part.novel], dtype=np.int64)
+    tids = np.concatenate([shared_tids, novel_tids])
+
+    bad = (sids < 0) | (sids >= source_emb.rows)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"source id {sids[bad][0]} is outside the {source_emb.rows}-row "
+            f"source matrix"
+        )
+    bad = (tids < 0) | (tids >= target_size)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"target id {tids[bad][0]} is outside the {target_size}-token target"
+        )
+    # target_size ids, all in range: a repeated id leaves another uncovered
+    counts = np.bincount(tids, minlength=target_size)
+    if counts.max(initial=1) > 1:
+        raise PartitionInconsistent(
+            f"target id {counts.argmax()} appears {counts.max()} times; the "
+            f"partition does not cover every target id"
+        )
+
     out = np.empty((target_size, dim), dtype=np.float32)
-    provenance: list[tuple[int, str] | None] = [None] * target_size
-
-    for _, sid, tid in part.shared:
-        if not (0 <= sid < source_emb.rows and 0 <= tid < target_size) or seen[tid]:
-            raise PartitionInconsistent(
-                f"bad or duplicate partition entry (source {sid}, target {tid})"
+    out[shared_tids] = source_emb.data[sids]
+    kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
+    missing = novel_tids[:0]
+    if part.novel_count:
+        rows, ok = init([token for token, _ in part.novel], novel_tids)
+        _check_rows(rows, part.novel_count, dim, "initializer")
+        out[novel_tids] = rows
+        kind[novel_tids] = 1
+        missing = novel_tids[~np.asarray(ok, dtype=bool)]
+    if missing.size:
+        if fallback is None:
+            raise FallbackRequired(
+                f"{missing.size} novel rows need a fallback (first target id "
+                f"{missing[0]})"
             )
-        seen[tid] = True
-        out[tid] = source_emb.data[sid]
-        provenance[tid] = (tid, "copied")
-
-    fallback_count = 0
-    for token, tid in part.novel:
-        if not 0 <= tid < target_size or seen[tid]:
-            raise PartitionInconsistent(
-                f"bad or duplicate partition entry (target {tid})"
-            )
-        seen[tid] = True
-        try:
-            row = np.asarray(g(token, tid), dtype=np.float64)
-            prov = "heuristic"
-        except FallbackRequired:
-            if fallback is None:
-                raise
-            row = np.asarray(fallback(tid), dtype=np.float64)
-            prov = "fallback"
-            fallback_count += 1
-        if row.shape != (dim,):
-            raise DimensionMismatch(
-                f"initializer for target id {tid} returned shape {row.shape}, "
-                f"expected ({dim},)"
-            )
-        out[tid] = row
-        provenance[tid] = (tid, prov)
-
-    if not seen.all():
-        raise PartitionInconsistent("partition does not cover every target id")
+        rows = fallback(missing)
+        _check_rows(rows, missing.size, dim, "fallback")
+        out[missing] = rows
+        kind[missing] = 2
 
     report = AdaptationReport(
         copied_count=part.shared_count,
-        initialized_count=part.novel_count - fallback_count,
-        fallback_count=fallback_count,
-        per_token=[p for p in provenance if p is not None],
+        initialized_count=part.novel_count - missing.size,
+        fallback_count=missing.size,
+        per_token=[(tid, PROVENANCE[k]) for tid, k in enumerate(kind.tolist())],
         method=method or HeuristicConfig(),
         timing_seconds=time.perf_counter() - start,
     )
@@ -285,8 +367,12 @@ def assemble(
 
 def _make_fallback(cfg: HeuristicConfig, source_stats: EmbeddingStats):
     if cfg.fallback == "mean-row":
-        return lambda tid: source_stats.mean
-    return lambda tid: g_random(tid, source_stats, cfg.seed, cfg.random_moments)
+        return lambda tids: np.tile(source_stats.mean, (len(tids), 1))
+    return lambda tids: random_rows(tids, source_stats, cfg.seed, cfg.random_moments)
+
+
+def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    return rows, np.ones(len(rows), dtype=bool)
 
 
 def _adapt_one(
@@ -318,25 +404,28 @@ def _adapt_one(
     fallback = _make_fallback(cfg, source_stats)
 
     if cfg.method == "random":
-        def g(token, tid):
-            return g_random(tid, source_stats, cfg.seed, cfg.random_moments)
+        def init(tokens, tids):
+            return _all_ok(
+                random_rows(tids, source_stats, cfg.seed, cfg.random_moments)
+            )
     elif cfg.method == "fvt":
-        def g(token, tid):
-            piece = canonicalize(token, target_model.marker, source_model.marker)
-            return g_fvt(piece, source_model, source_emb)
+        def init(tokens, tids):
+            pieces = [canonicalize(token, target_model.marker, source_model.marker)
+                      for token in tokens]
+            return fvt_rows(pieces, source_model, source_emb)
     elif cfg.method == "clp":
-        g_init = ClpInitializer(source_emb, helper_emb, part, cfg)
+        clp = ClpInitializer(source_emb, helper_emb, part, cfg)
 
-        def g(token, tid):
-            return g_init(tid)
+        def init(tokens, tids):
+            return clp.rows(tids)
     else:  # sava
         pairs_x, pairs_y = alignment.collect_pairs(helper_emb, source_emb, part)
         phi, _ = alignment.fit_gradient(pairs_x, pairs_y, train_cfg)
 
-        def g(token, tid):
-            return g_sava(tid, helper_emb, phi)
+        def init(tokens, tids):
+            return _all_ok(sava_rows(tids, helper_emb, phi))
 
-    return assemble(source_emb, part, g, fallback, method=cfg)
+    return assemble(source_emb, part, init, fallback, method=cfg)
 
 
 def adapt(

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     MalformedVocab,
+    PartitionInconsistent,
     UnencodableInput,
     UnknownMergeSymbol,
 )
@@ -312,11 +313,30 @@ class TokenPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TokenPartition":
-        return cls(
-            tuple((str(t), int(s), int(g)) for t, s, g in d["shared"]),
-            tuple((str(t), int(g)) for t, g in d["novel"]),
-            tuple(d.get("warnings", ())),
+        """Read an `intersect` report; malformed input raises PartitionInconsistent."""
+        if not isinstance(d, dict) or "shared" not in d or "novel" not in d:
+            raise PartitionInconsistent(
+                "partition must be a JSON object with 'shared' and 'novel' lists"
+            )
+        try:
+            shared = tuple(
+                (str(t), _partition_id(s), _partition_id(g)) for t, s, g in d["shared"]
+            )
+            novel = tuple((str(t), _partition_id(g)) for t, g in d["novel"])
+        except (TypeError, ValueError) as exc:
+            raise PartitionInconsistent(
+                "partition entries must be [token, source id, target id] "
+                f"(shared) and [token, target id] (novel): {exc}"
+            ) from exc
+        return cls(shared, novel, tuple(d.get("warnings", ())))
+
+
+def _partition_id(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise PartitionInconsistent(
+            f"partition id {value!r} is not a non-negative integer"
         )
+    return value
 
 
 def partition(

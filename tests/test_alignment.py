@@ -16,7 +16,9 @@ from vocabforge.alignment import Scaler
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyIntersection,
+    PartitionInconsistent,
     SingularSystem,
+    SizeMismatch,
 )
 
 
@@ -72,6 +74,37 @@ class TestCollectPairs:
         source = random_matrix(rng, 9, 2)
         with pytest.raises(DimensionMismatch):
             collect_pairs(helper, source, make_partition(5))
+
+    @pytest.mark.parametrize("entry", [("a", -1, 0), ("a", 0, -1)])
+    def test_negative_ids(self, entry):
+        rng = np.random.default_rng(5)
+        m = random_matrix(rng, 3, 2)
+        part = TokenPartition(shared=(entry,), novel=(), warnings=())
+        with pytest.raises(DimensionMismatch):
+            collect_pairs(m, m, part)
+
+
+class TestPartitionFromDict:
+    def test_roundtrip(self):
+        part = make_partition(3, n_novel=2)
+        assert TokenPartition.from_dict(part.to_dict()) == part
+
+    @pytest.mark.parametrize("doc", [
+        {"novel": []},
+        {"shared": []},
+        [],
+        {"shared": [["a", 0]], "novel": []},
+        {"shared": [], "novel": [["x", 0, 1]]},
+        {"shared": [["a", "0", 0]], "novel": []},
+        {"shared": [["a", 0, 1.0]], "novel": []},
+        {"shared": [["a", 0, True]], "novel": []},
+        {"shared": [["a", 0, -1]], "novel": []},
+        {"shared": [], "novel": [["x", -2]]},
+        {"shared": 5, "novel": []},
+    ])
+    def test_malformed_rejected(self, doc):
+        with pytest.raises(PartitionInconsistent):
+            TokenPartition.from_dict(doc)
 
 
 class TestScaler:
@@ -217,3 +250,11 @@ class TestAffineMap:
         # storage is float32, so compare predictions at float32 precision
         np.testing.assert_allclose(back.apply_batch(x), phi.apply_batch(x),
                                    rtol=1e-4, atol=1e-4)
+
+    def test_truncated_container_rejected(self, tmp_path):
+        path = str(tmp_path / "map.bin")
+        save_map(AffineMap.identity(3), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(len(fh.read()) - 4)
+        with pytest.raises(SizeMismatch):
+            load_map(path)

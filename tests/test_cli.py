@@ -134,6 +134,26 @@ class TestIntersectAndFitMap:
         assert report["fit"]["pair_count"] == 6
         assert report["fit"]["oracle_mse"] is not None
 
+    @pytest.mark.parametrize("doc", [
+        {"novel": [["n0", 6], ["n1", 7]]},
+        {"shared": [["s0", 0, -1]], "novel": []},
+    ])
+    def test_malformed_partition_is_validation_error(self, capsys, world, doc):
+        part_path = world["tmp"] + "/bad_part.json"
+        with open(part_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", part_path,
+            "--out", world["tmp"] + "/map.bin", "--steps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
 
 class TestAdapt:
     def adapt_args(self, world, out, report, *extra):

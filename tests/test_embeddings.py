@@ -36,6 +36,12 @@ class TestFormat:
         with pytest.raises(SizeMismatch):
             load_matrix(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = str(tmp_path / "m.emb1")
+        _raw_file(path, 1, 2, struct.pack("<3f", 1, 2, 3))
+        with pytest.raises(SizeMismatch, match="payload has 12 bytes"):
+            load_matrix(path)
+
     def test_nan_rejected(self, tmp_path):
         path = str(tmp_path / "m.emb1")
         _raw_file(path, 1, 2, struct.pack("<2f", 1.0, float("nan")))

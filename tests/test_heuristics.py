@@ -11,6 +11,7 @@ from vocabforge import (
     adapt,
     adapt_untied,
     assemble,
+    fit_gradient,
     g_clp,
     g_fvt,
     g_random,
@@ -211,6 +212,12 @@ class TestGSava:
             g_sava(0, helper, AffineMap.identity(5))
 
 
+def zeros_init(dim):
+    """Row kernel that builds an all-zero row for every novel token."""
+    return lambda tokens, tids: (np.zeros((len(tids), dim)),
+                                 np.ones(len(tids), dtype=bool))
+
+
 class TestAssemble:
     def test_pure_copy(self):
         rng = np.random.default_rng(0)
@@ -218,7 +225,7 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 3, 0), ("b", 1, 1)), novel=(), warnings=()
         )
-        out, report = assemble(source_emb, part, g=None)
+        out, report = assemble(source_emb, part, init=None)
         assert out.data[0].tobytes() == source_emb.data[3].tobytes()
         assert out.data[1].tobytes() == source_emb.data[1].tobytes()
         assert (report.copied_count, report.initialized_count,
@@ -230,8 +237,13 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
-        out, report = assemble(source_emb, part,
-                               g=lambda token, tid: np.full(3, float(tid)))
+
+        def init(tokens, tids):
+            assert tokens == ["x", "y"] and tids.tolist() == [1, 2]
+            return (np.repeat(tids[:, None], 3, axis=1).astype(np.float64),
+                    np.ones(len(tids), dtype=bool))
+
+        out, report = assemble(source_emb, part, init=init)
         np.testing.assert_array_equal(out.data[1], [1, 1, 1])
         np.testing.assert_array_equal(out.data[2], [2, 2, 2])
         assert report.initialized_count == 2
@@ -246,13 +258,14 @@ class TestAssemble:
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
 
-        def g(token, tid):
-            if token == "y":
-                raise FallbackRequired("no dice")
-            return np.zeros(3)
+        def init(tokens, tids):
+            return np.zeros((len(tids), 3)), np.array([t != "y" for t in tokens])
 
-        out, report = assemble(source_emb, part, g,
-                               fallback=lambda tid: np.ones(3))
+        def fallback(tids):
+            assert tids.tolist() == [2]
+            return np.ones((len(tids), 3))
+
+        out, report = assemble(source_emb, part, init, fallback=fallback)
         np.testing.assert_array_equal(out.data[2], [1, 1, 1])
         assert report.fallback_count == 1
         assert (2, "fallback") in report.per_token
@@ -262,11 +275,11 @@ class TestAssemble:
         source_emb = random_matrix(rng, 1, 2)
         part = TokenPartition(shared=(), novel=(("x", 0),), warnings=())
 
-        def g(token, tid):
-            raise FallbackRequired("nope")
+        def init(tokens, tids):
+            return np.zeros((len(tids), 2)), np.zeros(len(tids), dtype=bool)
 
         with pytest.raises(FallbackRequired):
-            assemble(source_emb, part, g)
+            assemble(source_emb, part, init)
 
     def test_duplicate_target_id_rejected(self):
         rng = np.random.default_rng(4)
@@ -275,7 +288,7 @@ class TestAssemble:
             shared=(("a", 0, 0), ("b", 1, 0)), novel=(("x", 1),), warnings=()
         )
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, g=lambda token, tid: np.zeros(2))
+            assemble(source_emb, part, init=zeros_init(2))
 
     def test_coverage_gap_rejected(self):
         rng = np.random.default_rng(5)
@@ -286,14 +299,161 @@ class TestAssemble:
         # ids 1 and 2 exist but 0 is never produced in a 3-row target?
         # partition size is shared+novel = 2, so id 2 is out of range
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, g=lambda token, tid: np.zeros(2))
+            assemble(source_emb, part, init=zeros_init(2))
+
+    @pytest.mark.parametrize("shared, novel", [
+        ((("a", -1, 0),), (("x", 1),)),
+        ((("a", 0, -1),), (("x", 1),)),
+        ((("a", 0, 0),), (("x", -1),)),
+        ((("a", 2, 0),), (("x", 1),)),
+    ])
+    def test_negative_or_out_of_range_id_rejected(self, shared, novel):
+        rng = np.random.default_rng(7)
+        source_emb = random_matrix(rng, 2, 2)
+        part = TokenPartition(shared=shared, novel=novel, warnings=())
+        with pytest.raises(PartitionInconsistent):
+            assemble(source_emb, part, init=zeros_init(2))
 
     def test_wrong_row_shape_rejected(self):
         rng = np.random.default_rng(6)
         source_emb = random_matrix(rng, 1, 3)
         part = TokenPartition(shared=(), novel=(("x", 0), ("y", 1)), warnings=())
         with pytest.raises(DimensionMismatch):
-            assemble(source_emb, part, g=lambda token, tid: np.zeros(5))
+            assemble(source_emb, part, init=zeros_init(5))
+
+
+def clp_reference(helper, part, source_emb, token_id, policy, k):
+    """Per-row CLP: one matvec per token, lexsort top-k; None if degenerate."""
+    tids = [tid for _, _, tid in part.shared]
+    sids = [sid for _, sid, _ in part.shared]
+    anchors = helper[tids].astype(np.float64)
+    unit = anchors / np.linalg.norm(anchors, axis=1)[:, None]
+    v = helper[token_id].astype(np.float64)
+    sims = unit @ (v / np.linalg.norm(v))
+    if policy == "clamp-zero":
+        w = np.maximum(sims, 0.0)
+    elif policy == "shift-min":
+        w = sims - sims.min()
+    else:
+        w = np.abs(sims)
+    if 0 < k < len(w):
+        order = np.lexsort((np.arange(len(w)), -w))
+        w = np.where(np.isin(np.arange(len(w)), order[:k]), w, 0.0)
+    if w.sum() <= 0.0:
+        return None
+    return (w / w.sum()) @ source_emb.data[sids].astype(np.float64)
+
+
+def tied_clp_fixture():
+    """8 shared and 12 novel tokens; several novel rows tie between anchors.
+
+    Shared helper rows 0/2 and 1/4 are identical directions, so any novel
+    row has exactly equal similarities to each pair; novel rows along an
+    axis or a diagonal tie across more anchors. Every shared helper row is
+    non-negative, so the all-negative novel row (n3) has no positive
+    similarity.
+    """
+    shared = [f"s{i}" for i in range(8)]
+    novel = [f"n{i}" for i in range(12)]
+    source = word_list_tokenizer(shared + ["only-source"])
+    target = word_list_tokenizer(shared + novel)
+    part = partition(source.vocab, target.vocab, NONE, NONE)
+    rng = np.random.default_rng(5)
+    source_emb = random_matrix(rng, source.vocab.size, 5)
+    helper = rng.normal(size=(target.vocab.size, 4)).astype(np.float32)
+    helper[0] = [1, 0, 0, 0]
+    helper[1] = [0, 1, 0, 0]
+    helper[2] = [3, 0, 0, 0]
+    helper[3] = [1, 1, 0, 0]
+    helper[4] = [0, 2, 0, 0]
+    helper[5:8] = np.abs(helper[5:8])  # every anchor in the positive orthant
+    helper[12:, 0] = np.abs(helper[12:, 0]) + 0.1  # positive against anchor 0
+    helper[8] = [1, 1, 0, 0]
+    helper[9] = [0, 0, 1, 0]
+    helper[10] = [2, 0, 0, 0]
+    helper[11] = [-1, -1, -1, -1]
+    return part, source_emb, helper, source, target
+
+
+class TestClpKernel:
+    @pytest.mark.parametrize("policy", ["clamp-zero", "shift-min", "absolute"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_blocked_matches_per_row_reference(self, monkeypatch, policy, k):
+        from vocabforge import heuristics
+        part, source_emb, helper, _, _ = tied_clp_fixture()
+        monkeypatch.setattr(heuristics, "BUDGET", 3 * 8 * part.shared_count)
+        init = heuristics.ClpInitializer(
+            source_emb, EmbeddingMatrix(helper), part,
+            HeuristicConfig(method="clp", clp_negative_policy=policy,
+                            clp_top_k=k),
+        )
+        ids = np.array([tid for _, tid in part.novel])
+        rows, ok = init.rows(ids)
+        for row, good, tid in zip(rows, ok, ids):
+            want = clp_reference(helper, part, source_emb, tid, policy, k)
+            assert good == (want is not None)
+            if want is not None:
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_block_size_does_not_change_output(self, monkeypatch, k):
+        from vocabforge import heuristics
+        _, source_emb, helper, source, target = tied_clp_fixture()
+        shared = 8
+        cfg = HeuristicConfig(method="clp", clp_top_k=k)
+        results = []
+        for budget in (8 * shared, 7 * 8 * shared, heuristics.BUDGET):
+            monkeypatch.setattr(heuristics, "BUDGET", budget)
+            results.append(adapt(source_emb, source, target,
+                                 EmbeddingMatrix(helper), cfg))
+        (first, first_report), *rest = results
+        assert first_report.fallback_count == 1
+        for out, report in rest:
+            assert out.data.tobytes() == first.data.tobytes()
+            assert report.per_token == first_report.per_token
+
+    def test_zero_norm_novel_row_raises(self):
+        part, source_emb, helper, source, target = tied_clp_fixture()
+        helper[part.novel[5][1]] = 0.0
+        with pytest.raises(ZeroNormEmbedding, match=f"id {part.novel[5][1]} "):
+            adapt(source_emb, source, target, EmbeddingMatrix(helper),
+                  HeuristicConfig(method="clp"))
+
+    def test_all_negative_row_goes_to_fallback(self):
+        part, source_emb, helper, source, target = tied_clp_fixture()
+        out, report = adapt(source_emb, source, target, EmbeddingMatrix(helper),
+                            HeuristicConfig(method="clp", seed=4))
+        tid = target.vocab.token_to_id["n3"]  # helper row 11: all negative
+        assert report.fallback_count == 1
+        assert (tid, "fallback") in report.per_token
+        want = g_random(tid, stats(source_emb), seed=4).astype(np.float32)
+        np.testing.assert_array_equal(out.data[tid], want)
+
+
+class TestRowKernels:
+    def test_random_rows_match_per_id_philox(self):
+        from vocabforge.heuristics import random_rows
+        rng = np.random.default_rng(8)
+        st = stats_of(rng.normal(size=(20, 6)))
+        ids = [0, 5, 3, 2**40]
+        got = random_rows(ids, st, seed=9)
+        for row, tid in zip(got, ids):
+            key = (9 << 64) | tid
+            draw = np.random.Generator(np.random.Philox(key=key)).standard_normal(6)
+            want = st.mean + np.sqrt(st.variance) * draw
+            assert row.tobytes() == want.tobytes()
+
+    def test_sava_rows_match_single_rows(self):
+        from vocabforge.heuristics import sava_rows
+        rng = np.random.default_rng(9)
+        helper = random_matrix(rng, 6, 4)
+        x = rng.normal(size=(30, 4))
+        phi, _ = fit_gradient(x, x @ rng.normal(size=(4, 3)),
+                              TrainConfig(steps=3))
+        rows = sava_rows([4, 0, 2], helper, phi)
+        for row, tid in zip(rows, [4, 0, 2]):
+            np.testing.assert_allclose(
+                row, phi.apply(helper.data[tid].astype(np.float64)), atol=1e-12)
 
 
 def adaptation_fixture(dim=6, shared=8, novel=4, seed=0):
