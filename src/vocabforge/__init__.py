@@ -47,6 +47,7 @@ from .tokenizer import (
     Vocabulary,
     canonicalize,
     load_tokenizer,
+    load_vocab,
     partition,
 )
 
@@ -82,6 +83,7 @@ __all__ = [
     "load_map",
     "load_matrix",
     "load_tokenizer",
+    "load_vocab",
     "param_report",
     "partition",
     "relative_similarity",

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import EmbeddingMatrix
 from .errors import (
     DimensionMismatch,
@@ -71,18 +72,21 @@ def fertility(
     Words are maximal runs of non-whitespace (Unicode split); each word
     is tokenized with a preceding word boundary. The corpus fertility is
     total tokens / total words, not a mean of per-document ratios, so it
-    is independent of document order and sharding.
+    is independent of document order and sharding. Each distinct word is
+    encoded once per call.
     """
     total_words = 0
     total_tokens = 0
     per_doc: list[float] = []
+    counts: dict[str, int] = {}  # word -> token count
     for doc in documents:
         words = doc.split()
         if not words:
             continue
-        doc_tokens = 0
         for word in words:
-            doc_tokens += len(model.tokenize_word(word))
+            if word not in counts:
+                counts[word] = len(model.tokenize_word(word))
+        doc_tokens = sum(map(counts.__getitem__, words))
         total_words += len(words)
         total_tokens += doc_tokens
         if per_document:
@@ -164,13 +168,14 @@ def select_anchors(
     return anchors
 
 
-def _unit_rows(data: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
-    rows = data[ids].astype(np.float64)
+def _unit_rows(rows: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+    """Normalize float64 rows in place; a zero-norm row raises ZeroNormRow."""
     norms = np.linalg.norm(rows, axis=1)
     bad = np.flatnonzero(norms == 0)
     if bad.size:
         raise ZeroNormRow(f"{what} id {ids[bad[0]]} has a zero-norm embedding")
-    return rows / norms[:, None]
+    rows /= norms[:, None]
+    return rows
 
 
 def relative_similarity(
@@ -187,6 +192,12 @@ def relative_similarity(
     anchor rows of its own space (cosine by default, raw dot products
     with projection="dot"); the score is 100 times the mean cosine
     between the two relative representations.
+
+    Tokens are scored in blocks of at most embeddings.BUDGET bytes of
+    float64 rows. Both sides' anchors are checked before any token; then,
+    block by block, zero-norm token rows (left side, then right side) and
+    zero-norm relative representations raise ZeroNormRow naming the first
+    offending id.
     """
     if emb_a.rows != emb_b.rows:
         raise DimensionMismatch(
@@ -199,25 +210,29 @@ def relative_similarity(
     else:
         sample = np.asarray(list(token_sample), dtype=int)
 
-    def relative(emb: EmbeddingMatrix, label: str) -> np.ndarray:
-        if projection == "cosine":
-            anchor_rows = _unit_rows(emb.data, anchors, f"{label} anchor")
-            token_rows = _unit_rows(emb.data, sample, f"{label} token")
-        else:
-            anchor_rows = emb.data[anchors].astype(np.float64)
-            token_rows = emb.data[sample].astype(np.float64)
-        return token_rows @ anchor_rows.T
+    def rows(emb: EmbeddingMatrix, ids: np.ndarray, what: str) -> np.ndarray:
+        out = emb.data[ids].astype(np.float64)
+        return _unit_rows(out, ids, what) if projection == "cosine" else out
 
-    rel_a = relative(emb_a, "left")
-    rel_b = relative(emb_b, "right")
-    norm_a = np.linalg.norm(rel_a, axis=1)
-    norm_b = np.linalg.norm(rel_b, axis=1)
-    bad = np.flatnonzero((norm_a == 0) | (norm_b == 0))
-    if bad.size:
-        raise ZeroNormRow(
-            f"token id {sample[bad[0]]} has a zero-norm relative representation"
-        )
-    cosines = np.sum(rel_a * rel_b, axis=1) / (norm_a * norm_b)
+    anchors_a = rows(emb_a, anchors, "left anchor")
+    anchors_b = rows(emb_b, anchors, "right anchor")
+    width = max(len(anchors), emb_a.dim, emb_b.dim)
+    step = max(1, embeddings.BUDGET // (8 * width))
+    cosines = np.empty(len(sample))
+    for lo in range(0, len(sample), step):
+        ids = sample[lo:lo + step]
+        rel_a = rows(emb_a, ids, "left token") @ anchors_a.T
+        rel_b = rows(emb_b, ids, "right token") @ anchors_b.T
+        norm_a = np.linalg.norm(rel_a, axis=1)
+        norm_b = np.linalg.norm(rel_b, axis=1)
+        bad = np.flatnonzero((norm_a == 0) | (norm_b == 0))
+        if bad.size:
+            raise ZeroNormRow(
+                f"token id {ids[bad[0]]} has a zero-norm relative "
+                f"representation"
+            )
+        rel_a *= rel_b
+        cosines[lo:lo + step] = rel_a.sum(axis=1) / (norm_a * norm_b)
     score = 100.0 * math.fsum(cosines) / len(cosines)
     return SimilarityScore(
         score=score,

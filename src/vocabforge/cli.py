@@ -19,8 +19,8 @@ from .errors import VocabForgeError
 from .tokenizer import (
     MarkerConvention,
     TokenPartition,
-    Vocabulary,
     load_tokenizer,
+    load_vocab,
     partition,
 )
 
@@ -51,22 +51,16 @@ def _echo_config(args) -> dict:
     }
 
 
-def _emit(args, payload: dict) -> None:
+def _emit(args, payload: dict, dest: str | None) -> None:
+    """Write the JSON report to the file `dest`, or to stdout if None."""
     report = {"schema_version": SCHEMA_VERSION, "config": _echo_config(args)}
     report.update(payload)
     text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+    if dest:
+        with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_vocab(path: str) -> Vocabulary:
-    with open(path, encoding="utf-8") as fh:
-        mapping = json.load(fh)
-    return Vocabulary.from_mapping(mapping)
 
 
 # --- subcommands -------------------------------------------------------
@@ -74,8 +68,8 @@ def _load_vocab(path: str) -> Vocabulary:
 
 def cmd_intersect(args) -> int:
     _require(args, "source-vocab", "target-vocab")
-    source = _load_vocab(args.source_vocab)
-    target = _load_vocab(args.target_vocab)
+    source = load_vocab(args.source_vocab)
+    target = load_vocab(args.target_vocab)
     src_marker = MarkerConvention.from_name(args.source_marker)
     tgt_marker = MarkerConvention.from_name(args.target_marker)
     part = partition(source, target, src_marker, tgt_marker)
@@ -87,7 +81,7 @@ def cmd_intersect(args) -> int:
     )
     payload = {"canonicalization_mode": mode}
     payload.update(part.to_dict())
-    _emit(args, payload)
+    _emit(args, payload, args.out)
     return 0
 
 
@@ -98,7 +92,7 @@ def cmd_stats(args) -> int:
     if args.json:
         payload = {"rows": matrix.rows, "dim": matrix.dim}
         payload.update(st.to_dict())
-        _emit(args, payload)
+        _emit(args, payload, args.out)
     else:
         print(f"matrix: {matrix.rows} x {matrix.dim}")
         print(f"scalar mean: {st.scalar_mean:.6g}")
@@ -175,13 +169,7 @@ def cmd_adapt(args) -> int:
         embeddings.save_matrix(embed_out, args.out)
         payload = {"adaptation": embed_rep.to_dict(args.verbose_report)}
 
-    report_text = json.dumps(
-        {"schema_version": SCHEMA_VERSION, "config": _echo_config(args),
-         **payload},
-        indent=2, sort_keys=True, ensure_ascii=False,
-    ) + "\n"
-    with open(args.report, "w", encoding="utf-8") as fh:
-        fh.write(report_text)
+    _emit(args, payload, args.report)
     return 0
 
 
@@ -202,8 +190,7 @@ def cmd_fit_map(args) -> int:
         pairs_x, pairs_y, cfg, compare_oracle=True
     )
     alignment.save_map(phi, args.out)
-    _emit_report_args = argparse.Namespace(**{**vars(args), "out": None})
-    _emit(_emit_report_args, {"fit": fit_report.to_dict()})
+    _emit(args, {"fit": fit_report.to_dict()}, None)
     return 0
 
 
@@ -227,7 +214,7 @@ def cmd_fertility(args) -> int:
     payload = report.to_dict()
     if not args.per_doc:
         payload.pop("per_document", None)
-    _emit(args, {"fertility": payload})
+    _emit(args, {"fertility": payload}, args.out)
     return 0
 
 
@@ -235,7 +222,7 @@ def cmd_similarity(args) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
     emb_a = embeddings.load_matrix(args.emb_a)
     emb_b = embeddings.load_matrix(args.emb_b)
-    vocab = _load_vocab(args.vocab)
+    vocab = load_vocab(args.vocab)
     marker = MarkerConvention.from_name(args.marker)
     anchors = analysis.select_anchors(
         vocab, marker, n_prefix=args.n_prefix, n_nonprefix=args.n_nonprefix,
@@ -251,7 +238,7 @@ def cmd_similarity(args) -> int:
         emb_a, emb_b, anchors, token_sample=sample, seed=args.seed,
         projection=args.projection,
     )
-    _emit(args, {"similarity": score.to_dict()})
+    _emit(args, {"similarity": score.to_dict()}, args.out)
     return 0
 
 
@@ -260,7 +247,7 @@ def cmd_params(args) -> int:
     report = analysis.param_report(
         args.before, args.after, args.dim, args.tied, args.base
     )
-    _emit(args, {"params": report.to_dict()})
+    _emit(args, {"params": report.to_dict()}, args.out)
     return 0
 
 

@@ -24,6 +24,10 @@ from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch
 
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
+# Bytes of float64 working rows per block in the whole-vocabulary passes
+# (stats, CLP, similarity): caps their memory whatever the vocabulary size.
+# Read at call time, so it can be patched.
+BUDGET = 16 << 20
 
 
 def emb1_file_size(rows: int, dim: int) -> int:
@@ -122,13 +126,38 @@ def load_matrix(path: str, label: str = "") -> EmbeddingMatrix:
 
 
 def stats(matrix: EmbeddingMatrix) -> EmbeddingStats:
-    """Compute mean/variance per dimension and over all entries."""
+    """Compute mean/variance per dimension and over all entries.
+
+    Rows are read BUDGET bytes of float64 at a time; each block's sums and
+    centered sums of squares are merged into the running ones (Chan et
+    al.'s pairwise update). The scalar moments follow from the
+    per-dimension ones by the law of total variance.
+    """
     if matrix.rows == 0:
         raise EmptyMatrix("stats requires at least one row")
-    data = matrix.data.astype(np.float64)
+    total = np.zeros(matrix.dim)
+    m2 = np.zeros(matrix.dim)
+    seen = 0
+    step = max(1, BUDGET // (8 * matrix.dim))
+    for lo in range(0, matrix.rows, step):
+        block = matrix.data[lo:lo + step].astype(np.float64)
+        n = len(block)
+        block_sum = block.sum(axis=0)
+        block -= block_sum / n
+        block *= block
+        m2 += block.sum(axis=0)
+        if seen:
+            delta = block_sum / n - total / seen
+            m2 += delta * delta * (seen * n / (seen + n))
+        total += block_sum
+        seen += n
+    mean = total / seen
+    variance = m2 / seen
+    scalar_mean = float(mean.mean())
+    spread = np.square(mean - scalar_mean).mean()
     return EmbeddingStats(
-        mean=data.mean(axis=0),
-        variance=data.var(axis=0),
-        scalar_mean=float(data.mean()),
-        scalar_variance=float(data.var()),
+        mean=mean,
+        variance=variance,
+        scalar_mean=scalar_mean,
+        scalar_variance=float(variance.mean() + spread),
     )

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import alignment
+from . import alignment, embeddings
 from .alignment import AffineMap, TrainConfig
 from .embeddings import EmbeddingMatrix, EmbeddingStats, stats as matrix_stats
 from .errors import (
@@ -27,9 +27,6 @@ METHODS = ("random", "fvt", "clp", "sava")
 HELPER_METHODS = ("clp", "sava")
 
 _MASK64 = (1 << 64) - 1
-# Bytes of float64 similarities per CLP block: caps CLP working memory
-# whatever the vocabulary size.
-BUDGET = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -170,8 +167,8 @@ class ClpInitializer:
 
     Weights are cosine similarities in the helper space, post-processed
     by the negative policy, optionally truncated to the top-k support,
-    and normalized to sum to 1. Rows are computed BUDGET bytes of
-    similarities at a time: one GEMM against the shared helper rows for
+    and normalized to sum to 1. Rows are computed embeddings.BUDGET bytes
+    of similarities at a time: one GEMM against the shared helper rows for
     the weights, one against the shared source rows for the result.
     """
 
@@ -232,7 +229,7 @@ class ClpInitializer:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         out = np.empty((len(token_ids), self.shared_source_rows.shape[1]))
         ok = np.empty(len(token_ids), dtype=bool)
-        step = max(1, BUDGET // (8 * len(self.anchor_unit)))
+        step = max(1, embeddings.BUDGET // (8 * len(self.anchor_unit)))
         for lo in range(0, len(token_ids), step):
             w, ok[lo:lo + step] = self._weights(token_ids[lo:lo + step])
             out[lo:lo + step] = w @ self.shared_source_rows

@@ -240,6 +240,15 @@ class TokenizerModel:
         return text
 
 
+def load_vocab(path: str) -> Vocabulary:
+    """Load a vocab.json file: a JSON object from token string to id."""
+    with open(path, encoding="utf-8") as fh:
+        mapping = json.load(fh)
+    if not isinstance(mapping, dict):
+        raise MalformedVocab("vocab file must be a JSON object")
+    return Vocabulary.from_mapping(mapping)
+
+
 def load_tokenizer(
     vocab_path: str,
     merges_path: str,
@@ -254,11 +263,7 @@ def load_tokenizer(
     """
     if isinstance(marker, str):
         marker = MarkerConvention.from_name(marker)
-    with open(vocab_path, encoding="utf-8") as fh:
-        mapping = json.load(fh)
-    if not isinstance(mapping, dict):
-        raise MalformedVocab("vocab file must be a JSON object")
-    vocab = Vocabulary.from_mapping(mapping)
+    vocab = load_vocab(vocab_path)
 
     merges: list[tuple[str, str]] = []
     with open(merges_path, encoding="utf-8") as fh:

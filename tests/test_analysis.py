@@ -6,12 +6,14 @@ import pytest
 from conftest import META, NONE, char_tokenizer, random_matrix, vocab_of
 from vocabforge import (
     EmbeddingMatrix,
+    TokenizerModel,
     fertility,
     param_report,
     relative_similarity,
     select_anchors,
 )
-from vocabforge.analysis import histogram_csv, iter_corpus
+from vocabforge import embeddings
+from vocabforge.analysis import FertilityReport, histogram_csv, iter_corpus
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyCorpus,
@@ -70,6 +72,37 @@ class TestFertility:
         model = char_tokenizer(alphabet="ab")
         report = fertility(model, ["a"], corpus_label="c", tokenizer_label="t")
         assert (report.corpus_label, report.tokenizer_label) == ("c", "t")
+
+    def test_each_distinct_word_encoded_once(self, monkeypatch):
+        model = char_tokenizer(merges=[("a", "b"), ("ab", "c")],
+                               alphabet="abcd")
+        docs = ["abc ab d abc", "", "d d abcd", "ab ab", "dab abc"]
+
+        def unmemoized():
+            words = tokens = 0
+            per_doc = []
+            for doc in docs:
+                counts = [len(model.tokenize_word(w)) for w in doc.split()]
+                if counts:
+                    words += len(counts)
+                    tokens += sum(counts)
+                    per_doc.append(sum(counts) / len(counts))
+            return FertilityReport("c", "t", words, tokens, tokens / words,
+                                   tuple(per_doc))
+
+        want = unmemoized()
+        calls = []
+        encode = TokenizerModel.tokenize_word
+
+        def spy(self, word):
+            calls.append(word)
+            return encode(self, word)
+
+        monkeypatch.setattr(TokenizerModel, "tokenize_word", spy)
+        got = fertility(model, docs, corpus_label="c", tokenizer_label="t",
+                        per_document=True)
+        assert got == want
+        assert sorted(calls) == sorted({w for d in docs for w in d.split()})
 
 
 class TestCorpusIO:
@@ -203,6 +236,104 @@ class TestRelativeSimilarity:
         with pytest.raises(DimensionMismatch):
             relative_similarity(self.emb, random_matrix(rng, 10, 6),
                                 self.anchors)
+
+
+def whole_matrix_similarity(emb_a, emb_b, anchors, sample, projection):
+    """The unblocked computation: every sampled row at once."""
+    def relative(data):
+        token_rows = data[sample].astype(np.float64)
+        anchor_rows = data[anchors].astype(np.float64)
+        if projection == "cosine":
+            token_rows /= np.linalg.norm(token_rows, axis=1)[:, None]
+            anchor_rows /= np.linalg.norm(anchor_rows, axis=1)[:, None]
+        return token_rows @ anchor_rows.T
+
+    rel_a, rel_b = relative(emb_a.data), relative(emb_b.data)
+    cosines = np.sum(rel_a * rel_b, axis=1) / (
+        np.linalg.norm(rel_a, axis=1) * np.linalg.norm(rel_b, axis=1))
+    return 100.0 * math.fsum(cosines) / len(cosines)
+
+
+class TestBlockedSimilarity:
+    """Rows are scored in blocks of embeddings.BUDGET bytes of float64."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(7)
+        self.emb_a = random_matrix(rng, 41, 6)
+        self.emb_b = random_matrix(rng, 41, 9)
+        self.anchors = [0, 3, 7, 11, 19, 23, 30, 40]
+        # one float64 row of the widest operand is 8 * 9 bytes
+        self.row_bytes = 8 * max(len(self.anchors), 6, 9)
+
+    def scores(self, monkeypatch, **kwargs):
+        out = []
+        for budget in (self.row_bytes, 7 * self.row_bytes, embeddings.BUDGET):
+            monkeypatch.setattr(embeddings, "BUDGET", budget)
+            out.append(relative_similarity(self.emb_a, self.emb_b,
+                                           self.anchors, **kwargs).score)
+        return out
+
+    def zeroed(self, left=(), right=()):
+        a, b = self.emb_a.data.copy(), self.emb_b.data.copy()
+        a[list(left)] = 0.0
+        b[list(right)] = 0.0
+        return EmbeddingMatrix(a), EmbeddingMatrix(b)
+
+    @pytest.mark.parametrize("projection", ["cosine", "dot"])
+    @pytest.mark.parametrize("sample", [None, [0, 2, 3, 5, 8, 13, 21, 34, 40]])
+    def test_block_height_does_not_change_score(self, monkeypatch,
+                                                projection, sample):
+        want = whole_matrix_similarity(
+            self.emb_a, self.emb_b, self.anchors,
+            np.arange(41) if sample is None else sample, projection)
+        for got in self.scores(monkeypatch, token_sample=sample,
+                               projection=projection):
+            assert abs(got - want) < 1e-12
+
+    def test_partial_last_block(self, monkeypatch):
+        sample = list(range(0, 40, 2))  # 20 ids: the last block of 7 has 6
+        want = whole_matrix_similarity(self.emb_a, self.emb_b, self.anchors,
+                                       sample, "cosine")
+        for got in self.scores(monkeypatch, token_sample=sample):
+            assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("budget_rows", [1, 7, None])
+    def test_zero_norm_token_rejected(self, monkeypatch, side, budget_rows):
+        if budget_rows:
+            monkeypatch.setattr(embeddings, "BUDGET",
+                                budget_rows * self.row_bytes)
+        pair = self.zeroed(**{side: [29]})
+        with pytest.raises(ZeroNormRow, match=f"^{side} token id 29 "):
+            relative_similarity(*pair, self.anchors)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_zero_norm_anchor_rejected(self, side):
+        pair = self.zeroed(**{side: [11]})
+        with pytest.raises(ZeroNormRow, match=f"^{side} anchor id 11 "):
+            relative_similarity(*pair, self.anchors)
+
+    def test_error_order(self, monkeypatch):
+        """Anchors first, then tokens in block order, left before right."""
+        monkeypatch.setattr(embeddings, "BUDGET", 7 * self.row_bytes)
+        cases = [
+            # an anchor is checked before every token, whatever its id
+            (dict(left=[30], right=[2]), "left anchor id 30 "),
+            (dict(left=[2], right=[30]), "right anchor id 30 "),
+            # id 9 is in the second block of 7, id 2 in the first
+            (dict(left=[9], right=[2]), "right token id 2 "),
+            # within a block the left side is checked first
+            (dict(left=[4], right=[2]), "left token id 4 "),
+        ]
+        for zero, message in cases:
+            with pytest.raises(ZeroNormRow, match="^" + message):
+                relative_similarity(*self.zeroed(**zero), self.anchors)
+
+    def test_zero_relative_representation_rejected(self):
+        with pytest.raises(ZeroNormRow,
+                           match="^token id 5 has a zero-norm relative"):
+            relative_similarity(*self.zeroed(right=[5]), self.anchors,
+                                projection="dot")
 
 
 class TestParamReport:

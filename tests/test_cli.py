@@ -131,6 +131,7 @@ class TestIntersectAndFitMap:
         assert os.path.exists(map_path)
         assert os.path.exists(map_path + ".json")
         report = json.loads(out)
+        assert report["config"]["out"] == map_path
         assert report["fit"]["pair_count"] == 6
         assert report["fit"]["oracle_mse"] is not None
 
@@ -153,6 +154,18 @@ class TestIntersectAndFitMap:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    @pytest.mark.parametrize("flag", ["--source-vocab", "--target-vocab"])
+    def test_array_vocab_is_validation_error(self, capsys, world, flag):
+        bad = world["tmp"] + "/array_vocab.json"
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(["s0", "s1"], fh)
+        args = {"--source-vocab": world["source_vocab"],
+                "--target-vocab": world["target_vocab"], flag: bad}
+        code, out, err = run(capsys, "intersect", *sum(args.items(), ()))
+        assert code == 1
+        assert out == ""
+        assert err == "error: vocab file must be a JSON object\n"
 
 
 class TestAdapt:
@@ -178,6 +191,18 @@ class TestAdapt:
         report = json.loads(open(report_path).read())
         assert report["adaptation"]["copied_count"] == 6
         assert report["adaptation"]["initialized_count"] == 2
+
+    def test_report_file_is_the_canonical_report(self, capsys, world):
+        report_path = world["tmp"] + "/report.json"
+        code, out, _ = run(capsys, *self.adapt_args(
+            world, world["tmp"] + "/adapted.emb1", report_path))
+        assert code == 0
+        assert out == ""
+        text = open(report_path, encoding="utf-8").read()
+        report = json.loads(text)
+        assert report["config"]["report"] == report_path
+        assert text == json.dumps(report, indent=2, sort_keys=True,
+                                  ensure_ascii=False) + "\n"
 
     def test_artifacts_reproducible(self, capsys, world):
         runs = []
@@ -275,6 +300,20 @@ class TestSimilarity:
         )
         assert code == 0
         assert -100.0 <= json.loads(out)["similarity"]["score"] <= 100.0
+
+    def test_array_vocab_is_validation_error(self, capsys, world):
+        bad = world["tmp"] + "/array_vocab.json"
+        with open(bad, "w", encoding="utf-8") as fh:
+            json.dump(["s0", "s1"], fh)
+        code, out, err = run(
+            capsys, "similarity",
+            "--emb-a", world["source_emb"], "--emb-b", world["source_emb"],
+            "--vocab", bad, "--marker", "none",
+            "--n-prefix", "0", "--n-nonprefix", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: vocab file must be a JSON object\n"
 
 
 class TestConfigFile:

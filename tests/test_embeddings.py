@@ -4,7 +4,13 @@ import struct
 import numpy as np
 import pytest
 
-from vocabforge import EmbeddingMatrix, load_matrix, save_matrix, stats
+from vocabforge import (
+    EmbeddingMatrix,
+    embeddings,
+    load_matrix,
+    save_matrix,
+    stats,
+)
 from vocabforge.embeddings import HEADER_SIZE, MAGIC, emb1_file_size
 from vocabforge.errors import (
     BadMagic,
@@ -126,6 +132,20 @@ class TestStats:
         st2 = stats(EmbeddingMatrix(data[rng.permutation(20)]))
         np.testing.assert_allclose(st1.mean, st2.mean, atol=1e-12)
         np.testing.assert_allclose(st1.variance, st2.variance, atol=1e-12)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7, None])
+    def test_block_height_matches_float64_reference(self, monkeypatch,
+                                                    rows_per_block):
+        rng = np.random.default_rng(17)
+        data = rng.normal(size=(50, 8)).astype(np.float32)
+        if rows_per_block:
+            monkeypatch.setattr(embeddings, "BUDGET", rows_per_block * 8 * 8)
+        st = stats(EmbeddingMatrix(data))
+        ref = data.astype(np.float64)
+        np.testing.assert_allclose(st.mean, ref.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(st.variance, ref.var(axis=0), rtol=1e-12)
+        assert st.scalar_mean == pytest.approx(ref.mean(), rel=1e-12)
+        assert st.scalar_variance == pytest.approx(ref.var(), rel=1e-12)
 
     def test_scalar_mean_is_mean_of_dim_means(self):
         rng = np.random.default_rng(5)

@@ -379,9 +379,9 @@ class TestClpKernel:
     @pytest.mark.parametrize("policy", ["clamp-zero", "shift-min", "absolute"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_blocked_matches_per_row_reference(self, monkeypatch, policy, k):
-        from vocabforge import heuristics
+        from vocabforge import embeddings, heuristics
         part, source_emb, helper, _, _ = tied_clp_fixture()
-        monkeypatch.setattr(heuristics, "BUDGET", 3 * 8 * part.shared_count)
+        monkeypatch.setattr(embeddings, "BUDGET", 3 * 8 * part.shared_count)
         init = heuristics.ClpInitializer(
             source_emb, EmbeddingMatrix(helper), part,
             HeuristicConfig(method="clp", clp_negative_policy=policy,
@@ -397,13 +397,13 @@ class TestClpKernel:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_block_size_does_not_change_output(self, monkeypatch, k):
-        from vocabforge import heuristics
+        from vocabforge import embeddings
         _, source_emb, helper, source, target = tied_clp_fixture()
         shared = 8
         cfg = HeuristicConfig(method="clp", clp_top_k=k)
         results = []
-        for budget in (8 * shared, 7 * 8 * shared, heuristics.BUDGET):
-            monkeypatch.setattr(heuristics, "BUDGET", budget)
+        for budget in (8 * shared, 7 * 8 * shared, embeddings.BUDGET):
+            monkeypatch.setattr(embeddings, "BUDGET", budget)
             results.append(adapt(source_emb, source, target,
                                  EmbeddingMatrix(helper), cfg))
         (first, first_report), *rest = results
