@@ -29,6 +29,11 @@ from .errors import (
 )
 from .tokenizer import TokenPartition
 
+# Bytes of one row block of the Adam state: each update finishes its
+# elementwise passes over one block of weight, moment and gradient rows
+# before the next, so they run in cache. Read at call time (patchable).
+_ADAM_BLOCK = 256 << 10
+
 
 @dataclass(frozen=True)
 class Scaler:
@@ -200,6 +205,84 @@ def _preprocess(
     return xs, out_scaler.forward(y), in_scaler, out_scaler, nu
 
 
+def _adam(
+    xs: np.ndarray,
+    ys: np.ndarray,
+    weight: np.ndarray,
+    bias: np.ndarray,
+    rng: np.random.Generator,
+    cfg: TrainConfig,
+) -> None:
+    """Train weight and bias in place by cfg.steps epochs of minibatch Adam.
+
+    Raises NonFiniteLoss after the first epoch that leaves a non-finite
+    entry. The optimizer state is local, so it is freed on return.
+    """
+    count, m = xs.shape
+    n = ys.shape[1]
+    batch = cfg.batch if cfg.batch > 0 else count
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
+    m_w = np.zeros_like(weight)
+    v_w = np.zeros_like(weight)
+    m_b = np.zeros_like(bias)
+    v_b = np.zeros_like(bias)
+    # One GEMM forms the whole weight gradient in g_w (a product of fewer
+    # rows may round differently: a single row goes to GEMV); the
+    # elementwise Adam passes then walk row blocks of the state in cache.
+    g_w = np.empty_like(weight)
+    height = min(n, max(1, _ADAM_BLOCK // (8 * m)))
+    tmp, den = np.empty((height, m)), np.empty((height, m))
+    blocks = []
+    for lo in range(0, n, height):
+        hi = min(lo + height, n)
+        blocks.append((g_w[lo:hi], weight[lo:hi], m_w[lo:hi], v_w[lo:hi],
+                       tmp[:hi - lo], den[:hi - lo]))
+    one_b1, one_b2 = 1 - b1, 1 - b2
+    t = 0
+    for step in range(cfg.steps):
+        lr = cfg.learning_rate * min(1.0, 2.0 * (1.0 - step / cfg.steps))
+        order = rng.permutation(count)
+        for start in range(0, count, batch):
+            t += 1
+            sel = order[start:start + batch]
+            xb, yb = xs[sel], ys[sel]
+            resid = xb @ weight.T + bias - yb
+            np.matmul(resid.T, xb, out=g_w)
+            # 2*G/(k*n) == G/(k*n/2) bit for bit: doubling is exact.
+            half = len(sel) * n / 2
+            c1 = 1 - b1 ** t
+            c2 = 1 - b2 ** t
+            # Same operations, in the same order, as
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   w -= lr*(m/c1) / (sqrt(v/c2) + eps)
+            # so the result is bit-identical; do not fold the scalars.
+            for g, w, mw, vw, tb, db in blocks:
+                g /= half
+                mw *= b1
+                np.multiply(g, one_b1, out=tb)
+                mw += tb
+                vw *= b2
+                np.multiply(g, one_b2, out=tb)
+                tb *= g
+                vw += tb
+                np.divide(mw, c1, out=tb)
+                tb *= lr
+                np.divide(vw, c2, out=db)
+                np.sqrt(db, out=db)
+                db += eps
+                tb /= db
+                w -= tb
+            g_b = 2.0 * resid.sum(axis=0) / (len(sel) * n)
+            m_b = b1 * m_b + one_b1 * g_b
+            v_b = b2 * v_b + one_b2 * g_b * g_b
+            bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+            raise NonFiniteLoss(
+                f"training diverged to non-finite weights in epoch "
+                f"{step + 1} of {cfg.steps}"
+            )
+
+
 def fit_gradient(
     x: np.ndarray,
     y: np.ndarray,
@@ -213,7 +296,8 @@ def fit_gradient(
     first half of the passes and then decays linearly to zero, which
     collapses the stochastic-gradient noise ball so the fit lands on
     the minimizer instead of jittering around it. Deterministic given
-    (pairs, cfg).
+    (pairs, cfg). Raises NonFiniteLoss at the end of the first epoch
+    that leaves a non-finite weight or bias.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -228,31 +312,10 @@ def fit_gradient(
     bias = np.zeros(n)
     initial_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
 
-    batch = cfg.batch if cfg.batch > 0 else count
-    m_w = np.zeros_like(weight)
-    v_w = np.zeros_like(weight)
-    m_b = np.zeros_like(bias)
-    v_b = np.zeros_like(bias)
-    t = 0
-    for step in range(cfg.steps):
-        lr = cfg.learning_rate * min(1.0, 2.0 * (1.0 - step / cfg.steps))
-        order = rng.permutation(count)
-        for start in range(0, count, batch):
-            t += 1
-            sel = order[start:start + batch]
-            xb, yb = xs[sel], ys[sel]
-            resid = xb @ weight.T + bias - yb
-            g_w = 2.0 * (resid.T @ xb) / (len(sel) * n)
-            g_b = 2.0 * resid.sum(axis=0) / (len(sel) * n)
-            m_w = cfg.beta1 * m_w + (1 - cfg.beta1) * g_w
-            v_w = cfg.beta2 * v_w + (1 - cfg.beta2) * g_w * g_w
-            m_b = cfg.beta1 * m_b + (1 - cfg.beta1) * g_b
-            v_b = cfg.beta2 * v_b + (1 - cfg.beta2) * g_b * g_b
-            c1 = 1 - cfg.beta1 ** t
-            c2 = 1 - cfg.beta2 ** t
-            weight -= lr * (m_w / c1) / (np.sqrt(v_w / c2) + cfg.eps)
-            bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + cfg.eps)
-
+    # A diverging fit overflows; _adam's epoch check reports it as one
+    # NonFiniteLoss instead of a stream of numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        _adam(xs, ys, weight, bias, rng, cfg)
     final_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
     if not np.isfinite(final_mse):
         raise NonFiniteLoss("training diverged to a non-finite loss")
@@ -266,11 +329,11 @@ def fit_gradient(
         oracle = fit_closed_form(
             x, y, cfg.ridge_lambda, l2_normalize=cfg.l2_normalize_inputs
         )
-        oracle_mse = float(
-            np.mean((xs @ oracle.weight.T + oracle.bias - ys) ** 2)
-        )
-        got = phi.apply_batch(x)
-        want = oracle.apply_batch(x)
+        # xs is what both maps' apply() would compute from x.
+        pred = xs @ oracle.weight.T + oracle.bias
+        oracle_mse = float(np.mean((pred - ys) ** 2))
+        got = out_scaler.inverse(xs @ weight.T + bias)
+        want = out_scaler.inverse(pred)
         denom = np.linalg.norm(want)
         gap = float(np.linalg.norm(got - want) / denom) if denom else 0.0
     return phi, FitReport(initial_mse, final_mse, count, oracle_mse, gap)

@@ -15,6 +15,7 @@ from .embeddings import EmbeddingMatrix
 from .errors import (
     DimensionMismatch,
     EmptyCorpus,
+    EmptyMatrix,
     InsufficientTokens,
     ZeroNormRow,
 )
@@ -191,7 +192,8 @@ def relative_similarity(
     Each token is re-expressed as its vector of projections onto the
     anchor rows of its own space (cosine by default, raw dot products
     with projection="dot"); the score is 100 times the mean cosine
-    between the two relative representations.
+    between the two relative representations. An empty token sample
+    raises EmptyMatrix.
 
     Tokens are scored in blocks of at most embeddings.BUDGET bytes of
     float64 rows. Both sides' anchors are checked before any token; then,
@@ -209,6 +211,8 @@ def relative_similarity(
         sample = np.arange(emb_a.rows)
     else:
         sample = np.asarray(list(token_sample), dtype=int)
+    if len(sample) == 0:
+        raise EmptyMatrix("no tokens to score: the token sample is empty")
 
     def rows(emb: EmbeddingMatrix, ids: np.ndarray, what: str) -> np.ndarray:
         out = emb.data[ids].astype(np.float64)

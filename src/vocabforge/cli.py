@@ -94,9 +94,16 @@ def cmd_stats(args) -> int:
         payload.update(st.to_dict())
         _emit(args, payload, args.out)
     else:
-        print(f"matrix: {matrix.rows} x {matrix.dim}")
-        print(f"scalar mean: {st.scalar_mean:.6g}")
-        print(f"scalar variance: {st.scalar_variance:.6g}")
+        text = (
+            f"matrix: {matrix.rows} x {matrix.dim}\n"
+            f"scalar mean: {st.scalar_mean:.6g}\n"
+            f"scalar variance: {st.scalar_variance:.6g}\n"
+        )
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     return 0
 
 
@@ -220,6 +227,8 @@ def cmd_fertility(args) -> int:
 
 def cmd_similarity(args) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
+    if args.sample is not None and args.sample < 1:
+        raise UsageError(f"--sample must be at least 1, got {args.sample}")
     emb_a = embeddings.load_matrix(args.emb_a)
     emb_b = embeddings.load_matrix(args.emb_b)
     vocab = load_vocab(args.vocab)
@@ -258,11 +267,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON file of flag defaults")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
-
-
-def _add_tokenizer_flags(sub, prefix: str = "") -> None:
-    p = f"--{prefix}" if prefix else "--"
-    sub.add_argument(f"{p}marker", choices=MARKER_CHOICES, default="meta-space")
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -344,7 +348,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--hist-out", help="write a per-document histogram CSV")
     s.add_argument("--byte-level", action="store_true")
     s.add_argument("--unk-token")
-    _add_tokenizer_flags(s)
+    s.add_argument("--marker", choices=MARKER_CHOICES, default="meta-space")
     _add_common(s)
 
     s = sub("similarity", cmd_similarity,
@@ -357,7 +361,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--sample", type=int,
                    help="score a seeded random token subset instead of all rows")
     s.add_argument("--projection", choices=("cosine", "dot"), default="cosine")
-    _add_tokenizer_flags(s)
+    s.add_argument("--marker", choices=MARKER_CHOICES, default="meta-space")
     _add_common(s)
 
     s = sub("params", cmd_params,

@@ -47,6 +47,9 @@ class EmbeddingMatrix:
             raise SizeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteValue(f"matrix {self.label!r} contains NaN/Inf")
+        # Freeze a view, not the caller's array (which ascontiguousarray
+        # returns as-is when it is already C-contiguous float32).
+        arr = arr.view()
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 

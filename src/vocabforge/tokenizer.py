@@ -38,9 +38,7 @@ class MarkerConvention:
 
     _KNOWN = {
         "meta-space": META_SPACE,
-        "leading-meta-space": META_SPACE,
         "byte-marker": BYTE_MARKER,
-        "leading-byte-marker": BYTE_MARKER,
         "none": "",
     }
 
@@ -49,11 +47,9 @@ class MarkerConvention:
         if name not in cls._KNOWN:
             raise ValueError(
                 f"unknown marker convention {name!r}; "
-                f"expected one of {sorted(set(cls._KNOWN))}"
+                f"expected one of {sorted(cls._KNOWN)}"
             )
-        kind = {"leading-meta-space": "meta-space",
-                "leading-byte-marker": "byte-marker"}.get(name, name)
-        return cls(kind, cls._KNOWN[name])
+        return cls(name, cls._KNOWN[name])
 
 
 def canonicalize(piece: str, frm: MarkerConvention, to: MarkerConvention) -> str:

@@ -12,10 +12,12 @@ from vocabforge import (
     load_map,
     save_map,
 )
-from vocabforge.alignment import Scaler
+from vocabforge import alignment
+from vocabforge.alignment import Scaler, _preprocess
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyIntersection,
+    NonFiniteLoss,
     PartitionInconsistent,
     SingularSystem,
     SizeMismatch,
@@ -185,6 +187,122 @@ class TestFitGradient:
     def test_mismatched_counts(self):
         with pytest.raises(DimensionMismatch):
             fit_gradient(np.ones((4, 3)), np.ones((5, 3)))
+
+
+def seed_adam_fit(x, y, cfg):
+    """The Adam loop as first written: whole-matrix temporaries per update."""
+    xs, ys, in_scaler, out_scaler, nu = _preprocess(
+        x, y, cfg.l2_normalize_inputs
+    )
+    count, m = xs.shape
+    n = ys.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    w = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
+    b = np.zeros(n)
+    initial = float(np.mean((xs @ w.T + b - ys) ** 2))
+    batch = cfg.batch if cfg.batch > 0 else count
+    b1, b2 = cfg.beta1, cfg.beta2
+    mw, vw, mb, vb = np.zeros_like(w), np.zeros_like(w), np.zeros(n), np.zeros(n)
+    t = 0
+    for step in range(cfg.steps):
+        lr = cfg.learning_rate * min(1.0, 2.0 * (1.0 - step / cfg.steps))
+        order = rng.permutation(count)
+        for start in range(0, count, batch):
+            t += 1
+            sel = order[start:start + batch]
+            xb, yb = xs[sel], ys[sel]
+            resid = xb @ w.T + b - yb
+            gw = 2.0 * (resid.T @ xb) / (len(sel) * n)
+            gb = 2.0 * resid.sum(axis=0) / (len(sel) * n)
+            mw = b1 * mw + (1 - b1) * gw
+            vw = b2 * vw + (1 - b2) * gw * gw
+            mb = b1 * mb + (1 - b1) * gb
+            vb = b2 * vb + (1 - b2) * gb * gb
+            c1, c2 = 1 - b1 ** t, 1 - b2 ** t
+            w -= lr * (mw / c1) / (np.sqrt(vw / c2) + cfg.eps)
+            b -= lr * (mb / c1) / (np.sqrt(vb / c2) + cfg.eps)
+    final = float(np.mean((xs @ w.T + b - ys) ** 2))
+    phi = AffineMap(w, b, in_scaler, out_scaler, nu, cfg.l2_normalize_inputs)
+    oracle = fit_closed_form(x, y, cfg.ridge_lambda,
+                             l2_normalize=cfg.l2_normalize_inputs)
+    oracle_mse = float(np.mean((xs @ oracle.weight.T + oracle.bias - ys) ** 2))
+    want = oracle.apply_batch(x)
+    gap = float(np.linalg.norm(phi.apply_batch(x) - want)
+                / np.linalg.norm(want))
+    return w, b, initial, final, oracle_mse, gap
+
+
+class CountingRng:
+    """Wraps a Generator and counts permutation() calls (one per epoch)."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self.permutations = 0
+
+    def uniform(self, *args, **kwargs):
+        return self._rng.uniform(*args, **kwargs)
+
+    def permutation(self, count):
+        self.permutations += 1
+        return self._rng.permutation(count)
+
+
+class TestBlockedAdam:
+    """fit_gradient must match the whole-matrix Adam loop bit for bit."""
+
+    @pytest.mark.parametrize("count, m, n, batch", [
+        (100, 6, 9, 32),  # partial last batch (100 = 3*32 + 4), n > m
+        (100, 6, 9, 0),  # full batch
+        (70, 11, 20, 32),  # blocks of 7 rows: 7 + 7 + 6
+        (60, 12, 5, 32),  # n < m
+        (45, 8, 1, 16),  # a single output row
+    ])
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_bit_identical_to_whole_matrix_loop(self, monkeypatch, count, m,
+                                                n, batch, height):
+        if height is not None:
+            monkeypatch.setattr(alignment, "_ADAM_BLOCK", 8 * m * height)
+        rng = np.random.default_rng(count + m + n)
+        x = rng.normal(size=(count, m)) * 2.0 + 0.5
+        y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
+        cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
+        w, b, initial, final, oracle_mse, gap = seed_adam_fit(x, y, cfg)
+        phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
+        assert np.array_equal(phi.weight, w)
+        assert np.array_equal(phi.bias, b)
+        assert report.initial_mse == initial
+        assert report.final_mse == final
+        assert report.oracle_mse == oracle_mse
+        assert report.frobenius_gap_to_oracle == gap
+
+    def test_default_block_spans_many_rows(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(96, 80))
+        y = rng.normal(size=(96, 500))
+        # 256 KiB / (8 * 80) = 409 rows: two blocks, the last partial
+        assert alignment._ADAM_BLOCK // (8 * 80) < 500
+        cfg = TrainConfig(steps=2, batch=32, seed=1)
+        w, b, *_ = seed_adam_fit(x, y, cfg)
+        phi, _ = fit_gradient(x, y, cfg)
+        assert np.array_equal(phi.weight, w)
+        assert np.array_equal(phi.bias, b)
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_stops_after_first_bad_epoch(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 4))
+        y = rng.normal(size=(64, 4))
+        spies = []
+
+        def default_rng(seed):
+            spies.append(CountingRng(seed))
+            return spies[-1]
+
+        monkeypatch.setattr(alignment.np.random, "default_rng", default_rng)
+        cfg = TrainConfig(steps=200, learning_rate=1e300)
+        with pytest.raises(NonFiniteLoss, match=r"in epoch 1 of 200"):
+            fit_gradient(x, y, cfg)
+        assert [spy.permutations for spy in spies] == [1]
 
 
 class TestFitClosedForm:

@@ -17,7 +17,9 @@ from vocabforge.analysis import FertilityReport, histogram_csv, iter_corpus
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyCorpus,
+    EmptyMatrix,
     InsufficientTokens,
+    VocabForgeError,
     ZeroNormRow,
 )
 
@@ -224,6 +226,12 @@ class TestRelativeSimilarity:
         full = relative_similarity(self.emb, other, self.anchors)
         assert score.anchor_count == 5
         assert score.score != full.score
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(EmptyMatrix) as info:
+            relative_similarity(self.emb, self.emb, self.anchors,
+                                token_sample=[])
+        assert isinstance(info.value, VocabForgeError)
 
     def test_zero_norm_row_rejected(self):
         data = self.emb.data.copy()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,18 @@ class TestStats:
         assert report["rows"] == 8
         assert len(report["mean"]) == 4
 
+    def test_summary_written_to_out(self, capsys, world):
+        _, shown, _ = run(capsys, "stats", "--matrix", world["source_emb"])
+        dest = world["tmp"] + "/summary.txt"
+        code, out, _ = run(
+            capsys, "stats", "--matrix", world["source_emb"], "--out", dest
+        )
+        assert code == 0
+        assert out == ""
+        with open(dest, encoding="utf-8") as fh:
+            assert fh.read() == shown
+        assert len(shown.splitlines()) == 3
+
     def test_missing_file_is_io_error(self, capsys, world):
         code, _, err = run(
             capsys, "stats", "--matrix", world["tmp"] + "/nope.emb1"
@@ -153,6 +166,26 @@ class TestIntersectAndFitMap:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverging_fit_is_one_error_line(self, capsys, world):
+        part_path = world["tmp"] + "/part.json"
+        with open(part_path, "w", encoding="utf-8") as fh:
+            json.dump({"shared": [[f"s{i}", i, i] for i in range(6)],
+                       "novel": []}, fh)
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", part_path,
+            "--out", world["tmp"] + "/map.bin", "--steps", "50",
+            "--lr", "1e300",
+        )
+        assert code == 1
+        assert out == ""
+        assert re.fullmatch(r"error: training diverged to non-finite "
+                            r"weights in epoch [12] of 50\n", err)
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
     @pytest.mark.parametrize("flag", ["--source-vocab", "--target-vocab"])
@@ -300,6 +333,18 @@ class TestSimilarity:
         )
         assert code == 0
         assert -100.0 <= json.loads(out)["similarity"]["score"] <= 100.0
+
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_sample_below_one_is_usage_error(self, capsys, world, sample):
+        code, out, err = run(
+            capsys, "similarity",
+            "--emb-a", world["source_emb"], "--emb-b", world["helper_emb"],
+            "--vocab", world["source_vocab"], "--marker", "none",
+            "--n-prefix", "0", "--n-nonprefix", "4", "--sample", sample,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"--sample must be at least 1, got {sample}\n"
 
     def test_array_vocab_is_validation_error(self, capsys, world):
         bad = world["tmp"] + "/array_vocab.json"

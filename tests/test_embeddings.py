@@ -90,6 +90,17 @@ class TestFormat:
         with pytest.raises(NonFiniteValue):
             EmbeddingMatrix(np.array([[np.inf, 0.0]], dtype=np.float32))
 
+    def test_wrapping_leaves_caller_array_writable(self):
+        arr = np.zeros((3, 2), dtype=np.float32)
+        emb = EmbeddingMatrix(arr)
+        assert arr.flags.writeable
+        assert not emb.data.flags.writeable
+        assert np.shares_memory(arr, emb.data)
+        with pytest.raises(ValueError):
+            emb.data[0, 0] = 1.0
+        arr[0, 0] = 5.0
+        assert emb.data[0, 0] == 5.0
+
 
 class TestStats:
     def test_two_point_symmetric(self):

@@ -159,6 +159,13 @@ class TestCanonicalize:
             piece = (a.marker if word_initial else "") + body
             assert canonicalize(canonicalize(piece, a, b), b, a) == piece
 
+    def test_marker_names(self):
+        assert [MarkerConvention.from_name(n) for n in
+                ("meta-space", "byte-marker", "none")] == [META, BYTE, NONE]
+        for name in ("leading-meta-space", "leading-byte-marker", "space"):
+            with pytest.raises(ValueError):
+                MarkerConvention.from_name(name)
+
 
 class TestPartition:
     def test_set_intersection(self):
