@@ -16,7 +16,7 @@ distribution.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,11 @@ from .tokenizer import TokenPartition
 # elementwise passes over one block of weight, moment and gradient rows
 # before the next, so they run in cache. Read at call time (patchable).
 _ADAM_BLOCK = 256 << 10
+
+# Adam's moment decays and denominator guard, and the ridge added to the
+# oracle's normal equations: fixed values that no caller tunes.
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+_RIDGE_LAMBDA = 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,13 +74,8 @@ class Scaler:
 class TrainConfig:
     steps: int = 1000
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     batch: int = 32  # 0 = full batch
     seed: int = 0
-    ridge_lambda: float = 1e-6
-    l2_normalize_inputs: bool = True
 
     def __post_init__(self):
         if self.steps < 1:
@@ -114,19 +114,16 @@ class AffineMap:
             l2_normalize_inputs=False,
         )
 
-    def _transform_inputs(self, x: np.ndarray) -> np.ndarray:
-        xs = self.input_scaler.forward(x)
-        if self.l2_normalize_inputs:
-            xs = xs / self.input_norm
-        return xs
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         if x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input has dim {x.shape[-1]}, map expects {self.in_dim}"
             )
-        pred = self._transform_inputs(x) @ self.weight.T + self.bias
+        xs = self.input_scaler.forward(x)
+        if self.l2_normalize_inputs:
+            xs = xs / self.input_norm
+        pred = xs @ self.weight.T + self.bias
         return self.output_scaler.inverse(pred)
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
@@ -142,13 +139,7 @@ class FitReport:
     frobenius_gap_to_oracle: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "initial_mse": self.initial_mse,
-            "final_mse": self.final_mse,
-            "pair_count": self.pair_count,
-            "oracle_mse": self.oracle_mse,
-            "frobenius_gap_to_oracle": self.frobenius_gap_to_oracle,
-        }
+        return asdict(self)
 
 
 def collect_pairs(
@@ -181,18 +172,18 @@ def collect_pairs(
     return x, y
 
 
-def _check_pairs(x: np.ndarray, y: np.ndarray) -> None:
+def _preprocess(
+    x: np.ndarray, y: np.ndarray, l2_normalize: bool
+) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler, float]:
+    """Check the pairs, then scale them as the module docstring says."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DimensionMismatch(
             f"inconsistent pair shapes {x.shape} vs {y.shape}"
         )
     if x.shape[0] < 2:
         raise DimensionMismatch("fitting requires at least 2 pairs")
-
-
-def _preprocess(
-    x: np.ndarray, y: np.ndarray, l2_normalize: bool
-) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler, float]:
     in_scaler = Scaler.fit(x)
     out_scaler = Scaler.fit(y)
     xs = in_scaler.forward(x)
@@ -221,7 +212,7 @@ def _adam(
     count, m = xs.shape
     n = ys.shape[1]
     batch = cfg.batch if cfg.batch > 0 else count
-    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
+    b1, b2, eps = _BETA1, _BETA2, _EPS
     m_w = np.zeros_like(weight)
     v_w = np.zeros_like(weight)
     m_b = np.zeros_like(bias)
@@ -299,12 +290,7 @@ def fit_gradient(
     (pairs, cfg). Raises NonFiniteLoss at the end of the first epoch
     that leaves a non-finite weight or bias.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pairs(x, y)
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(
-        x, y, cfg.l2_normalize_inputs
-    )
+    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize=True)
     count, m = xs.shape
     n = ys.shape[1]
     rng = np.random.default_rng(cfg.seed)
@@ -316,55 +302,54 @@ def fit_gradient(
     # NonFiniteLoss instead of a stream of numpy warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         _adam(xs, ys, weight, bias, rng, cfg)
-    final_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
+    pred = xs @ weight.T + bias
+    final_mse = float(np.mean((pred - ys) ** 2))
     if not np.isfinite(final_mse):
         raise NonFiniteLoss("training diverged to a non-finite loss")
 
-    phi = AffineMap(
-        weight, bias, in_scaler, out_scaler, nu, cfg.l2_normalize_inputs
-    )
-    oracle_mse = None
-    gap = None
+    phi = AffineMap(weight, bias, in_scaler, out_scaler, nu)
+    oracle_mse = gap = None
     if compare_oracle:
-        oracle = fit_closed_form(
-            x, y, cfg.ridge_lambda, l2_normalize=cfg.l2_normalize_inputs
-        )
-        # xs is what both maps' apply() would compute from x.
-        pred = xs @ oracle.weight.T + oracle.bias
-        oracle_mse = float(np.mean((pred - ys) ** 2))
-        got = out_scaler.inverse(xs @ weight.T + bias)
-        want = out_scaler.inverse(pred)
+        # Same scaled pairs: xs is also what the oracle's apply() computes.
+        o_weight, o_bias = _ridge(xs, ys, _RIDGE_LAMBDA)
+        want = xs @ o_weight.T + o_bias
+        oracle_mse = float(np.mean((want - ys) ** 2))
+        # Scale both predictions back in place, by Scaler.inverse's
+        # operations, so no third (count, n) array is built.
+        for p in (pred, want):
+            p *= out_scaler.std
+            p += out_scaler.mean
         denom = np.linalg.norm(want)
-        gap = float(np.linalg.norm(got - want) / denom) if denom else 0.0
+        pred -= want
+        gap = float(np.linalg.norm(pred) / denom) if denom else 0.0
     return phi, FitReport(initial_mse, final_mse, count, oracle_mse, gap)
 
 
-def fit_closed_form(
-    x: np.ndarray,
-    y: np.ndarray,
-    ridge_lambda: float = 1e-6,
-    l2_normalize: bool = True,
-) -> AffineMap:
-    """Exact MSE minimizer (up to ridge_lambda) on the same representation."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _check_pairs(x, y)
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize)
+def _ridge(xs: np.ndarray, ys: np.ndarray, ridge_lambda: float):
+    """Solve the normal equations of the preprocessed pairs: (weight, bias)."""
     count, m = xs.shape
     design = np.hstack([xs, np.ones((count, 1))])
     gram = design.T @ design
     if ridge_lambda > 0:
         gram = gram + ridge_lambda * np.eye(m + 1)
-        theta = np.linalg.solve(gram, design.T @ ys)
-    else:
-        if np.linalg.matrix_rank(gram) < m + 1:
-            raise SingularSystem(
-                "design matrix is rank-deficient; use ridge_lambda > 0"
-            )
-        theta = np.linalg.solve(gram, design.T @ ys)
-    return AffineMap(
-        theta[:m].T, theta[m], in_scaler, out_scaler, nu, l2_normalize
-    )
+    elif np.linalg.matrix_rank(gram) < m + 1:
+        raise SingularSystem(
+            "design matrix is rank-deficient; use ridge_lambda > 0"
+        )
+    theta = np.linalg.solve(gram, design.T @ ys)
+    return theta[:m].T, theta[m]
+
+
+def fit_closed_form(
+    x: np.ndarray,
+    y: np.ndarray,
+    ridge_lambda: float = _RIDGE_LAMBDA,
+    l2_normalize: bool = True,
+) -> AffineMap:
+    """Exact MSE minimizer (up to ridge_lambda) on the same representation."""
+    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize)
+    weight, bias = _ridge(xs, ys, ridge_lambda)
+    return AffineMap(weight, bias, in_scaler, out_scaler, nu, l2_normalize)
 
 
 # --- serialization -----------------------------------------------------

@@ -115,11 +115,22 @@ def _load_model(vocab_path, merges_path, marker_name, byte_level, unk_token):
     )
 
 
+def _train_config(args) -> alignment.TrainConfig:
+    return alignment.TrainConfig(steps=args.steps, learning_rate=args.lr,
+                                 batch=args.batch, seed=args.seed)
+
+
 def cmd_adapt(args) -> int:
     _require(
         args, "method", "source-emb", "source-vocab", "source-merges",
         "target-vocab", "target-merges", "out", "report",
     )
+    untied = args.source_head_emb is not None
+    if untied and args.out_head is None:
+        raise UsageError("--source-head-emb requires --out-head")
+    for name in ("helper-head-emb", "out-head"):
+        if not untied and getattr(args, name.replace("-", "_")) is not None:
+            raise UsageError(f"--{name} requires --source-head-emb")
     cfg = heuristics.HeuristicConfig(
         method=args.method,
         seed=args.seed,
@@ -145,20 +156,14 @@ def cmd_adapt(args) -> int:
     helper_emb = (
         embeddings.load_matrix(args.helper_emb) if args.helper_emb else None
     )
-    train_cfg = alignment.TrainConfig(
-        steps=args.steps, learning_rate=args.lr, batch=args.batch,
-        seed=args.seed,
-    )
+    train_cfg = _train_config(args)
 
-    untied = args.source_head_emb is not None
     if untied:
         source_head = embeddings.load_matrix(args.source_head_emb)
         helper_head = (
             embeddings.load_matrix(args.helper_head_emb)
             if args.helper_head_emb else helper_emb
         )
-        if args.out_head is None:
-            raise UsageError("--source-head-emb requires --out-head")
         (embed_out, head_out), (embed_rep, head_rep) = heuristics.adapt_untied(
             source_emb, source_head, source_model, target_model,
             helper_emb, helper_head, cfg, train_cfg,
@@ -189,12 +194,8 @@ def cmd_fit_map(args) -> int:
     pairs_x, pairs_y = alignment.collect_pairs(
         helper, source, part, limit=args.limit, seed=args.seed
     )
-    cfg = alignment.TrainConfig(
-        steps=args.steps, learning_rate=args.lr, batch=args.batch,
-        seed=args.seed,
-    )
     phi, fit_report = alignment.fit_gradient(
-        pairs_x, pairs_y, cfg, compare_oracle=True
+        pairs_x, pairs_y, _train_config(args), compare_oracle=True
     )
     alignment.save_map(phi, args.out)
     _emit(args, {"fit": fit_report.to_dict()}, None)
@@ -269,6 +270,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
+def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+    default = alignment.TrainConfig()
+    sub.add_argument("--steps", type=int, default=default.steps)
+    sub.add_argument("--lr", type=float, default=default.learning_rate)
+    sub.add_argument("--batch", type=int, default=default.batch)
+
+
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(
         prog="vocabforge",
@@ -322,9 +330,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--target-marker", choices=MARKER_CHOICES, default="meta-space")
     s.add_argument("--byte-level", action="store_true")
     s.add_argument("--unk-token")
-    s.add_argument("--steps", type=int, default=1000)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--batch", type=int, default=32)
+    _add_train_flags(s)
     _add_common(s)
 
     s = sub("fit-map", cmd_fit_map,
@@ -334,9 +340,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--partition",
                    help="JSON partition report produced by `intersect`")
     s.add_argument("--limit", type=int)
-    s.add_argument("--steps", type=int, default=1000)
-    s.add_argument("--lr", type=float, default=1e-3)
-    s.add_argument("--batch", type=int, default=32)
+    _add_train_flags(s)
     _add_common(s)  # --out holds the map container; the report goes to stdout
 
     s = sub("fertility", cmd_fertility,
@@ -377,21 +381,27 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
 
 def _merge_config(parser, subs, argv, args):
-    """Apply --config values as defaults, keeping explicit flags on top."""
+    """Parse --config values as flags placed before the explicit ones, so
+    each goes through its flag's own checks and an explicit flag wins."""
     with open(args.config, encoding="utf-8") as fh:
         file_cfg = json.load(fh)
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must be a flat JSON object")
-    sub = subs[args.command]
-    allowed = {a.dest for a in sub._actions}
-    defaults = {}
+    actions = {a.dest: a for a in subs[args.command]._actions}
+    flags = []
     for key, value in file_cfg.items():
-        dest = key.replace("-", "_")
-        if dest not in allowed or dest in ("config", "help"):
+        action = actions.get(key.replace("-", "_"))
+        if action is None or action.dest in ("config", "help"):
             raise UsageError(f"unknown config key {key!r}")
-        defaults[dest] = value
-    sub.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        switch = action.nargs == 0  # store_true takes no value
+        if switch != isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise UsageError(f"config key {key!r}: invalid value {json.dumps(value)}")
+        if not switch:
+            flags.append(f"{action.option_strings[-1]}={value}")
+        elif value:
+            flags.append(action.option_strings[-1])
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + flags + argv[at:])
 
 
 def main(argv=None) -> int:

@@ -301,7 +301,8 @@ def assemble(
     in partition order and returns (rows, ok): float64 rows of shape
     (n, dim) and a bool mask. Rows with ok=False are replaced in one
     batch by fallback(target_ids), or raise FallbackRequired when no
-    fallback is given. Shared rows are copied bit-exactly.
+    fallback is given; with init=None every novel row needs the
+    fallback. Shared rows are copied bit-exactly.
     """
     start = time.perf_counter()
     target_size = part.shared_count + part.novel_count
@@ -333,8 +334,8 @@ def assemble(
     out = np.empty((target_size, dim), dtype=np.float32)
     out[shared_tids] = source_emb.data[sids]
     kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
-    missing = novel_tids[:0]
-    if part.novel_count:
+    missing = novel_tids
+    if init is not None and part.novel_count:
         rows, ok = init([token for token, _ in part.novel], novel_tids)
         _check_rows(rows, part.novel_count, dim, "initializer")
         out[novel_tids] = rows

@@ -192,7 +192,7 @@ class TestFitGradient:
 def seed_adam_fit(x, y, cfg):
     """The Adam loop as first written: whole-matrix temporaries per update."""
     xs, ys, in_scaler, out_scaler, nu = _preprocess(
-        x, y, cfg.l2_normalize_inputs
+        x, y, True
     )
     count, m = xs.shape
     n = ys.shape[1]
@@ -201,7 +201,7 @@ def seed_adam_fit(x, y, cfg):
     b = np.zeros(n)
     initial = float(np.mean((xs @ w.T + b - ys) ** 2))
     batch = cfg.batch if cfg.batch > 0 else count
-    b1, b2 = cfg.beta1, cfg.beta2
+    b1, b2 = 0.9, 0.999
     mw, vw, mb, vb = np.zeros_like(w), np.zeros_like(w), np.zeros(n), np.zeros(n)
     t = 0
     for step in range(cfg.steps):
@@ -219,12 +219,12 @@ def seed_adam_fit(x, y, cfg):
             mb = b1 * mb + (1 - b1) * gb
             vb = b2 * vb + (1 - b2) * gb * gb
             c1, c2 = 1 - b1 ** t, 1 - b2 ** t
-            w -= lr * (mw / c1) / (np.sqrt(vw / c2) + cfg.eps)
-            b -= lr * (mb / c1) / (np.sqrt(vb / c2) + cfg.eps)
+            w -= lr * (mw / c1) / (np.sqrt(vw / c2) + 1e-8)
+            b -= lr * (mb / c1) / (np.sqrt(vb / c2) + 1e-8)
     final = float(np.mean((xs @ w.T + b - ys) ** 2))
-    phi = AffineMap(w, b, in_scaler, out_scaler, nu, cfg.l2_normalize_inputs)
-    oracle = fit_closed_form(x, y, cfg.ridge_lambda,
-                             l2_normalize=cfg.l2_normalize_inputs)
+    phi = AffineMap(w, b, in_scaler, out_scaler, nu, True)
+    oracle = fit_closed_form(x, y, 1e-6,
+                             l2_normalize=True)
     oracle_mse = float(np.mean((xs @ oracle.weight.T + oracle.bias - ys) ** 2))
     want = oracle.apply_batch(x)
     gap = float(np.linalg.norm(phi.apply_batch(x) - want)
@@ -303,6 +303,22 @@ class TestBlockedAdam:
         with pytest.raises(NonFiniteLoss, match=r"in epoch 1 of 200"):
             fit_gradient(x, y, cfg)
         assert [spy.permutations for spy in spies] == [1]
+
+    def test_oracle_reuses_the_fit_preprocessing(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return _preprocess(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "_preprocess", spy)
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(40, 5))
+        y = rng.normal(size=(40, 6))
+        _, report = fit_gradient(x, y, TrainConfig(steps=2),
+                                 compare_oracle=True)
+        assert report.oracle_mse is not None
+        assert len(calls) == 1
 
 
 class TestFitClosedForm:

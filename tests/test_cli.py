@@ -277,6 +277,27 @@ class TestAdapt:
         from vocabforge import load_matrix
         assert load_matrix(out).rows == 8
 
+    # every check runs before any file is read or written
+    @pytest.mark.parametrize("extra, message", [
+        (["--helper-head-emb", "h.emb1", "--out-head", "o.emb1"],
+         "--helper-head-emb requires --source-head-emb"),
+        (["--out-head", "o.emb1"], "--out-head requires --source-head-emb"),
+        (["--helper-head-emb", "h.emb1"],
+         "--helper-head-emb requires --source-head-emb"),
+        (["--source-head-emb", "missing.emb1"],
+         "--source-head-emb requires --out-head"),
+    ], ids=["helper-head-and-out-head", "out-head", "helper-head",
+            "source-head-without-out-head"])
+    def test_head_flags_without_head_matrix(self, capsys, world, extra,
+                                            message):
+        out = world["tmp"] + "/adapted.emb1"
+        code, stdout, err = run(capsys, *self.adapt_args(
+            world, out, world["tmp"] + "/report.json", *extra))
+        assert code == 1
+        assert stdout == ""
+        assert err == message + "\n"
+        assert not os.path.exists(out)
+
 
 class TestFertility:
     def test_report_and_histogram(self, capsys, world, tmp_path):
@@ -391,3 +412,44 @@ class TestConfigFile:
                            "--base", "0")
         assert code == 1
         assert "wat" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"steps": 1.5}, "argument --steps: invalid int value: '1.5'"),
+        ({"seed": None},
+         "config key 'seed': invalid value null"),
+        ({"lr": [0.1]},
+         "config key 'lr': invalid value [0.1]"),
+    ], ids=["float-steps", "null-seed", "list-lr"])
+    def test_bad_value_is_usage_error(self, capsys, world, doc, message):
+        part_path = world["tmp"] + "/part.json"
+        with open(part_path, "w", encoding="utf-8") as fh:
+            json.dump({"shared": [[f"s{i}", i, i] for i in range(6)],
+                       "novel": []}, fh)
+        cfg = world["tmp"] + "/cfg.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code, out, err = run(
+            capsys, "fit-map", "--config", cfg,
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", part_path,
+            "--out", world["tmp"] + "/map.bin",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.endswith(message + "\n")
+        assert "Traceback" not in err
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    @pytest.mark.parametrize("tied, code", [(True, 0), (1, 1)])
+    def test_switch_takes_a_boolean(self, capsys, tmp_path, tied, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "before": 100, "after": 50, "dim": 10, "base": 0, "tied": tied,
+        }), encoding="utf-8")
+        got, out, err = run(capsys, "params", "--config", str(cfg))
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["config"]["tied"] is True
+        else:
+            assert err == "config key 'tied': invalid value 1\n"

@@ -281,6 +281,26 @@ class TestAssemble:
         with pytest.raises(FallbackRequired):
             assemble(source_emb, part, init)
 
+    def test_no_initializer_means_every_novel_row_falls_back(self):
+        rng = np.random.default_rng(6)
+        source_emb = random_matrix(rng, 2, 3)
+        part = TokenPartition(
+            shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
+        )
+        with pytest.raises(FallbackRequired):
+            assemble(source_emb, part, init=None)
+
+        def fallback(tids):
+            assert tids.tolist() == [1, 2]
+            return np.ones((len(tids), 3))
+
+        out, report = assemble(source_emb, part, init=None, fallback=fallback)
+        np.testing.assert_array_equal(out.data[1:], np.ones((2, 3)))
+        assert (report.initialized_count, report.fallback_count) == (0, 2)
+        assert sorted(report.per_token) == [
+            (0, "copied"), (1, "fallback"), (2, "fallback")
+        ]
+
     def test_duplicate_target_id_rejected(self):
         rng = np.random.default_rng(4)
         source_emb = random_matrix(rng, 2, 2)
