@@ -3,7 +3,8 @@
 Trains the map phi(x) = W x + b from helper space R^m to source space
 R^n over intersection token pairs, with two interchangeable fitters:
 
-* fit_gradient  -- Adam on the MSE objective (the production path)
+* fit_gradient  -- Adam on the MSE objective (the production path);
+  train_map runs the same fit and returns only the map
 * fit_closed_form -- ridge-regularized normal equations (the oracle)
 
 Both operate on the same preprocessed representation: inputs are
@@ -63,8 +64,11 @@ class Scaler:
     def identity(cls, dim: int) -> "Scaler":
         return cls(np.zeros(dim), np.ones(dim), np.zeros(dim, dtype=bool))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.mean) / self.std
+    def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(x - mean) / std, written to `out` (which may be x) if given."""
+        out = np.subtract(x, self.mean, out=out)
+        out /= self.std
+        return out
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         return x * self.std + self.mean
@@ -82,6 +86,8 @@ class TrainConfig:
             raise ValueError("steps must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.batch < 0:
+            raise ValueError("batch must be >= 0 (0 = full batch)")
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,13 @@ def collect_pairs(
 
 
 def _preprocess(
-    x: np.ndarray, y: np.ndarray, l2_normalize: bool
+    x: np.ndarray, y: np.ndarray, l2_normalize: bool, in_place: bool = False
 ) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler, float]:
-    """Check the pairs, then scale them as the module docstring says."""
+    """Check the pairs, then scale them as the module docstring says.
+
+    With in_place, float64 x and y are overwritten by their scaled values
+    (the same values, computed by the same operations).
+    """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
@@ -186,16 +196,27 @@ def _preprocess(
         raise DimensionMismatch("fitting requires at least 2 pairs")
     in_scaler = Scaler.fit(x)
     out_scaler = Scaler.fit(y)
-    xs = in_scaler.forward(x)
+    xs = in_scaler.forward(x, x if in_place else None)
     nu = 1.0
     if l2_normalize:
         mean_norm = float(np.mean(np.linalg.norm(xs, axis=1)))
         if mean_norm > 0:
             nu = mean_norm
-        xs = xs / nu
-    return xs, out_scaler.forward(y), in_scaler, out_scaler, nu
+        xs /= nu
+    ys = out_scaler.forward(y, y if in_place else None)
+    return xs, ys, in_scaler, out_scaler, nu
 
 
+def _seeded_start(n: int, m: int, cfg: TrainConfig):
+    """The fit's generator and its initial (weight, bias)."""
+    rng = np.random.default_rng(cfg.seed)
+    weight = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
+    return rng, weight, np.zeros(n)
+
+
+# A diverging fit overflows; the epoch check reports it as one
+# NonFiniteLoss instead of a stream of numpy warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def _adam(
     xs: np.ndarray,
     ys: np.ndarray,
@@ -292,16 +313,9 @@ def fit_gradient(
     """
     xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize=True)
     count, m = xs.shape
-    n = ys.shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    weight = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
-    bias = np.zeros(n)
+    rng, weight, bias = _seeded_start(ys.shape[1], m, cfg)
     initial_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
-
-    # A diverging fit overflows; _adam's epoch check reports it as one
-    # NonFiniteLoss instead of a stream of numpy warnings.
-    with np.errstate(over="ignore", invalid="ignore"):
-        _adam(xs, ys, weight, bias, rng, cfg)
+    _adam(xs, ys, weight, bias, rng, cfg)
     pred = xs @ weight.T + bias
     final_mse = float(np.mean((pred - ys) ** 2))
     if not np.isfinite(final_mse):
@@ -323,6 +337,22 @@ def fit_gradient(
         pred -= want
         gap = float(np.linalg.norm(pred) / denom) if denom else 0.0
     return phi, FitReport(initial_mse, final_mse, count, oracle_mse, gap)
+
+
+def train_map(
+    x: np.ndarray, y: np.ndarray, cfg: TrainConfig = TrainConfig()
+) -> AffineMap:
+    """fit_gradient's map without its report; overwrites float64 x and y.
+
+    For callers that own fresh pairs (collect_pairs' output) and need
+    only the map: the pairs are scaled in place, and the initial- and
+    final-MSE passes are skipped. Divergence still raises NonFiniteLoss
+    after the first non-finite epoch.
+    """
+    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, True, in_place=True)
+    rng, weight, bias = _seeded_start(ys.shape[1], xs.shape[1], cfg)
+    _adam(xs, ys, weight, bias, rng, cfg)
+    return AffineMap(weight, bias, in_scaler, out_scaler, nu)
 
 
 def _ridge(xs: np.ndarray, ys: np.ndarray, ridge_lambda: float):

@@ -195,9 +195,9 @@ def relative_similarity(
     between the two relative representations. An empty token sample
     raises EmptyMatrix.
 
-    Tokens are scored in blocks of at most embeddings.BUDGET bytes of
-    float64 rows. Both sides' anchors are checked before any token; then,
-    block by block, zero-norm token rows (left side, then right side) and
+    Tokens are scored in row blocks whose float64 working set fits in
+    embeddings.CACHE_BUDGET bytes. Both sides' anchors are checked before
+    any token; then, block by block, zero-norm token rows (left side, then right side) and
     zero-norm relative representations raise ZeroNormRow naming the first
     offending id.
     """
@@ -220,8 +220,10 @@ def relative_similarity(
 
     anchors_a = rows(emb_a, anchors, "left anchor")
     anchors_b = rows(emb_b, anchors, "right anchor")
-    width = max(len(anchors), emb_a.dim, emb_b.dim)
-    step = max(1, embeddings.BUDGET // (8 * width))
+    # Per token: its float64 rows on both sides, its two relative rows
+    # and the temporary that a row norm of one of them builds.
+    row_bytes = 8 * (emb_a.dim + emb_b.dim + 3 * len(anchors))
+    step = max(1, embeddings.CACHE_BUDGET // row_bytes)
     cosines = np.empty(len(sample))
     for lo in range(0, len(sample), step):
         ids = sample[lo:lo + step]

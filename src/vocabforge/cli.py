@@ -43,6 +43,13 @@ def _require(args, *names):
             raise UsageError(f"missing required argument --{name}")
 
 
+def _at_least(args, low, *names):
+    for name in names:
+        value = getattr(args, name.replace("-", "_"))
+        if value is not None and value < low:
+            raise UsageError(f"--{name} must be at least {low}, got {value}")
+
+
 def _echo_config(args) -> dict:
     skip = {"func", "config"}
     return {
@@ -125,6 +132,7 @@ def cmd_adapt(args) -> int:
         args, "method", "source-emb", "source-vocab", "source-merges",
         "target-vocab", "target-merges", "out", "report",
     )
+    _at_least(args, 0, "batch")
     untied = args.source_head_emb is not None
     if untied and args.out_head is None:
         raise UsageError("--source-head-emb requires --out-head")
@@ -187,6 +195,7 @@ def cmd_adapt(args) -> int:
 
 def cmd_fit_map(args) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
+    _at_least(args, 0, "batch", "limit")
     helper = embeddings.load_matrix(args.helper_emb)
     source = embeddings.load_matrix(args.source_emb)
     with open(args.partition, encoding="utf-8") as fh:
@@ -228,8 +237,8 @@ def cmd_fertility(args) -> int:
 
 def cmd_similarity(args) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
-    if args.sample is not None and args.sample < 1:
-        raise UsageError(f"--sample must be at least 1, got {args.sample}")
+    _at_least(args, 0, "n-prefix", "n-nonprefix")
+    _at_least(args, 1, "sample")
     emb_a = embeddings.load_matrix(args.emb_a)
     emb_b = embeddings.load_matrix(args.emb_b)
     vocab = load_vocab(args.vocab)

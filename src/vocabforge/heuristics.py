@@ -418,7 +418,7 @@ def _adapt_one(
             return clp.rows(tids)
     else:  # sava
         pairs_x, pairs_y = alignment.collect_pairs(helper_emb, source_emb, part)
-        phi, _ = alignment.fit_gradient(pairs_x, pairs_y, train_cfg)
+        phi = alignment.train_map(pairs_x, pairs_y, train_cfg)
 
         def init(tokens, tids):
             return _all_ok(sava_rows(tids, helper_emb, phi))

@@ -124,8 +124,9 @@ class TokenizerModel:
         unk_id: int | None = None,
     ) -> "TokenizerModel":
         ranks: dict[tuple[str, str], int] = {}
+        known = vocab.token_to_id
         for a, b in merges:
-            if a not in vocab or b not in vocab or (a + b) not in vocab:
+            if a not in known or b not in known or a + b not in known:
                 raise UnknownMergeSymbol(
                     f"merge {a!r} + {b!r} references symbols missing "
                     f"from the vocabulary"

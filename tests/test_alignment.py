@@ -304,6 +304,40 @@ class TestBlockedAdam:
             fit_gradient(x, y, cfg)
         assert [spy.permutations for spy in spies] == [1]
 
+    @pytest.mark.parametrize("batch", [32, 0])
+    def test_map_only_fit_equals_fit_gradient(self, batch):
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(70, 11)) * 2.0 + 0.5
+        y = x @ rng.normal(size=(11, 20)) + rng.normal(size=(70, 20))
+        cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
+        want, _ = fit_gradient(x, y, cfg)
+        xs, ys, *_ = _preprocess(x, y, True)
+        got = alignment.train_map(x, y, cfg)
+        assert np.array_equal(got.weight, want.weight)
+        assert np.array_equal(got.bias, want.bias)
+        for side in ("input_scaler", "output_scaler"):
+            for field in ("mean", "std", "zero_variance_dims"):
+                assert np.array_equal(getattr(getattr(got, side), field),
+                                      getattr(getattr(want, side), field))
+        assert got.input_norm == want.input_norm
+        # the pairs were scaled in place
+        assert np.array_equal(x, xs)
+        assert np.array_equal(y, ys)
+
+    @pytest.mark.filterwarnings("error")
+    def test_map_only_fit_stops_after_first_bad_epoch(self):
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(64, 4))
+        y = rng.normal(size=(64, 4))
+        with pytest.raises(NonFiniteLoss, match=r"in epoch 1 of 200"):
+            alignment.train_map(x, y, TrainConfig(steps=200,
+                                                  learning_rate=1e300))
+
+    def test_negative_batch_rejected(self):
+        assert TrainConfig(batch=0).batch == 0  # 0 is the full batch
+        with pytest.raises(ValueError, match="batch must be >= 0"):
+            TrainConfig(batch=-1)
+
     def test_oracle_reuses_the_fit_preprocessing(self, monkeypatch):
         calls = []
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,20 +264,23 @@ def whole_matrix_similarity(emb_a, emb_b, anchors, sample, projection):
 
 
 class TestBlockedSimilarity:
-    """Rows are scored in blocks of embeddings.BUDGET bytes of float64."""
+    """Rows are scored in blocks of embeddings.CACHE_BUDGET bytes of
+    float64 working set."""
 
     def setup_method(self):
         rng = np.random.default_rng(7)
         self.emb_a = random_matrix(rng, 41, 6)
         self.emb_b = random_matrix(rng, 41, 9)
         self.anchors = [0, 3, 7, 11, 19, 23, 30, 40]
-        # one float64 row of the widest operand is 8 * 9 bytes
-        self.row_bytes = 8 * max(len(self.anchors), 6, 9)
+        # per token: float64 rows of both sides, two relative rows and
+        # one norm temporary
+        self.row_bytes = 8 * (6 + 9 + 3 * len(self.anchors))
 
     def scores(self, monkeypatch, **kwargs):
         out = []
-        for budget in (self.row_bytes, 7 * self.row_bytes, embeddings.BUDGET):
-            monkeypatch.setattr(embeddings, "BUDGET", budget)
+        for budget in (self.row_bytes, 7 * self.row_bytes,
+                       embeddings.CACHE_BUDGET):
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", budget)
             out.append(relative_similarity(self.emb_a, self.emb_b,
                                            self.anchors, **kwargs).score)
         return out
@@ -309,7 +313,7 @@ class TestBlockedSimilarity:
     @pytest.mark.parametrize("budget_rows", [1, 7, None])
     def test_zero_norm_token_rejected(self, monkeypatch, side, budget_rows):
         if budget_rows:
-            monkeypatch.setattr(embeddings, "BUDGET",
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET",
                                 budget_rows * self.row_bytes)
         pair = self.zeroed(**{side: [29]})
         with pytest.raises(ZeroNormRow, match=f"^{side} token id 29 "):
@@ -323,7 +327,7 @@ class TestBlockedSimilarity:
 
     def test_error_order(self, monkeypatch):
         """Anchors first, then tokens in block order, left before right."""
-        monkeypatch.setattr(embeddings, "BUDGET", 7 * self.row_bytes)
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 7 * self.row_bytes)
         cases = [
             # an anchor is checked before every token, whatever its id
             (dict(left=[30], right=[2]), "left anchor id 30 "),
@@ -336,6 +340,24 @@ class TestBlockedSimilarity:
         for zero, message in cases:
             with pytest.raises(ZeroNormRow, match="^" + message):
                 relative_similarity(*self.zeroed(**zero), self.anchors)
+
+    def test_default_block_working_set_stays_under_cap(self):
+        rng = np.random.default_rng(11)
+        rows, dim, anchors = 20_000, 64, list(range(0, 20_000, 625))
+        emb_a, emb_b = random_matrix(rng, rows, dim), random_matrix(rng, rows, dim)
+        # unblocked, the float64 working set would be about 36 MB
+        assert rows * 8 * (2 * dim + 3 * len(anchors)) > 8 * embeddings.CACHE_BUDGET
+        # arrays the call holds for its whole length: the token ids, the
+        # per-token cosines, and both sides' anchor rows (float32 gather
+        # and float64 copy)
+        whole_call = 2 * 8 * rows + 2 * 12 * dim * len(anchors)
+        tracemalloc.start()
+        try:
+            relative_similarity(emb_a, emb_b, anchors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - whole_call <= embeddings.CACHE_BUDGET
 
     def test_zero_relative_representation_rejected(self):
         with pytest.raises(ZeroNormRow,

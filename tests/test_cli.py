@@ -188,6 +188,22 @@ class TestIntersectAndFitMap:
                             r"weights in epoch [12] of 50\n", err)
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
+    # checked before the (missing) partition file is read
+    @pytest.mark.parametrize("flag, value", [("--limit", "-1"),
+                                             ("--batch", "-5")])
+    def test_negative_size_is_usage_error(self, capsys, world, flag, value):
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", world["tmp"] + "/missing.json",
+            "--out", world["tmp"] + "/map.bin", flag, value,
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"{flag} must be at least 0, got {value}\n"
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
     @pytest.mark.parametrize("flag", ["--source-vocab", "--target-vocab"])
     def test_array_vocab_is_validation_error(self, capsys, world, flag):
         bad = world["tmp"] + "/array_vocab.json"
@@ -276,6 +292,15 @@ class TestAdapt:
         assert run(capsys, *args)[0] == 0
         from vocabforge import load_matrix
         assert load_matrix(out).rows == 8
+
+    def test_negative_batch_is_usage_error(self, capsys, world):
+        out = world["tmp"] + "/adapted.emb1"
+        code, stdout, err = run(capsys, *self.adapt_args(
+            world, out, world["tmp"] + "/report.json", "--batch", "-5"))
+        assert code == 1
+        assert stdout == ""
+        assert err == "--batch must be at least 0, got -5\n"
+        assert not os.path.exists(out)
 
     # every check runs before any file is read or written
     @pytest.mark.parametrize("extra, message", [
@@ -366,6 +391,19 @@ class TestSimilarity:
         assert code == 1
         assert out == ""
         assert err == f"--sample must be at least 1, got {sample}\n"
+
+    @pytest.mark.parametrize("flag", ["--n-prefix", "--n-nonprefix"])
+    def test_negative_anchor_count_is_usage_error(self, capsys, world, flag):
+        counts = {"--n-prefix": "0", "--n-nonprefix": "4", flag: "-3"}
+        code, out, err = run(
+            capsys, "similarity",
+            "--emb-a", world["source_emb"], "--emb-b", world["helper_emb"],
+            "--vocab", world["source_vocab"], "--marker", "none",
+            *sum(counts.items(), ()),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"{flag} must be at least 0, got -3\n"
 
     def test_array_vocab_is_validation_error(self, capsys, world):
         bad = world["tmp"] + "/array_vocab.json"
