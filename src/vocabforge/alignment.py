@@ -4,7 +4,8 @@ Trains the map phi(x) = W x + b from helper space R^m to source space
 R^n over intersection token pairs, with two interchangeable fitters:
 
 * fit_gradient  -- Adam on the MSE objective (the production path);
-  train_map runs the same fit and returns only the map
+  train_map runs the same fit from the float32 matrices and returns
+  only the map
 * fit_closed_form -- ridge-regularized normal equations (the oracle)
 
 Both operate on the same preprocessed representation: inputs are
@@ -21,6 +22,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import embeddings
 from .embeddings import EmbeddingMatrix, read_record, write_record
 from .errors import (
     DimensionMismatch,
@@ -57,6 +59,23 @@ class Scaler:
     def fit(cls, data: np.ndarray) -> "Scaler":
         mean = data.mean(axis=0)
         std = data.std(axis=0)
+        zero = std == 0.0
+        return cls(mean, np.where(zero, 1.0, std), zero)
+
+    @classmethod
+    def fit_rows(cls, data: np.ndarray, ids: np.ndarray) -> "Scaler":
+        """fit(data[ids] as float64) bit for bit, read in row blocks by id.
+
+        Two passes, as np.mean and np.std make: the column sums, then the
+        sums of squared deviations from the mean.
+        """
+        mean = _column_sum(data, ids, np.copyto) / len(ids)
+
+        def squared_deviation(out, block):
+            np.subtract(block, mean, out=out)
+            np.square(out, out=out)
+
+        std = np.sqrt(_column_sum(data, ids, squared_deviation) / len(ids))
         zero = std == 0.0
         return cls(mean, np.where(zero, 1.0, std), zero)
 
@@ -148,6 +167,22 @@ class FitReport:
         return asdict(self)
 
 
+def _pair_ids(
+    helper: EmbeddingMatrix, source: EmbeddingMatrix, part: TokenPartition
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shared tokens' helper and source row ids, in partition order."""
+    if part.shared_count == 0:
+        raise EmptyIntersection("partition has no shared tokens")
+    target_ids = np.array([tid for _, _, tid in part.shared])
+    source_ids = np.array([sid for _, sid, _ in part.shared])
+    if (target_ids.min() < 0 or source_ids.min() < 0
+            or target_ids.max() >= helper.rows or source_ids.max() >= source.rows):
+        raise DimensionMismatch(
+            "partition ids fall outside the helper or source matrix rows"
+        )
+    return target_ids, source_ids
+
+
 def collect_pairs(
     helper: EmbeddingMatrix,
     source: EmbeddingMatrix,
@@ -160,15 +195,7 @@ def collect_pairs(
     Pairs follow partition order; `limit` takes a seeded uniform
     subsample without replacement (clamped to the pair count).
     """
-    if part.shared_count == 0:
-        raise EmptyIntersection("partition has no shared tokens")
-    target_ids = np.array([tid for _, _, tid in part.shared])
-    source_ids = np.array([sid for _, sid, _ in part.shared])
-    if (target_ids.min() < 0 or source_ids.min() < 0
-            or target_ids.max() >= helper.rows or source_ids.max() >= source.rows):
-        raise DimensionMismatch(
-            "partition ids fall outside the helper or source matrix rows"
-        )
+    target_ids, source_ids = _pair_ids(helper, source, part)
     if limit is not None and limit < len(target_ids):
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(target_ids), size=limit, replace=False))
@@ -176,6 +203,44 @@ def collect_pairs(
     x = helper.data[target_ids].astype(np.float64)
     y = source.data[source_ids].astype(np.float64)
     return x, y
+
+
+def _blocks(data: np.ndarray, ids: np.ndarray):
+    """Yield (start, data[ids[start:...]]) in embeddings.BUDGET blocks.
+
+    A single column comes as one block: numpy sums a C-contiguous array
+    over axis 0 one row after another, but a lone column pairwise.
+    """
+    dim = data.shape[1]
+    step = len(ids) if dim == 1 else embeddings.block_rows(dim)
+    for lo in range(0, len(ids), step):
+        yield lo, data[ids[lo:lo + step]]
+
+
+def _column_sum(data: np.ndarray, ids: np.ndarray, fill) -> np.ndarray:
+    """Column sums of the float64 rows fill(out, block) writes for data[ids].
+
+    Equal to one axis-0 sum over all the rows: each block after the first
+    is summed with the running sums as its first row, so the additions
+    run in the same order.
+    """
+    total = None
+    buf = None
+    for lo, block in _blocks(data, ids):
+        if buf is None:
+            buf = np.empty((len(block) + 1, data.shape[1]))
+        first = 0 if total is None else 1
+        if first:
+            buf[0] = total
+        rows = buf[:first + len(block)]
+        fill(rows[first:], block)
+        total = rows.sum(axis=0)
+    return total
+
+
+def _check_pair_count(count: int) -> None:
+    if count < 2:
+        raise DimensionMismatch("fitting requires at least 2 pairs")
 
 
 def _preprocess(
@@ -192,8 +257,7 @@ def _preprocess(
         raise DimensionMismatch(
             f"inconsistent pair shapes {x.shape} vs {y.shape}"
         )
-    if x.shape[0] < 2:
-        raise DimensionMismatch("fitting requires at least 2 pairs")
+    _check_pair_count(x.shape[0])
     in_scaler = Scaler.fit(x)
     out_scaler = Scaler.fit(y)
     xs = in_scaler.forward(x, x if in_place else None)
@@ -218,8 +282,8 @@ def _seeded_start(n: int, m: int, cfg: TrainConfig):
 # NonFiniteLoss instead of a stream of numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _adam(
-    xs: np.ndarray,
-    ys: np.ndarray,
+    rows,
+    count: int,
     weight: np.ndarray,
     bias: np.ndarray,
     rng: np.random.Generator,
@@ -227,11 +291,12 @@ def _adam(
 ) -> None:
     """Train weight and bias in place by cfg.steps epochs of minibatch Adam.
 
-    Raises NonFiniteLoss after the first epoch that leaves a non-finite
-    entry. The optimizer state is local, so it is freed on return.
+    rows(sel) returns the scaled (xb, yb) pairs of the pair indices sel,
+    out of count pairs. Raises NonFiniteLoss after the first epoch that
+    leaves a non-finite entry. The optimizer state is local, so it is
+    freed on return.
     """
-    count, m = xs.shape
-    n = ys.shape[1]
+    n, m = weight.shape
     batch = cfg.batch if cfg.batch > 0 else count
     b1, b2, eps = _BETA1, _BETA2, _EPS
     m_w = np.zeros_like(weight)
@@ -257,7 +322,7 @@ def _adam(
         for start in range(0, count, batch):
             t += 1
             sel = order[start:start + batch]
-            xb, yb = xs[sel], ys[sel]
+            xb, yb = rows(sel)
             resid = xb @ weight.T + bias - yb
             np.matmul(resid.T, xb, out=g_w)
             # 2*G/(k*n) == G/(k*n/2) bit for bit: doubling is exact.
@@ -300,6 +365,7 @@ def fit_gradient(
     y: np.ndarray,
     cfg: TrainConfig = TrainConfig(),
     compare_oracle: bool = False,
+    in_place: bool = False,
 ) -> tuple[AffineMap, FitReport]:
     """Fit the affine map by Adam on the full-pair MSE.
 
@@ -309,13 +375,14 @@ def fit_gradient(
     collapses the stochastic-gradient noise ball so the fit lands on
     the minimizer instead of jittering around it. Deterministic given
     (pairs, cfg). Raises NonFiniteLoss at the end of the first epoch
-    that leaves a non-finite weight or bias.
+    that leaves a non-finite weight or bias. With in_place, float64 x
+    and y are overwritten by their scaled values instead of copied.
     """
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize=True)
+    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, True, in_place)
     count, m = xs.shape
     rng, weight, bias = _seeded_start(ys.shape[1], m, cfg)
     initial_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
-    _adam(xs, ys, weight, bias, rng, cfg)
+    _adam(lambda sel: (xs[sel], ys[sel]), count, weight, bias, rng, cfg)
     pred = xs @ weight.T + bias
     final_mse = float(np.mean((pred - ys) ** 2))
     if not np.isfinite(final_mse):
@@ -340,18 +407,40 @@ def fit_gradient(
 
 
 def train_map(
-    x: np.ndarray, y: np.ndarray, cfg: TrainConfig = TrainConfig()
+    helper: EmbeddingMatrix,
+    source: EmbeddingMatrix,
+    part: TokenPartition,
+    cfg: TrainConfig = TrainConfig(),
 ) -> AffineMap:
-    """fit_gradient's map without its report; overwrites float64 x and y.
+    """fit_gradient's map over part's shared pairs, without its report.
 
-    For callers that own fresh pairs (collect_pairs' output) and need
-    only the map: the pairs are scaled in place, and the initial- and
-    final-MSE passes are skipped. Divergence still raises NonFiniteLoss
-    after the first non-finite epoch.
+    Equal bit for bit to fit_gradient(*collect_pairs(helper, source,
+    part), cfg)[0], but no whole-pair float64 array is built: the scaler
+    statistics and the mean input norm are read from the float32 rows by
+    id in embeddings.BUDGET blocks, and each Adam batch is gathered and
+    scaled by the same elementwise operations as _preprocess. Divergence
+    still raises NonFiniteLoss after the first non-finite epoch.
     """
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, True, in_place=True)
-    rng, weight, bias = _seeded_start(ys.shape[1], xs.shape[1], cfg)
-    _adam(xs, ys, weight, bias, rng, cfg)
+    helper_ids, source_ids = _pair_ids(helper, source, part)
+    count = len(helper_ids)
+    _check_pair_count(count)
+    in_scaler = Scaler.fit_rows(helper.data, helper_ids)
+    out_scaler = Scaler.fit_rows(source.data, source_ids)
+    # one vector of all the row norms, so np.mean sums it as _preprocess does
+    norms = np.empty(count)
+    for lo, block in _blocks(helper.data, helper_ids):
+        scaled = in_scaler.forward(block)
+        norms[lo:lo + len(block)] = np.linalg.norm(scaled, axis=1)
+    mean_norm = float(np.mean(norms))
+    nu = mean_norm if mean_norm > 0 else 1.0
+
+    def rows(sel):
+        xb = in_scaler.forward(helper.data[helper_ids[sel]])
+        xb /= nu
+        return xb, out_scaler.forward(source.data[source_ids[sel]])
+
+    rng, weight, bias = _seeded_start(source.dim, helper.dim, cfg)
+    _adam(rows, count, weight, bias, rng, cfg)
     return AffineMap(weight, bias, in_scaler, out_scaler, nu)
 
 

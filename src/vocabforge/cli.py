@@ -204,7 +204,8 @@ def cmd_fit_map(args) -> int:
         helper, source, part, limit=args.limit, seed=args.seed
     )
     phi, fit_report = alignment.fit_gradient(
-        pairs_x, pairs_y, _train_config(args), compare_oracle=True
+        pairs_x, pairs_y, _train_config(args), compare_oracle=True,
+        in_place=True,
     )
     alignment.save_map(phi, args.out)
     _emit(args, {"fit": fit_report.to_dict()}, None)

@@ -25,9 +25,10 @@ from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
 # Bytes of float64 working rows per block in the whole-vocabulary passes
-# stats and CLP: caps their memory whatever the vocabulary size. CLP
-# re-reads all shared rows once per block, so it wants tall blocks.
-# Read at call time, so it can be patched.
+# (stats, CLP, the SAVA fit's statistics, the finiteness check and record
+# writes): caps their memory whatever the vocabulary size. CLP re-reads
+# all shared rows once per block, so it wants tall blocks. Read at call
+# time, so it can be patched.
 BUDGET = 16 << 20
 # Bytes of the whole per-block working set of `relative_similarity`
 # (both sides' token rows and relative rows). Each block is used once,
@@ -42,6 +43,11 @@ def emb1_file_size(rows: int, dim: int) -> int:
     return HEADER_SIZE + rows * dim * 4
 
 
+def block_rows(dim: int) -> int:
+    """Rows of a `dim`-wide block that hold BUDGET bytes of float64."""
+    return max(1, BUDGET // (8 * max(dim, 1)))
+
+
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     """A |V| x d float32 matrix; row i is the embedding of token id i."""
@@ -53,8 +59,10 @@ class EmbeddingMatrix:
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 2:
             raise SizeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
-        if arr.size and not np.isfinite(arr).all():
-            raise NonFiniteValue(f"matrix {self.label!r} contains NaN/Inf")
+        step = block_rows(arr.shape[1])
+        for lo in range(0, arr.shape[0], step):
+            if not np.isfinite(arr[lo:lo + step]).all():
+                raise NonFiniteValue(f"matrix {self.label!r} contains NaN/Inf")
         # Freeze a view, not the caller's array (which ascontiguousarray
         # returns as-is when it is already C-contiguous float32).
         arr = arr.view()
@@ -92,11 +100,22 @@ class EmbeddingStats:
 
 
 def write_record(fh, data: np.ndarray) -> None:
-    """Write one EMB1 record (header + payload) of a 2-D array."""
+    """Write one EMB1 record (header + payload) of a 2-D array.
+
+    A C-contiguous little-endian float32 array is written from its own
+    buffer; any other array is converted BUDGET bytes of float64 rows at
+    a time, so neither holds a second copy of the payload.
+    """
+    data = np.asarray(data)
     fh.write(MAGIC)
     fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
     fh.write(b"\x00\x00\x00\x00")
-    fh.write(np.asarray(data, dtype="<f4").tobytes())
+    if data.dtype == np.dtype("<f4") and data.flags.c_contiguous:
+        fh.write(data)
+        return
+    step = block_rows(data.shape[1])
+    for lo in range(0, data.shape[0], step):
+        fh.write(np.ascontiguousarray(data[lo:lo + step], dtype="<f4"))
 
 
 def read_record(fh, path: str, last: bool = False) -> np.ndarray:
@@ -149,7 +168,7 @@ def stats(matrix: EmbeddingMatrix) -> EmbeddingStats:
     total = np.zeros(matrix.dim)
     m2 = np.zeros(matrix.dim)
     seen = 0
-    step = max(1, BUDGET // (8 * matrix.dim))
+    step = block_rows(matrix.dim)
     for lo in range(0, matrix.rows, step):
         block = matrix.data[lo:lo + step].astype(np.float64)
         n = len(block)

@@ -70,9 +70,15 @@ class AdaptationReport:
     copied_count: int
     initialized_count: int
     fallback_count: int
-    per_token: list[tuple[int, str]]  # (target id, copied|heuristic|fallback)
+    provenance: np.ndarray  # int8 per target id: an index into PROVENANCE
     method: HeuristicConfig
     timing_seconds: float = 0.0
+
+    @property
+    def per_token(self) -> list[tuple[int, str]]:
+        """(target id, copied|heuristic|fallback) for every target id."""
+        return [(tid, PROVENANCE[k])
+                for tid, k in enumerate(self.provenance.tolist())]
 
     def to_dict(self, verbose: bool = False) -> dict:
         out = {
@@ -229,7 +235,7 @@ class ClpInitializer:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         out = np.empty((len(token_ids), self.shared_source_rows.shape[1]))
         ok = np.empty(len(token_ids), dtype=bool)
-        step = max(1, embeddings.BUDGET // (8 * len(self.anchor_unit)))
+        step = embeddings.block_rows(len(self.anchor_unit))
         for lo in range(0, len(token_ids), step):
             w, ok[lo:lo + step] = self._weights(token_ids[lo:lo + step])
             out[lo:lo + step] = w @ self.shared_source_rows
@@ -356,7 +362,7 @@ def assemble(
         copied_count=part.shared_count,
         initialized_count=part.novel_count - missing.size,
         fallback_count=missing.size,
-        per_token=[(tid, PROVENANCE[k]) for tid, k in enumerate(kind.tolist())],
+        provenance=kind,
         method=method or HeuristicConfig(),
         timing_seconds=time.perf_counter() - start,
     )
@@ -417,8 +423,7 @@ def _adapt_one(
         def init(tokens, tids):
             return clp.rows(tids)
     else:  # sava
-        pairs_x, pairs_y = alignment.collect_pairs(helper_emb, source_emb, part)
-        phi = alignment.train_map(pairs_x, pairs_y, train_cfg)
+        phi = alignment.train_map(helper_emb, source_emb, part, train_cfg)
 
         def init(tokens, tids):
             return _all_ok(sava_rows(tids, helper_emb, phi))

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_matrix
 from vocabforge import (
     AffineMap,
+    EmbeddingMatrix,
     TokenPartition,
     TrainConfig,
     collect_pairs,
@@ -12,7 +15,7 @@ from vocabforge import (
     load_map,
     save_map,
 )
-from vocabforge import alignment
+from vocabforge import alignment, embeddings
 from vocabforge.alignment import Scaler, _preprocess
 from vocabforge.errors import (
     DimensionMismatch,
@@ -305,33 +308,56 @@ class TestBlockedAdam:
         assert [spy.permutations for spy in spies] == [1]
 
     @pytest.mark.parametrize("batch", [32, 0])
-    def test_map_only_fit_equals_fit_gradient(self, batch):
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(70, 11)) * 2.0 + 0.5
-        y = x @ rng.normal(size=(11, 20)) + rng.normal(size=(70, 20))
+    def test_map_only_fit_equals_fit_gradient(self, monkeypatch, batch):
+        helper, source, part = scattered_pairs(70, 11, 20, seed=5)
         cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
-        want, _ = fit_gradient(x, y, cfg)
+        x, y = collect_pairs(helper, source, part)
         xs, ys, *_ = _preprocess(x, y, True)
-        got = alignment.train_map(x, y, cfg)
-        assert np.array_equal(got.weight, want.weight)
-        assert np.array_equal(got.bias, want.bias)
-        for side in ("input_scaler", "output_scaler"):
-            for field in ("mean", "std", "zero_variance_dims"):
-                assert np.array_equal(getattr(getattr(got, side), field),
-                                      getattr(getattr(want, side), field))
-        assert got.input_norm == want.input_norm
-        # the pairs were scaled in place
+        want, _ = fit_gradient(x, y, cfg, in_place=True)
+        # helper blocks of 1 and 7 rows, and the default
+        for budget in (8 * 11, 8 * 11 * 7, embeddings.BUDGET):
+            monkeypatch.setattr(embeddings, "BUDGET", budget)
+            got = alignment.train_map(helper, source, part, cfg)
+            assert np.array_equal(got.weight, want.weight)
+            assert np.array_equal(got.bias, want.bias)
+            for side in ("input_scaler", "output_scaler"):
+                for field in ("mean", "std", "zero_variance_dims"):
+                    assert np.array_equal(getattr(getattr(got, side), field),
+                                          getattr(getattr(want, side), field))
+            assert got.input_norm == want.input_norm
+        # fit_gradient(in_place=True) scaled the pairs in place
         assert np.array_equal(x, xs)
         assert np.array_equal(y, ys)
 
     @pytest.mark.filterwarnings("error")
     def test_map_only_fit_stops_after_first_bad_epoch(self):
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(64, 4))
-        y = rng.normal(size=(64, 4))
+        helper, source, part = scattered_pairs(64, 4, 4, seed=0)
         with pytest.raises(NonFiniteLoss, match=r"in epoch 1 of 200"):
-            alignment.train_map(x, y, TrainConfig(steps=200,
-                                                  learning_rate=1e300))
+            alignment.train_map(helper, source, part,
+                                TrainConfig(steps=200, learning_rate=1e300))
+
+    def test_map_only_fit_holds_no_whole_pair_array(self, monkeypatch):
+        count, m, n = 4000, 16, 24
+        helper, source, part = scattered_pairs(count, m, n, seed=6)
+        monkeypatch.setattr(embeddings, "BUDGET", 8 * n * 64)
+        cfg = TrainConfig(steps=1, batch=32, seed=2)
+        tracemalloc.start()
+        try:
+            alignment.train_map(helper, source, part, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # collect_pairs alone would hold count * (m + n) float64 entries
+        assert peak < count * m * 8
+
+    def test_map_only_fit_checks_the_pairs(self):
+        helper, source, _ = scattered_pairs(5, 3, 3, seed=1)
+        with pytest.raises(EmptyIntersection):
+            alignment.train_map(helper, source, make_partition(0, n_novel=4))
+        with pytest.raises(DimensionMismatch, match="outside"):
+            alignment.train_map(helper, source, make_partition(20))
+        with pytest.raises(DimensionMismatch, match="at least 2 pairs"):
+            alignment.train_map(helper, source, make_partition(1))
 
     def test_negative_batch_rejected(self):
         assert TrainConfig(batch=0).batch == 0  # 0 is the full batch
@@ -353,6 +379,48 @@ class TestBlockedAdam:
                                  compare_oracle=True)
         assert report.oracle_mse is not None
         assert len(calls) == 1
+
+
+def scattered_pairs(count, m, n, seed):
+    """float32 helper and source matrices and a partition whose `count`
+    shared tokens sit at shuffled rows of each, with y affine in x."""
+    rng = np.random.default_rng(seed)
+    helper_ids = rng.permutation(count + 9)[:count]
+    source_ids = rng.permutation(count + 5)[:count]
+    helper = rng.normal(size=(count + 9, m)) * 2.0 + 0.5
+    source = rng.normal(size=(count + 5, n))
+    source[source_ids] += helper[helper_ids] @ rng.normal(size=(m, n))
+    part = TokenPartition(
+        shared=tuple((f"t{i}", int(sid), int(tid)) for i, (sid, tid)
+                     in enumerate(zip(source_ids, helper_ids))),
+        novel=(), warnings=(),
+    )
+    return (EmbeddingMatrix(helper.astype(np.float32)),
+            EmbeddingMatrix(source.astype(np.float32)), part)
+
+
+class TestScalerFitRows:
+    """Scaler.fit_rows must equal Scaler.fit of the gathered float64 rows."""
+
+    @pytest.mark.parametrize("count, dim", [
+        (100, 9), (777, 5), (1000, 1), (300, 2),
+    ])
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_equals_fit_of_gathered_rows(self, monkeypatch, count, dim,
+                                         height):
+        if height is not None:
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+        rng = np.random.default_rng(count + dim)
+        data = (rng.normal(size=(count + 20, dim)) * 3.0 + 1.0).astype(np.float32)
+        if dim > 1:
+            data[:, 1] = 0.25  # a zero-variance column
+        ids = rng.permutation(count + 20)[:count]
+        got = Scaler.fit_rows(data, ids)
+        want = Scaler.fit(data[ids].astype(np.float64))
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.std, want.std)
+        assert np.array_equal(got.zero_variance_dims, want.zero_variance_dims)
+        assert got.zero_variance_dims.any() == (dim > 1)
 
 
 class TestFitClosedForm:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -292,6 +293,48 @@ class TestAdapt:
         assert run(capsys, *args)[0] == 0
         from vocabforge import load_matrix
         assert load_matrix(out).rows == 8
+
+    def sava_args(self, world, out):
+        args = self.adapt_args(world, out, world["tmp"] + "/sava.json",
+                               "--helper-emb", world["helper_emb"],
+                               "--steps", "1")
+        args[2] = "sava"
+        return args
+
+    def test_sava_partition_id_outside_helper(self, capsys, world,
+                                              monkeypatch):
+        from vocabforge import heuristics
+        real = heuristics.partition
+
+        def partition(*args):
+            part = real(*args)
+            (token, sid, _), *rest = part.shared
+            return dataclasses.replace(part, shared=((token, sid, 99), *rest))
+
+        monkeypatch.setattr(heuristics, "partition", partition)
+        out = world["tmp"] + "/sava.emb1"
+        code, stdout, err = run(capsys, *self.sava_args(world, out))
+        assert code == 1
+        assert stdout == ""
+        assert err == ("error: partition ids fall outside the helper or "
+                       "source matrix rows\n")
+        assert not os.path.exists(out)
+
+    def test_sava_needs_two_pairs(self, capsys, world, write_json):
+        # one shared token (s0) between the source and this target
+        world["target_vocab"] = write_json(
+            "one_shared.json", {"s0": 0, "n0": 1, "n1": 2})
+        world["helper_emb"] = world["helper_emb"].replace(
+            "helper.emb1", "helper3.emb1")
+        from vocabforge import EmbeddingMatrix, save_matrix
+        save_matrix(EmbeddingMatrix(np.ones((3, 4), dtype=np.float32)),
+                    world["helper_emb"])
+        out = world["tmp"] + "/sava.emb1"
+        code, stdout, err = run(capsys, *self.sava_args(world, out))
+        assert code == 1
+        assert stdout == ""
+        assert err == "error: fitting requires at least 2 pairs\n"
+        assert not os.path.exists(out)
 
     def test_negative_batch_is_usage_error(self, capsys, world):
         out = world["tmp"] + "/adapted.emb1"

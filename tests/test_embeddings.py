@@ -1,5 +1,8 @@
+import io
 import math
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +103,62 @@ class TestFormat:
             emb.data[0, 0] = 1.0
         arr[0, 0] = 5.0
         assert emb.data[0, 0] == 5.0
+
+
+class TestBlockedPasses:
+    """The finiteness check and record writes walk embeddings.BUDGET row
+    blocks; heights 1, 7 and the default must give the same result."""
+
+    @pytest.mark.parametrize("height", [1, 7, None])
+    @pytest.mark.parametrize("row", [0, 10, 39], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_found_in_any_block(self, monkeypatch, height, row, bad):
+        if height is not None:
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * 6 * height)
+        data = np.ones((40, 6), dtype=np.float32)
+        EmbeddingMatrix(data, label="m")  # finite: every block passes
+        data[row, 3] = bad
+        with pytest.raises(NonFiniteValue,
+                           match=r"^matrix 'm' contains NaN/Inf$"):
+            EmbeddingMatrix(data, label="m")
+
+    @pytest.mark.parametrize("height", [1, 7, None])
+    @pytest.mark.parametrize("layout", ["<f4", "<f8", "fortran", ">f4"])
+    def test_record_bytes_match_float32_payload(self, monkeypatch, height,
+                                                layout):
+        if height is not None:
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * 5 * height)
+        data = np.random.default_rng(9).normal(size=(23, 5))
+        if layout == "fortran":
+            array = np.asfortranarray(data.astype(np.float32))
+        else:
+            array = data.astype(layout)
+        fh = io.BytesIO()
+        embeddings.write_record(fh, array)
+        assert fh.getvalue() == (MAGIC + struct.pack("<II", 23, 5)
+                                 + b"\x00" * 4 + data.astype("<f4").tobytes())
+
+    def test_save_matrix_writes_from_the_array(self, tmp_path):
+        matrix = EmbeddingMatrix(np.ones((1024, 1024), dtype=np.float32))
+        tracemalloc.start()
+        try:
+            save_matrix(matrix, str(tmp_path / "m.emb1"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.data.nbytes // 16  # 4 MiB matrix
+
+    def test_float64_record_converts_one_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "BUDGET", 8 * 512 * 16)
+        data = np.ones((1024, 512))
+        with open(os.devnull, "wb") as fh:
+            tracemalloc.start()
+            try:
+                embeddings.write_record(fh, data)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * 16 * 512 * 4  # tobytes() would hold 2 MiB
 
 
 class TestStats:
