@@ -33,7 +33,7 @@ from .heuristics import (
     AdaptationReport,
     HeuristicConfig,
     adapt,
-    adapt_untied,
+    adapt_matrix,
     assemble,
     g_clp,
     g_fvt,
@@ -69,7 +69,7 @@ __all__ = [
     "TrainConfig",
     "Vocabulary",
     "adapt",
-    "adapt_untied",
+    "adapt_matrix",
     "assemble",
     "canonicalize",
     "collect_pairs",

@@ -18,6 +18,7 @@ distribution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -103,8 +104,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.batch < 0:
             raise ValueError("batch must be >= 0 (0 = full batch)")
 

@@ -160,35 +160,30 @@ def cmd_adapt(args) -> int:
         args.target_vocab, args.target_merges, args.target_marker,
         args.byte_level, args.unk_token,
     )
-    source_emb = embeddings.load_matrix(args.source_emb)
-    helper_emb = (
-        embeddings.load_matrix(args.helper_emb) if args.helper_emb else None
-    )
     train_cfg = _train_config(args)
+    part = partition(
+        source_model.vocab, target_model.vocab,
+        source_model.marker, target_model.marker,
+    )
 
+    def adapt_file(source_path, helper_path, out_path) -> dict:
+        # Only the report outlives the call, so an untied model holds one
+        # matrix's source, helper and output at a time.
+        source_emb = embeddings.load_matrix(source_path)
+        helper_emb = embeddings.load_matrix(helper_path) if helper_path else None
+        out, report = heuristics.adapt_matrix(
+            source_emb, source_model, target_model, part, helper_emb, cfg,
+            train_cfg,
+        )
+        embeddings.save_matrix(out, out_path)
+        return report.to_dict(args.verbose_report)
+
+    payload = {"adaptation": adapt_file(args.source_emb, args.helper_emb, args.out)}
     if untied:
-        source_head = embeddings.load_matrix(args.source_head_emb)
-        helper_head = (
-            embeddings.load_matrix(args.helper_head_emb)
-            if args.helper_head_emb else helper_emb
+        payload["head_adaptation"] = adapt_file(
+            args.source_head_emb, args.helper_head_emb or args.helper_emb,
+            args.out_head,
         )
-        (embed_out, head_out), (embed_rep, head_rep) = heuristics.adapt_untied(
-            source_emb, source_head, source_model, target_model,
-            helper_emb, helper_head, cfg, train_cfg,
-        )
-        embeddings.save_matrix(embed_out, args.out)
-        embeddings.save_matrix(head_out, args.out_head)
-        payload = {
-            "adaptation": embed_rep.to_dict(args.verbose_report),
-            "head_adaptation": head_rep.to_dict(args.verbose_report),
-        }
-    else:
-        embed_out, embed_rep = heuristics.adapt(
-            source_emb, source_model, target_model, helper_emb, cfg, train_cfg
-        )
-        embeddings.save_matrix(embed_out, args.out)
-        payload = {"adaptation": embed_rep.to_dict(args.verbose_report)}
-
     _emit(args, payload, args.report)
     return 0
 

@@ -59,6 +59,8 @@ class EmbeddingMatrix:
         arr = np.ascontiguousarray(self.data, dtype=np.float32)
         if arr.ndim != 2:
             raise SizeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
+        if arr.shape[1] == 0:
+            raise SizeMismatch(f"matrix {self.label!r} has zero-width rows")
         step = block_rows(arr.shape[1])
         for lo in range(0, arr.shape[0], step):
             if not np.isfinite(arr[lo:lo + step]).all():

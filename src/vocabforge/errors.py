@@ -32,7 +32,8 @@ class BadMagic(VocabForgeError):
 
 
 class SizeMismatch(VocabForgeError):
-    """Declared matrix shape disagrees with the payload length."""
+    """Declared matrix shape disagrees with the payload length, or has
+    zero-width rows."""
 
 
 class NonFiniteValue(VocabForgeError):

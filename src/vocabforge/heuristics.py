@@ -379,7 +379,7 @@ def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.ones(len(rows), dtype=bool)
 
 
-def _adapt_one(
+def adapt_matrix(
     source_emb: EmbeddingMatrix,
     source_model: TokenizerModel,
     target_model: TokenizerModel,
@@ -388,6 +388,11 @@ def _adapt_one(
     cfg: HeuristicConfig,
     train_cfg: TrainConfig,
 ) -> tuple[EmbeddingMatrix, AdaptationReport]:
+    """Copy + initialize one matrix under a given partition.
+
+    An untied model calls this once for its embedding matrix and once for
+    its head, with the same partition; SAVA fits a separate map each time.
+    """
     if source_emb.rows != source_model.vocab.size:
         raise DimensionMismatch(
             f"source matrix has {source_emb.rows} rows, source vocabulary "
@@ -444,36 +449,7 @@ def adapt(
         source_model.vocab, target_model.vocab,
         source_model.marker, target_model.marker,
     )
-    return _adapt_one(
+    return adapt_matrix(
         source_emb, source_model, target_model, part, helper_emb, cfg,
         train_cfg or TrainConfig(seed=cfg.seed),
     )
-
-
-def adapt_untied(
-    source_embed: EmbeddingMatrix,
-    source_head: EmbeddingMatrix,
-    source_model: TokenizerModel,
-    target_model: TokenizerModel,
-    helper_embed: EmbeddingMatrix | None = None,
-    helper_head: EmbeddingMatrix | None = None,
-    cfg: HeuristicConfig = HeuristicConfig(),
-    train_cfg: TrainConfig | None = None,
-) -> tuple[tuple[EmbeddingMatrix, EmbeddingMatrix],
-           tuple[AdaptationReport, AdaptationReport]]:
-    """Untied models: run the pipeline independently per matrix.
-
-    The partition is shared; SAVA trains a separate map per matrix.
-    """
-    part = partition(
-        source_model.vocab, target_model.vocab,
-        source_model.marker, target_model.marker,
-    )
-    tc = train_cfg or TrainConfig(seed=cfg.seed)
-    embed_out, embed_report = _adapt_one(
-        source_embed, source_model, target_model, part, helper_embed, cfg, tc
-    )
-    head_out, head_report = _adapt_one(
-        source_head, source_model, target_model, part, helper_head, cfg, tc
-    )
-    return (embed_out, head_out), (embed_report, head_report)

@@ -330,7 +330,12 @@ class TokenPartition:
                 "partition entries must be [token, source id, target id] "
                 f"(shared) and [token, target id] (novel): {exc}"
             ) from exc
-        return cls(shared, novel, tuple(d.get("warnings", ())))
+        warnings = d.get("warnings", [])
+        if not (isinstance(warnings, list)
+                and all(isinstance(w, str) for w in warnings)):
+            raise PartitionInconsistent(
+                "partition 'warnings' must be a list of strings")
+        return cls(shared, novel, tuple(warnings))
 
 
 def _partition_id(value) -> int:

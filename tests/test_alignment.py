@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,8 @@ class TestPartitionFromDict:
         {"shared": [["a", 0, -1]], "novel": []},
         {"shared": [], "novel": [["x", -2]]},
         {"shared": 5, "novel": []},
+        {"shared": [], "novel": [], "warnings": 5},
+        {"shared": [], "novel": [], "warnings": [1]},
     ])
     def test_malformed_rejected(self, doc):
         with pytest.raises(PartitionInconsistent):
@@ -363,6 +366,11 @@ class TestBlockedAdam:
         assert TrainConfig(batch=0).batch == 0  # 0 is the full batch
         with pytest.raises(ValueError, match="batch must be >= 0"):
             TrainConfig(batch=-1)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, lr):
+        with pytest.raises(ValueError, match="^learning_rate must be finite"):
+            TrainConfig(learning_rate=lr)
 
     def test_oracle_reuses_the_fit_preprocessing(self, monkeypatch):
         calls = []

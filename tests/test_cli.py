@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import math
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -45,6 +47,12 @@ def world(tmp_path):
     paths["helper_emb"] = dump_emb("helper.emb1", 8)
     paths["tmp"] = str(tmp_path)
     return paths
+
+
+def write_zero_width(path, rows):
+    """An EMB1 header declaring `rows` rows of width 0, with no payload."""
+    with open(path, "wb") as fh:
+        fh.write(b"EMB1" + struct.pack("<II", rows, 0) + b"\x00" * 4)
 
 
 def run(capsys, *argv):
@@ -117,6 +125,17 @@ class TestStats:
         assert "i/o" in err
 
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra", [[], ["--json"]], ids=["summary", "json"])
+    def test_zero_width_matrix_is_validation_error(self, capsys, world, extra):
+        path = world["tmp"] + "/narrow.emb1"
+        write_zero_width(path, 3)
+        code, out, err = run(capsys, "stats", "--matrix", path, *extra)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: matrix {path!r} has zero-width rows\n"
+
+
 class TestIntersectAndFitMap:
     def test_pipeline(self, capsys, world):
         part_path = world["tmp"] + "/part.json"
@@ -152,6 +171,7 @@ class TestIntersectAndFitMap:
     @pytest.mark.parametrize("doc", [
         {"novel": [["n0", 6], ["n1", 7]]},
         {"shared": [["s0", 0, -1]], "novel": []},
+        {"shared": [["s0", 0, 0], ["s1", 1, 1]], "novel": [], "warnings": 5},
     ])
     def test_malformed_partition_is_validation_error(self, capsys, world, doc):
         part_path = world["tmp"] + "/bad_part.json"
@@ -167,6 +187,44 @@ class TestIntersectAndFitMap:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_width_helper_is_validation_error(self, capsys, world):
+        part_path = world["tmp"] + "/part.json"
+        with open(part_path, "w", encoding="utf-8") as fh:
+            json.dump({"shared": [[f"s{i}", i, i] for i in range(6)],
+                       "novel": []}, fh)
+        helper = world["tmp"] + "/narrow.emb1"
+        write_zero_width(helper, 8)
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", helper,
+            "--source-emb", world["source_emb"],
+            "--partition", part_path,
+            "--out", world["tmp"] + "/map.bin", "--steps", "1",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: matrix {helper!r} has zero-width rows\n"
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+    def test_non_finite_lr_is_one_error_line(self, capsys, world, lr):
+        part_path = world["tmp"] + "/part.json"
+        with open(part_path, "w", encoding="utf-8") as fh:
+            json.dump({"shared": [[f"s{i}", i, i] for i in range(6)],
+                       "novel": []}, fh)
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", part_path,
+            "--out", world["tmp"] + "/map.bin", f"--lr={lr}",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: learning_rate must be finite and > 0, got {lr}\n"
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
     @pytest.mark.filterwarnings("error")
@@ -303,15 +361,15 @@ class TestAdapt:
 
     def test_sava_partition_id_outside_helper(self, capsys, world,
                                               monkeypatch):
-        from vocabforge import heuristics
-        real = heuristics.partition
+        from vocabforge import cli
+        real = cli.partition
 
         def partition(*args):
             part = real(*args)
             (token, sid, _), *rest = part.shared
             return dataclasses.replace(part, shared=((token, sid, 99), *rest))
 
-        monkeypatch.setattr(heuristics, "partition", partition)
+        monkeypatch.setattr(cli, "partition", partition)
         out = world["tmp"] + "/sava.emb1"
         code, stdout, err = run(capsys, *self.sava_args(world, out))
         assert code == 1
@@ -365,6 +423,82 @@ class TestAdapt:
         assert stdout == ""
         assert err == message + "\n"
         assert not os.path.exists(out)
+
+
+    def untied_args(self, world, method, *extra):
+        from vocabforge import EmbeddingMatrix, save_matrix
+        rng = np.random.default_rng(5)
+        head = world["tmp"] + "/head.emb1"
+        save_matrix(EmbeddingMatrix(
+            rng.normal(size=(8, 4)).astype(np.float32)), head)
+        args = self.adapt_args(
+            world, world["tmp"] + "/embed_out.emb1",
+            world["tmp"] + "/untied.json",
+            "--source-head-emb", head,
+            "--out-head", world["tmp"] + "/head_out.emb1",
+            "--helper-emb", world["helper_emb"], "--steps", "3", *extra)
+        args[2] = method
+        return args, head
+
+    @pytest.mark.parametrize("method", ["random", "sava"])
+    def test_untied_adapts_both_matrices(self, capsys, world, method):
+        from vocabforge import load_matrix
+        args, head = self.untied_args(world, method)
+        code, stdout, err = run(capsys, *args)
+        assert (code, stdout, err) == (0, "", "")
+        report = json.loads(open(world["tmp"] + "/untied.json").read())
+        assert report["adaptation"]["copied_count"] == 6
+        assert report["head_adaptation"]["copied_count"] == 6
+        embed_out = load_matrix(world["tmp"] + "/embed_out.emb1").data
+        head_out = load_matrix(world["tmp"] + "/head_out.emb1").data
+        # shared token s<i> has id i in both vocabularies
+        assert embed_out[:6].tobytes() == \
+            load_matrix(world["source_emb"]).data[:6].tobytes()
+        assert head_out[:6].tobytes() == load_matrix(head).data[:6].tobytes()
+        if method == "sava":
+            # each matrix gets its own map
+            assert embed_out[6:].tobytes() != head_out[6:].tobytes()
+
+    @pytest.mark.parametrize("helper_head", [False, True],
+                             ids=["helper-reloaded", "helper-head"])
+    def test_untied_adapts_one_matrix_at_a_time(self, capsys, world,
+                                                monkeypatch, helper_head):
+        from vocabforge import embeddings
+        calls = []
+        load, save = embeddings.load_matrix, embeddings.save_matrix
+
+        def logged_load(path, *rest):
+            calls.append(("load", path))
+            return load(path, *rest)
+
+        def logged_save(matrix, path):
+            calls.append(("save", path))
+            return save(matrix, path)
+
+        monkeypatch.setattr(embeddings, "load_matrix", logged_load)
+        monkeypatch.setattr(embeddings, "save_matrix", logged_save)
+        extra = ["--helper-head-emb", world["source_emb"]] if helper_head else []
+        args, head = self.untied_args(world, "sava", *extra)
+        assert run(capsys, *args)[0] == 0
+        head_helper = world["source_emb"] if helper_head else world["helper_emb"]
+        assert calls == [
+            ("load", world["source_emb"]), ("load", world["helper_emb"]),
+            ("save", world["tmp"] + "/embed_out.emb1"),
+            ("load", head), ("load", head_helper),
+            ("save", world["tmp"] + "/head_out.emb1"),
+        ]
+
+    def test_unreadable_head_writes_no_report(self, capsys, world):
+        args, head = self.untied_args(world, "random")
+        os.remove(head)
+        code, stdout, err = run(capsys, *args)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert not os.path.exists(world["tmp"] + "/untied.json")
+        assert not os.path.exists(world["tmp"] + "/head_out.emb1")
+        # the embedding matrix was finished before the head was read
+        assert os.path.exists(world["tmp"] + "/embed_out.emb1")
 
 
 class TestFertility:
@@ -500,7 +634,11 @@ class TestConfigFile:
          "config key 'seed': invalid value null"),
         ({"lr": [0.1]},
          "config key 'lr': invalid value [0.1]"),
-    ], ids=["float-steps", "null-seed", "list-lr"])
+        ({"lr": math.nan},
+         "error: learning_rate must be finite and > 0, got nan"),
+        ({"lr": "inf"},
+         "error: learning_rate must be finite and > 0, got inf"),
+    ], ids=["float-steps", "null-seed", "list-lr", "nan-lr", "inf-lr"])
     def test_bad_value_is_usage_error(self, capsys, world, doc, message):
         part_path = world["tmp"] + "/part.json"
         with open(part_path, "w", encoding="utf-8") as fh:

@@ -77,6 +77,15 @@ class TestFormat:
         m = load_matrix(path)
         assert (m.rows, m.dim) == (0, 7)
 
+    @pytest.mark.parametrize("rows", [0, 3])
+    def test_zero_width_rejected(self, tmp_path, rows):
+        with pytest.raises(SizeMismatch, match="zero-width"):
+            EmbeddingMatrix(np.zeros((rows, 0), dtype=np.float32))
+        path = str(tmp_path / "narrow.emb1")
+        _raw_file(path, rows, 0, b"")
+        with pytest.raises(SizeMismatch, match="zero-width"):
+            load_matrix(path)
+
     def test_file_size_arithmetic(self, tmp_path):
         # header is 16 bytes, then 4 bytes per float32
         assert emb1_file_size(32768, 4096) == 16 + 32768 * 4096 * 4

@@ -9,7 +9,7 @@ from vocabforge import (
     TokenPartition,
     TrainConfig,
     adapt,
-    adapt_untied,
+    adapt_matrix,
     assemble,
     fit_gradient,
     g_clp,
@@ -544,10 +544,13 @@ class TestAdapt:
         rng = np.random.default_rng(1)
         head_emb = random_matrix(rng, source.vocab.size, 6)
         helper_head = random_matrix(rng, target.vocab.size, 6)
-        (embed_out, head_out), (r1, r2) = adapt_untied(
-            source_emb, head_emb, source, target, helper_emb, helper_head,
-            HeuristicConfig(method="sava"), TrainConfig(steps=5),
-        )
+        part = partition(source.vocab, target.vocab, source.marker,
+                         target.marker)
+        cfg, train_cfg = HeuristicConfig(method="sava"), TrainConfig(steps=5)
+        embed_out, r1 = adapt_matrix(source_emb, source, target, part,
+                                     helper_emb, cfg, train_cfg)
+        head_out, r2 = adapt_matrix(head_emb, source, target, part,
+                                    helper_head, cfg, train_cfg)
         sid = source.vocab.token_to_id["sh0"]
         tid = target.vocab.token_to_id["sh0"]
         assert embed_out.data[tid].tobytes() == source_emb.data[sid].tobytes()
