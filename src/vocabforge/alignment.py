@@ -148,11 +148,16 @@ class AffineMap:
             raise DimensionMismatch(
                 f"input has dim {x.shape[-1]}, map expects {self.in_dim}"
             )
+        # The same operations as inverse(norm(forward(x)) @ W.T + b), each
+        # done in place after forward's copy: x itself is never written.
         xs = self.input_scaler.forward(x)
         if self.l2_normalize_inputs:
-            xs = xs / self.input_norm
-        pred = xs @ self.weight.T + self.bias
-        return self.output_scaler.inverse(pred)
+            xs /= self.input_norm
+        pred = xs @ self.weight.T
+        pred += self.bias
+        pred *= self.output_scaler.std
+        pred += self.output_scaler.mean
+        return pred
 
     def apply_batch(self, xs: np.ndarray) -> np.ndarray:
         return self.apply(np.atleast_2d(xs))
@@ -486,11 +491,11 @@ _RECORD_ORDER = (
 
 
 def save_map(phi: AffineMap, path: str) -> None:
-    with open(path, "wb") as fh:
-        for array in (phi.weight, phi.bias, phi.input_scaler.mean,
-                      phi.input_scaler.std, phi.output_scaler.mean,
-                      phi.output_scaler.std):
-            write_record(fh, np.atleast_2d(array))
+    """Write the container and its sidecar.
+
+    Both are written in full before either replaces its previous version,
+    so a failed write leaves the old pair as it was.
+    """
     sidecar = {
         "schema_version": "1",
         "records": list(_RECORD_ORDER),
@@ -505,9 +510,14 @@ def save_map(phi: AffineMap, path: str) -> None:
             phi.output_scaler.zero_variance_dims
         ).tolist(),
     }
-    with open(path + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with embeddings.atomic_open(path) as fh, \
+            embeddings.atomic_open(path + ".json", "w", encoding="utf-8") as side:
+        for array in (phi.weight, phi.bias, phi.input_scaler.mean,
+                      phi.input_scaler.std, phi.output_scaler.mean,
+                      phi.output_scaler.std):
+            write_record(fh, np.atleast_2d(array))
+        json.dump(sidecar, side, indent=2, sort_keys=True)
+        side.write("\n")
 
 
 def load_map(path: str) -> AffineMap:

@@ -58,16 +58,21 @@ def _echo_config(args) -> dict:
     }
 
 
+def _write(text: str, dest: str | None) -> None:
+    """Write text over the file `dest` (whole or not at all), or to stdout."""
+    if dest:
+        with embeddings.atomic_open(dest, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(args, payload: dict, dest: str | None) -> None:
     """Write the JSON report to the file `dest`, or to stdout if None."""
     report = {"schema_version": SCHEMA_VERSION, "config": _echo_config(args)}
     report.update(payload)
-    text = json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if dest:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+           dest)
 
 
 # --- subcommands -------------------------------------------------------
@@ -106,11 +111,7 @@ def cmd_stats(args) -> int:
             f"scalar mean: {st.scalar_mean:.6g}\n"
             f"scalar variance: {st.scalar_variance:.6g}\n"
         )
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(text, args.out)
     return 0
 
 
@@ -170,7 +171,13 @@ def cmd_adapt(args) -> int:
         # Only the report outlives the call, so an untied model holds one
         # matrix's source, helper and output at a time.
         source_emb = embeddings.load_matrix(source_path)
-        helper_emb = embeddings.load_matrix(helper_path) if helper_path else None
+        helper_emb = None
+        if cfg.method in heuristics.HELPER_METHODS:
+            helper_emb = embeddings.load_matrix(helper_path)
+        elif helper_path:
+            # random and fvt read no helper row: check the header alone
+            rows, _ = embeddings.matrix_shape(helper_path)
+            heuristics.check_helper_rows(rows, target_model)
         out, report = heuristics.adapt_matrix(
             source_emb, source_model, target_model, part, helper_emb, cfg,
             train_cfg,
@@ -222,8 +229,7 @@ def cmd_fertility(args) -> int:
     if args.hist_out:
         if not report.per_document:
             raise UsageError("--hist-out requires a non-empty corpus")
-        with open(args.hist_out, "w", encoding="utf-8") as fh:
-            fh.write(analysis.histogram_csv(report.per_document))
+        _write(analysis.histogram_csv(report.per_document), args.hist_out)
     payload = report.to_dict()
     if not args.per_doc:
         payload.pop("per_document", None)

@@ -14,6 +14,7 @@ load and save.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -120,16 +121,29 @@ def write_record(fh, data: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(data[lo:lo + step], dtype="<f4"))
 
 
+def _read_header(fh, path: str) -> tuple[int, int]:
+    header = fh.read(HEADER_SIZE)
+    if len(header) < HEADER_SIZE or header[:4] != MAGIC:
+        raise BadMagic(f"{path}: not an EMB1 record")
+    return struct.unpack("<II", header[4:12])
+
+
+def _check_payload(path: str, rows: int, dim: int, found: int) -> None:
+    expected = rows * dim * 4
+    if found != expected:
+        raise SizeMismatch(
+            f"{path}: header claims {rows}x{dim} ({expected} bytes), "
+            f"payload has {found} bytes"
+        )
+
+
 def read_record(fh, path: str, last: bool = False) -> np.ndarray:
     """Read one EMB1 record at the file position as a read-only float32 array.
 
     The payload is read no further than the file goes, whatever the header
     claims; with `last` it must also end the file.
     """
-    header = fh.read(HEADER_SIZE)
-    if len(header) < HEADER_SIZE or header[:4] != MAGIC:
-        raise BadMagic(f"{path}: not an EMB1 record")
-    rows, dim = struct.unpack("<II", header[4:12])
+    rows, dim = _read_header(fh, path)
     expected = rows * dim * 4
     # An exact-size read fills one buffer; read() after the buffered header
     # would join two and hold the payload twice.
@@ -138,16 +152,58 @@ def read_record(fh, path: str, last: bool = False) -> np.ndarray:
     found = len(payload)
     if last and found == expected:
         found += len(fh.read())
-    if found != expected:
-        raise SizeMismatch(
-            f"{path}: header claims {rows}x{dim} ({expected} bytes), "
-            f"payload has {found} bytes"
-        )
+    _check_payload(path, rows, dim, found)
     return np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
 
 
+def matrix_shape(path: str) -> tuple[int, int]:
+    """(rows, dim) of an EMB1 file, without reading its rows.
+
+    Checks the magic, that the payload holds rows x dim floats and that
+    dim > 0, with load_matrix's errors; unlike load_matrix, it does not
+    check that the values are finite.
+    """
+    with open(path, "rb") as fh:
+        rows, dim = _read_header(fh, path)
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: read to the end
+        if size:
+            found = size - HEADER_SIZE
+        else:
+            found = sum(map(len, iter(lambda: fh.read(BUDGET), b"")))
+    _check_payload(path, rows, dim, found)
+    if dim == 0:
+        raise SizeMismatch(f"matrix {path!r} has zero-width rows")
+    return rows, dim
+
+
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str = "wb", **kwargs):
+    """Open a file whose contents replace `path` when the block completes.
+
+    Writes go to a new file beside `path`, which os.replace then moves
+    over it, so a write that fails partway leaves the previous file as it
+    was and removes the partial one. A path that exists but is not a
+    regular file (a device or a pipe, such as /dev/stdout) is written
+    directly.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, mode, **kwargs) as fh:
+            yield fh
+        return
+    temp = f"{target}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(temp, mode.replace("w", "x"), **kwargs) as fh:
+            yield fh
+        os.replace(temp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temp)
+        raise
+
+
 def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         write_record(fh, matrix.data)
 
 

@@ -110,15 +110,31 @@ def random_rows(
     """Sample one row per id from N(mu, sigma^2) of the source embedding space.
 
     Each row comes from a counter-based generator keyed by (seed, token
-    id), so it is independent of evaluation order and batching.
+    id), so it is independent of evaluation order and batching: row i is
+    Generator(Philox(key=(seed mod 2**64) << 64 | id_i)).standard_normal(dim),
+    scaled and shifted. One generator is re-keyed per row instead of
+    built, and the draws are scaled in place, so the kernel holds one
+    (n, dim) array.
     """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+    # A fresh generator's state: counter 0, empty buffer. numpy stores an
+    # int key as little-endian 64-bit words, so only "key" changes per row.
+    state = bits.state
+    high = seed & _MASK64
     draws = np.empty((len(token_ids), len(source_stats.mean)))
     for row, tid in zip(draws, np.asarray(token_ids).tolist()):
-        key = ((seed & _MASK64) << 64) | (tid & _MASK64)
-        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+        state["state"]["key"] = [tid & _MASK64, high]
+        bits.state = state
+        gen.standard_normal(out=row)
     if moments == "scalar":
-        return source_stats.scalar_mean + np.sqrt(source_stats.scalar_variance) * draws
-    return source_stats.mean + np.sqrt(source_stats.variance) * draws
+        mean, var = source_stats.scalar_mean, source_stats.scalar_variance
+    else:
+        mean, var = source_stats.mean, source_stats.variance
+    # mean + sqrt(var) * draws, by the same two roundings
+    draws *= np.sqrt(var)
+    draws += mean
+    return draws
 
 
 def g_random(
@@ -379,6 +395,16 @@ def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.ones(len(rows), dtype=bool)
 
 
+def check_helper_rows(rows: int, target_model: TokenizerModel) -> None:
+    """A helper matrix has one row per target token."""
+    if rows != target_model.vocab.size:
+        raise DimensionMismatch(
+            f"helper matrix has {rows} rows but the target vocabulary has "
+            f"{target_model.vocab.size} tokens; the helper must be trained "
+            f"with the target tokenizer"
+        )
+
+
 def adapt_matrix(
     source_emb: EmbeddingMatrix,
     source_model: TokenizerModel,
@@ -403,12 +429,7 @@ def adapt_matrix(
             raise VocabForgeError(
                 f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
             )
-        if helper_emb.rows != target_model.vocab.size:
-            raise DimensionMismatch(
-                f"helper matrix has {helper_emb.rows} rows but the target "
-                f"vocabulary has {target_model.vocab.size} tokens; the helper "
-                f"must be trained with the target tokenizer"
-            )
+        check_helper_rows(helper_emb.rows, target_model)
     source_stats = matrix_stats(source_emb)
     fallback = _make_fallback(cfg, source_stats)
 

@@ -1,5 +1,7 @@
 import math
+import os
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,6 +483,21 @@ class TestAffineMap:
         with pytest.raises(DimensionMismatch):
             AffineMap.identity(3).apply(np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(5,), (9, 5)], ids=["1-d", "2-d"])
+    def test_apply_equals_step_by_step_expression(self, shape):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(40, 5))
+        phi, _ = fit_gradient(x, x @ rng.normal(size=(5, 3)) + 2.0,
+                              TrainConfig(steps=3))
+        query = rng.normal(size=shape)
+        before = query.copy()
+        got = phi.apply(query)
+        xs = phi.input_scaler.forward(query) / phi.input_norm
+        want = phi.output_scaler.inverse(xs @ phi.weight.T + phi.bias)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert query.tobytes() == before.tobytes()
+
     def test_save_load_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 4))
@@ -494,6 +511,25 @@ class TestAffineMap:
         # storage is float32, so compare predictions at float32 precision
         np.testing.assert_allclose(back.apply_batch(x), phi.apply_batch(x),
                                    rtol=1e-4, atol=1e-4)
+
+    def test_failed_save_keeps_the_previous_map(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "map.bin")
+        save_map(AffineMap.identity(3), path)
+        before = [Path(p).read_bytes() for p in (path, path + ".json")]
+        real = alignment.write_record
+        written = []
+
+        def write_record(fh, data):
+            if len(written) == 2:
+                raise OSError("No space left on device")
+            written.append(data.shape)
+            real(fh, data)
+
+        monkeypatch.setattr(alignment, "write_record", write_record)
+        with pytest.raises(OSError, match="No space"):
+            save_map(AffineMap.identity(5), path)
+        assert [Path(p).read_bytes() for p in (path, path + ".json")] == before
+        assert sorted(os.listdir(tmp_path)) == ["map.bin", "map.bin.json"]
 
     def test_truncated_container_rejected(self, tmp_path):
         path = str(tmp_path / "map.bin")

@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +327,85 @@ class TestAdapt:
             runs.append((open(out, "rb").read(), report))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("method", ["random", "fvt"])
+    def test_unused_helper_header_is_checked(self, capsys, world, method):
+        from vocabforge import EmbeddingMatrix, save_matrix
+        helper = world["tmp"] + "/bad_helper.emb1"
+        out = world["tmp"] + "/adapted.emb1"
+        wrong_rows = ("helper matrix has 5 rows but the target vocabulary has "
+                      "8 tokens; the helper must be trained with the target "
+                      "tokenizer")
+        cases = [
+            (lambda: save_matrix(EmbeddingMatrix(
+                np.ones((5, 4), dtype=np.float32)), helper), wrong_rows),
+            (lambda: write_zero_width(helper, 8),
+             f"matrix {helper!r} has zero-width rows"),
+            (lambda: open(helper, "wb").close(),
+             f"{helper}: not an EMB1 record"),
+        ]
+        for flag in ("--helper-emb", "--helper-head-emb"):
+            for write, message in cases:
+                write()
+                extra = [flag, helper]
+                if flag == "--helper-head-emb":
+                    extra += ["--helper-emb", world["helper_emb"],
+                              "--source-head-emb", world["source_emb"],
+                              "--out-head", world["tmp"] + "/head_out.emb1"]
+                args = self.adapt_args(
+                    world, out, world["tmp"] + "/report.json", *extra)
+                args[2] = method
+                code, stdout, err = run(capsys, *args)
+                assert (code, stdout, err) == (1, "", f"error: {message}\n")
+                assert not os.path.exists(world["tmp"] + "/report.json")
+
+    @pytest.mark.parametrize("method", ["random", "fvt"])
+    def test_unused_helper_is_never_loaded(self, capsys, world, monkeypatch,
+                                           method):
+        from vocabforge import embeddings
+        loaded = []
+        load = embeddings.load_matrix
+
+        def logged_load(path, *rest):
+            loaded.append(path)
+            return load(path, *rest)
+
+        monkeypatch.setattr(embeddings, "load_matrix", logged_load)
+        outputs = []
+        for extra in ([], ["--helper-emb", world["helper_emb"],
+                           "--helper-head-emb", world["helper_emb"]]):
+            out = world["tmp"] + f"/adapted{len(extra)}.emb1"
+            args = self.adapt_args(
+                world, out, world["tmp"] + "/report.json",
+                "--source-head-emb", world["source_emb"],
+                "--out-head", out + ".head", *extra)
+            args[2] = method
+            assert run(capsys, *args)[0] == 0
+            outputs.append([Path(p).read_bytes() for p in (out, out + ".head")])
+        assert loaded == [world["source_emb"]] * 4
+        assert outputs[0] == outputs[1]
+
+    def test_failed_output_write_keeps_previous_files(self, capsys, world,
+                                                      monkeypatch):
+        from vocabforge import embeddings
+        out = world["tmp"] + "/adapted.emb1"
+        report = world["tmp"] + "/report.json"
+        assert run(capsys, *self.adapt_args(world, out, report))[0] == 0
+        before = {p: Path(p).read_bytes() for p in (out, report)}
+        listing = sorted(os.listdir(world["tmp"]))
+        real = embeddings.write_record
+
+        def write_record(fh, data):
+            real(fh, data[:1])  # a header and one row, then the disk fills
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(embeddings, "write_record", write_record)
+        code, stdout, err = run(capsys, *self.adapt_args(
+            world, out, report, "--seed", "3"))
+        assert (code, stdout) == (2, "")
+        assert err == "i/o error: No space left on device\n"
+        assert {p: Path(p).read_bytes() for p in before} == before
+        assert sorted(os.listdir(world["tmp"])) == listing
+
     def test_sava_needs_helper(self, capsys, world):
         code, _, err = run(
             capsys, "adapt", "--method", "sava",
@@ -499,6 +579,49 @@ class TestAdapt:
         assert not os.path.exists(world["tmp"] + "/head_out.emb1")
         # the embedding matrix was finished before the head was read
         assert os.path.exists(world["tmp"] + "/embed_out.emb1")
+
+
+class TestAtomicOutputs:
+    def test_every_output_file_is_replaced_whole(self, capsys, world,
+                                                 monkeypatch, tmp_path):
+        from vocabforge import embeddings
+        opened = []
+        real = embeddings.atomic_open
+
+        def logged(path, *args, **kwargs):
+            opened.append(os.path.basename(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "atomic_open", logged)
+        tmp = world["tmp"]
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b ab\nba\n", encoding="utf-8")
+        vocab = tmp_path / "fvocab.json"
+        vocab.write_text(json.dumps({"a": 0, "b": 1}), encoding="utf-8")
+        part = tmp + "/part.json"
+        runs = [
+            ["stats", "--matrix", world["source_emb"], "--out",
+             tmp + "/summary.txt"],
+            ["stats", "--matrix", world["source_emb"], "--json", "--out",
+             tmp + "/stats.json"],
+            ["fertility", "--vocab", str(vocab), "--merges",
+             world["merges"], "--corpus", str(corpus), "--marker", "none",
+             "--hist-out", tmp + "/hist.csv", "--out", tmp + "/fert.json"],
+            ["intersect", "--source-vocab", world["source_vocab"],
+             "--target-vocab", world["target_vocab"], "--source-marker",
+             "none", "--target-marker", "none", "--out", part],
+            ["fit-map", "--helper-emb", world["helper_emb"], "--source-emb",
+             world["source_emb"], "--partition", part, "--out",
+             tmp + "/map.bin", "--steps", "1"],
+            TestAdapt().adapt_args(world, tmp + "/adapted.emb1",
+                                   tmp + "/adapt.json"),
+        ]
+        for argv in runs:
+            assert run(capsys, *argv)[::2] == (0, "")
+        assert opened == [
+            "summary.txt", "stats.json", "hist.csv", "fert.json", "part.json",
+            "map.bin", "map.bin.json", "adapted.emb1", "adapt.json",
+        ]
 
 
 class TestFertility:

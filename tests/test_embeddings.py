@@ -2,7 +2,9 @@ import io
 import math
 import os
 import struct
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +99,52 @@ class TestFormat:
             import os
             assert os.path.getsize(path) == emb1_file_size(rows, dim)
             assert os.path.getsize(path) == HEADER_SIZE + rows * dim * 4
+
+    @pytest.mark.parametrize("rows, dim, payload, magic", [
+        (2, 3, b"\x00" * 24, MAGIC),
+        (1, 1, b"\x00" * 4, b"NOPE"),
+        (4, 1, b"\x00" * 12, MAGIC),
+        (1, 2, b"\x00" * 12, MAGIC),
+        (3, 0, b"", MAGIC),
+    ], ids=["valid", "magic", "short", "trailing", "zero-width"])
+    def test_matrix_shape_checks_what_load_checks(self, tmp_path, rows, dim,
+                                                  payload, magic):
+        path = str(tmp_path / "m.emb1")
+        _raw_file(path, rows, dim, payload, magic)
+        try:
+            want = load_matrix(path).data.shape
+        except (BadMagic, SizeMismatch) as exc:
+            with pytest.raises(type(exc)) as got:
+                embeddings.matrix_shape(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert embeddings.matrix_shape(path) == want
+
+    @pytest.mark.parametrize("payload", [b"\x00" * 24, b"\x00" * 20],
+                             ids=["valid", "short"])
+    def test_matrix_shape_reads_a_pipe_to_its_end(self, tmp_path, payload):
+        record = tmp_path / "m.emb1"
+        _raw_file(str(record), 2, 3, payload)
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(record.read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            got = embeddings.matrix_shape(fifo)
+        except SizeMismatch as exc:
+            got = exc
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        if len(payload) == 24:
+            assert got == (2, 3)
+        else:
+            assert str(got) == f"{fifo}: header claims 2x3 (24 bytes), " \
+                               f"payload has 20 bytes"
 
     def test_nonfinite_construction_rejected(self):
         with pytest.raises(NonFiniteValue):
@@ -230,3 +278,73 @@ class TestStats:
         rng = np.random.default_rng(5)
         st = stats(EmbeddingMatrix(rng.normal(size=(13, 6)).astype(np.float32)))
         assert abs(st.scalar_mean - st.mean.mean()) < 1e-12
+
+
+def failing_write_record(fh, data):
+    """Write a record's header and part of its payload, then fail."""
+    fh.write(MAGIC + struct.pack("<II", *data.shape) + b"\x00" * 4)
+    fh.write(np.ascontiguousarray(data[:1], dtype="<f4"))
+    raise OSError("No space left on device")
+
+
+class TestAtomicWrites:
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "m.emb1")
+        save_matrix(EmbeddingMatrix(np.ones((4, 3), dtype=np.float32)), path)
+        before = Path(path).read_bytes()
+        monkeypatch.setattr(embeddings, "write_record", failing_write_record)
+        with pytest.raises(OSError, match="No space"):
+            save_matrix(EmbeddingMatrix(np.zeros((9, 3), dtype=np.float32)),
+                        path)
+        assert Path(path).read_bytes() == before
+        assert os.listdir(tmp_path) == ["m.emb1"]
+
+    def test_failed_first_save_leaves_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embeddings, "write_record", failing_write_record)
+        with pytest.raises(OSError, match="No space"):
+            save_matrix(EmbeddingMatrix(np.zeros((9, 3), dtype=np.float32)),
+                        str(tmp_path / "m.emb1"))
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("mode, text", [("wb", b"new"), ("w", "new")])
+    def test_text_and_binary_modes(self, tmp_path, mode, text):
+        path = str(tmp_path / "out")
+        Path(path).write_text("old")
+        with pytest.raises(KeyboardInterrupt):
+            with embeddings.atomic_open(path, mode) as fh:
+                fh.write(text)
+                raise KeyboardInterrupt
+        assert Path(path).read_text() == "old"
+        with embeddings.atomic_open(path, mode) as fh:
+            fh.write(text)
+        assert Path(path).read_text() == "new"
+        assert os.listdir(tmp_path) == ["out"]
+
+    def test_writes_through_a_symlink(self, tmp_path):
+        real = tmp_path / "real.txt"
+        real.write_text("old")
+        link = tmp_path / "link.txt"
+        link.symlink_to(real)
+        with embeddings.atomic_open(str(link), "w") as fh:
+            fh.write("new")
+        assert link.is_symlink()
+        assert real.read_text() == "new"
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "real.txt"]
+
+    def test_pipe_is_written_directly(self, tmp_path):
+        fifo = str(tmp_path / "pipe")
+        os.mkfifo(fifo)
+        got = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                got.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with embeddings.atomic_open(fifo) as fh:
+            fh.write(b"streamed")
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [b"streamed"]
+        assert os.listdir(tmp_path) == ["pipe"]

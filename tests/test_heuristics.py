@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -456,12 +458,19 @@ class TestRowKernels:
         rng = np.random.default_rng(8)
         st = stats_of(rng.normal(size=(20, 6)))
         ids = [0, 5, 3, 2**40]
-        got = random_rows(ids, st, seed=9)
-        for row, tid in zip(got, ids):
-            key = (9 << 64) | tid
-            draw = np.random.Generator(np.random.Philox(key=key)).standard_normal(6)
-            want = st.mean + np.sqrt(st.variance) * draw
-            assert row.tobytes() == want.tobytes()
+        moments = {
+            "per-dimension": (st.mean, st.variance),
+            "scalar": (st.scalar_mean, st.scalar_variance),
+        }
+        for seed in (0, 7, 9, 2**64 - 1, -1):
+            for name, (mean, var) in moments.items():
+                got = random_rows(ids, st, seed=seed, moments=name)
+                for row, tid in zip(got, ids):
+                    key = ((seed & (2**64 - 1)) << 64) | tid
+                    bits = np.random.Philox(key=key)
+                    draw = np.random.Generator(bits).standard_normal(6)
+                    want = mean + np.sqrt(var) * draw
+                    assert row.tobytes() == want.tobytes(), (seed, name, tid)
 
     def test_sava_rows_match_single_rows(self):
         from vocabforge.heuristics import sava_rows
@@ -474,6 +483,48 @@ class TestRowKernels:
         for row, tid in zip(rows, [4, 0, 2]):
             np.testing.assert_allclose(
                 row, phi.apply(helper.data[tid].astype(np.float64)), atol=1e-12)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNovelKernelMemory:
+    """Peak traced memory of a kernel, in (novel rows x dim) float64 arrays.
+
+    The returned rows count as one; the rest is working memory.
+    """
+
+    rows, dim = 4096, 1024
+    array = rows * dim * 8
+
+    def test_random_rows_hold_only_their_output(self):
+        from vocabforge.heuristics import random_rows
+        rng = np.random.default_rng(3)
+        st = stats_of(rng.normal(size=(16, self.dim)))
+        ids = np.arange(self.rows) * 3
+        assert traced_peak(random_rows, ids, st, 5) < 1.1 * self.array
+
+    def test_sava_rows_hold_three_arrays(self):
+        from vocabforge.alignment import Scaler
+        from vocabforge.heuristics import sava_rows
+        rng = np.random.default_rng(4)
+        m = n = self.dim
+        helper = random_matrix(rng, self.rows + 10, m)
+        phi = AffineMap(
+            rng.normal(size=(n, m)) / np.sqrt(m), rng.normal(size=n),
+            Scaler(rng.normal(size=m), rng.uniform(0.5, 2, m)),
+            Scaler(rng.normal(size=n), rng.uniform(0.5, 2, n)),
+            input_norm=3.0,
+        )
+        ids = np.arange(self.rows) + 5
+        # the float64 helper rows, their scaled copy and the output
+        assert traced_peak(sava_rows, ids, helper, phi) < 3.1 * self.array
 
 
 def adaptation_fixture(dim=6, shared=8, novel=4, seed=0):
