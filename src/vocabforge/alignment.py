@@ -64,19 +64,21 @@ class Scaler:
         return cls(mean, np.where(zero, 1.0, std), zero)
 
     @classmethod
-    def fit_rows(cls, data: np.ndarray, ids: np.ndarray) -> "Scaler":
-        """fit(data[ids] as float64) bit for bit, read in row blocks by id.
+    def fit_rows(cls, data: np.ndarray, ids: np.ndarray | None = None) -> "Scaler":
+        """fit(data[ids] as float64) bit for bit, read in row blocks by id
+        (without ids, fit(data) from views of its row blocks).
 
         Two passes, as np.mean and np.std make: the column sums, then the
         sums of squared deviations from the mean.
         """
-        mean = _column_sum(data, ids, np.copyto) / len(ids)
+        count = len(data) if ids is None else len(ids)
+        mean = _column_sum(data, ids, np.copyto) / count
 
         def squared_deviation(out, block):
             np.subtract(block, mean, out=out)
             np.square(out, out=out)
 
-        std = np.sqrt(_column_sum(data, ids, squared_deviation) / len(ids))
+        std = np.sqrt(_column_sum(data, ids, squared_deviation) / count)
         zero = std == 0.0
         return cls(mean, np.where(zero, 1.0, std), zero)
 
@@ -143,13 +145,15 @@ class AffineMap:
         )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
         if x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input has dim {x.shape[-1]}, map expects {self.in_dim}"
             )
         # The same operations as inverse(norm(forward(x)) @ W.T + b), each
         # done in place after forward's copy: x itself is never written.
+        # forward's subtraction of the float64 mean promotes float32 rows
+        # exactly, so they need no float64 copy of their own.
         xs = self.input_scaler.forward(x)
         if self.l2_normalize_inputs:
             xs /= self.input_norm
@@ -208,24 +212,32 @@ def collect_pairs(
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(target_ids), size=limit, replace=False))
         target_ids, source_ids = target_ids[keep], source_ids[keep]
-    x = helper.data[target_ids].astype(np.float64)
-    y = source.data[source_ids].astype(np.float64)
-    return x, y
+    return _gather(helper.data, target_ids), _gather(source.data, source_ids)
 
 
-def _blocks(data: np.ndarray, ids: np.ndarray):
-    """Yield (start, data[ids[start:...]]) in embeddings.BUDGET blocks.
+def _blocks(data: np.ndarray, ids: np.ndarray | None = None):
+    """Yield (start, data[ids[start:...]]) in embeddings.BUDGET blocks, or
+    without ids (start, data[start:...]), views of all the rows in order.
 
     A single column comes as one block: numpy sums a C-contiguous array
     over axis 0 one row after another, but a lone column pairwise.
     """
     dim = data.shape[1]
-    step = len(ids) if dim == 1 else embeddings.block_rows(dim)
-    for lo in range(0, len(ids), step):
-        yield lo, data[ids[lo:lo + step]]
+    count = len(data) if ids is None else len(ids)
+    step = count if dim == 1 else embeddings.block_rows(dim)
+    for lo in range(0, count, step):
+        yield lo, data[lo:lo + step] if ids is None else data[ids[lo:lo + step]]
 
 
-def _column_sum(data: np.ndarray, ids: np.ndarray, fill) -> np.ndarray:
+def _gather(data: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """data[ids] as float64, gathered one block at a time."""
+    out = np.empty((len(ids), data.shape[1]))
+    for lo, block in _blocks(data, ids):
+        out[lo:lo + len(block)] = block
+    return out
+
+
+def _column_sum(data: np.ndarray, ids: np.ndarray | None, fill) -> np.ndarray:
     """Column sums of the float64 rows fill(out, block) writes for data[ids].
 
     Equal to one axis-0 sum over all the rows: each block after the first
@@ -265,18 +277,29 @@ def _preprocess(
         raise DimensionMismatch(
             f"inconsistent pair shapes {x.shape} vs {y.shape}"
         )
-    _check_pair_count(x.shape[0])
-    in_scaler = Scaler.fit(x)
-    out_scaler = Scaler.fit(y)
+    count = x.shape[0]
+    _check_pair_count(count)
+    # Scaler.fit's statistics bit for bit, without its whole-pair temporary
+    in_scaler = Scaler.fit_rows(x)
+    out_scaler = Scaler.fit_rows(y)
     xs = in_scaler.forward(x, x if in_place else None)
     nu = 1.0
     if l2_normalize:
-        mean_norm = float(np.mean(np.linalg.norm(xs, axis=1)))
-        if mean_norm > 0:
-            nu = mean_norm
+        nu = _mean_norm(count, _blocks(xs))
         xs /= nu
     ys = out_scaler.forward(y, y if in_place else None)
     return xs, ys, in_scaler, out_scaler, nu
+
+
+def _mean_norm(count: int, blocks) -> float:
+    """The mean L2 norm of the rows the (start, rows) blocks cover, or 1.0
+    if it is 0. One vector holds all the norms, so np.mean sums them in
+    the same order whatever the blocks."""
+    norms = np.empty(count)
+    for lo, rows in blocks:
+        norms[lo:lo + len(rows)] = np.linalg.norm(rows, axis=1)
+    mean_norm = float(np.mean(norms))
+    return mean_norm if mean_norm > 0 else 1.0
 
 
 def _seeded_start(n: int, m: int, cfg: TrainConfig):
@@ -389,29 +412,66 @@ def fit_gradient(
     xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, True, in_place)
     count, m = xs.shape
     rng, weight, bias = _seeded_start(ys.shape[1], m, cfg)
-    initial_mse = float(np.mean((xs @ weight.T + bias - ys) ** 2))
+    initial_mse, *_ = _report_pass(xs, ys, (weight, bias))
     _adam(lambda sel: (xs[sel], ys[sel]), count, weight, bias, rng, cfg)
-    pred = xs @ weight.T + bias
-    final_mse = float(np.mean((pred - ys) ** 2))
+    # Same scaled pairs: xs is also what the oracle's apply() computes.
+    oracle = _ridge(xs, ys, _RIDGE_LAMBDA) if compare_oracle else None
+    final_mse, oracle_mse, gap = _report_pass(
+        xs, ys, (weight, bias), oracle, out_scaler
+    )
     if not np.isfinite(final_mse):
         raise NonFiniteLoss("training diverged to a non-finite loss")
-
     phi = AffineMap(weight, bias, in_scaler, out_scaler, nu)
-    oracle_mse = gap = None
-    if compare_oracle:
-        # Same scaled pairs: xs is also what the oracle's apply() computes.
-        o_weight, o_bias = _ridge(xs, ys, _RIDGE_LAMBDA)
-        want = xs @ o_weight.T + o_bias
-        oracle_mse = float(np.mean((want - ys) ** 2))
-        # Scale both predictions back in place, by Scaler.inverse's
-        # operations, so no third (count, n) array is built.
-        for p in (pred, want):
-            p *= out_scaler.std
-            p += out_scaler.mean
-        denom = np.linalg.norm(want)
-        pred -= want
-        gap = float(np.linalg.norm(pred) / denom) if denom else 0.0
     return phi, FitReport(initial_mse, final_mse, count, oracle_mse, gap)
+
+
+def _report_pass(xs, ys, fit, oracle=None, out_scaler=None):
+    """(MSE of fit, MSE of oracle, gap) over the scaled pairs, in one pass.
+
+    fit and oracle are (weight, bias) pairs; without an oracle the last
+    two are None. The gap is the Frobenius norm of the difference of the
+    two maps' predictions, scaled back by out_scaler, over the norm of
+    the oracle's. The pass walks row blocks whose whole working set (two
+    predictions and a squared difference) fits in embeddings.CACHE_BUDGET.
+    Each sum starts from 0.0 and adds one np.add.reduce or dot per block,
+    so a one-block pass equals np.mean and np.linalg.norm of the whole
+    arrays bit for bit.
+    """
+    count, n = ys.shape
+    step = min(count, max(1, embeddings.CACHE_BUDGET // (3 * 8 * n)))
+    pred, sq = np.empty((step, n)), np.empty((step, n))
+    want = None if oracle is None else np.empty((step, n))
+
+    def squared_error(xb, yb, weight, bias, out):
+        # the sum of (xb @ weight.T + bias - yb) ** 2; out keeps the prediction
+        np.matmul(xb, weight.T, out=out)
+        out += bias
+        diff = np.subtract(out, yb, out=sq[:len(out)])
+        np.square(diff, out=diff)
+        return np.add.reduce(diff, axis=None)
+
+    fit_sum = oracle_sum = want_sq = diff_sq = 0.0
+    for lo in range(0, count, step):
+        xb, yb = xs[lo:lo + step], ys[lo:lo + step]
+        p = pred[:len(xb)]
+        fit_sum += squared_error(xb, yb, *fit, p)
+        if oracle is None:
+            continue
+        w = want[:len(xb)]
+        oracle_sum += squared_error(xb, yb, *oracle, w)
+        # Scaler.inverse's operations, in place
+        for a in (p, w):
+            a *= out_scaler.std
+            a += out_scaler.mean
+        want_sq += w.ravel().dot(w.ravel())
+        p -= w
+        diff_sq += p.ravel().dot(p.ravel())
+    size = count * n
+    if oracle is None:
+        return float(fit_sum / size), None, None
+    denom = math.sqrt(want_sq)
+    gap = math.sqrt(diff_sq) / denom if denom else 0.0
+    return float(fit_sum / size), float(oracle_sum / size), gap
 
 
 def train_map(
@@ -434,13 +494,8 @@ def train_map(
     _check_pair_count(count)
     in_scaler = Scaler.fit_rows(helper.data, helper_ids)
     out_scaler = Scaler.fit_rows(source.data, source_ids)
-    # one vector of all the row norms, so np.mean sums it as _preprocess does
-    norms = np.empty(count)
-    for lo, block in _blocks(helper.data, helper_ids):
-        scaled = in_scaler.forward(block)
-        norms[lo:lo + len(block)] = np.linalg.norm(scaled, axis=1)
-    mean_norm = float(np.mean(norms))
-    nu = mean_norm if mean_norm > 0 else 1.0
+    nu = _mean_norm(count, ((lo, in_scaler.forward(block))
+                            for lo, block in _blocks(helper.data, helper_ids)))
 
     def rows(sel):
         xb = in_scaler.forward(helper.data[helper_ids[sel]])
@@ -453,17 +508,26 @@ def train_map(
 
 
 def _ridge(xs: np.ndarray, ys: np.ndarray, ridge_lambda: float):
-    """Solve the normal equations of the preprocessed pairs: (weight, bias)."""
+    """Solve the normal equations of the preprocessed pairs: (weight, bias).
+
+    The design matrix [xs 1] is never built: its Gram matrix is
+    [[xsᵀxs, Σxs], [Σxsᵀ, count]] and the right-hand side [[xsᵀys], [Σys]].
+    """
     count, m = xs.shape
-    design = np.hstack([xs, np.ones((count, 1))])
-    gram = design.T @ design
+    gram = np.empty((m + 1, m + 1))
+    gram[:m, :m] = xs.T @ xs
+    gram[:m, m] = gram[m, :m] = xs.sum(axis=0)
+    gram[m, m] = count
     if ridge_lambda > 0:
-        gram = gram + ridge_lambda * np.eye(m + 1)
+        gram.flat[::m + 2] += ridge_lambda  # the diagonal
     elif np.linalg.matrix_rank(gram) < m + 1:
         raise SingularSystem(
             "design matrix is rank-deficient; use ridge_lambda > 0"
         )
-    theta = np.linalg.solve(gram, design.T @ ys)
+    rhs = np.empty((m + 1, ys.shape[1]))
+    rhs[:m] = xs.T @ ys
+    rhs[m] = ys.sum(axis=0)
+    theta = np.linalg.solve(gram, rhs)
     return theta[:m].T, theta[m]
 
 

@@ -15,10 +15,11 @@ import sys
 import numpy as np
 
 from . import alignment, analysis, embeddings, heuristics
-from .errors import VocabForgeError
+from .errors import PartitionInconsistent, VocabForgeError
 from .tokenizer import (
     MarkerConvention,
     TokenPartition,
+    load_json,
     load_tokenizer,
     load_vocab,
     partition,
@@ -200,11 +201,13 @@ def cmd_fit_map(args) -> int:
     _at_least(args, 0, "batch", "limit")
     helper = embeddings.load_matrix(args.helper_emb)
     source = embeddings.load_matrix(args.source_emb)
-    with open(args.partition, encoding="utf-8") as fh:
-        part = TokenPartition.from_dict(json.load(fh))
+    part = TokenPartition.from_dict(
+        load_json(args.partition, PartitionInconsistent)
+    )
     pairs_x, pairs_y = alignment.collect_pairs(
         helper, source, part, limit=args.limit, seed=args.seed
     )
+    del helper, source  # the fit reads only the gathered pairs
     phi, fit_report = alignment.fit_gradient(
         pairs_x, pairs_y, _train_config(args), compare_oracle=True,
         in_place=True,
@@ -394,8 +397,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 def _merge_config(parser, subs, argv, args):
     """Parse --config values as flags placed before the explicit ones, so
     each goes through its flag's own checks and an explicit flag wins."""
-    with open(args.config, encoding="utf-8") as fh:
-        file_cfg = json.load(fh)
+    file_cfg = load_json(args.config, UsageError)
     if not isinstance(file_cfg, dict):
         raise UsageError("config file must be a flat JSON object")
     actions = {a.dest: a for a in subs[args.command]._actions}

@@ -290,7 +290,7 @@ def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndar
         raise DimensionMismatch(
             f"helper dim {helper_emb.dim} != map input dim {phi.in_dim}"
         )
-    return phi.apply_batch(helper_emb.data[np.asarray(token_ids)].astype(np.float64))
+    return phi.apply_batch(helper_emb.data[np.asarray(token_ids)])
 
 
 def g_sava(token_id: int, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:

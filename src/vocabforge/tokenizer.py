@@ -237,10 +237,19 @@ class TokenizerModel:
         return text
 
 
+def load_json(path: str, error: type[Exception]):
+    """Parse the JSON file at path. Nesting too deep for the parser raises
+    `error` (a one-line message) rather than RecursionError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to parse") from None
+
+
 def load_vocab(path: str) -> Vocabulary:
     """Load a vocab.json file: a JSON object from token string to id."""
-    with open(path, encoding="utf-8") as fh:
-        mapping = json.load(fh)
+    mapping = load_json(path, MalformedVocab)
     if not isinstance(mapping, dict):
         raise MalformedVocab("vocab file must be a JSON object")
     return Vocabulary.from_mapping(mapping)

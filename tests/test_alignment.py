@@ -91,6 +91,26 @@ class TestCollectPairs:
         with pytest.raises(DimensionMismatch):
             collect_pairs(m, m, part)
 
+    @pytest.mark.parametrize("limit", [None, 300])
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_blocked_gather_equals_whole_gather(self, monkeypatch, limit,
+                                                height):
+        helper, source, part = scattered_pairs(500, 6, 9, seed=8)
+        if height is not None:
+            # blocks of `height` rows of the wider (source) side
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * 9 * height)
+        x, y = collect_pairs(helper, source, part, limit=limit, seed=3)
+        helper_ids, source_ids = alignment._pair_ids(helper, source, part)
+        if limit is not None:
+            keep = np.sort(np.random.default_rng(3).choice(
+                len(helper_ids), size=limit, replace=False))
+            helper_ids, source_ids = helper_ids[keep], source_ids[keep]
+        for got, matrix, ids in ((x, helper, helper_ids),
+                                 (y, source, source_ids)):
+            want = matrix.data[ids].astype(np.float64)
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
 
 class TestPartitionFromDict:
     def test_roundtrip(self):
@@ -391,6 +411,57 @@ class TestBlockedAdam:
         assert len(calls) == 1
 
 
+class TestBlockedReport:
+    """fit_gradient's report comes from one pass over cache-sized blocks."""
+
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_equals_whole_array_report(self, monkeypatch, height):
+        count, m, n = 100, 6, 9
+        if height is not None:
+            # two predictions and a squared difference per row
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 3 * 8 * n * height)
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(count, m)) * 2.0 + 0.5
+        y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
+        cfg = TrainConfig(steps=3, batch=32, seed=4, learning_rate=1e-2)
+        w, b, *whole = seed_adam_fit(x, y, cfg)
+        phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
+        assert np.array_equal(phi.weight, w)
+        assert np.array_equal(phi.bias, b)
+        got = [report.initial_mse, report.final_mse, report.oracle_mse,
+               report.frobenius_gap_to_oracle]
+        if height is None:  # the default budget holds all 100 rows
+            assert got == whole
+        else:
+            for g, want in zip(got, whole):
+                assert math.isclose(g, want, rel_tol=1e-12, abs_tol=0.0)
+
+    def test_working_set_beyond_the_pairs(self, monkeypatch):
+        count, m, n = 4000, 16, 24
+        rows = 50
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 3 * 8 * n * rows)
+        monkeypatch.setattr(embeddings, "BUDGET", 8 * n * rows)
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(count, m))
+        y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
+        cfg = TrainConfig(steps=1, batch=32, seed=2)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fit_gradient(x, y, cfg, compare_oracle=True, in_place=True)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # One report block, one scaler or norm block, O(m^2 + m*n) for the
+        # Adam state, the batch and the normal equations, and two
+        # count-long vectors: the row norms and one epoch's permutation.
+        # Predictions over all the pairs would be count * n floats each.
+        bound = (embeddings.CACHE_BUDGET + embeddings.BUDGET
+                 + 8 * (8 * (m + 1) * (m + n) + 2 * count))
+        assert peak <= bound
+        assert bound < 8 * count * n
+
+
 def scattered_pairs(count, m, n, seed):
     """float32 helper and source matrices and a partition whose `count`
     shared tokens sit at shuffled rows of each, with y affine in x."""
@@ -431,6 +502,18 @@ class TestScalerFitRows:
         assert np.array_equal(got.std, want.std)
         assert np.array_equal(got.zero_variance_dims, want.zero_variance_dims)
         assert got.zero_variance_dims.any() == (dim > 1)
+
+    @pytest.mark.parametrize("count, dim", [(100, 9), (1000, 1)])
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_all_rows_equal_fit(self, monkeypatch, count, dim, height):
+        if height is not None:
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+        rng = np.random.default_rng(count * dim)
+        data = rng.normal(size=(count, dim)) * 3.0 + 1.0
+        got = Scaler.fit_rows(data)
+        want = Scaler.fit(data)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.std, want.std)
 
 
 class TestFitClosedForm:

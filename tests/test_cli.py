@@ -795,3 +795,51 @@ class TestConfigFile:
             assert json.loads(out)["config"]["tied"] is True
         else:
             assert err == "config key 'tied': invalid value 1\n"
+
+
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is each input's own
+    one-line error, never a RecursionError traceback."""
+
+    @pytest.mark.parametrize("entry", [
+        "intersect", "fit-map-partition", "fit-map-config", "adapt",
+        "fertility", "similarity",
+    ])
+    def test_one_error_line(self, capsys, world, entry):
+        deep = world["tmp"] + "/deep.json"
+        with open(deep, "w", encoding="utf-8") as fh:
+            fh.write("[" * 100_000 + "]" * 100_000)
+        corpus = world["tmp"] + "/corpus.txt"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            fh.write("s0 s1\n")
+        fit_map = ["fit-map", "--helper-emb", world["helper_emb"],
+                   "--source-emb", world["source_emb"],
+                   "--out", world["tmp"] + "/map.bin"]
+        argv = {
+            "intersect": ["intersect", "--source-vocab", deep,
+                          "--target-vocab", world["target_vocab"]],
+            "fit-map-partition": fit_map + ["--partition", deep],
+            "fit-map-config": fit_map + ["--config", deep, "--partition",
+                                         world["source_vocab"]],
+            "adapt": ["adapt", "--method", "random",
+                      "--source-emb", world["source_emb"],
+                      "--source-vocab", world["source_vocab"],
+                      "--source-merges", world["merges"],
+                      "--target-vocab", deep,
+                      "--target-merges", world["merges"],
+                      "--out", world["tmp"] + "/out.emb1",
+                      "--report", world["tmp"] + "/report.json"],
+            "fertility": ["fertility", "--vocab", deep,
+                          "--merges", world["merges"], "--corpus", corpus],
+            "similarity": ["similarity", "--emb-a", world["source_emb"],
+                           "--emb-b", world["helper_emb"], "--vocab", deep],
+        }[entry]
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        # a usage error for the config file; MalformedVocab or
+        # PartitionInconsistent (a VocabForgeError: "error: ") for the rest
+        prefix = "" if entry == "fit-map-config" else "error: "
+        assert err == f"{prefix}{deep}: JSON nested too deeply to parse\n"
+        assert not any(os.path.exists(world["tmp"] + name) for name in
+                       ("/map.bin", "/out.emb1", "/report.json"))
