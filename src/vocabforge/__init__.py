@@ -35,7 +35,6 @@ from .heuristics import (
     adapt,
     adapt_matrix,
     assemble,
-    g_clp,
     g_fvt,
     g_random,
     g_sava,
@@ -76,7 +75,6 @@ __all__ = [
     "fertility",
     "fit_closed_form",
     "fit_gradient",
-    "g_clp",
     "g_fvt",
     "g_random",
     "g_sava",

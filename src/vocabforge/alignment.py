@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,10 +28,11 @@ from .embeddings import EmbeddingMatrix, read_record, write_record
 from .errors import (
     DimensionMismatch,
     EmptyIntersection,
+    MalformedMap,
     NonFiniteLoss,
     SingularSystem,
 )
-from .tokenizer import TokenPartition
+from .tokenizer import TokenPartition, load_json
 
 # Bytes of one row block of the Adam state: each update finishes its
 # elementwise passes over one block of weight, moment and gradient rows
@@ -163,9 +164,6 @@ class AffineMap:
         pred += self.output_scaler.mean
         return pred
 
-    def apply_batch(self, xs: np.ndarray) -> np.ndarray:
-        return self.apply(np.atleast_2d(xs))
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -174,9 +172,6 @@ class FitReport:
     pair_count: int
     oracle_mse: float | None = None
     frobenius_gap_to_oracle: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _pair_ids(
@@ -554,6 +549,22 @@ _RECORD_ORDER = (
 )
 
 
+# Each sidecar key and the test its value must pass, in the order load_map
+# runs them: a list of zero-variance dims after the dim it indexes.
+_SIDECAR = {
+    "schema_version": lambda v, meta: v == "1",
+    "records": lambda v, meta: v == list(_RECORD_ORDER),
+    "in_dim": lambda v, meta: type(v) is int and v > 0,
+    "out_dim": lambda v, meta: type(v) is int and v > 0,
+    "input_norm": lambda v, meta: type(v) is float and 0 < v < math.inf,
+    "l2_normalize_inputs": lambda v, meta: type(v) is bool,
+    "input_zero_variance_dims": lambda v, meta: type(v) is list and all(
+        type(d) is int and 0 <= d < meta["in_dim"] for d in v),
+    "output_zero_variance_dims": lambda v, meta: type(v) is list and all(
+        type(d) is int and 0 <= d < meta["out_dim"] for d in v),
+}
+
+
 def save_map(phi: AffineMap, path: str) -> None:
     """Write the container and its sidecar.
 
@@ -585,15 +596,27 @@ def save_map(phi: AffineMap, path: str) -> None:
 
 
 def load_map(path: str) -> AffineMap:
-    with open(path + ".json", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    """Read a map that save_map wrote. A sidecar key or value, or a record
+    shape, that does not fit one raises MalformedMap; read_record and
+    EmbeddingMatrix check each record's bytes and values."""
+    side = path + ".json"
+    meta = load_json(side, MalformedMap)
+    if not isinstance(meta, dict) or meta.keys() != _SIDECAR.keys():
+        raise MalformedMap(f"{side}: expected the keys {sorted(_SIDECAR)}")
+    for key, valid in _SIDECAR.items():
+        if not valid(meta[key], meta):
+            raise MalformedMap(f"{side}: invalid {key!r}")
+    m, n = meta["in_dim"], meta["out_dim"]
+    records = {}
     with open(path, "rb") as fh:
-        records = {
-            name: read_record(fh, path).astype(np.float64)
-            for name in meta["records"]
-        }
-    m = int(meta["in_dim"])
-    n = int(meta["out_dim"])
+        for name in _RECORD_ORDER:
+            data = read_record(fh, path, last=name == _RECORD_ORDER[-1])
+            shape = (n, m) if name == "weight" else (1, m if "input" in name else n)
+            if data.shape != shape:
+                raise MalformedMap(
+                    f"{path}: record {name!r} has shape {data.shape}, not {shape}")
+            records[name] = EmbeddingMatrix(data, f"{path} {name}").data.astype(
+                np.float64)
 
     def scaler(mean_key: str, std_key: str, dim: int, zero_key: str) -> Scaler:
         zero = np.zeros(dim, dtype=bool)
@@ -605,6 +628,6 @@ def load_map(path: str) -> AffineMap:
         records["bias"][0],
         scaler("input_mean", "input_std", m, "input_zero_variance_dims"),
         scaler("output_mean", "output_std", n, "output_zero_variance_dims"),
-        float(meta["input_norm"]),
-        bool(meta["l2_normalize_inputs"]),
+        meta["input_norm"],
+        meta["l2_normalize_inputs"],
     )

@@ -120,14 +120,6 @@ class SimilarityScore:
     anchor_ids: tuple[int, ...]
     seed: int
 
-    def to_dict(self) -> dict:
-        return {
-            "score": self.score,
-            "anchor_count": self.anchor_count,
-            "anchor_ids": list(self.anchor_ids),
-            "seed": self.seed,
-        }
-
 
 def select_anchors(
     vocab: Vocabulary,
@@ -260,18 +252,6 @@ class ParamCountReport:
     total_before: int
     total_after: int
     delta: int
-
-    def to_dict(self) -> dict:
-        return {
-            "vocab_before": self.vocab_before,
-            "vocab_after": self.vocab_after,
-            "dim": self.dim,
-            "tied": self.tied,
-            "non_embedding_params": self.non_embedding_params,
-            "total_before": self.total_before,
-            "total_after": self.total_after,
-            "delta": self.delta,
-        }
 
 
 def param_report(

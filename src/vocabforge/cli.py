@@ -11,12 +11,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import alignment, analysis, embeddings, heuristics
 from .errors import PartitionInconsistent, VocabForgeError
 from .tokenizer import (
+    MARKERS,
     MarkerConvention,
     TokenPartition,
     load_json,
@@ -26,7 +28,6 @@ from .tokenizer import (
 )
 
 SCHEMA_VERSION = "1"
-MARKER_CHOICES = ("meta-space", "byte-marker", "none")
 
 
 class UsageError(Exception):
@@ -51,14 +52,6 @@ def _at_least(args, low, *names):
             raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
-def _echo_config(args) -> dict:
-    skip = {"func", "config"}
-    return {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in skip and not callable(v)
-    }
-
-
 def _write(text: str, dest: str | None) -> None:
     """Write text over the file `dest` (whole or not at all), or to stdout."""
     if dest:
@@ -70,7 +63,8 @@ def _write(text: str, dest: str | None) -> None:
 
 def _emit(args, payload: dict, dest: str | None) -> None:
     """Write the JSON report to the file `dest`, or to stdout if None."""
-    report = {"schema_version": SCHEMA_VERSION, "config": _echo_config(args)}
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
+    report = {"schema_version": SCHEMA_VERSION, "config": config}
     report.update(payload)
     _write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
            dest)
@@ -116,14 +110,6 @@ def cmd_stats(args) -> int:
     return 0
 
 
-def _load_model(vocab_path, merges_path, marker_name, byte_level, unk_token):
-    return load_tokenizer(
-        vocab_path, merges_path,
-        marker=MarkerConvention.from_name(marker_name),
-        byte_level=byte_level, unk_token=unk_token,
-    )
-
-
 def _train_config(args) -> alignment.TrainConfig:
     return alignment.TrainConfig(steps=args.steps, learning_rate=args.lr,
                                  batch=args.batch, seed=args.seed)
@@ -141,24 +127,19 @@ def cmd_adapt(args) -> int:
     for name in ("helper-head-emb", "out-head"):
         if not untied and getattr(args, name.replace("-", "_")) is not None:
             raise UsageError(f"--{name} requires --source-head-emb")
-    cfg = heuristics.HeuristicConfig(
-        method=args.method,
-        seed=args.seed,
-        clp_top_k=args.clp_top_k,
-        clp_negative_policy=args.clp_negative_policy,
-        random_moments=args.random_moments,
-        fallback=args.fallback,
-    )
+    cfg = heuristics.HeuristicConfig(**{  # each field has the flag of its name
+        f.name: getattr(args, f.name) for f in fields(heuristics.HeuristicConfig)
+    })
     if cfg.method in heuristics.HELPER_METHODS and args.helper_emb is None:
         raise UsageError(
             f"method {cfg.method!r} requires --helper-emb (a helper model "
             f"trained with the target tokenizer)"
         )
-    source_model = _load_model(
+    source_model = load_tokenizer(
         args.source_vocab, args.source_merges, args.source_marker,
         args.byte_level, args.unk_token,
     )
-    target_model = _load_model(
+    target_model = load_tokenizer(
         args.target_vocab, args.target_merges, args.target_marker,
         args.byte_level, args.unk_token,
     )
@@ -213,13 +194,13 @@ def cmd_fit_map(args) -> int:
         in_place=True,
     )
     alignment.save_map(phi, args.out)
-    _emit(args, {"fit": fit_report.to_dict()}, None)
+    _emit(args, {"fit": asdict(fit_report)}, None)
     return 0
 
 
 def cmd_fertility(args) -> int:
     _require(args, "vocab", "merges", "corpus")
-    model = _load_model(
+    model = load_tokenizer(
         args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
     )
     report = analysis.fertility(
@@ -262,7 +243,7 @@ def cmd_similarity(args) -> int:
         emb_a, emb_b, anchors, token_sample=sample, seed=args.seed,
         projection=args.projection,
     )
-    _emit(args, {"similarity": score.to_dict()}, args.out)
+    _emit(args, {"similarity": asdict(score)}, args.out)
     return 0
 
 
@@ -271,7 +252,7 @@ def cmd_params(args) -> int:
     report = analysis.param_report(
         args.before, args.after, args.dim, args.tied, args.base
     )
-    _emit(args, {"params": report.to_dict()}, args.out)
+    _emit(args, {"params": asdict(report)}, args.out)
     return 0
 
 
@@ -280,12 +261,12 @@ def cmd_params(args) -> int:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat JSON file of flag defaults")
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     default = alignment.TrainConfig()
+    sub.add_argument("--seed", type=int, default=default.seed)
     sub.add_argument("--steps", type=int, default=default.steps)
     sub.add_argument("--lr", type=float, default=default.learning_rate)
     sub.add_argument("--batch", type=int, default=default.batch)
@@ -309,8 +290,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
             help="intersect two vocabularies after marker canonicalization")
     s.add_argument("--source-vocab")
     s.add_argument("--target-vocab")
-    s.add_argument("--source-marker", choices=MARKER_CHOICES, default="meta-space")
-    s.add_argument("--target-marker", choices=MARKER_CHOICES, default="meta-space")
+    s.add_argument("--source-marker", choices=MARKERS, default="meta-space")
+    s.add_argument("--target-marker", choices=MARKERS, default="meta-space")
     _add_common(s)
 
     s = sub("stats", cmd_stats, help="summarize an EMB1 embedding matrix")
@@ -334,14 +315,13 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--out-head")
     s.add_argument("--report")
     s.add_argument("--verbose-report", action="store_true")
-    s.add_argument("--clp-top-k", type=int, default=0)
-    s.add_argument("--clp-negative-policy", default="clamp-zero",
-                   choices=("clamp-zero", "shift-min", "absolute"))
-    s.add_argument("--random-moments", default="per-dimension",
-                   choices=("per-dimension", "scalar"))
-    s.add_argument("--fallback", default="random", choices=("random", "mean-row"))
-    s.add_argument("--source-marker", choices=MARKER_CHOICES, default="meta-space")
-    s.add_argument("--target-marker", choices=MARKER_CHOICES, default="meta-space")
+    default = heuristics.HeuristicConfig()
+    s.add_argument("--clp-top-k", type=int, default=default.clp_top_k)
+    for name in ("clp_negative_policy", "random_moments", "fallback"):
+        s.add_argument("--" + name.replace("_", "-"), default=getattr(default, name),
+                       choices=heuristics.CHOICES[name])
+    s.add_argument("--source-marker", choices=MARKERS, default="meta-space")
+    s.add_argument("--target-marker", choices=MARKERS, default="meta-space")
     s.add_argument("--byte-level", action="store_true")
     s.add_argument("--unk-token")
     _add_train_flags(s)
@@ -366,7 +346,9 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--hist-out", help="write a per-document histogram CSV")
     s.add_argument("--byte-level", action="store_true")
     s.add_argument("--unk-token")
-    s.add_argument("--marker", choices=MARKER_CHOICES, default="meta-space")
+    s.add_argument("--marker", choices=MARKERS, default="meta-space")
+    s.add_argument("--seed", type=int, default=0,
+                   help="accepted for scripts that pass it; fertility reads no seed")
     _add_common(s)
 
     s = sub("similarity", cmd_similarity,
@@ -379,7 +361,8 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--sample", type=int,
                    help="score a seeded random token subset instead of all rows")
     s.add_argument("--projection", choices=("cosine", "dot"), default="cosine")
-    s.add_argument("--marker", choices=MARKER_CHOICES, default="meta-space")
+    s.add_argument("--marker", choices=MARKERS, default="meta-space")
+    s.add_argument("--seed", type=int, default=0)
     _add_common(s)
 
     s = sub("params", cmd_params,

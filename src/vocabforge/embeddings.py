@@ -40,10 +40,6 @@ BUDGET = 16 << 20
 CACHE_BUDGET = 4 << 20
 
 
-def emb1_file_size(rows: int, dim: int) -> int:
-    return HEADER_SIZE + rows * dim * 4
-
-
 def block_rows(dim: int) -> int:
     """Rows of a `dim`-wide block that hold BUDGET bytes of float64."""
     return max(1, BUDGET // (8 * max(dim, 1)))

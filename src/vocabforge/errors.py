@@ -82,6 +82,10 @@ class SingularSystem(VocabForgeError):
     """Unregularized normal equations are rank-deficient."""
 
 
+class MalformedMap(VocabForgeError):
+    """A saved map's sidecar or records do not describe an affine map."""
+
+
 # --- analysis ----------------------------------------------------------
 
 

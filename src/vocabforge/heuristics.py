@@ -5,7 +5,7 @@ rest with one of the four heuristics (random, fvt, clp, sava).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,6 +25,14 @@ from .tokenizer import TokenizerModel, TokenPartition, canonicalize, partition
 
 METHODS = ("random", "fvt", "clp", "sava")
 HELPER_METHODS = ("clp", "sava")
+# The values each HeuristicConfig choice accepts; the CLI's flags take
+# their choices from here.
+CHOICES = {
+    "method": METHODS,
+    "clp_negative_policy": ("clamp-zero", "shift-min", "absolute"),
+    "random_moments": ("per-dimension", "scalar"),
+    "fallback": ("random", "mean-row"),
+}
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,31 +44,15 @@ class HeuristicConfig:
     method: str = "fvt"
     seed: int = 0
     clp_top_k: int = 0  # 0 = dense over the full intersection
-    clp_negative_policy: str = "clamp-zero"  # clamp-zero | shift-min | absolute
-    random_moments: str = "per-dimension"  # per-dimension | scalar
-    fallback: str = "random"  # random | mean-row
+    clp_negative_policy: str = "clamp-zero"
+    random_moments: str = "per-dimension"
+    fallback: str = "random"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.clp_negative_policy not in ("clamp-zero", "shift-min", "absolute"):
-            raise ValueError(
-                f"unknown clp_negative_policy {self.clp_negative_policy!r}"
-            )
-        if self.random_moments not in ("per-dimension", "scalar"):
-            raise ValueError(f"unknown random_moments {self.random_moments!r}")
-        if self.fallback not in ("random", "mean-row"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "seed": self.seed,
-            "clp_top_k": self.clp_top_k,
-            "clp_negative_policy": self.clp_negative_policy,
-            "random_moments": self.random_moments,
-            "fallback": self.fallback,
-        }
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}")
 
 
 @dataclass
@@ -85,7 +77,7 @@ class AdaptationReport:
             "copied_count": self.copied_count,
             "initialized_count": self.initialized_count,
             "fallback_count": self.fallback_count,
-            "method": self.method.to_dict(),
+            "method": asdict(self.method),
             "timing_seconds": self.timing_seconds,
         }
         if verbose:
@@ -98,7 +90,8 @@ class AdaptationReport:
 # Each method fills all novel rows at once. A kernel takes the novel
 # target ids (and tokens) in partition order and returns float64 rows,
 # plus, where a row can fail, a bool mask of rows it could build. The
-# single-row functions g_random/g_fvt/g_clp/g_sava call the same kernels.
+# single-row functions g_random/g_fvt/g_sava and ClpInitializer's
+# __call__ call the same kernels.
 
 
 def random_rows(
@@ -274,23 +267,13 @@ def _clp_single(result: tuple[np.ndarray, np.ndarray], token_id: int) -> np.ndar
     return rows[0]
 
 
-def g_clp(
-    token_id: int,
-    source_emb: EmbeddingMatrix,
-    helper_emb: EmbeddingMatrix,
-    part: TokenPartition,
-    cfg: HeuristicConfig,
-) -> np.ndarray:
-    return ClpInitializer(source_emb, helper_emb, part, cfg)(token_id)
-
-
 def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
     """Map helper rows through the trained affine alignment."""
     if helper_emb.dim != phi.in_dim:
         raise DimensionMismatch(
             f"helper dim {helper_emb.dim} != map input dim {phi.in_dim}"
         )
-    return phi.apply_batch(helper_emb.data[np.asarray(token_ids)])
+    return phi.apply(helper_emb.data[np.asarray(token_ids)])
 
 
 def g_sava(token_id: int, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:

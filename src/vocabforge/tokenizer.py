@@ -23,33 +23,34 @@ _BYTE_TOKEN_RE = re.compile(r"^<0x([0-9A-Fa-f]{2})>$")
 
 META_SPACE = "▁"  # ▁ (SentencePiece)
 BYTE_MARKER = "Ġ"  # Ġ (GPT-2 byte-level)
+# Each marker convention's name and its literal prefix string; the CLI's
+# marker flags take their choices from here.
+MARKERS = {
+    "meta-space": META_SPACE,
+    "byte-marker": BYTE_MARKER,
+    "none": "",
+}
 
 
 @dataclass(frozen=True)
 class MarkerConvention:
     """Word-boundary marker convention of a tokenizer.
 
-    kind is one of "meta-space", "byte-marker", "none"; marker is the
-    literal prefix string ("" for none).
+    kind is one of the MARKERS names; marker is its literal prefix
+    string ("" for none).
     """
 
     kind: str
     marker: str
 
-    _KNOWN = {
-        "meta-space": META_SPACE,
-        "byte-marker": BYTE_MARKER,
-        "none": "",
-    }
-
     @classmethod
     def from_name(cls, name: str) -> "MarkerConvention":
-        if name not in cls._KNOWN:
+        if name not in MARKERS:
             raise ValueError(
                 f"unknown marker convention {name!r}; "
-                f"expected one of {sorted(cls._KNOWN)}"
+                f"expected one of {sorted(MARKERS)}"
             )
-        return cls(name, cls._KNOWN[name])
+        return cls(name, MARKERS[name])
 
 
 def canonicalize(piece: str, frm: MarkerConvention, to: MarkerConvention) -> str:
@@ -238,13 +239,16 @@ class TokenizerModel:
 
 
 def load_json(path: str, error: type[Exception]):
-    """Parse the JSON file at path. Nesting too deep for the parser raises
-    `error` (a one-line message) rather than RecursionError."""
+    """Parse the JSON file at path. Text that is not UTF-8 JSON, or is
+    nested too deep for the parser, raises `error` (a one-line message)
+    rather than ValueError or RecursionError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except RecursionError:
             raise error(f"{path}: JSON nested too deeply to parse") from None
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_vocab(path: str) -> Vocabulary:

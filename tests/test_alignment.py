@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import tracemalloc
@@ -20,10 +21,13 @@ from vocabforge import (
 )
 from vocabforge import alignment, embeddings
 from vocabforge.alignment import Scaler, _preprocess
+from vocabforge.embeddings import HEADER_SIZE
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyIntersection,
+    MalformedMap,
     NonFiniteLoss,
+    NonFiniteValue,
     PartitionInconsistent,
     SingularSystem,
     SizeMismatch,
@@ -162,7 +166,7 @@ class TestFitGradient:
         y = 2.0 * x
         phi, report = fit_gradient(x, y)
         assert report.final_mse < 1e-4
-        np.testing.assert_allclose(phi.apply_batch(x), y, atol=1e-2)
+        np.testing.assert_allclose(phi.apply(x), y, atol=1e-2)
 
     def test_improves_over_init(self):
         rng = np.random.default_rng(1)
@@ -186,7 +190,7 @@ class TestFitGradient:
         y2 = np.vstack([y, y])
         phi, report = fit_gradient(x2, y2, TrainConfig(steps=4000))
         assert report.pair_count == 80
-        np.testing.assert_allclose(phi.apply_batch(x), y, atol=1e-2)
+        np.testing.assert_allclose(phi.apply(x), y, atol=1e-2)
 
     def test_oracle_never_worse(self):
         rng = np.random.default_rng(4)
@@ -254,8 +258,8 @@ def seed_adam_fit(x, y, cfg):
     oracle = fit_closed_form(x, y, 1e-6,
                              l2_normalize=True)
     oracle_mse = float(np.mean((xs @ oracle.weight.T + oracle.bias - ys) ** 2))
-    want = oracle.apply_batch(x)
-    gap = float(np.linalg.norm(phi.apply_batch(x) - want)
+    want = oracle.apply(x)
+    gap = float(np.linalg.norm(phi.apply(x) - want)
                 / np.linalg.norm(want))
     return w, b, initial, final, oracle_mse, gap
 
@@ -523,7 +527,7 @@ class TestFitClosedForm:
         w = rng.normal(size=(6, 9))
         y = x @ w + rng.normal(size=9)
         phi = fit_closed_form(x, y)
-        np.testing.assert_allclose(phi.apply_batch(x), y, atol=1e-6)
+        np.testing.assert_allclose(phi.apply(x), y, atol=1e-6)
         assert (phi.in_dim, phi.out_dim) == (6, 9)
 
     def test_rank_deficient_without_ridge(self):
@@ -592,7 +596,7 @@ class TestAffineMap:
         assert (back.in_dim, back.out_dim) == (4, 7)
         assert back.l2_normalize_inputs == phi.l2_normalize_inputs
         # storage is float32, so compare predictions at float32 precision
-        np.testing.assert_allclose(back.apply_batch(x), phi.apply_batch(x),
+        np.testing.assert_allclose(back.apply(x), phi.apply(x),
                                    rtol=1e-4, atol=1e-4)
 
     def test_failed_save_keeps_the_previous_map(self, tmp_path, monkeypatch):
@@ -621,3 +625,83 @@ class TestAffineMap:
             fh.truncate(len(fh.read()) - 4)
         with pytest.raises(SizeMismatch):
             load_map(path)
+
+class TestLoadMapChecks:
+    """A sidecar or container that does not hold a saved map raises a
+    VocabForgeError, never KeyError, RecursionError or a wrong map."""
+
+    def saved(self, tmp_path, phi=None):
+        path = str(tmp_path / "map.bin")
+        save_map(phi or AffineMap.identity(3), path)
+        return path
+
+    @pytest.mark.parametrize("text", [
+        "{}", "[" * 100_000 + "]" * 100_000, "[]", '{"records": 1', "\xff",
+    ], ids=["empty-object", "deep", "array", "truncated", "not-utf8"])
+    def test_unreadable_sidecar(self, tmp_path, text):
+        path = self.saved(tmp_path)
+        Path(path + ".json").write_bytes(text.encode("latin-1"))
+        with pytest.raises(MalformedMap):
+            load_map(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("schema_version", "2"),
+        ("records", ["bias", "weight", "input_mean", "input_std",
+                     "output_mean", "output_std"]),
+        ("in_dim", "3"), ("in_dim", True), ("out_dim", 0),
+        ("input_norm", 0.0), ("input_norm", 1), ("input_norm", math.inf),
+        ("l2_normalize_inputs", 1),
+        ("input_zero_variance_dims", [3]), ("output_zero_variance_dims", [-1]),
+        ("output_zero_variance_dims", [0.0]), ("input_zero_variance_dims", {}),
+    ])
+    def test_bad_sidecar_value(self, tmp_path, key, value):
+        path = self.saved(tmp_path)
+        meta = json.loads(Path(path + ".json").read_text(encoding="utf-8"))
+        meta[key] = value
+        Path(path + ".json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(MalformedMap, match=repr(key)):
+            load_map(path)
+
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_sidecar_keys(self, tmp_path, change):
+        path = self.saved(tmp_path)
+        meta = json.loads(Path(path + ".json").read_text(encoding="utf-8"))
+        if change == "missing":
+            del meta["input_norm"]
+        else:
+            meta["note"] = "x"
+        Path(path + ".json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(MalformedMap, match="expected the keys"):
+            load_map(path)
+
+    def test_wrong_shape_record(self, tmp_path):
+        # a 3-dim container under the sidecar of a 4-dim map: each record
+        # is whole, but the weight has the wrong shape
+        path = self.saved(tmp_path)
+        (tmp_path / "wide").mkdir()
+        wide = self.saved(tmp_path / "wide", AffineMap.identity(4))
+        Path(path + ".json").write_bytes(Path(wide + ".json").read_bytes())
+        with pytest.raises(MalformedMap, match="'weight' has shape"):
+            load_map(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = self.saved(tmp_path)
+        with open(path, "ab") as fh:
+            fh.write(b"\x00" * 4)
+        with pytest.raises(SizeMismatch):
+            load_map(path)
+
+    def test_non_finite_record(self, tmp_path):
+        path = self.saved(tmp_path)
+        raw = bytearray(Path(path).read_bytes())
+        raw[HEADER_SIZE:HEADER_SIZE + 4] = np.float32(np.nan).tobytes()
+        Path(path).write_bytes(bytes(raw))
+        with pytest.raises(NonFiniteValue):
+            load_map(path)
+
+    def test_roundtrip_keeps_zero_variance_dims(self, tmp_path):
+        x = np.column_stack([np.arange(8.0), np.full(8, 2.0), np.arange(8.0) ** 2])
+        phi = fit_closed_form(x, x[:, ::-1] + 1.0)
+        back = load_map(self.saved(tmp_path, phi))
+        assert back.input_scaler.zero_variance_dims.tolist() == [False, True, False]
+        assert back.output_scaler.zero_variance_dims.tolist() == [False, True, False]

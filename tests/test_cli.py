@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vocabforge.cli import main
+from vocabforge import heuristics
+from vocabforge.cli import build_parser, main
+from vocabforge.tokenizer import MARKERS
 
 
 @pytest.fixture
@@ -843,3 +845,59 @@ class TestDeeplyNestedJson:
         assert err == f"{prefix}{deep}: JSON nested too deeply to parse\n"
         assert not any(os.path.exists(world["tmp"] + name) for name in
                        ("/map.bin", "/out.emb1", "/report.json"))
+
+
+class TestFlagSurface:
+    """No subcommand accepts a flag it does not read, and each choice flag
+    takes its values from the table its config checks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["intersect", "--source-vocab", "s.json", "--target-vocab", "t.json"],
+        ["stats", "--matrix", "m.emb1"],
+        ["params", "--before", "2", "--after", "1", "--dim", "1", "--base", "0"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_rejected_where_unread(self, capsys, tmp_path, argv):
+        code, out, err = run(capsys, *argv, "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.endswith(
+            "vocabforge: error: unrecognized arguments: --seed 1\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1}), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+        assert (code, out, err) == (1, "", "unknown config key 'seed'\n")
+
+    @pytest.mark.parametrize("command",
+                             ["adapt", "fit-map", "fertility", "similarity"])
+    def test_seed_accepted_where_read(self, command):
+        parser, _ = build_parser()
+        assert parser.parse_args([command, "--seed", "5"]).seed == 5
+
+    def test_choice_flags_read_the_config_table(self):
+        _, subs = build_parser()
+        actions = {a.dest: a for a in subs["adapt"]._actions}
+        default = heuristics.HeuristicConfig()
+        for name, allowed in heuristics.CHOICES.items():
+            assert tuple(actions[name].choices) == allowed
+            if name != "method":  # --method has no default
+                assert actions[name].default == getattr(default, name)
+        for command, dests in [("intersect", ("source_marker", "target_marker")),
+                               ("adapt", ("source_marker", "target_marker")),
+                               ("fertility", ("marker",)),
+                               ("similarity", ("marker",))]:
+            actions = {a.dest: a for a in subs[command]._actions}
+            for dest in dests:
+                assert tuple(actions[dest].choices) == tuple(MARKERS)
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--fallback", "zero", "fallback"),
+        ("--clp-negative-policy", "wat", "clp_negative_policy"),
+    ])
+    def test_config_rejects_what_the_flag_rejects(self, capsys, flag, value,
+                                                  field):
+        with pytest.raises(ValueError, match=f"unknown {field} '{value}'"):
+            heuristics.HeuristicConfig(**{field: value})
+        code, _, err = run(capsys, "adapt", "--method", "fvt", flag, value)
+        assert code == 1
+        assert f"argument {flag}: invalid choice: '{value}'" in err

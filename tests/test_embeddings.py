@@ -16,7 +16,7 @@ from vocabforge import (
     save_matrix,
     stats,
 )
-from vocabforge.embeddings import HEADER_SIZE, MAGIC, emb1_file_size
+from vocabforge.embeddings import HEADER_SIZE, MAGIC
 from vocabforge.errors import (
     BadMagic,
     EmptyMatrix,
@@ -90,14 +90,13 @@ class TestFormat:
 
     def test_file_size_arithmetic(self, tmp_path):
         # header is 16 bytes, then 4 bytes per float32
-        assert emb1_file_size(32768, 4096) == 16 + 32768 * 4096 * 4
+        assert HEADER_SIZE == 16
         path = str(tmp_path / "m.emb1")
         for rows, dim in [(0, 3), (1, 1), (9, 4)]:
             save_matrix(
                 EmbeddingMatrix(np.zeros((rows, dim), dtype=np.float32)), path
             )
             import os
-            assert os.path.getsize(path) == emb1_file_size(rows, dim)
             assert os.path.getsize(path) == HEADER_SIZE + rows * dim * 4
 
     @pytest.mark.parametrize("rows, dim, payload, magic", [

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from vocabforge import (
     adapt_matrix,
     assemble,
     fit_gradient,
-    g_clp,
     g_fvt,
     g_random,
     g_sava,
@@ -29,6 +29,7 @@ from vocabforge.errors import (
     VocabForgeError,
     ZeroNormEmbedding,
 )
+from vocabforge.heuristics import ClpInitializer
 
 
 def stats_of(array):
@@ -142,20 +143,19 @@ class TestGClp:
     def test_aligned_helper_row_copies_source_row(self):
         part, source_emb, helper = clp_fixture()
         helper[3] = [7.0, 0.0, 0.0]  # parallel to shared token 0 only
-        row = g_clp(3, source_emb, EmbeddingMatrix(helper), part,
-                    HeuristicConfig(method="clp"))
+        row = ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                             HeuristicConfig(method="clp"))(3)
         np.testing.assert_allclose(row, source_emb.data[0], atol=1e-12)
 
     def test_equal_similarity_gives_midpoint(self):
         part, source_emb, helper = clp_fixture()
         helper[3] = [1.0, 1.0, 0.0]
-        row = g_clp(3, source_emb, EmbeddingMatrix(helper), part,
-                    HeuristicConfig(method="clp"))
+        row = ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                             HeuristicConfig(method="clp"))(3)
         mid = source_emb.data[[0, 1]].astype(np.float64).mean(axis=0)
         np.testing.assert_allclose(row, mid, atol=1e-12)
 
     def test_weights_sum_to_one(self):
-        from vocabforge.heuristics import ClpInitializer
         part, source_emb, helper = clp_fixture()
         helper[3] = [0.3, 0.9, 0.2]
         for policy in ("clamp-zero", "shift-min", "absolute"):
@@ -170,14 +170,13 @@ class TestGClp:
     def test_clamp_zero_stays_in_convex_hull(self):
         part, source_emb, helper = clp_fixture()
         helper[3] = [0.6, -0.4, 0.8]
-        row = g_clp(3, source_emb, EmbeddingMatrix(helper), part,
-                    HeuristicConfig(method="clp"))
+        row = ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                             HeuristicConfig(method="clp"))(3)
         shared = source_emb.data.astype(np.float64)
         assert np.all(row >= shared.min(axis=0) - 1e-9)
         assert np.all(row <= shared.max(axis=0) + 1e-9)
 
     def test_top_k_limits_support(self):
-        from vocabforge.heuristics import ClpInitializer
         part, source_emb, helper = clp_fixture()
         helper[3] = [0.9, 0.5, 0.1]
         init = ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
@@ -189,15 +188,15 @@ class TestGClp:
     def test_zero_norm_helper_row(self):
         part, source_emb, helper = clp_fixture()
         with pytest.raises(ZeroNormEmbedding):
-            g_clp(3, source_emb, EmbeddingMatrix(helper), part,
-                  HeuristicConfig(method="clp"))
+            ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                           HeuristicConfig(method="clp"))(3)
 
     def test_all_negative_similarity_is_degenerate(self):
         part, source_emb, helper = clp_fixture()
         helper[3] = [-1.0, -1.0, -1.0]
         with pytest.raises(DegenerateSimilarity):
-            g_clp(3, source_emb, EmbeddingMatrix(helper), part,
-                  HeuristicConfig(method="clp"))
+            ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                           HeuristicConfig(method="clp"))(3)
 
 
 class TestGSava:
@@ -494,7 +493,7 @@ class TestRowKernels:
         phi, _ = fit_gradient(x, x @ rng.normal(size=(7, 5)),
                               TrainConfig(steps=2))
         ids = rng.permutation(40)[:25]
-        want = phi.apply_batch(helper.data[ids].astype(np.float64))
+        want = phi.apply(helper.data[ids].astype(np.float64))
         got = sava_rows(ids, helper, phi)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
@@ -652,4 +651,4 @@ class TestHeuristicConfig:
 
     def test_roundtrips_to_dict(self):
         cfg = HeuristicConfig(method="clp", seed=3, clp_top_k=5)
-        assert HeuristicConfig(**cfg.to_dict()) == cfg
+        assert HeuristicConfig(**asdict(cfg)) == cfg
