@@ -397,7 +397,17 @@ def _merge_config(parser, subs, argv, args):
         elif value:
             flags.append(action.option_strings[-1])
     at = argv.index(args.command) + 1
-    return parser.parse_args(argv[:at] + flags + argv[at:])
+    return _parse(parser, subs, argv[:at] + flags + argv[at:])
+
+
+def _parse(parser, subs, argv):
+    """parse_args, with flags the subcommand does not take reported by the
+    subcommand's own parser (argparse hands them to the top-level one)."""
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        (subs.get(args.command) or parser).error(
+            f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -405,7 +415,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     parser, subs = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, subs, argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return 1

@@ -121,6 +121,8 @@ def _read_header(fh, path: str) -> tuple[int, int]:
     header = fh.read(HEADER_SIZE)
     if len(header) < HEADER_SIZE or header[:4] != MAGIC:
         raise BadMagic(f"{path}: not an EMB1 record")
+    if any(header[12:]):
+        raise BadMagic(f"{path}: EMB1 reserved header bytes 12-15 are not zero")
     return struct.unpack("<II", header[4:12])
 
 

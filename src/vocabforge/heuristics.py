@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -150,19 +151,46 @@ def fvt_rows(
     Pieces must already carry the source marker convention. Unknown ids
     are dropped from the average; an unencodable or all-unknown piece
     gets ok=False.
+
+    Each row equals data[ids].astype(float64).mean(axis=0) bit for bit.
+    numpy sums a C-contiguous block over axis 0 from 0.0, one row after
+    another, and then divides by the count; here position p of every
+    piece is added in the same order. Pieces are taken BUDGET bytes of
+    float64 rows at a time, longest first, so position p is one float32
+    gather added to a prefix of the block.
     """
-    rows = np.zeros((len(pieces), source_emb.dim))
-    ok = np.zeros(len(pieces), dtype=bool)
-    for i, piece in enumerate(pieces):
+    dim = source_emb.dim
+    unk = source_model.unk_id
+    encoded = []
+    for piece in pieces:
         try:
             ids = source_model.encode_piece(piece)
         except UnencodableInput:
-            continue
-        ids = [t for t in ids if t != source_model.unk_id]
-        if ids:
-            rows[i] = source_emb.data[ids].astype(np.float64).mean(axis=0)
-            ok[i] = True
-    return rows, ok
+            ids = []
+        encoded.append([t for t in ids if t != unk])
+    counts = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
+    flat = np.fromiter(chain.from_iterable(encoded), dtype=np.int64,
+                       count=int(counts.sum()))
+    starts = np.cumsum(counts) - counts
+    data = source_emb.data
+    rows = np.zeros((len(pieces), dim))
+    step = embeddings.block_rows(dim)
+    for lo in range(0, len(pieces), step):
+        order = lo + np.argsort(-counts[lo:lo + step])
+        order = order[counts[order] > 0]
+        c = counts[order]
+        block = np.zeros((len(order), dim))
+        for p in range(c.max(initial=0)):
+            n = np.count_nonzero(c > p)
+            block[:n] += data[flat[starts[order[:n]] + p]]
+        block /= c[:, None]
+        rows[order] = block
+        del block  # free this block before the next one is built
+    if dim == 1:
+        # numpy sums a lone column pairwise, which differs from 8 rows on
+        for i in np.flatnonzero(counts >= 8):
+            rows[i] = data[encoded[i]].astype(np.float64).mean(axis=0)
+    return rows, counts > 0
 
 
 def g_fvt(

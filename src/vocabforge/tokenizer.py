@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .errors import (
     MalformedVocab,
@@ -138,28 +139,34 @@ class TokenizerModel:
     # --- encoding ------------------------------------------------------
 
     def _apply_merges(self, symbols: list[str]) -> list[str]:
-        """Greedy BPE: repeatedly merge the lowest-rank adjacent pair."""
-        ranks = self._ranks
-        while len(symbols) >= 2:
-            best_rank = None
-            best_pair = None
-            for i in range(len(symbols) - 1):
-                r = ranks.get((symbols[i], symbols[i + 1]))
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank, best_pair = r, (symbols[i], symbols[i + 1])
-            if best_pair is None:
+        """Greedy BPE: repeatedly merge the lowest-rank adjacent pair.
+
+        Each round merges every occurrence of that pair, left to right.
+        rs[i] is the rank of (symbols[i], symbols[i + 1]), len(ranks) for
+        a pair that is no merge. A merge changes only the two ranks beside
+        it, and neither can be the merged pair's: distinct pairs have
+        distinct ranks, and a merged symbol a+b is longer than a and b.
+        """
+        get = self._ranks.get
+        none = len(self._ranks)
+        symbols = list(symbols)
+        rs = list(map(get, zip(symbols, symbols[1:]), repeat(none)))
+        while rs:
+            best = min(rs)
+            if best == none:
                 break
-            a, b = best_pair
-            merged: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                    merged.append(a + b)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
+            i = rs.index(best)
+            while True:
+                merged = symbols[i] + symbols.pop(i + 1)
+                symbols[i] = merged
+                del rs[i]
+                if i:
+                    rs[i - 1] = get((symbols[i - 1], merged), none)
+                if i < len(rs):
+                    rs[i] = get((merged, symbols[i + 1]), none)
+                if best not in rs:
+                    break
+                i = rs.index(best, i)
         return symbols
 
     def _symbol_ids(self, symbol: str) -> list[int]:
@@ -276,18 +283,21 @@ def load_tokenizer(
     vocab = load_vocab(vocab_path)
 
     merges: list[tuple[str, str]] = []
-    with open(merges_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split(" ")
-            if len(parts) != 2:
-                raise UnknownMergeSymbol(
-                    f"{merges_path}:{lineno}: expected two space-separated "
-                    f"symbols, got {line!r}"
-                )
-            merges.append((parts[0], parts[1]))
+    try:
+        with open(merges_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.split(" ")
+                if len(parts) != 2:
+                    raise UnknownMergeSymbol(
+                        f"{merges_path}:{lineno}: expected two space-separated "
+                        f"symbols, got {line!r}"
+                    )
+                merges.append((parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise UnknownMergeSymbol(f"{merges_path}: not UTF-8 text: {exc}") from None
 
     unk_id = None
     if unk_token is not None:

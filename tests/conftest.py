@@ -1,7 +1,9 @@
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vocabforge import (
     EmbeddingMatrix,
@@ -10,6 +12,11 @@ from vocabforge import (
     Vocabulary,
     save_matrix,
 )
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
+# failure reproduces locally with the same setting.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 META = MarkerConvention.from_name("meta-space")
 BYTE = MarkerConvention.from_name("byte-marker")

@@ -861,8 +861,9 @@ class TestFlagSurface:
         assert code == 1
         assert out == ""
         assert err.count("error:") == 1
+        assert err.startswith(f"usage: vocabforge {argv[0]} ")
         assert err.endswith(
-            "vocabforge: error: unrecognized arguments: --seed 1\n")
+            f"vocabforge {argv[0]}: error: unrecognized arguments: --seed 1\n")
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 1}), encoding="utf-8")
         code, out, err = run(capsys, argv[0], "--config", str(cfg), *argv[1:])

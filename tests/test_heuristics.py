@@ -26,6 +26,7 @@ from vocabforge.errors import (
     DimensionMismatch,
     FallbackRequired,
     PartitionInconsistent,
+    UnencodableInput,
     VocabForgeError,
     ZeroNormEmbedding,
 )
@@ -499,6 +500,63 @@ class TestRowKernels:
         assert got.tobytes() == want.tobytes()
 
 
+def fvt_reference(pieces, model, emb):
+    """Per-piece FVT: one float64 gather and mean(axis=0) per piece."""
+    rows = np.zeros((len(pieces), emb.dim))
+    ok = np.zeros(len(pieces), dtype=bool)
+    for i, piece in enumerate(pieces):
+        try:
+            ids = model.encode_piece(piece)
+        except UnencodableInput:
+            continue
+        ids = [t for t in ids if t != model.unk_id]
+        if ids:
+            rows[i] = emb.data[ids].astype(np.float64).mean(axis=0)
+            ok[i] = True
+    return rows, ok
+
+
+class TestFvtKernel:
+    # 1, 2 and 9-15 ids; "z" is outside the alphabet: the unk model maps it
+    # to <unk> (dropped, so "zz" has no ids), the strict one cannot encode it
+    pieces = ["a", "ab", "ac", "abd", "cabcdabcd", "ponmlkjihgfedcb",
+              "zabz", "zz", "", "ddddddddddd", "b", "efghijklmab"]
+
+    @staticmethod
+    def model(kind):
+        extra = {"unk_token": "<unk>", "extra_tokens": ["<unk>"]}
+        return char_tokenizer(merges=[("a", "b")], alphabet="abcdefghijklmnop",
+                              **(extra if kind == "unk" else {}))
+
+    @pytest.mark.parametrize("kind", ["unk", "strict"])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    @pytest.mark.parametrize("height", [1, 7, None])
+    def test_equals_per_piece_mean(self, monkeypatch, kind, dim, height):
+        from vocabforge import embeddings
+        from vocabforge.heuristics import fvt_rows
+        if height is not None:
+            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+        model = self.model(kind)
+        rng = np.random.default_rng(dim)
+        # float32 rows whose magnitudes span 2**40: their float64 sums
+        # round, and no row is lost in another, so the order shows
+        data = rng.normal(size=(model.vocab.size, dim))
+        data *= 2.0 ** rng.uniform(-20, 20, size=(model.vocab.size, 1))
+        data[0, 0] = -0.0
+        emb = EmbeddingMatrix(data.astype(np.float32))
+        pieces = self.pieces * 2 + ["".join(rng.choice(list("cdefghijklmnop"),
+                                                       size=rng.integers(1, 16)))
+                                    for _ in range(40)]
+        pieces = [str(p) for p in rng.permutation(pieces)]
+        rows, ok = fvt_rows(pieces, model, emb)
+        want_rows, want_ok = fvt_reference(pieces, model, emb)
+        assert rows.dtype == np.float64
+        assert rows.tobytes() == want_rows.tobytes()
+        assert ok.tolist() == want_ok.tolist()
+        assert not ok[pieces.index("zz")] and not ok[pieces.index("")]
+        assert ok[pieces.index("zabz")] == (kind == "unk")
+
+
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -540,6 +598,21 @@ class TestNovelKernelMemory:
         # the float32 helper rows (half an array), their float64 scaled
         # copy and the output
         assert traced_peak(sava_rows, ids, helper, phi) < 2.6 * self.array
+
+    def test_fvt_rows_hold_one_block_beyond_their_output(self):
+        from vocabforge import embeddings
+        from vocabforge.heuristics import fvt_rows
+        rng = np.random.default_rng(5)
+        model = char_tokenizer(merges=[("a", "b"), ("c", "d")])
+        emb = random_matrix(rng, model.vocab.size, self.dim)
+        pieces = ["".join(rng.choice(list("abcd"), size=rng.integers(1, 13)))
+                  for _ in range(self.rows)]
+        # the output and the id lists, one BUDGET block of float64 sums
+        # and one float32 gather of at most a block's rows (a float64
+        # gather of every piece's ids would be several arrays)
+        block = embeddings.BUDGET
+        assert traced_peak(fvt_rows, pieces, model, emb) < (
+            1.1 * self.array + 1.5 * block)
 
 
 def adaptation_fixture(dim=6, shared=8, novel=4, seed=0):

@@ -1,6 +1,6 @@
 """Truncated and corrupted input files end in one typed error, never a
-traceback: EMB1 matrices and partition files through `cli.main`, a saved
-map's container and sidecar through `load_map`.
+traceback: EMB1 matrices, partition files, vocab and merges files through
+`cli.main`, a saved map's container and sidecar through `load_map`.
 
 A file cut short or with a corrupted header must fail (exit 1 or 2, one
 line on stderr). A byte changed inside JSON may still leave a valid file
@@ -33,6 +33,13 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
+
+
+# A byte-level tokenizer with merges across the word-boundary marker; the
+# corpus has a character ("é") that only its byte tokens encode.
+VOCAB = {tok: i for i, tok in enumerate(
+    ["<unk>", "▁", "a", "b", "c", "▁a", "ab", "▁ab", "ca", "<0xC3>", "<0xA9>"])}
+MERGES = "#version: 0.2\n▁ a\na b\n▁a b\nc a\n"
 
 
 def emb1_bytes(rows, dim, seed):
@@ -71,6 +78,10 @@ def files(tmp_path_factory):
              str(root / "good.map"))
     paths["container"] = (root / "good.map").read_bytes()
     paths["sidecar"] = (root / "good.map.json").read_bytes()
+    paths["vocab"] = json.dumps(VOCAB, ensure_ascii=False).encode()
+    paths["merges"] = MERGES.encode()
+    paths["corpus"] = root / "corpus.txt"
+    paths["corpus"].write_text("abc cab\nbab ab é\n", encoding="utf-8")
     return paths
 
 
@@ -90,6 +101,18 @@ def check_outcome(code, out, err, must_fail=True):
     assert err.endswith("\n") and err.count("\n") == 1, err
 
 
+def cut(data, text: bytes) -> bytes:
+    """text cut short at a drawn length."""
+    return text[:data.draw(st.integers(0, len(text) - 1))]
+
+
+def flip(data, text: bytes) -> bytes:
+    """text with one drawn byte changed."""
+    text = bytearray(text)
+    text[data.draw(st.integers(0, len(text) - 1))] ^= data.draw(st.integers(1, 255))
+    return bytes(text)
+
+
 # --- EMB1 matrices through the CLI --------------------------------------
 
 MATRIX = emb1_bytes(5, 3, seed=0)
@@ -104,9 +127,10 @@ def test_truncated_matrix(files, cut):
 
 
 @EXAMPLES
-@given(pos=st.integers(0, 11), flip=st.integers(1, 255))
+@given(pos=st.integers(0, 15), flip=st.integers(1, 255))
 def test_corrupt_matrix_header(files, pos, flip):
-    # magic, rows or dim: a changed shape no longer fits the payload
+    # magic, rows, dim or the reserved zero bytes: a changed shape no
+    # longer fits the payload
     data = bytearray(MATRIX)
     data[pos] ^= flip
     path = files["root"] / "header.emb1"
@@ -128,17 +152,14 @@ def fit_map_with(files, partition: bytes):
 @EXAMPLES
 @given(data=st.data())
 def test_truncated_partition(files, data):
-    text = files["partition"]
-    cut = data.draw(st.integers(0, len(text) - 1))
-    check_outcome(*fit_map_with(files, text[:cut]))
+    check_outcome(*fit_map_with(files, cut(data, files["partition"])))
 
 
 @EXAMPLES
 @given(data=st.data())
 def test_corrupt_partition_byte(files, data):
-    text = bytearray(files["partition"])
-    text[data.draw(st.integers(0, len(text) - 1))] ^= data.draw(st.integers(1, 255))
-    check_outcome(*fit_map_with(files, bytes(text)), must_fail=False)
+    check_outcome(*fit_map_with(files, flip(data, files["partition"])),
+                  must_fail=False)
 
 
 @EXAMPLES
@@ -151,6 +172,79 @@ def test_partition_value_replaced(files, where, entry, field, value):
     else:
         doc[where] = value
     check_outcome(*fit_map_with(files, json.dumps(doc).encode()), must_fail=False)
+
+
+# --- vocab and merges files through fertility and intersect ------------
+
+
+def fertility_with(files, vocab=None, merges=None):
+    root = files["root"]
+    (root / "vocab.json").write_bytes(files["vocab"] if vocab is None else vocab)
+    (root / "merges.txt").write_bytes(files["merges"] if merges is None else merges)
+    return run_cli("fertility", "--vocab", root / "vocab.json",
+                   "--merges", root / "merges.txt", "--corpus", files["corpus"],
+                   "--byte-level", "--unk-token", "<unk>")
+
+
+def intersect_with(files, vocab: bytes, side: str):
+    root = files["root"]
+    (root / "good.json").write_bytes(files["vocab"])
+    (root / "damaged.json").write_bytes(vocab)
+    paths = {"source": root / "good.json", "target": root / "good.json",
+             side: root / "damaged.json"}
+    return run_cli("intersect", "--source-vocab", paths["source"],
+                   "--target-vocab", paths["target"])
+
+
+def test_valid_tokenizer_files_pass(files):
+    code, out, err = fertility_with(files)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fertility"]["token_count"] == 12  # 2+3+3+1+3
+    code, out, err = intersect_with(files, files["vocab"], "target")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["shared_count"] == len(VOCAB)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_truncated_vocab(files, data):
+    # a JSON object cut before its closing brace never parses
+    check_outcome(*fertility_with(files, vocab=cut(data, files["vocab"])))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_corrupt_vocab_byte(files, data):
+    check_outcome(*fertility_with(files, vocab=flip(data, files["vocab"])),
+                  must_fail=False)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_truncated_merges(files, data):
+    # a cut at a line end leaves a shorter valid merges file
+    check_outcome(*fertility_with(files, merges=cut(data, files["merges"])),
+                  must_fail=False)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_corrupt_merges_byte(files, data):
+    check_outcome(*fertility_with(files, merges=flip(data, files["merges"])),
+                  must_fail=False)
+
+
+@EXAMPLES
+@given(data=st.data(), side=st.sampled_from(["source", "target"]))
+def test_truncated_vocab_intersect(files, data, side):
+    check_outcome(*intersect_with(files, cut(data, files["vocab"]), side))
+
+
+@EXAMPLES
+@given(data=st.data(), side=st.sampled_from(["source", "target"]))
+def test_corrupt_vocab_byte_intersect(files, data, side):
+    check_outcome(*intersect_with(files, flip(data, files["vocab"]), side),
+                  must_fail=False)
 
 
 # --- a saved map through load_map ---------------------------------------
@@ -172,18 +266,16 @@ def load_written(files, container: bytes, sidecar: bytes, must_fail=True):
 @EXAMPLES
 @given(data=st.data())
 def test_truncated_container(files, data):
-    container = files["container"]
-    cut = data.draw(st.integers(0, len(container) - 1))
-    load_written(files, container[:cut], files["sidecar"])
+    load_written(files, cut(data, files["container"]), files["sidecar"])
 
 
 @EXAMPLES
 @given(data=st.data())
 def test_corrupt_container_header(files, data):
-    # magic, rows or dim of any record
+    # magic, rows, dim or reserved bytes of any record
     container = bytearray(files["container"])
     start = data.draw(st.sampled_from(record_starts(files["container"])))
-    container[start + data.draw(st.integers(0, 11))] ^= data.draw(st.integers(1, 255))
+    container[start + data.draw(st.integers(0, 15))] ^= data.draw(st.integers(1, 255))
     load_written(files, bytes(container), files["sidecar"])
 
 
@@ -196,17 +288,15 @@ def test_container_trailing_bytes(files, extra):
 @EXAMPLES
 @given(data=st.data())
 def test_truncated_sidecar(files, data):
-    text = files["sidecar"].rstrip()  # a JSON object ends at its "}"
-    cut = data.draw(st.integers(0, len(text) - 1))
-    load_written(files, files["container"], text[:cut])
+    # a JSON object ends at its "}"
+    load_written(files, files["container"], cut(data, files["sidecar"].rstrip()))
 
 
 @EXAMPLES
 @given(data=st.data())
 def test_corrupt_sidecar_byte(files, data):
-    text = bytearray(files["sidecar"])
-    text[data.draw(st.integers(0, len(text) - 1))] ^= data.draw(st.integers(1, 255))
-    load_written(files, files["container"], bytes(text), must_fail=False)
+    load_written(files, files["container"], flip(data, files["sidecar"]),
+                 must_fail=False)
 
 
 @EXAMPLES

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import BYTE, META, NONE, char_tokenizer, vocab_of
@@ -48,6 +48,13 @@ class TestLoadTokenizer:
         merges = write_text("merges.txt", "#version: 0.2\n\na b\n")
         model = load_tokenizer(vocab, merges, marker="none")
         assert model.merges == (("a", "b"),)
+
+    def test_non_utf8_merges_name_the_file(self, write_json, tmp_path):
+        vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2})
+        merges = tmp_path / "merges.txt"
+        merges.write_bytes(b"a b\n\xff a\n")
+        with pytest.raises(UnknownMergeSymbol, match="merges.txt: not UTF-8"):
+            load_tokenizer(vocab, str(merges), marker="none")
 
     def test_missing_file(self, write_json, tmp_path):
         vocab = write_json("vocab.json", {"a": 0})
@@ -118,6 +125,72 @@ class TestTokenize:
         model = char_tokenizer(alphabet="ab", byte_level=True)
         with pytest.raises(UnencodableInput):
             model.tokenize("z")
+
+
+def reference_merges(ranks, symbols):
+    """The first greedy BPE loop: every round re-ranks every adjacent pair
+    and rebuilds the symbol list, merging the lowest-rank pair left to
+    right."""
+    while len(symbols) >= 2:
+        best_rank = None
+        best_pair = None
+        for i in range(len(symbols) - 1):
+            r = ranks.get((symbols[i], symbols[i + 1]))
+            if r is not None and (best_rank is None or r < best_rank):
+                best_rank, best_pair = r, (symbols[i], symbols[i + 1])
+        if best_pair is None:
+            break
+        a, b = best_pair
+        merged = []
+        i = 0
+        while i < len(symbols):
+            if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
+                merged.append(a + b)
+                i += 2
+            else:
+                merged.append(symbols[i])
+                i += 1
+        symbols = merged
+    return symbols
+
+
+@st.composite
+def merge_tables(draw):
+    """A 3- or 4-letter alphabet, merges over the symbols made so far (self
+    pairs and repeated merges included) in any rank order, and a word of
+    up to 16 letters."""
+    alphabet = draw(st.sampled_from(["abc", "abcd"]))
+    symbols = list(alphabet)
+    merges = []
+    for _ in range(draw(st.integers(0, 14))):
+        if merges and draw(st.integers(0, 4)) == 0:
+            merges.append(draw(st.sampled_from(merges)))
+            continue
+        pair = (draw(st.sampled_from(symbols)), draw(st.sampled_from(symbols)))
+        merges.append(pair)
+        if "".join(pair) not in symbols:
+            symbols.append("".join(pair))
+    # made of the merged symbols too, so that long merges get to fire
+    word = "".join(draw(st.lists(st.sampled_from(symbols), max_size=16)))[:16]
+    return alphabet, draw(st.permutations(merges)), list(word)
+
+
+class TestMergeLoop:
+    @settings(max_examples=500, deadline=None)
+    @given(merge_tables())
+    @example(("abc", [("a", "a")], list("aaaa")))
+    @example(("abc", [("a", "a")], list("aaaaa")))
+    @example(("abc", [("a", "a"), ("aa", "aa"), ("aa", "a")], list("aaaaaaa")))
+    @example(("abc", [("a", "b"), ("b", "a"), ("a", "b")], list("ababab")))
+    @example(("abcd", [("b", "c"), ("a", "b"), ("c", "d")], list("abcd")))
+    @example(("abc", [("ab", "a"), ("a", "b")], list("abab")))
+    def test_equals_the_reference_loop(self, table):
+        alphabet, merges, word = table
+        model = char_tokenizer(merges=merges, alphabet=alphabet)
+        symbols = list(word)
+        assert model._apply_merges(symbols) == reference_merges(
+            model._ranks, list(word))
+        assert symbols == list(word)  # the caller's list is left as it was
 
 
 class TestRoundTrip:
