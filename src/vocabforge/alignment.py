@@ -4,11 +4,10 @@ Trains the map phi(x) = W x + b from helper space R^m to source space
 R^n over intersection token pairs, with two interchangeable fitters:
 
 * fit_gradient  -- Adam on the MSE objective (the production path);
-  train_map runs the same fit from the float32 matrices and returns
-  only the map
+  fit_map and train_map run it by id on the float32 matrices
 * fit_closed_form -- ridge-regularized normal equations (the oracle)
 
-Both operate on the same preprocessed representation: inputs are
+All run one engine over the same representation: inputs are
 standard-scaled then normalized by the mean L2 norm of the scaled
 training inputs; targets are standard-scaled only. Applying a trained
 map inverts the output scaling so results land back in the source
@@ -36,7 +35,8 @@ from .tokenizer import TokenPartition, load_json
 
 # Bytes of one row block of the Adam state: each update finishes its
 # elementwise passes over one block of weight, moment and gradient rows
-# before the next, so they run in cache. Read at call time (patchable).
+# before the next, so they run in cache. Adam's chunks of scaled pairs
+# take the same size. Read at call time (patchable).
 _ADAM_BLOCK = 256 << 10
 
 # Adam's moment decays and denominator guard, and the ridge added to the
@@ -175,9 +175,14 @@ class FitReport:
 
 
 def _pair_ids(
-    helper: EmbeddingMatrix, source: EmbeddingMatrix, part: TokenPartition
+    helper: EmbeddingMatrix,
+    source: EmbeddingMatrix,
+    part: TokenPartition,
+    limit: int | None = None,
+    seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The shared tokens' helper and source row ids, in partition order."""
+    """The shared tokens' helper and source row ids, in partition order;
+    `limit` keeps a seeded uniform subsample (clamped to the pair count)."""
     if part.shared_count == 0:
         raise EmptyIntersection("partition has no shared tokens")
     target_ids = np.array([tid for _, _, tid in part.shared])
@@ -187,6 +192,10 @@ def _pair_ids(
         raise DimensionMismatch(
             "partition ids fall outside the helper or source matrix rows"
         )
+    if limit is not None and limit < len(target_ids):
+        rng = np.random.default_rng(seed)
+        keep = np.sort(rng.choice(len(target_ids), size=limit, replace=False))
+        target_ids, source_ids = target_ids[keep], source_ids[keep]
     return target_ids, source_ids
 
 
@@ -197,21 +206,15 @@ def collect_pairs(
     limit: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gather (helper row, source row) training pairs for shared tokens.
-
-    Pairs follow partition order; `limit` takes a seeded uniform
-    subsample without replacement (clamped to the pair count).
-    """
-    target_ids, source_ids = _pair_ids(helper, source, part)
-    if limit is not None and limit < len(target_ids):
-        rng = np.random.default_rng(seed)
-        keep = np.sort(rng.choice(len(target_ids), size=limit, replace=False))
-        target_ids, source_ids = target_ids[keep], source_ids[keep]
-    return _gather(helper.data, target_ids), _gather(source.data, source_ids)
+    """Gather (helper row, source row) float64 training pairs for shared
+    tokens, in partition order; `limit` takes a seeded subsample."""
+    helper_ids, source_ids = _pair_ids(helper, source, part, limit, seed)
+    return (helper.data[helper_ids].astype(np.float64),
+            source.data[source_ids].astype(np.float64))
 
 
 def _blocks(data: np.ndarray, ids: np.ndarray | None = None):
-    """Yield (start, data[ids[start:...]]) in embeddings.BUDGET blocks, or
+    """Yield (start, data[ids[start:...]]) in CACHE_BUDGET blocks, or
     without ids (start, data[start:...]), views of all the rows in order.
 
     A single column comes as one block: numpy sums a C-contiguous array
@@ -219,17 +222,9 @@ def _blocks(data: np.ndarray, ids: np.ndarray | None = None):
     """
     dim = data.shape[1]
     count = len(data) if ids is None else len(ids)
-    step = count if dim == 1 else embeddings.block_rows(dim)
+    step = count if dim == 1 else max(1, embeddings.CACHE_BUDGET // (8 * dim))
     for lo in range(0, count, step):
         yield lo, data[lo:lo + step] if ids is None else data[ids[lo:lo + step]]
-
-
-def _gather(data: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """data[ids] as float64, gathered one block at a time."""
-    out = np.empty((len(ids), data.shape[1]))
-    for lo, block in _blocks(data, ids):
-        out[lo:lo + len(block)] = block
-    return out
 
 
 def _column_sum(data: np.ndarray, ids: np.ndarray | None, fill) -> np.ndarray:
@@ -253,63 +248,52 @@ def _column_sum(data: np.ndarray, ids: np.ndarray | None, fill) -> np.ndarray:
     return total
 
 
-def _check_pair_count(count: int) -> None:
-    if count < 2:
-        raise DimensionMismatch("fitting requires at least 2 pairs")
-
-
-def _preprocess(
-    x: np.ndarray, y: np.ndarray, l2_normalize: bool, in_place: bool = False
-) -> tuple[np.ndarray, np.ndarray, Scaler, Scaler, float]:
-    """Check the pairs, then scale them as the module docstring says.
-
-    With in_place, float64 x and y are overwritten by their scaled values
-    (the same values, computed by the same operations).
+class _Pairs:
+    """The training pairs (x[x_ids[i]], y[y_ids[i]]), i < count (with ids
+    None, the rows of x and y), and the module docstring's scaling fitted
+    to them in row blocks, without a whole-pair array. rows() scales any
+    subset by the same elementwise operations, so the values agree.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+
+    def __init__(self, x, y, x_ids=None, y_ids=None, l2_normalize: bool = True):
+        self.x, self.x_ids, self.y, self.y_ids = x, x_ids, y, y_ids
+        self.count = len(x) if x_ids is None else len(x_ids)
+        if self.count < 2:
+            raise DimensionMismatch("fitting requires at least 2 pairs")
+        self.in_scaler = Scaler.fit_rows(x, x_ids)
+        self.out_scaler = Scaler.fit_rows(y, y_ids)
+        self.nu = 1.0
+        if l2_normalize:
+            # one vector of norms: np.mean sums them in one order
+            norms = np.empty(self.count)
+            for lo, block in _blocks(x, x_ids):
+                norms[lo:lo + len(block)] = np.linalg.norm(
+                    self.in_scaler.forward(block), axis=1)
+            nu = float(np.mean(norms))
+            self.nu = nu if nu > 0 else 1.0
+
+    def rows(self, sel, x_out: np.ndarray, y_out: np.ndarray):
+        """Write the scaled x and y rows of the pairs sel (an index array
+        or a slice) to the first rows of x_out and y_out; return those."""
+        x = self.x[sel] if self.x_ids is None else self.x[self.x_ids[sel]]
+        xs = self.in_scaler.forward(x, x_out[:len(x)])
+        xs /= self.nu
+        y = self.y[sel] if self.y_ids is None else self.y[self.y_ids[sel]]
+        return xs, self.out_scaler.forward(y, y_out[:len(y)])
+
+
+def _array_pairs(x, y, l2_normalize: bool = True) -> _Pairs:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
-        raise DimensionMismatch(
-            f"inconsistent pair shapes {x.shape} vs {y.shape}"
-        )
-    count = x.shape[0]
-    _check_pair_count(count)
-    # Scaler.fit's statistics bit for bit, without its whole-pair temporary
-    in_scaler = Scaler.fit_rows(x)
-    out_scaler = Scaler.fit_rows(y)
-    xs = in_scaler.forward(x, x if in_place else None)
-    nu = 1.0
-    if l2_normalize:
-        nu = _mean_norm(count, _blocks(xs))
-        xs /= nu
-    ys = out_scaler.forward(y, y if in_place else None)
-    return xs, ys, in_scaler, out_scaler, nu
-
-
-def _mean_norm(count: int, blocks) -> float:
-    """The mean L2 norm of the rows the (start, rows) blocks cover, or 1.0
-    if it is 0. One vector holds all the norms, so np.mean sums them in
-    the same order whatever the blocks."""
-    norms = np.empty(count)
-    for lo, rows in blocks:
-        norms[lo:lo + len(rows)] = np.linalg.norm(rows, axis=1)
-    mean_norm = float(np.mean(norms))
-    return mean_norm if mean_norm > 0 else 1.0
-
-
-def _seeded_start(n: int, m: int, cfg: TrainConfig):
-    """The fit's generator and its initial (weight, bias)."""
-    rng = np.random.default_rng(cfg.seed)
-    weight = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
-    return rng, weight, np.zeros(n)
+        raise DimensionMismatch(f"inconsistent pair shapes {x.shape} vs {y.shape}")
+    return _Pairs(x, y, l2_normalize=l2_normalize)
 
 
 # A diverging fit overflows; the epoch check reports it as one
 # NonFiniteLoss instead of a stream of numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
 def _adam(
-    rows,
-    count: int,
+    pairs: _Pairs,
     weight: np.ndarray,
     bias: np.ndarray,
     rng: np.random.Generator,
@@ -317,13 +301,16 @@ def _adam(
 ) -> None:
     """Train weight and bias in place by cfg.steps epochs of minibatch Adam.
 
-    rows(sel) returns the scaled (xb, yb) pairs of the pair indices sel,
-    out of count pairs. Raises NonFiniteLoss after the first epoch that
-    leaves a non-finite entry. The optimizer state is local, so it is
-    freed on return.
+    Each epoch's permutation is gathered and scaled in chunks of whole
+    batches holding _ADAM_BLOCK bytes of float64 rows; a batch is a row
+    slice of its chunk. Raises NonFiniteLoss after the first epoch that
+    leaves a non-finite entry. The state is freed on return.
     """
     n, m = weight.shape
+    count = pairs.count
     batch = cfg.batch if cfg.batch > 0 else count
+    chunk = batch * max(1, _ADAM_BLOCK // (8 * (m + n) * batch))
+    x_buf, y_buf = np.empty((min(chunk, count), m)), np.empty((min(chunk, count), n))
     b1, b2, eps = _BETA1, _BETA2, _EPS
     m_w = np.zeros_like(weight)
     v_w = np.zeros_like(weight)
@@ -345,40 +332,41 @@ def _adam(
     for step in range(cfg.steps):
         lr = cfg.learning_rate * min(1.0, 2.0 * (1.0 - step / cfg.steps))
         order = rng.permutation(count)
-        for start in range(0, count, batch):
-            t += 1
-            sel = order[start:start + batch]
-            xb, yb = rows(sel)
-            resid = xb @ weight.T + bias - yb
-            np.matmul(resid.T, xb, out=g_w)
-            # 2*G/(k*n) == G/(k*n/2) bit for bit: doubling is exact.
-            half = len(sel) * n / 2
-            c1 = 1 - b1 ** t
-            c2 = 1 - b2 ** t
-            # Same operations, in the same order, as
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            #   w -= lr*(m/c1) / (sqrt(v/c2) + eps)
-            # so the result is bit-identical; do not fold the scalars.
-            for g, w, mw, vw, tb, db in blocks:
-                g /= half
-                mw *= b1
-                np.multiply(g, one_b1, out=tb)
-                mw += tb
-                vw *= b2
-                np.multiply(g, one_b2, out=tb)
-                tb *= g
-                vw += tb
-                np.divide(mw, c1, out=tb)
-                tb *= lr
-                np.divide(vw, c2, out=db)
-                np.sqrt(db, out=db)
-                db += eps
-                tb /= db
-                w -= tb
-            g_b = 2.0 * resid.sum(axis=0) / (len(sel) * n)
-            m_b = b1 * m_b + one_b1 * g_b
-            v_b = b2 * v_b + one_b2 * g_b * g_b
-            bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
+        for lo in range(0, count, chunk):
+            x_chunk, y_chunk = pairs.rows(order[lo:lo + chunk], x_buf, y_buf)
+            for start in range(0, len(x_chunk), batch):
+                t += 1
+                xb = x_chunk[start:start + batch]
+                resid = xb @ weight.T + bias - y_chunk[start:start + batch]
+                np.matmul(resid.T, xb, out=g_w)
+                # 2*G/(k*n) == G/(k*n/2) bit for bit: doubling is exact.
+                half = len(xb) * n / 2
+                c1 = 1 - b1 ** t
+                c2 = 1 - b2 ** t
+                # Same operations, in the same order, as
+                #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+                #   w -= lr*(m/c1) / (sqrt(v/c2) + eps)
+                # so the result is bit-identical; do not fold the scalars.
+                for g, w, mw, vw, tb, db in blocks:
+                    g /= half
+                    mw *= b1
+                    np.multiply(g, one_b1, out=tb)
+                    mw += tb
+                    vw *= b2
+                    np.multiply(g, one_b2, out=tb)
+                    tb *= g
+                    vw += tb
+                    np.divide(mw, c1, out=tb)
+                    tb *= lr
+                    np.divide(vw, c2, out=db)
+                    np.sqrt(db, out=db)
+                    db += eps
+                    tb /= db
+                    w -= tb
+                g_b = 2.0 * resid.sum(axis=0) / (len(xb) * n)
+                m_b = b1 * m_b + one_b1 * g_b
+                v_b = b2 * v_b + one_b2 * g_b * g_b
+                bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
         if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
             raise NonFiniteLoss(
                 f"training diverged to non-finite weights in epoch "
@@ -386,12 +374,99 @@ def _adam(
             )
 
 
+def _normal_equations(pairs: _Pairs):
+    """(G, C, tr(YᵀY)) of the scaled pairs, G = AᵀA and C = AᵀY for the
+    design A = [X 1] (so G's last row is [Σx, count]), summed over
+    embeddings.CACHE_BUDGET row blocks."""
+    m, n = pairs.x.shape[1], pairs.y.shape[1]
+    step = min(pairs.count, max(1, embeddings.CACHE_BUDGET // (8 * (m + 1 + n))))
+    design, y_buf = np.ones((step, m + 1)), np.empty((step, n))
+    gram, rhs, yy = np.zeros((m + 1, m + 1)), np.zeros((m + 1, n)), 0.0
+    for lo in range(0, pairs.count, step):
+        _, y = pairs.rows(slice(lo, lo + step), design[:, :m], y_buf)
+        a = design[:len(y)]
+        gram += a.T @ a
+        rhs += a.T @ y
+        yy += np.vdot(y, y)
+    return gram, rhs, yy
+
+
+def _ridge(gram: np.ndarray, rhs: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """Θ (m+1 × n) that solves (G + λI)Θ = C; G is left as it was."""
+    m = len(gram) - 1
+    if ridge_lambda > 0:
+        gram = gram.copy()
+        gram.flat[::m + 2] += ridge_lambda  # the diagonal
+    elif np.linalg.matrix_rank(gram) < m + 1:
+        raise SingularSystem("design matrix is rank-deficient; use ridge_lambda > 0")
+    return np.linalg.solve(gram, rhs)
+
+
+def _column_forms(theta: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """θ_jᵀ G θ_j for each column θ_j of Θ: ‖A θ_j‖²."""
+    return np.einsum("ij,ij->j", theta, gram @ theta)
+
+
+def _fit(
+    pairs: _Pairs, cfg: TrainConfig, report: bool = False,
+    compare_oracle: bool = False,
+) -> tuple[AffineMap, FitReport | None]:
+    """Adam's map, and with report its FitReport from one pass after Adam
+    that sums the normal equations (G, C, tr(YᵀY)). A map Θ = [Wᵀ; bᵀ]
+    then has the sum of squares tr(YᵀY) − 2⟨Θ, C⟩ + ⟨Θ, GΘ⟩ (clamped at 0),
+    and the oracle solves (G + λI)Θ = C. Each m×m temporary is freed once
+    it has been read."""
+    m, n = pairs.x.shape[1], pairs.y.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    weight = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
+    bias = np.zeros(n)
+    start = np.vstack([weight.T, bias]) if report else None
+    _adam(pairs, weight, bias, rng, cfg)
+    phi = AffineMap(weight, bias, pairs.in_scaler, pairs.out_scaler, pairs.nu)
+    if not report:
+        return phi, None
+    gram, rhs, yy = _normal_equations(pairs)
+    size = pairs.count * n
+
+    def mse(theta, forms):
+        return max(float(yy - 2.0 * np.vdot(theta, rhs) + forms.sum()), 0.0) / size
+
+    initial_mse = mse(start, _column_forms(start, gram))
+    del start
+    theta = np.vstack([weight.T, bias])
+    final_mse = mse(theta, _column_forms(theta, gram))
+    del theta
+    if not np.isfinite(final_mse):
+        raise NonFiniteLoss("training diverged to a non-finite loss")
+    oracle_mse = gap = None
+    if compare_oracle:
+        oracle = _ridge(gram, rhs, _RIDGE_LAMBDA)
+        # (G + λI)Θ = C, so GΘ = C − λΘ: the oracle's forms need no product
+        forms = (np.einsum("ij,ij->j", oracle, rhs)
+                 - _RIDGE_LAMBDA * np.einsum("ij,ij->j", oracle, oracle))
+        oracle_mse = mse(oracle, forms)
+        del rhs
+        # The gap compares the two maps' predictions scaled back to the
+        # source space, P·std + mean: their difference is ΔΘ·std, and
+        # the oracle's squared norm follows from its forms and from
+        # 1ᵀAΘ = G's last row · Θ.
+        std, mean = pairs.out_scaler.std, pairs.out_scaler.mean
+        want_sq = (std * std @ forms + 2.0 * (std * mean) @ (gram[m] @ oracle)
+                   + pairs.count * (mean @ mean))
+        delta = np.vstack([weight.T, bias])
+        delta -= oracle
+        del oracle
+        diff_sq = std * std @ _column_forms(delta, gram)
+        denom = math.sqrt(max(want_sq, 0.0))
+        gap = math.sqrt(max(diff_sq, 0.0)) / denom if denom else 0.0
+    return phi, FitReport(initial_mse, final_mse, pairs.count, oracle_mse, gap)
+
+
 def fit_gradient(
     x: np.ndarray,
     y: np.ndarray,
     cfg: TrainConfig = TrainConfig(),
     compare_oracle: bool = False,
-    in_place: bool = False,
 ) -> tuple[AffineMap, FitReport]:
     """Fit the affine map by Adam on the full-pair MSE.
 
@@ -401,72 +476,23 @@ def fit_gradient(
     collapses the stochastic-gradient noise ball so the fit lands on
     the minimizer instead of jittering around it. Deterministic given
     (pairs, cfg). Raises NonFiniteLoss at the end of the first epoch
-    that leaves a non-finite weight or bias. With in_place, float64 x
-    and y are overwritten by their scaled values instead of copied.
+    that leaves a non-finite weight or bias.
     """
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, True, in_place)
-    count, m = xs.shape
-    rng, weight, bias = _seeded_start(ys.shape[1], m, cfg)
-    initial_mse, *_ = _report_pass(xs, ys, (weight, bias))
-    _adam(lambda sel: (xs[sel], ys[sel]), count, weight, bias, rng, cfg)
-    # Same scaled pairs: xs is also what the oracle's apply() computes.
-    oracle = _ridge(xs, ys, _RIDGE_LAMBDA) if compare_oracle else None
-    final_mse, oracle_mse, gap = _report_pass(
-        xs, ys, (weight, bias), oracle, out_scaler
-    )
-    if not np.isfinite(final_mse):
-        raise NonFiniteLoss("training diverged to a non-finite loss")
-    phi = AffineMap(weight, bias, in_scaler, out_scaler, nu)
-    return phi, FitReport(initial_mse, final_mse, count, oracle_mse, gap)
+    return _fit(_array_pairs(x, y), cfg, True, compare_oracle)
 
 
-def _report_pass(xs, ys, fit, oracle=None, out_scaler=None):
-    """(MSE of fit, MSE of oracle, gap) over the scaled pairs, in one pass.
-
-    fit and oracle are (weight, bias) pairs; without an oracle the last
-    two are None. The gap is the Frobenius norm of the difference of the
-    two maps' predictions, scaled back by out_scaler, over the norm of
-    the oracle's. The pass walks row blocks whose whole working set (two
-    predictions and a squared difference) fits in embeddings.CACHE_BUDGET.
-    Each sum starts from 0.0 and adds one np.add.reduce or dot per block,
-    so a one-block pass equals np.mean and np.linalg.norm of the whole
-    arrays bit for bit.
-    """
-    count, n = ys.shape
-    step = min(count, max(1, embeddings.CACHE_BUDGET // (3 * 8 * n)))
-    pred, sq = np.empty((step, n)), np.empty((step, n))
-    want = None if oracle is None else np.empty((step, n))
-
-    def squared_error(xb, yb, weight, bias, out):
-        # the sum of (xb @ weight.T + bias - yb) ** 2; out keeps the prediction
-        np.matmul(xb, weight.T, out=out)
-        out += bias
-        diff = np.subtract(out, yb, out=sq[:len(out)])
-        np.square(diff, out=diff)
-        return np.add.reduce(diff, axis=None)
-
-    fit_sum = oracle_sum = want_sq = diff_sq = 0.0
-    for lo in range(0, count, step):
-        xb, yb = xs[lo:lo + step], ys[lo:lo + step]
-        p = pred[:len(xb)]
-        fit_sum += squared_error(xb, yb, *fit, p)
-        if oracle is None:
-            continue
-        w = want[:len(xb)]
-        oracle_sum += squared_error(xb, yb, *oracle, w)
-        # Scaler.inverse's operations, in place
-        for a in (p, w):
-            a *= out_scaler.std
-            a += out_scaler.mean
-        want_sq += w.ravel().dot(w.ravel())
-        p -= w
-        diff_sq += p.ravel().dot(p.ravel())
-    size = count * n
-    if oracle is None:
-        return float(fit_sum / size), None, None
-    denom = math.sqrt(want_sq)
-    gap = math.sqrt(diff_sq) / denom if denom else 0.0
-    return float(fit_sum / size), float(oracle_sum / size), gap
+def fit_map(
+    helper: EmbeddingMatrix,
+    source: EmbeddingMatrix,
+    part: TokenPartition,
+    cfg: TrainConfig = TrainConfig(),
+    limit: int | None = None,
+) -> tuple[AffineMap, FitReport]:
+    """`vocabforge fit-map`'s fit: fit_gradient(*collect_pairs(helper,
+    source, part, limit, cfg.seed), cfg, compare_oracle=True) bit for bit,
+    with the pairs read by id and no whole-pair array built."""
+    ids = _pair_ids(helper, source, part, limit, cfg.seed)
+    return _fit(_Pairs(helper.data, source.data, *ids), cfg, True, True)
 
 
 def train_map(
@@ -475,55 +501,9 @@ def train_map(
     part: TokenPartition,
     cfg: TrainConfig = TrainConfig(),
 ) -> AffineMap:
-    """fit_gradient's map over part's shared pairs, without its report.
-
-    Equal bit for bit to fit_gradient(*collect_pairs(helper, source,
-    part), cfg)[0], but no whole-pair float64 array is built: the scaler
-    statistics and the mean input norm are read from the float32 rows by
-    id in embeddings.BUDGET blocks, and each Adam batch is gathered and
-    scaled by the same elementwise operations as _preprocess. Divergence
-    still raises NonFiniteLoss after the first non-finite epoch.
-    """
-    helper_ids, source_ids = _pair_ids(helper, source, part)
-    count = len(helper_ids)
-    _check_pair_count(count)
-    in_scaler = Scaler.fit_rows(helper.data, helper_ids)
-    out_scaler = Scaler.fit_rows(source.data, source_ids)
-    nu = _mean_norm(count, ((lo, in_scaler.forward(block))
-                            for lo, block in _blocks(helper.data, helper_ids)))
-
-    def rows(sel):
-        xb = in_scaler.forward(helper.data[helper_ids[sel]])
-        xb /= nu
-        return xb, out_scaler.forward(source.data[source_ids[sel]])
-
-    rng, weight, bias = _seeded_start(source.dim, helper.dim, cfg)
-    _adam(rows, count, weight, bias, rng, cfg)
-    return AffineMap(weight, bias, in_scaler, out_scaler, nu)
-
-
-def _ridge(xs: np.ndarray, ys: np.ndarray, ridge_lambda: float):
-    """Solve the normal equations of the preprocessed pairs: (weight, bias).
-
-    The design matrix [xs 1] is never built: its Gram matrix is
-    [[xsᵀxs, Σxs], [Σxsᵀ, count]] and the right-hand side [[xsᵀys], [Σys]].
-    """
-    count, m = xs.shape
-    gram = np.empty((m + 1, m + 1))
-    gram[:m, :m] = xs.T @ xs
-    gram[:m, m] = gram[m, :m] = xs.sum(axis=0)
-    gram[m, m] = count
-    if ridge_lambda > 0:
-        gram.flat[::m + 2] += ridge_lambda  # the diagonal
-    elif np.linalg.matrix_rank(gram) < m + 1:
-        raise SingularSystem(
-            "design matrix is rank-deficient; use ridge_lambda > 0"
-        )
-    rhs = np.empty((m + 1, ys.shape[1]))
-    rhs[:m] = xs.T @ ys
-    rhs[m] = ys.sum(axis=0)
-    theta = np.linalg.solve(gram, rhs)
-    return theta[:m].T, theta[m]
+    """fit_map's map over all the shared pairs, without its report."""
+    ids = _pair_ids(helper, source, part)
+    return _fit(_Pairs(helper.data, source.data, *ids), cfg)[0]
 
 
 def fit_closed_form(
@@ -533,9 +513,11 @@ def fit_closed_form(
     l2_normalize: bool = True,
 ) -> AffineMap:
     """Exact MSE minimizer (up to ridge_lambda) on the same representation."""
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(x, y, l2_normalize)
-    weight, bias = _ridge(xs, ys, ridge_lambda)
-    return AffineMap(weight, bias, in_scaler, out_scaler, nu, l2_normalize)
+    pairs = _array_pairs(x, y, l2_normalize)
+    gram, rhs, _ = _normal_equations(pairs)
+    theta = _ridge(gram, rhs, ridge_lambda)
+    return AffineMap(theta[:-1].T, theta[-1], pairs.in_scaler, pairs.out_scaler,
+                     pairs.nu, l2_normalize)
 
 
 # --- serialization -----------------------------------------------------

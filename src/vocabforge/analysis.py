@@ -17,6 +17,7 @@ from .errors import (
     EmptyCorpus,
     EmptyMatrix,
     InsufficientTokens,
+    MalformedCorpus,
     ZeroNormRow,
 )
 from .tokenizer import MarkerConvention, TokenizerModel, Vocabulary
@@ -47,18 +48,22 @@ class FertilityReport:
 
 
 def iter_corpus(path: str):
-    """Yield documents: one per line for a file, one per .txt for a dir."""
-    if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            if name.endswith(".txt"):
-                with open(os.path.join(path, name), encoding="utf-8") as fh:
-                    yield fh.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if line:
-                    yield line
+    """Yield documents: one per line for a file, one per .txt for a dir;
+    a file that is not UTF-8 raises MalformedCorpus naming it."""
+    try:
+        if os.path.isdir(path):
+            for name in sorted(os.listdir(path)):
+                if name.endswith(".txt"):
+                    with open(os.path.join(path, name), encoding="utf-8") as fh:
+                        yield fh.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    line = line.rstrip("\n")
+                    if line:
+                        yield line
+    except UnicodeDecodeError as exc:
+        raise MalformedCorpus(f"{fh.name}: not UTF-8 text: {exc}") from None
 
 
 def fertility(

@@ -36,7 +36,9 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        exc = UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
+        exc.message = message
+        raise exc
 
 
 def _require(args, *names):
@@ -185,13 +187,8 @@ def cmd_fit_map(args) -> int:
     part = TokenPartition.from_dict(
         load_json(args.partition, PartitionInconsistent)
     )
-    pairs_x, pairs_y = alignment.collect_pairs(
-        helper, source, part, limit=args.limit, seed=args.seed
-    )
-    del helper, source  # the fit reads only the gathered pairs
-    phi, fit_report = alignment.fit_gradient(
-        pairs_x, pairs_y, _train_config(args), compare_oracle=True,
-        in_place=True,
+    phi, fit_report = alignment.fit_map(
+        helper, source, part, _train_config(args), limit=args.limit
     )
     alignment.save_map(phi, args.out)
     _emit(args, {"fit": asdict(fit_report)}, None)
@@ -397,7 +394,12 @@ def _merge_config(parser, subs, argv, args):
         elif value:
             flags.append(action.option_strings[-1])
     at = argv.index(args.command) + 1
-    return _parse(parser, subs, argv[:at] + flags + argv[at:])
+    try:
+        return _parse(parser, subs, argv[:at] + flags + argv[at:])
+    except UsageError as exc:
+        # the explicit flags parsed alone: a config value failed its flag's
+        # check, which one line naming the file reports
+        raise UsageError(f"{args.config}: {exc.message}") from None
 
 
 def _parse(parser, subs, argv):

@@ -26,13 +26,12 @@ from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
 # Bytes of float64 working rows per block in the whole-vocabulary passes
-# (stats, CLP, the SAVA fit's statistics, the finiteness check and record
-# writes): caps their memory whatever the vocabulary size. CLP re-reads
-# all shared rows once per block, so it wants tall blocks. Read at call
-# time, so it can be patched.
+# (stats, CLP, FVT, the finiteness check and record writes): caps their
+# memory whatever the vocabulary size. CLP re-reads all shared rows once
+# per block, so it wants tall blocks. Read at call time (patchable).
 BUDGET = 16 << 20
-# Bytes of the whole per-block working set of `relative_similarity`
-# (both sides' token rows and relative rows). Each block is used once,
+# Bytes of the per-block working set of `relative_similarity` and of the
+# SAVA fit's statistics, Adam chunks and sums. Each block is used once,
 # so it is kept small: blocks of tens of MB miss the cache and map fresh
 # pages on every block, while blocks under ~1 MiB pay per-block overhead
 # and short GEMMs. 4 MiB is where a 256 KiB-16 MiB sweep on the benchmark

@@ -93,6 +93,10 @@ class EmptyCorpus(VocabForgeError):
     """Corpus contains no words."""
 
 
+class MalformedCorpus(VocabForgeError):
+    """A corpus file is not UTF-8 text."""
+
+
 class InsufficientTokens(VocabForgeError):
     """Vocabulary has fewer prefix/non-prefix tokens than requested."""
 

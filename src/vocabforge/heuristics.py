@@ -297,10 +297,6 @@ def _clp_single(result: tuple[np.ndarray, np.ndarray], token_id: int) -> np.ndar
 
 def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
     """Map helper rows through the trained affine alignment."""
-    if helper_emb.dim != phi.in_dim:
-        raise DimensionMismatch(
-            f"helper dim {helper_emb.dim} != map input dim {phi.in_dim}"
-        )
     return phi.apply(helper_emb.data[np.asarray(token_ids)])
 
 
@@ -321,6 +317,36 @@ def _check_rows(rows, count: int, dim: int, what: str) -> None:
         )
 
 
+def _check_partition(part: TokenPartition, source_rows: int):
+    """part's shared source, shared target and novel target ids. Raises
+    PartitionInconsistent unless each source id indexes a source row and
+    the target ids cover 0 .. shared + novel - 1 once each."""
+    target_size = part.shared_count + part.novel_count
+    sids = np.array([sid for _, sid, _ in part.shared], dtype=np.int64)
+    shared_tids = np.array([tid for _, _, tid in part.shared], dtype=np.int64)
+    novel_tids = np.array([tid for _, tid in part.novel], dtype=np.int64)
+    tids = np.concatenate([shared_tids, novel_tids])
+    bad = (sids < 0) | (sids >= source_rows)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"source id {sids[bad][0]} is outside the {source_rows}-row "
+            f"source matrix"
+        )
+    bad = (tids < 0) | (tids >= target_size)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"target id {tids[bad][0]} is outside the {target_size}-token target"
+        )
+    # target_size ids, all in range: a repeated id leaves another uncovered
+    counts = np.bincount(tids, minlength=target_size)
+    if counts.max(initial=1) > 1:
+        raise PartitionInconsistent(
+            f"target id {counts.argmax()} appears {counts.max()} times; the "
+            f"partition does not cover every target id"
+        )
+    return sids, shared_tids, novel_tids
+
+
 def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
@@ -338,32 +364,9 @@ def assemble(
     fallback. Shared rows are copied bit-exactly.
     """
     start = time.perf_counter()
+    sids, shared_tids, novel_tids = _check_partition(part, source_emb.rows)
     target_size = part.shared_count + part.novel_count
     dim = source_emb.dim
-    sids = np.array([sid for _, sid, _ in part.shared], dtype=np.int64)
-    shared_tids = np.array([tid for _, _, tid in part.shared], dtype=np.int64)
-    novel_tids = np.array([tid for _, tid in part.novel], dtype=np.int64)
-    tids = np.concatenate([shared_tids, novel_tids])
-
-    bad = (sids < 0) | (sids >= source_emb.rows)
-    if bad.any():
-        raise PartitionInconsistent(
-            f"source id {sids[bad][0]} is outside the {source_emb.rows}-row "
-            f"source matrix"
-        )
-    bad = (tids < 0) | (tids >= target_size)
-    if bad.any():
-        raise PartitionInconsistent(
-            f"target id {tids[bad][0]} is outside the {target_size}-token target"
-        )
-    # target_size ids, all in range: a repeated id leaves another uncovered
-    counts = np.bincount(tids, minlength=target_size)
-    if counts.max(initial=1) > 1:
-        raise PartitionInconsistent(
-            f"target id {counts.argmax()} appears {counts.max()} times; the "
-            f"partition does not cover every target id"
-        )
-
     out = np.empty((target_size, dim), dtype=np.float32)
     out[shared_tids] = source_emb.data[sids]
     kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
@@ -441,6 +444,7 @@ def adapt_matrix(
                 f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
             )
         check_helper_rows(helper_emb.rows, target_model)
+    _check_partition(part, source_emb.rows)  # before a kernel reads a row
     source_stats = matrix_stats(source_emb)
     fallback = _make_fallback(cfg, source_stats)
 

@@ -20,7 +20,7 @@ from vocabforge import (
     save_map,
 )
 from vocabforge import alignment, embeddings
-from vocabforge.alignment import Scaler, _preprocess
+from vocabforge.alignment import Scaler
 from vocabforge.embeddings import HEADER_SIZE
 from vocabforge.errors import (
     DimensionMismatch,
@@ -101,8 +101,10 @@ class TestCollectPairs:
                                                 height):
         helper, source, part = scattered_pairs(500, 6, 9, seed=8)
         if height is not None:
-            # blocks of `height` rows of the wider (source) side
+            # block budgets of `height` rows of the wider (source) side
+            # leave the gathered pairs as they are
             monkeypatch.setattr(embeddings, "BUDGET", 8 * 9 * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * 9 * height)
         x, y = collect_pairs(helper, source, part, limit=limit, seed=3)
         helper_ids, source_ids = alignment._pair_ids(helper, source, part)
         if limit is not None:
@@ -222,10 +224,13 @@ class TestFitGradient:
 
 
 def seed_adam_fit(x, y, cfg):
-    """The Adam loop as first written: whole-matrix temporaries per update."""
-    xs, ys, in_scaler, out_scaler, nu = _preprocess(
-        x, y, True
-    )
+    """The Adam loop as first written: whole-matrix temporaries per update,
+    on pairs scaled as whole arrays."""
+    in_scaler, out_scaler = Scaler.fit(x), Scaler.fit(y)
+    xs = in_scaler.forward(x)
+    nu = float(np.mean(np.linalg.norm(xs, axis=1))) or 1.0
+    xs /= nu
+    ys = out_scaler.forward(y)
     count, m = xs.shape
     n = ys.shape[1]
     rng = np.random.default_rng(cfg.seed)
@@ -279,8 +284,18 @@ class CountingRng:
         return self._rng.permutation(count)
 
 
+def assert_close_report(report, whole):
+    """The four report values within rel_tol=1e-12 of the whole-array ones:
+    the report comes from normal-equation sums, the restatement from the
+    predictions themselves."""
+    got = [report.initial_mse, report.final_mse, report.oracle_mse,
+           report.frobenius_gap_to_oracle]
+    for g, want in zip(got, whole):
+        assert math.isclose(g, want, rel_tol=1e-12, abs_tol=0.0), (got, whole)
+
+
 class TestBlockedAdam:
-    """fit_gradient must match the whole-matrix Adam loop bit for bit."""
+    """fit_gradient's map must match the whole-matrix Adam loop bit for bit."""
 
     @pytest.mark.parametrize("count, m, n, batch", [
         (100, 6, 9, 32),  # partial last batch (100 = 3*32 + 4), n > m
@@ -298,14 +313,42 @@ class TestBlockedAdam:
         x = rng.normal(size=(count, m)) * 2.0 + 0.5
         y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
         cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
-        w, b, initial, final, oracle_mse, gap = seed_adam_fit(x, y, cfg)
+        w, b, *whole = seed_adam_fit(x, y, cfg)
         phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
         assert np.array_equal(phi.weight, w)
         assert np.array_equal(phi.bias, b)
-        assert report.initial_mse == initial
-        assert report.final_mse == final
-        assert report.oracle_mse == oracle_mse
-        assert report.frobenius_gap_to_oracle == gap
+        assert_close_report(report, whole)
+
+    @pytest.mark.parametrize("batch", [32, 0])
+    @pytest.mark.parametrize("batches", [1, 7.5, None])
+    def test_chunk_heights(self, monkeypatch, batch, batches):
+        # Adam gathers chunks of whole batches (of all the pairs at batch
+        # 0): room for 7.5 batches makes chunks of 7. The patched size
+        # also sets the Adam state blocks.
+        count, m, n = 300, 6, 9
+        if batches is not None:
+            monkeypatch.setattr(alignment, "_ADAM_BLOCK",
+                                int(8 * (m + n) * (batch or count) * batches))
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(count, m)) * 2.0 + 0.5
+        y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
+        cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
+        w, b, *whole = seed_adam_fit(x, y, cfg)
+        phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
+        assert np.array_equal(phi.weight, w)
+        assert np.array_equal(phi.bias, b)
+        assert_close_report(report, whole)
+
+    def test_exact_fit_reports_no_negative_mse(self):
+        # the sums nearly cancel on y = 2x; rounding must not go below 0
+        # (with this seed the oracle's unclamped sum of squares is -1e-13)
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(200, 5))
+        _, report = fit_gradient(x, 2 * x, compare_oracle=True)
+        assert report.initial_mse > 0.0
+        assert report.final_mse >= 0.0
+        assert report.oracle_mse >= 0.0
+        assert report.frobenius_gap_to_oracle >= 0.0
 
     def test_default_block_spans_many_rows(self):
         rng = np.random.default_rng(7)
@@ -340,12 +383,10 @@ class TestBlockedAdam:
     def test_map_only_fit_equals_fit_gradient(self, monkeypatch, batch):
         helper, source, part = scattered_pairs(70, 11, 20, seed=5)
         cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
-        x, y = collect_pairs(helper, source, part)
-        xs, ys, *_ = _preprocess(x, y, True)
-        want, _ = fit_gradient(x, y, cfg, in_place=True)
+        want, _ = fit_gradient(*collect_pairs(helper, source, part), cfg)
         # helper blocks of 1 and 7 rows, and the default
-        for budget in (8 * 11, 8 * 11 * 7, embeddings.BUDGET):
-            monkeypatch.setattr(embeddings, "BUDGET", budget)
+        for budget in (8 * 11, 8 * 11 * 7, embeddings.CACHE_BUDGET):
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", budget)
             got = alignment.train_map(helper, source, part, cfg)
             assert np.array_equal(got.weight, want.weight)
             assert np.array_equal(got.bias, want.bias)
@@ -354,9 +395,6 @@ class TestBlockedAdam:
                     assert np.array_equal(getattr(getattr(got, side), field),
                                           getattr(getattr(want, side), field))
             assert got.input_norm == want.input_norm
-        # fit_gradient(in_place=True) scaled the pairs in place
-        assert np.array_equal(x, xs)
-        assert np.array_equal(y, ys)
 
     @pytest.mark.filterwarnings("error")
     def test_map_only_fit_stops_after_first_bad_epoch(self):
@@ -368,7 +406,9 @@ class TestBlockedAdam:
     def test_map_only_fit_holds_no_whole_pair_array(self, monkeypatch):
         count, m, n = 4000, 16, 24
         helper, source, part = scattered_pairs(count, m, n, seed=6)
-        monkeypatch.setattr(embeddings, "BUDGET", 8 * n * 64)
+        # statistics blocks and Adam chunks of 64 rows
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * (m + n) * 64)
+        monkeypatch.setattr(alignment, "_ADAM_BLOCK", 8 * (m + n) * 64)
         cfg = TrainConfig(steps=1, batch=32, seed=2)
         tracemalloc.start()
         try:
@@ -399,20 +439,23 @@ class TestBlockedAdam:
             TrainConfig(learning_rate=lr)
 
     def test_oracle_reuses_the_fit_preprocessing(self, monkeypatch):
+        # one statistics pass: one scaler fit per side, for the fit, its
+        # report and the oracle together
         calls = []
+        real = Scaler.fit_rows.__func__
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return _preprocess(*args, **kwargs)
+        def spy(cls, data, ids=None):
+            calls.append(data.shape)
+            return real(cls, data, ids)
 
-        monkeypatch.setattr(alignment, "_preprocess", spy)
+        monkeypatch.setattr(Scaler, "fit_rows", classmethod(spy))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=(40, 6))
         _, report = fit_gradient(x, y, TrainConfig(steps=2),
                                  compare_oracle=True)
         assert report.oracle_mse is not None
-        assert len(calls) == 1
+        assert calls == [(40, 5), (40, 6)]
 
 
 class TestBlockedReport:
@@ -422,8 +465,9 @@ class TestBlockedReport:
     def test_equals_whole_array_report(self, monkeypatch, height):
         count, m, n = 100, 6, 9
         if height is not None:
-            # two predictions and a squared difference per row
-            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 3 * 8 * n * height)
+            # sums-pass blocks of `height` rows: one design row and one y row
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET",
+                                8 * (m + 1 + n) * height)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(count, m)) * 2.0 + 0.5
         y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
@@ -432,19 +476,13 @@ class TestBlockedReport:
         phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
         assert np.array_equal(phi.weight, w)
         assert np.array_equal(phi.bias, b)
-        got = [report.initial_mse, report.final_mse, report.oracle_mse,
-               report.frobenius_gap_to_oracle]
-        if height is None:  # the default budget holds all 100 rows
-            assert got == whole
-        else:
-            for g, want in zip(got, whole):
-                assert math.isclose(g, want, rel_tol=1e-12, abs_tol=0.0)
+        assert_close_report(report, whole)
 
     def test_working_set_beyond_the_pairs(self, monkeypatch):
         count, m, n = 4000, 16, 24
         rows = 50
         monkeypatch.setattr(embeddings, "CACHE_BUDGET", 3 * 8 * n * rows)
-        monkeypatch.setattr(embeddings, "BUDGET", 8 * n * rows)
+        monkeypatch.setattr(alignment, "_ADAM_BLOCK", 8 * n * rows)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(count, m))
         y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
@@ -452,15 +490,16 @@ class TestBlockedReport:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            fit_gradient(x, y, cfg, compare_oracle=True, in_place=True)
+            fit_gradient(x, y, cfg, compare_oracle=True)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        # One report block, one scaler or norm block, O(m^2 + m*n) for the
-        # Adam state, the batch and the normal equations, and two
-        # count-long vectors: the row norms and one epoch's permutation.
-        # Predictions over all the pairs would be count * n floats each.
-        bound = (embeddings.CACHE_BUDGET + embeddings.BUDGET
+        # One block of the statistics or sums pass, one Adam chunk, O(m^2 +
+        # m*n) for the Adam state, the start and the normal equations, and
+        # two count-long vectors: the row norms and one epoch's
+        # permutation. Predictions over all the pairs would be count * n
+        # floats each.
+        bound = (embeddings.CACHE_BUDGET + alignment._ADAM_BLOCK
                  + 8 * (8 * (m + 1) * (m + n) + 2 * count))
         assert peak <= bound
         assert bound < 8 * count * n
@@ -494,7 +533,7 @@ class TestScalerFitRows:
     def test_equals_fit_of_gathered_rows(self, monkeypatch, count, dim,
                                          height):
         if height is not None:
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * dim * height)
         rng = np.random.default_rng(count + dim)
         data = (rng.normal(size=(count + 20, dim)) * 3.0 + 1.0).astype(np.float32)
         if dim > 1:
@@ -511,7 +550,7 @@ class TestScalerFitRows:
     @pytest.mark.parametrize("height", [1, 7, None])
     def test_all_rows_equal_fit(self, monkeypatch, count, dim, height):
         if height is not None:
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * dim * height)
         rng = np.random.default_rng(count * dim)
         data = rng.normal(size=(count, dim)) * 3.0 + 1.0
         got = Scaler.fit_rows(data)

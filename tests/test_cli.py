@@ -171,6 +171,49 @@ class TestIntersectAndFitMap:
         assert report["fit"]["pair_count"] == 6
         assert report["fit"]["oracle_mse"] is not None
 
+    @pytest.mark.parametrize("limit", [None, 25])
+    def test_map_equals_the_fit_of_gathered_pairs(self, capsys, tmp_path,
+                                                  limit):
+        # fit-map reads the pairs by id; gathering them first and fitting
+        # the arrays must write the same bytes and report the same values
+        from vocabforge import (EmbeddingMatrix, TokenPartition, TrainConfig,
+                                collect_pairs, fit_gradient, save_map,
+                                save_matrix)
+
+        rng = np.random.default_rng(5)
+        helper = EmbeddingMatrix(rng.normal(size=(60, 5)).astype(np.float32))
+        source = EmbeddingMatrix(rng.normal(size=(50, 7)).astype(np.float32))
+        part = TokenPartition(
+            shared=tuple((f"t{i}", int(sid), int(tid)) for i, (sid, tid) in
+                         enumerate(zip(rng.permutation(50)[:40],
+                                       rng.permutation(60)[:40]))),
+            novel=(), warnings=())
+        paths = {name: str(tmp_path / name) for name in
+                 ("helper.emb1", "source.emb1", "part.json", "cli.map",
+                  "arrays.map")}
+        save_matrix(helper, paths["helper.emb1"])
+        save_matrix(source, paths["source.emb1"])
+        Path(paths["part.json"]).write_text(json.dumps(part.to_dict()),
+                                            encoding="utf-8")
+        code, out, _ = run(
+            capsys, "fit-map", "--helper-emb", paths["helper.emb1"],
+            "--source-emb", paths["source.emb1"],
+            "--partition", paths["part.json"], "--out", paths["cli.map"],
+            "--steps", "4", "--batch", "8", "--seed", "7",
+            *(["--limit", str(limit)] if limit else []),
+        )
+        assert code == 0
+        cfg = TrainConfig(steps=4, batch=8, seed=7)
+        phi, report = fit_gradient(
+            *collect_pairs(helper, source, part, limit=limit, seed=7), cfg,
+            compare_oracle=True)
+        save_map(phi, paths["arrays.map"])
+        for suffix in ("", ".json"):
+            assert (Path(paths["cli.map"] + suffix).read_bytes()
+                    == Path(paths["arrays.map"] + suffix).read_bytes())
+        assert json.loads(out)["fit"] == dataclasses.asdict(report)
+        assert report.pair_count == (limit or 40)
+
     @pytest.mark.parametrize("doc", [
         {"novel": [["n0", 6], ["n1", 7]]},
         {"shared": [["s0", 0, -1]], "novel": []},
@@ -456,8 +499,8 @@ class TestAdapt:
         code, stdout, err = run(capsys, *self.sava_args(world, out))
         assert code == 1
         assert stdout == ""
-        assert err == ("error: partition ids fall outside the helper or "
-                       "source matrix rows\n")
+        # the partition is checked before the fit reads a helper row
+        assert err == "error: target id 99 is outside the 8-token target\n"
         assert not os.path.exists(out)
 
     def test_sava_needs_two_pairs(self, capsys, world, write_json):

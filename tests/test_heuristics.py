@@ -1,5 +1,5 @@
 import tracemalloc
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -677,6 +677,20 @@ class TestAdapt:
         with pytest.raises(DimensionMismatch):
             adapt(random_matrix(rng, 2, 6), source, target, helper_emb,
                   HeuristicConfig(method="clp"))
+
+    @pytest.mark.parametrize("method", ["random", "fvt", "clp", "sava"])
+    def test_partition_checked_before_any_kernel(self, method):
+        # a shared source id past the source matrix: every method reports
+        # the partition, none reaches a kernel that indexes the row
+        source, target, source_emb, helper_emb = adaptation_fixture()
+        part = partition(source.vocab, target.vocab, source.marker,
+                         target.marker)
+        token, _, tid = part.shared[0]
+        part = replace(
+            part, shared=((token, source_emb.rows + 3, tid),) + part.shared[1:])
+        with pytest.raises(PartitionInconsistent, match="outside the 9-row"):
+            adapt_matrix(source_emb, source, target, part, helper_emb,
+                         HeuristicConfig(method=method), TrainConfig(steps=1))
 
     def test_untied_runs_both_matrices(self):
         source, target, source_emb, helper_emb = adaptation_fixture()

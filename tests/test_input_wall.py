@@ -1,6 +1,7 @@
 """Truncated and corrupted input files end in one typed error, never a
-traceback: EMB1 matrices, partition files, vocab and merges files through
-`cli.main`, a saved map's container and sidecar through `load_map`.
+traceback: EMB1 matrices, partition files, vocab, merges, corpus and
+`--config` files through `cli.main`, a saved map's container and sidecar
+through `load_map`.
 
 A file cut short or with a corrupted header must fail (exit 1 or 2, one
 line on stderr). A byte changed inside JSON may still leave a valid file
@@ -82,6 +83,13 @@ def files(tmp_path_factory):
     paths["merges"] = MERGES.encode()
     paths["corpus"] = root / "corpus.txt"
     paths["corpus"].write_text("abc cab\nbab ab é\n", encoding="utf-8")
+    for name in ("vocab", "merges"):
+        (root / f"valid_{name}").write_bytes(paths[name])
+    paths["config"] = json.dumps({
+        "vocab": str(root / "valid_vocab"), "merges": str(root / "valid_merges"),
+        "corpus": str(paths["corpus"]), "marker": "meta-space",
+        "byte_level": True, "unk_token": "<unk>",
+    }, ensure_ascii=False).encode()
     return paths
 
 
@@ -177,13 +185,23 @@ def test_partition_value_replaced(files, where, entry, field, value):
 # --- vocab and merges files through fertility and intersect ------------
 
 
-def fertility_with(files, vocab=None, merges=None):
+def fertility_with(files, vocab=None, merges=None, corpus=None):
     root = files["root"]
     (root / "vocab.json").write_bytes(files["vocab"] if vocab is None else vocab)
     (root / "merges.txt").write_bytes(files["merges"] if merges is None else merges)
+    corpus_path = files["corpus"]
+    if corpus is not None:
+        corpus_path = root / "damaged_corpus.txt"
+        corpus_path.write_bytes(corpus)
     return run_cli("fertility", "--vocab", root / "vocab.json",
-                   "--merges", root / "merges.txt", "--corpus", files["corpus"],
+                   "--merges", root / "merges.txt", "--corpus", corpus_path,
                    "--byte-level", "--unk-token", "<unk>")
+
+
+def fertility_configured(files, config: bytes):
+    path = files["root"] / "config.json"
+    path.write_bytes(config)
+    return run_cli("fertility", "--config", path)
 
 
 def intersect_with(files, vocab: bytes, side: str):
@@ -203,6 +221,9 @@ def test_valid_tokenizer_files_pass(files):
     code, out, err = intersect_with(files, files["vocab"], "target")
     assert (code, err) == (0, "")
     assert json.loads(out)["shared_count"] == len(VOCAB)
+    code, out, err = fertility_configured(files, files["config"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["fertility"]["token_count"] == 12
 
 
 @EXAMPLES
@@ -231,6 +252,44 @@ def test_truncated_merges(files, data):
 @given(data=st.data())
 def test_corrupt_merges_byte(files, data):
     check_outcome(*fertility_with(files, merges=flip(data, files["merges"])),
+                  must_fail=False)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_truncated_corpus(files, data):
+    # a cut at a line end, or anywhere but inside "é", leaves a valid
+    # corpus; the empty corpus has no words
+    check_outcome(*fertility_with(files, corpus=cut(
+        data, files["corpus"].read_bytes())), must_fail=False)
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_corrupt_corpus_byte(files, data):
+    check_outcome(*fertility_with(files, corpus=flip(
+        data, files["corpus"].read_bytes())), must_fail=False)
+
+
+def test_non_utf8_corpus_names_the_file(files):
+    code, out, err = fertility_with(files, corpus=b"\xff\xfe abc\n")
+    check_outcome(code, out, err)
+    assert err.startswith(f"error: {files['root'] / 'damaged_corpus.txt'}: "
+                          f"not UTF-8 text: ")
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_truncated_config(files, data):
+    # a JSON object cut before its closing brace never parses
+    check_outcome(*fertility_configured(files, cut(data, files["config"])))
+
+
+@EXAMPLES
+@given(data=st.data())
+def test_corrupt_config_byte(files, data):
+    # a changed key, path, choice or switch, or text that no longer parses
+    check_outcome(*fertility_configured(files, flip(data, files["config"])),
                   must_fail=False)
 
 
