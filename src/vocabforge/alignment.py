@@ -185,9 +185,11 @@ def _pair_ids(
     `limit` keeps a seeded uniform subsample (clamped to the pair count)."""
     if part.shared_count == 0:
         raise EmptyIntersection("partition has no shared tokens")
-    target_ids = np.array([tid for _, _, tid in part.shared])
-    source_ids = np.array([sid for _, sid, _ in part.shared])
-    if (target_ids.min() < 0 or source_ids.min() < 0
+    try:
+        target_ids, source_ids = part.shared_target_ids, part.source_ids
+    except OverflowError:  # an id past int64 indexes no row
+        target_ids = source_ids = None
+    if (target_ids is None or target_ids.min() < 0 or source_ids.min() < 0
             or target_ids.max() >= helper.rows or source_ids.max() >= source.rows):
         raise DimensionMismatch(
             "partition ids fall outside the helper or source matrix rows"

@@ -150,6 +150,8 @@ def cmd_adapt(args) -> int:
         source_model.vocab, target_model.vocab,
         source_model.marker, target_model.marker,
     )
+    for warning in part.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
     def adapt_file(source_path, helper_path, out_path) -> dict:
         # Only the report outlives the call, so an untied model holds one

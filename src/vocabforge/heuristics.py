@@ -226,10 +226,8 @@ class ClpInitializer:
             raise PartitionInconsistent("CLP needs a non-empty intersection")
         self.cfg = cfg
         self.helper = helper_emb.data  # float32; blocks are converted as used
-        tids = np.array([tid for _, _, tid in part.shared])
-        sids = np.array([sid for _, sid, _ in part.shared])
-        self.shared_source_rows = source_emb.data[sids].astype(np.float64)
-        anchors = self.helper[tids].astype(np.float64)
+        self.shared_source_rows = source_emb.data[part.source_ids].astype(np.float64)
+        anchors = self.helper[part.shared_target_ids].astype(np.float64)
         norms = np.linalg.norm(anchors, axis=1)
         if np.any(norms == 0):
             raise ZeroNormEmbedding(
@@ -322,9 +320,8 @@ def _check_partition(part: TokenPartition, source_rows: int):
     PartitionInconsistent unless each source id indexes a source row and
     the target ids cover 0 .. shared + novel - 1 once each."""
     target_size = part.shared_count + part.novel_count
-    sids = np.array([sid for _, sid, _ in part.shared], dtype=np.int64)
-    shared_tids = np.array([tid for _, _, tid in part.shared], dtype=np.int64)
-    novel_tids = np.array([tid for _, tid in part.novel], dtype=np.int64)
+    sids, shared_tids, novel_tids = (
+        part.source_ids, part.shared_target_ids, part.novel_target_ids)
     tids = np.concatenate([shared_tids, novel_tids])
     bad = (sids < 0) | (sids >= source_rows)
     if bad.any():

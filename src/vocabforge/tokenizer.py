@@ -10,8 +10,13 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
+from operator import add
+
+import numpy as np
 
 from .errors import (
     MalformedVocab,
@@ -102,19 +107,23 @@ class Vocabulary:
         return token in self.token_to_id
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TokenizerModel:
     """A BPE tokenizer: vocabulary, rank-ordered merges, marker convention.
 
     Immutable after construction; tokenize/decode are pure functions.
+    _symbols holds the checked merges' left and right symbols in rank
+    order, repeats included. The rank table (`_ranks`, and `merges`) is
+    built from them at first use, so a model that never encodes never
+    builds one; after that it is a plain instance attribute.
     """
 
     vocab: Vocabulary
-    merges: tuple[tuple[str, str], ...]
     marker: MarkerConvention
     byte_level: bool = False
     unk_id: int | None = None
-    _ranks: dict[tuple[str, str], int] = field(repr=False, default_factory=dict)
+    _symbols: tuple[Sequence[str], Sequence[str]] = field(
+        repr=False, default=((), ()))
 
     @classmethod
     def build(
@@ -125,16 +134,33 @@ class TokenizerModel:
         byte_level: bool = False,
         unk_id: int | None = None,
     ) -> "TokenizerModel":
-        ranks: dict[tuple[str, str], int] = {}
-        known = vocab.token_to_id
-        for a, b in merges:
-            if a not in known or b not in known or a + b not in known:
-                raise UnknownMergeSymbol(
-                    f"merge {a!r} + {b!r} references symbols missing "
-                    f"from the vocabulary"
-                )
-            ranks.setdefault((a, b), len(ranks))
-        return cls(vocab, tuple(ranks), marker, byte_level, unk_id, ranks)
+        merges = list(merges)
+        lefts = [a for a, _ in merges]
+        rights = [b for _, b in merges]
+        bad = _first_unknown_merge(vocab, lefts, rights)
+        if bad is not None:
+            raise UnknownMergeSymbol(_unknown_merge(lefts[bad], rights[bad]))
+        return cls(vocab, marker, byte_level, unk_id, (lefts, rights))
+
+    @cached_property
+    def _ranks(self) -> dict[tuple[str, str], int]:
+        """Rank of each distinct merge: the order of its first line."""
+        pairs = dict.fromkeys(zip(*self._symbols))
+        return dict(zip(pairs, range(len(pairs))))
+
+    @cached_property
+    def merges(self) -> tuple[tuple[str, str], ...]:
+        """The distinct merges in rank order."""
+        return tuple(self._ranks)
+
+    def __eq__(self, other):
+        """Equal vocab, distinct merges in rank order, marker, byte_level
+        and unk_id; repeated merge lines do not count."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.vocab, self.merges, self.marker, self.byte_level,
+                 self.unk_id) == (other.vocab, other.merges, other.marker,
+                                  other.byte_level, other.unk_id))
 
     # --- encoding ------------------------------------------------------
 
@@ -266,6 +292,63 @@ def load_vocab(path: str) -> Vocabulary:
     return Vocabulary.from_mapping(mapping)
 
 
+def _unknown_merge(a: str, b: str) -> str:
+    return f"merge {a!r} + {b!r} references symbols missing from the vocabulary"
+
+
+def _first_unknown_merge(vocab: Vocabulary, lefts, rights) -> int | None:
+    """Index of the first merge whose symbols or concatenation are not in
+    vocab, or None. One whole-list check per kind: the symbols as a set,
+    the concatenations one by one."""
+    known = vocab.token_to_id
+    has = known.__contains__
+    found = [list(map(has, map(add, lefts, rights)))]
+    if not known.keys() >= {*lefts, *rights}:
+        found += [list(map(has, lefts)), list(map(has, rights))]
+    return min((f.index(False) for f in found if not all(f)), default=None)
+
+
+def _split_merges(path: str, lines: list[str]):
+    """The left and right symbols of the merge lines among `lines` (a
+    merges file's lines without their newlines), and each merge's line
+    number. The first line that is not two space-separated symbols raises
+    UnknownMergeSymbol."""
+    linenos = [n for n, line in enumerate(lines, 1)
+               if line.strip() and line[0] != "#"]
+    kept = [lines[n - 1] for n in linenos]
+    spaces = list(map(str.count, kept, repeat(" ")))
+    if spaces.count(1) != len(spaces):
+        k = next(k for k, n in enumerate(spaces) if n != 1)
+        raise UnknownMergeSymbol(
+            f"{path}:{linenos[k]}: expected two space-separated symbols, "
+            f"got {kept[k]!r}"
+        )
+    # each kept line holds one space, so the joined text alternates a, b
+    symbols = " ".join(kept).split(" ") if kept else []
+    return symbols[0::2], symbols[1::2], linenos
+
+
+def _read_merges(path: str):
+    """_split_merges of the file at path, read whole in text mode (so CRLF
+    and a lone CR end a line, as when iterating it). Text that is not UTF-8
+    raises UnknownMergeSymbol, but after any bad line that a line-by-line
+    reader meets first; its message is that reader's too."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _split_merges(path, fh.read().split("\n"))
+    except UnicodeDecodeError:
+        pass
+    lines: list[str] = []
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                lines.append(line.rstrip("\n"))
+    except UnicodeDecodeError as exc:
+        _split_merges(path, lines)
+        raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
+    return _split_merges(path, lines)  # the file changed between the reads
+
+
 def load_tokenizer(
     vocab_path: str,
     merges_path: str,
@@ -276,35 +359,28 @@ def load_tokenizer(
     """Load a tokenizer from a vocab.json + merges.txt pair.
 
     Merge lines are two space-separated symbols; '#'-prefixed lines and
-    blank lines are ignored; line order is rank order.
+    blank lines are ignored; line order is rank order. Errors come in
+    this order: the vocab, then the first malformed merge line, then the
+    unknown token, then the first merge whose symbols or concatenation
+    are not in the vocab (named by its line). The rank table is built at
+    the first encode.
     """
     if isinstance(marker, str):
         marker = MarkerConvention.from_name(marker)
     vocab = load_vocab(vocab_path)
-
-    merges: list[tuple[str, str]] = []
-    try:
-        with open(merges_path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.startswith("#"):
-                    continue
-                parts = line.split(" ")
-                if len(parts) != 2:
-                    raise UnknownMergeSymbol(
-                        f"{merges_path}:{lineno}: expected two space-separated "
-                        f"symbols, got {line!r}"
-                    )
-                merges.append((parts[0], parts[1]))
-    except UnicodeDecodeError as exc:
-        raise UnknownMergeSymbol(f"{merges_path}: not UTF-8 text: {exc}") from None
+    lefts, rights, linenos = _read_merges(merges_path)
 
     unk_id = None
     if unk_token is not None:
         if unk_token not in vocab:
             raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
         unk_id = vocab.token_to_id[unk_token]
-    return TokenizerModel.build(vocab, merges, marker, byte_level, unk_id)
+    bad = _first_unknown_merge(vocab, lefts, rights)
+    if bad is not None:
+        raise UnknownMergeSymbol(
+            f"{merges_path}:{linenos[bad]}: {_unknown_merge(lefts[bad], rights[bad])}"
+        )
+    return TokenizerModel(vocab, marker, byte_level, unk_id, (lefts, rights))
 
 
 @dataclass(frozen=True)
@@ -318,6 +394,24 @@ class TokenPartition:
     shared: tuple[tuple[str, int, int], ...]
     novel: tuple[tuple[str, int], ...]
     warnings: tuple[str, ...] = ()
+
+    # Each id array is built at first use and kept: int64, read-only, in
+    # partition order. A partition made by dataclasses.replace builds its own.
+
+    @cached_property
+    def source_ids(self) -> np.ndarray:
+        """The shared tokens' source ids."""
+        return _id_array([sid for _, sid, _ in self.shared])
+
+    @cached_property
+    def shared_target_ids(self) -> np.ndarray:
+        """The shared tokens' target ids."""
+        return _id_array([tid for _, _, tid in self.shared])
+
+    @cached_property
+    def novel_target_ids(self) -> np.ndarray:
+        """The novel tokens' target ids."""
+        return _id_array([tid for _, tid in self.novel])
 
     @property
     def shared_count(self) -> int:
@@ -359,6 +453,12 @@ class TokenPartition:
             raise PartitionInconsistent(
                 "partition 'warnings' must be a list of strings")
         return cls(shared, novel, tuple(warnings))
+
+
+def _id_array(ids: list[int]) -> np.ndarray:
+    array = np.array(ids, dtype=np.int64)
+    array.flags.writeable = False
+    return array
 
 
 def _partition_id(value) -> int:

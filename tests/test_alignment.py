@@ -95,6 +95,15 @@ class TestCollectPairs:
         with pytest.raises(DimensionMismatch):
             collect_pairs(m, m, part)
 
+    @pytest.mark.parametrize("entry", [("a", 2**63, 0), ("a", 0, 2**70)])
+    def test_ids_past_int64(self, entry):
+        # no row has such an id; the id arrays cannot hold it
+        rng = np.random.default_rng(5)
+        m = random_matrix(rng, 3, 2)
+        part = TokenPartition(shared=(entry,), novel=(), warnings=())
+        with pytest.raises(DimensionMismatch):
+            collect_pairs(m, m, part)
+
     @pytest.mark.parametrize("limit", [None, 300])
     @pytest.mark.parametrize("height", [1, 7, None])
     def test_blocked_gather_equals_whole_gather(self, monkeypatch, limit,

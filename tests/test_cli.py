@@ -625,6 +625,47 @@ class TestAdapt:
         # the embedding matrix was finished before the head was read
         assert os.path.exists(world["tmp"] + "/embed_out.emb1")
 
+    def test_collision_warning_on_stderr(self, capsys, tmp_path):
+        # "▁x" and "Ġx" both canonicalize to the target's "Ġx"; the lowest
+        # source id wins, as the library's adapt decides
+        from vocabforge import (EmbeddingMatrix, HeuristicConfig, adapt,
+                                load_matrix, load_tokenizer, save_matrix)
+        paths = {name: str(tmp_path / name) for name in (
+            "source.json", "target.json", "merges.txt", "source.emb1",
+            "out.emb1", "lib.emb1", "report.json")}
+        Path(paths["source.json"]).write_text(
+            json.dumps({"▁x": 0, "Ġx": 1, "y": 2}), encoding="utf-8")
+        Path(paths["target.json"]).write_text(
+            json.dumps({"Ġx": 0, "z": 1}), encoding="utf-8")
+        Path(paths["merges.txt"]).write_text("", encoding="utf-8")
+        source = EmbeddingMatrix(
+            np.random.default_rng(2).normal(size=(3, 4)).astype(np.float32))
+        save_matrix(source, paths["source.emb1"])
+        code, out, err = run(
+            capsys, "adapt", "--method", "random",
+            "--source-emb", paths["source.emb1"],
+            "--source-vocab", paths["source.json"],
+            "--source-merges", paths["merges.txt"],
+            "--target-vocab", paths["target.json"],
+            "--target-merges", paths["merges.txt"],
+            "--source-marker", "meta-space", "--target-marker", "byte-marker",
+            "--seed", "3", "--out", paths["out.emb1"],
+            "--report", paths["report.json"])
+        assert (code, out) == (0, "")
+        assert err == ("warning: source ids 0 and 1 both canonicalize to "
+                       "'Ġx'; keeping id 0\n")
+        models = [load_tokenizer(paths[f"{side}.json"], paths["merges.txt"],
+                                 marker)
+                  for side, marker in (("source", "meta-space"),
+                                       ("target", "byte-marker"))]
+        matrix, _ = adapt(source, *models,
+                          cfg=HeuristicConfig(method="random", seed=3))
+        save_matrix(matrix, paths["lib.emb1"])
+        written = Path(paths["out.emb1"]).read_bytes()
+        assert written == Path(paths["lib.emb1"]).read_bytes()
+        assert load_matrix(paths["out.emb1"]).data[0].tobytes() == \
+            source.data[0].tobytes()
+
 
 class TestAtomicOutputs:
     def test_every_output_file_is_replaced_whole(self, capsys, world,

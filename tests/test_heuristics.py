@@ -692,6 +692,39 @@ class TestAdapt:
             adapt_matrix(source_emb, source, target, part, helper_emb,
                          HeuristicConfig(method=method), TrainConfig(steps=1))
 
+    def test_partition_id_arrays_built_once(self, monkeypatch):
+        source, target, source_emb, helper_emb = adaptation_fixture()
+        part = partition(source.vocab, target.vocab, source.marker,
+                         target.marker)
+        arrays = (part.source_ids, part.shared_target_ids,
+                  part.novel_target_ids)
+        assert [a.tolist() for a in arrays] == [
+            [sid for _, sid, _ in part.shared],
+            [tid for _, _, tid in part.shared],
+            [tid for _, tid in part.novel]]
+        for a in arrays:
+            assert a.dtype == np.int64 and not a.flags.writeable
+        built = []
+        monkeypatch.setattr(
+            "vocabforge.tokenizer._id_array",
+            lambda ids: built.append(ids) or np.array(ids, dtype=np.int64))
+        adapt_matrix(source_emb, source, target, part, helper_emb,
+                     HeuristicConfig(method="clp"), TrainConfig(steps=1))
+        assert built == []  # the checks and the CLP kernel read the arrays
+        assert part.source_ids is arrays[0]
+
+        # a replaced partition gets its own arrays, and the check names
+        # its first bad id
+        token, _, tid = part.shared[2]
+        moved = replace(part, shared=part.shared[:2] + (
+            (token, source_emb.rows, tid), (token, source_emb.rows + 5, tid)))
+        assert moved.source_ids.tolist() == [
+            sid for _, sid, _ in moved.shared]
+        with pytest.raises(PartitionInconsistent,
+                           match=f"source id {source_emb.rows} is outside"):
+            adapt_matrix(source_emb, source, target, moved, helper_emb,
+                         HeuristicConfig(method="random"), TrainConfig(steps=1))
+
     def test_untied_runs_both_matrices(self):
         source, target, source_emb, helper_emb = adaptation_fixture()
         rng = np.random.default_rng(1)

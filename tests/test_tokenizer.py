@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from vocabforge import (
     TokenizerModel,
     canonicalize,
     load_tokenizer,
+    load_vocab,
     partition,
 )
 from vocabforge.errors import (
@@ -42,6 +45,21 @@ class TestLoadTokenizer:
         merges = write_text("merges.txt", "a b\n")
         with pytest.raises(UnknownMergeSymbol):
             load_tokenizer(vocab, merges, marker="none")
+
+    def test_unknown_merge_symbol_names_the_line(self, write_json, write_text):
+        vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2, "c": 3})
+        merges = write_text("merges.txt", "#version: 0.2\na b\n\nb c\n")
+        with pytest.raises(UnknownMergeSymbol) as info:
+            load_tokenizer(vocab, merges, marker="none")
+        assert str(info.value) == (
+            f"{merges}:4: merge 'b' + 'c' references symbols missing from "
+            f"the vocabulary")
+
+    def test_build_names_no_line(self):
+        with pytest.raises(UnknownMergeSymbol) as info:
+            TokenizerModel.build(vocab_of("abc"), [("a", "b"), ("b", "c")], NONE)
+        assert str(info.value) == (
+            "merge 'a' + 'b' references symbols missing from the vocabulary")
 
     def test_comment_and_blank_lines_ignored(self, write_json, write_text):
         vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2})
@@ -277,3 +295,184 @@ class TestPartition:
         part = partition(vocab_of("abc"), vocab_of("bcd"), NONE, NONE)
         from vocabforge import TokenPartition
         assert TokenPartition.from_dict(part.to_dict()) == part
+
+
+# --- the merges loader against the line-by-line loader -----------------
+
+
+def reference_load_tokenizer(vocab_path, merges_path, marker="meta-space",
+                             byte_level=False, unk_token=None):
+    """The line-by-line loader: each line checked as it is read, then every
+    merge checked and ranked one at a time. Returns the vocab, the merges,
+    the rank table and the unknown id; errors as load_tokenizer's."""
+    vocab = load_vocab(vocab_path)
+    merges = []
+    try:
+        with open(merges_path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                line = line.rstrip("\n")
+                if not line.strip() or line.startswith("#"):
+                    continue
+                parts = line.split(" ")
+                if len(parts) != 2:
+                    raise UnknownMergeSymbol(
+                        f"{merges_path}:{lineno}: expected two space-separated "
+                        f"symbols, got {line!r}"
+                    )
+                merges.append((lineno, parts[0], parts[1]))
+    except UnicodeDecodeError as exc:
+        raise UnknownMergeSymbol(f"{merges_path}: not UTF-8 text: {exc}") from None
+    unk_id = None
+    if unk_token is not None:
+        if unk_token not in vocab:
+            raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
+        unk_id = vocab.token_to_id[unk_token]
+    ranks = {}
+    known = vocab.token_to_id
+    for lineno, a, b in merges:
+        if a not in known or b not in known or a + b not in known:
+            raise UnknownMergeSymbol(
+                f"{merges_path}:{lineno}: merge {a!r} + {b!r} references "
+                f"symbols missing from the vocabulary"
+            )
+        ranks.setdefault((a, b), len(ranks))
+    return vocab, tuple(ranks), ranks, unk_id
+
+
+def outcome(load, *args):
+    try:
+        return load(*args)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+LOADER_TOKENS = ["<unk>", "a", "b", "c", "ab", "bc", "abc", "▁", "▁a", "▁ab",
+                 "a\t", "a\tb"]
+MERGE_LINES = {
+    "valid": ["a b", "ab c", "a bc", "▁ a", "▁a b", "a\t b"],
+    "skipped": ["", " ", "\t", " \t ", "#version: 0.2", "# a  b", "#"],
+    # an empty symbol is in the vocab only when "" is
+    "unknown": ["a z", "z b", " b", "a ", "c a", "b a", "bc a"],
+    "malformed": ["a  b", "a b ", "ab", "a\tb", "a b c", " a b"],
+}
+
+
+@st.composite
+def merges_files(draw):
+    """Merges file bytes: valid and skipped lines with up to two unknown,
+    malformed or undecodable lines among them, each line ended by \n,
+    \r\n or \r, the last one maybe by nothing."""
+    lines = draw(st.lists(st.sampled_from(
+        MERGE_LINES["valid"] + MERGE_LINES["skipped"]), max_size=10))
+    for kind in draw(st.lists(st.sampled_from(
+            ["unknown", "unknown", "malformed", "undecodable"]), max_size=2)):
+        bad = "a \udcff" if kind == "undecodable" else draw(
+            st.sampled_from(MERGE_LINES[kind]))
+        lines.insert(draw(st.integers(0, len(lines))), bad)
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text.encode("utf-8", "surrogateescape")  # "\udcff" is byte FF
+
+
+@pytest.fixture(scope="module")
+def loader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("loader")
+
+
+class TestLoaderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(merges=merges_files(), empty_symbol=st.booleans(),
+           unk_token=st.sampled_from([None, "<unk>", "<unk>", "<missing>"]),
+           pieces=st.lists(st.text(alphabet="abcz▁\t", max_size=6),
+                           max_size=4))
+    @example(merges=b"a  b\nz b\n", empty_symbol=False, unk_token="<missing>",
+             pieces=[])
+    @example(merges=b"z b\n", empty_symbol=False, unk_token="<missing>",
+             pieces=[])
+    @example(merges=b"a b\r\n\r\n a\r\nab c", empty_symbol=True,
+             unk_token="<unk>", pieces=["abc", "zab"])
+    def test_same_model_or_same_error(self, loader_dir, merges, empty_symbol,
+                                      unk_token, pieces):
+        tokens = LOADER_TOKENS + [""] * empty_symbol
+        vocab_path = loader_dir / "vocab.json"
+        vocab_path.write_text(json.dumps({t: i for i, t in enumerate(tokens)}),
+                              encoding="utf-8")
+        merges_path = loader_dir / "merges.txt"
+        merges_path.write_bytes(merges)
+        args = (str(vocab_path), str(merges_path), "none", False, unk_token)
+        got = outcome(load_tokenizer, *args)
+        want = outcome(reference_load_tokenizer, *args)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        vocab, merges_, ranks, unk_id = want
+        assert isinstance(got, TokenizerModel)
+        assert (got.vocab, got.unk_id) == (vocab, unk_id)
+        assert got.merges == merges_
+        assert list(got._ranks.items()) == list(ranks.items())
+        for piece in pieces:
+            ids = [vocab.token_to_id.get(s, unk_id)
+                   for s in reference_merges(ranks, list(piece))]
+            if None in ids:
+                with pytest.raises(UnencodableInput):
+                    got.encode_piece(piece)
+            else:
+                assert got.encode_piece(piece) == ids
+
+    @pytest.mark.parametrize("bad_line", [b"a  b\n", b""],
+                             ids=["malformed-line-first", "undecodable-only"])
+    def test_undecodable_text_past_the_first_read_chunk(self, loader_dir,
+                                                         bad_line):
+        # a line-by-line reader decodes the file in chunks: a malformed line
+        # in an earlier chunk is reported before the undecodable bytes, and
+        # the decoder's message counts positions from its chunk
+        vocab_path = loader_dir / "chunk_vocab.json"
+        vocab_path.write_text(json.dumps({"a": 0, "b": 1, "ab": 2}),
+                              encoding="utf-8")
+        merges_path = loader_dir / "chunk_merges.txt"
+        merges_path.write_bytes(b"a b\n" + bad_line + b"a b\n" * 5000
+                                + b"\xff b\n")
+        args = (str(vocab_path), str(merges_path), "none")
+        want = outcome(reference_load_tokenizer, *args)
+        assert want[0] is UnknownMergeSymbol
+        assert outcome(load_tokenizer, *args) == want
+
+
+class TestRankTableOnFirstUse:
+    def test_loaded_model_builds_at_first_encode(self, write_json, write_text):
+        vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2, "c": 3,
+                                          "abc": 4})
+        merges = write_text("merges.txt", "a b\nab c\na b\n")
+        model = load_tokenizer(vocab, merges, marker="none")
+        assert "_ranks" not in vars(model) and "merges" not in vars(model)
+        twin = load_tokenizer(vocab, merges, marker="none")
+        assert model == twin  # == reads the merges
+        assert "_ranks" in vars(model) and "_ranks" in vars(twin)
+        fresh = load_tokenizer(vocab, merges, marker="none")
+        assert fresh.encode_piece("abcab") == [4, 2]
+        assert vars(fresh)["_ranks"] == {("a", "b"): 0, ("ab", "c"): 1}
+        # after the build the table is a plain attribute, read as it is
+        assert fresh._ranks is vars(fresh)["_ranks"]
+        assert fresh.encode_piece("abcab") == [4, 2]
+        assert fresh.merges == (("a", "b"), ("ab", "c"))
+        assert fresh == model
+
+    def test_built_model_builds_at_first_encode(self):
+        model = char_tokenizer(merges=[("a", "b"), ("ab", "c")], alphabet="abc")
+        assert "_ranks" not in vars(model)
+        before = model.merges
+        assert "_ranks" in vars(model)
+        assert before == (("a", "b"), ("ab", "c"))
+        assert model.encode_piece("abc") == [model.vocab.token_to_id["abc"]]
+        assert model == char_tokenizer(merges=[("a", "b"), ("ab", "c")],
+                                       alphabet="abc")
+        assert model != char_tokenizer(merges=[("ab", "c"), ("a", "b")],
+                                       alphabet="abc")
+
+    def test_a_model_that_never_encodes_builds_none(self):
+        source = char_tokenizer(merges=[("a", "b")], marker=META)
+        target = char_tokenizer(merges=[("b", "c")], marker=BYTE)
+        partition(source.vocab, target.vocab, source.marker, target.marker)
+        assert "_ranks" not in vars(source) and "_ranks" not in vars(target)
