@@ -1,17 +1,16 @@
 """Affine alignment between embedding spaces.
 
 Trains the map phi(x) = W x + b from helper space R^m to source space
-R^n over intersection token pairs, with two interchangeable fitters:
+R^n over intersection token pairs by Adam on the MSE objective:
+train_map (`adapt --method sava`) and fit_map (`fit-map`) read the pairs
+by id from the float32 matrices, fit_gradient takes them as arrays.
+fit_map and fit_gradient report against the oracle, the least-squares
+map with a fixed ridge (_RIDGE_LAMBDA); fit_closed_form returns it.
 
-* fit_gradient  -- Adam on the MSE objective (the production path);
-  fit_map and train_map run it by id on the float32 matrices
-* fit_closed_form -- ridge-regularized normal equations (the oracle)
-
-All run one engine over the same representation: inputs are
-standard-scaled then normalized by the mean L2 norm of the scaled
-training inputs; targets are standard-scaled only. Applying a trained
-map inverts the output scaling so results land back in the source
-distribution.
+Every fit uses one representation: inputs are standard-scaled then
+divided by the mean L2 norm of the scaled training inputs; targets are
+standard-scaled only. Applying a trained map inverts the output scaling
+so results land back in the source distribution.
 """
 
 from __future__ import annotations
@@ -24,13 +23,7 @@ import numpy as np
 
 from . import embeddings
 from .embeddings import EmbeddingMatrix, read_record, write_record
-from .errors import (
-    DimensionMismatch,
-    EmptyIntersection,
-    MalformedMap,
-    NonFiniteLoss,
-    SingularSystem,
-)
+from .errors import DimensionMismatch, EmptyIntersection, MalformedMap, NonFiniteLoss
 from .tokenizer import TokenPartition, load_json
 
 # Bytes of one row block of the Adam state: each update finishes its
@@ -124,7 +117,6 @@ class AffineMap:
     input_scaler: Scaler
     output_scaler: Scaler
     input_norm: float = 1.0
-    l2_normalize_inputs: bool = True
 
     @property
     def in_dim(self) -> int:
@@ -141,8 +133,6 @@ class AffineMap:
             np.zeros(dim),
             Scaler.identity(dim),
             Scaler.identity(dim),
-            input_norm=1.0,
-            l2_normalize_inputs=False,
         )
 
     def apply(self, x: np.ndarray) -> np.ndarray:
@@ -156,8 +146,7 @@ class AffineMap:
         # forward's subtraction of the float64 mean promotes float32 rows
         # exactly, so they need no float64 copy of their own.
         xs = self.input_scaler.forward(x)
-        if self.l2_normalize_inputs:
-            xs /= self.input_norm
+        xs /= self.input_norm  # 1.0 for identity: the division is exact
         pred = xs @ self.weight.T
         pred += self.bias
         pred *= self.output_scaler.std
@@ -257,22 +246,20 @@ class _Pairs:
     subset by the same elementwise operations, so the values agree.
     """
 
-    def __init__(self, x, y, x_ids=None, y_ids=None, l2_normalize: bool = True):
+    def __init__(self, x, y, x_ids=None, y_ids=None):
         self.x, self.x_ids, self.y, self.y_ids = x, x_ids, y, y_ids
         self.count = len(x) if x_ids is None else len(x_ids)
         if self.count < 2:
             raise DimensionMismatch("fitting requires at least 2 pairs")
         self.in_scaler = Scaler.fit_rows(x, x_ids)
         self.out_scaler = Scaler.fit_rows(y, y_ids)
-        self.nu = 1.0
-        if l2_normalize:
-            # one vector of norms: np.mean sums them in one order
-            norms = np.empty(self.count)
-            for lo, block in _blocks(x, x_ids):
-                norms[lo:lo + len(block)] = np.linalg.norm(
-                    self.in_scaler.forward(block), axis=1)
-            nu = float(np.mean(norms))
-            self.nu = nu if nu > 0 else 1.0
+        # one vector of norms: np.mean sums them in one order
+        norms = np.empty(self.count)
+        for lo, block in _blocks(x, x_ids):
+            norms[lo:lo + len(block)] = np.linalg.norm(
+                self.in_scaler.forward(block), axis=1)
+        nu = float(np.mean(norms))
+        self.nu = nu if nu > 0 else 1.0
 
     def rows(self, sel, x_out: np.ndarray, y_out: np.ndarray):
         """Write the scaled x and y rows of the pairs sel (an index array
@@ -284,11 +271,11 @@ class _Pairs:
         return xs, self.out_scaler.forward(y, y_out[:len(y)])
 
 
-def _array_pairs(x, y, l2_normalize: bool = True) -> _Pairs:
+def _array_pairs(x, y) -> _Pairs:
     x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
     if x.ndim != 2 or y.ndim != 2 or x.shape[0] != y.shape[0]:
         raise DimensionMismatch(f"inconsistent pair shapes {x.shape} vs {y.shape}")
-    return _Pairs(x, y, l2_normalize=l2_normalize)
+    return _Pairs(x, y)
 
 
 # A diverging fit overflows; the epoch check reports it as one
@@ -393,14 +380,11 @@ def _normal_equations(pairs: _Pairs):
     return gram, rhs, yy
 
 
-def _ridge(gram: np.ndarray, rhs: np.ndarray, ridge_lambda: float) -> np.ndarray:
-    """Θ (m+1 × n) that solves (G + λI)Θ = C; G is left as it was."""
-    m = len(gram) - 1
-    if ridge_lambda > 0:
-        gram = gram.copy()
-        gram.flat[::m + 2] += ridge_lambda  # the diagonal
-    elif np.linalg.matrix_rank(gram) < m + 1:
-        raise SingularSystem("design matrix is rank-deficient; use ridge_lambda > 0")
+def _ridge(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Θ (m+1 × n) that solves (G + λI)Θ = C, λ = _RIDGE_LAMBDA; G is left
+    as it was."""
+    gram = gram.copy()
+    gram.flat[::len(gram) + 1] += _RIDGE_LAMBDA  # the diagonal
     return np.linalg.solve(gram, rhs)
 
 
@@ -442,7 +426,7 @@ def _fit(
         raise NonFiniteLoss("training diverged to a non-finite loss")
     oracle_mse = gap = None
     if compare_oracle:
-        oracle = _ridge(gram, rhs, _RIDGE_LAMBDA)
+        oracle = _ridge(gram, rhs)
         # (G + λI)Θ = C, so GΘ = C − λΘ: the oracle's forms need no product
         forms = (np.einsum("ij,ij->j", oracle, rhs)
                  - _RIDGE_LAMBDA * np.einsum("ij,ij->j", oracle, oracle))
@@ -508,18 +492,14 @@ def train_map(
     return _fit(_Pairs(helper.data, source.data, *ids), cfg)[0]
 
 
-def fit_closed_form(
-    x: np.ndarray,
-    y: np.ndarray,
-    ridge_lambda: float = _RIDGE_LAMBDA,
-    l2_normalize: bool = True,
-) -> AffineMap:
-    """Exact MSE minimizer (up to ridge_lambda) on the same representation."""
-    pairs = _array_pairs(x, y, l2_normalize)
+def fit_closed_form(x: np.ndarray, y: np.ndarray) -> AffineMap:
+    """The oracle: the exact MSE minimizer, up to the fixed ridge, on the
+    same representation."""
+    pairs = _array_pairs(x, y)
     gram, rhs, _ = _normal_equations(pairs)
-    theta = _ridge(gram, rhs, ridge_lambda)
+    theta = _ridge(gram, rhs)
     return AffineMap(theta[:-1].T, theta[-1], pairs.in_scaler, pairs.out_scaler,
-                     pairs.nu, l2_normalize)
+                     pairs.nu)
 
 
 # --- serialization -----------------------------------------------------
@@ -561,7 +541,8 @@ def save_map(phi: AffineMap, path: str) -> None:
         "in_dim": phi.in_dim,
         "out_dim": phi.out_dim,
         "input_norm": phi.input_norm,
-        "l2_normalize_inputs": phi.l2_normalize_inputs,
+        # every map divides by input_norm; perfbench/check.py reads this key
+        "l2_normalize_inputs": True,
         "input_zero_variance_dims": np.flatnonzero(
             phi.input_scaler.zero_variance_dims
         ).tolist(),
@@ -582,7 +563,8 @@ def save_map(phi: AffineMap, path: str) -> None:
 def load_map(path: str) -> AffineMap:
     """Read a map that save_map wrote. A sidecar key or value, or a record
     shape, that does not fit one raises MalformedMap; read_record and
-    EmbeddingMatrix check each record's bytes and values."""
+    EmbeddingMatrix check each record's bytes and values. A sidecar with
+    "l2_normalize_inputs": false reads as input_norm 1.0."""
     side = path + ".json"
     meta = load_json(side, MalformedMap)
     if not isinstance(meta, dict) or meta.keys() != _SIDECAR.keys():
@@ -612,6 +594,5 @@ def load_map(path: str) -> AffineMap:
         records["bias"][0],
         scaler("input_mean", "input_std", m, "input_zero_variance_dims"),
         scaler("output_mean", "output_std", n, "output_zero_variance_dims"),
-        meta["input_norm"],
-        meta["l2_normalize_inputs"],
+        meta["input_norm"] if meta["l2_normalize_inputs"] else 1.0,
     )

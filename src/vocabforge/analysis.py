@@ -22,6 +22,10 @@ from .errors import (
 )
 from .tokenizer import MarkerConvention, TokenizerModel, Vocabulary
 
+# relative_similarity's projections onto the anchors; the CLI's
+# --projection takes its choices from here.
+PROJECTIONS = ("cosine", "dot")
+
 
 @dataclass(frozen=True)
 class FertilityReport:
@@ -33,18 +37,6 @@ class FertilityReport:
     token_count: int
     fertility: float
     per_document: tuple[float, ...] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "corpus_label": self.corpus_label,
-            "tokenizer_label": self.tokenizer_label,
-            "word_count": self.word_count,
-            "token_count": self.token_count,
-            "fertility": self.fertility,
-        }
-        if self.per_document is not None:
-            out["per_document"] = list(self.per_document)
-        return out
 
 
 def iter_corpus(path: str):
@@ -196,8 +188,10 @@ def relative_similarity(
     embeddings.CACHE_BUDGET bytes. Both sides' anchors are checked before
     any token; then, block by block, zero-norm token rows (left side, then right side) and
     zero-norm relative representations raise ZeroNormRow naming the first
-    offending id.
+    offending id. A projection not in PROJECTIONS raises ValueError.
     """
+    if projection not in PROJECTIONS:
+        raise ValueError(f"unknown projection {projection!r}")
     if emb_a.rows != emb_b.rows:
         raise DimensionMismatch(
             f"matrices index different vocabularies "

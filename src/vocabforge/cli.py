@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
 from . import alignment, analysis, embeddings, heuristics
-from .errors import PartitionInconsistent, VocabForgeError
+from .errors import DimensionMismatch, PartitionInconsistent, VocabForgeError
 from .tokenizer import (
     MARKERS,
     MarkerConvention,
@@ -63,13 +63,20 @@ def _write(text: str, dest: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _fields(obj):
+    """json.dumps' hook: an ndarray as its list, a dataclass as a dict of
+    its fields (the values themselves, not copies)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _emit(args, payload: dict, dest: str | None) -> None:
     """Write the JSON report to the file `dest`, or to stdout if None."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
-    report = {"schema_version": SCHEMA_VERSION, "config": config}
-    report.update(payload)
-    _write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-           dest)
+    report = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
+    _write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False,
+                      default=_fields) + "\n", dest)
 
 
 # --- subcommands -------------------------------------------------------
@@ -88,9 +95,7 @@ def cmd_intersect(args) -> int:
         "raw" if src_marker.kind == tgt_marker.kind or not src_marker.marker
         or not tgt_marker.marker else "marker-canonicalized"
     )
-    payload = {"canonicalization_mode": mode}
-    payload.update(part.to_dict())
-    _emit(args, payload, args.out)
+    _emit(args, {"canonicalization_mode": mode, **part.to_dict()}, args.out)
     return 0
 
 
@@ -99,9 +104,8 @@ def cmd_stats(args) -> int:
     matrix = embeddings.load_matrix(args.matrix)
     st = embeddings.stats(matrix)
     if args.json:
-        payload = {"rows": matrix.rows, "dim": matrix.dim}
-        payload.update(st.to_dict())
-        _emit(args, payload, args.out)
+        _emit(args, {"rows": matrix.rows, "dim": matrix.dim, **_fields(st)},
+              args.out)
     else:
         text = (
             f"matrix: {matrix.rows} x {matrix.dim}\n"
@@ -193,7 +197,7 @@ def cmd_fit_map(args) -> int:
         helper, source, part, _train_config(args), limit=args.limit
     )
     alignment.save_map(phi, args.out)
-    _emit(args, {"fit": asdict(fit_report)}, None)
+    _emit(args, {"fit": fit_report}, None)
     return 0
 
 
@@ -213,9 +217,9 @@ def cmd_fertility(args) -> int:
         if not report.per_document:
             raise UsageError("--hist-out requires a non-empty corpus")
         _write(analysis.histogram_csv(report.per_document), args.hist_out)
-    payload = report.to_dict()
+    payload = _fields(report)
     if not args.per_doc:
-        payload.pop("per_document", None)
+        del payload["per_document"]
     _emit(args, {"fertility": payload}, args.out)
     return 0
 
@@ -227,6 +231,11 @@ def cmd_similarity(args) -> int:
     emb_a = embeddings.load_matrix(args.emb_a)
     emb_b = embeddings.load_matrix(args.emb_b)
     vocab = load_vocab(args.vocab)
+    if vocab.size != emb_a.rows:
+        raise DimensionMismatch(
+            f"the vocabulary has {vocab.size} tokens but the matrices have "
+            f"{emb_a.rows} rows; they must index the same tokens"
+        )
     marker = MarkerConvention.from_name(args.marker)
     anchors = analysis.select_anchors(
         vocab, marker, n_prefix=args.n_prefix, n_nonprefix=args.n_nonprefix,
@@ -242,7 +251,7 @@ def cmd_similarity(args) -> int:
         emb_a, emb_b, anchors, token_sample=sample, seed=args.seed,
         projection=args.projection,
     )
-    _emit(args, {"similarity": asdict(score)}, args.out)
+    _emit(args, {"similarity": score}, args.out)
     return 0
 
 
@@ -251,7 +260,7 @@ def cmd_params(args) -> int:
     report = analysis.param_report(
         args.before, args.after, args.dim, args.tied, args.base
     )
-    _emit(args, {"params": asdict(report)}, args.out)
+    _emit(args, {"params": report}, args.out)
     return 0
 
 
@@ -359,7 +368,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--n-nonprefix", type=int, default=128)
     s.add_argument("--sample", type=int,
                    help="score a seeded random token subset instead of all rows")
-    s.add_argument("--projection", choices=("cosine", "dot"), default="cosine")
+    s.add_argument("--projection", choices=analysis.PROJECTIONS, default="cosine")
     s.add_argument("--marker", choices=MARKERS, default="meta-space")
     s.add_argument("--seed", type=int, default=0)
     _add_common(s)

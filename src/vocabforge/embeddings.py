@@ -88,14 +88,6 @@ class EmbeddingStats:
     scalar_mean: float
     scalar_variance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "variance": self.variance.tolist(),
-            "scalar_mean": self.scalar_mean,
-            "scalar_variance": self.scalar_variance,
-        }
-
 
 def write_record(fh, data: np.ndarray) -> None:
     """Write one EMB1 record (header + payload) of a 2-D array.

@@ -78,10 +78,6 @@ class NonFiniteLoss(VocabForgeError):
     """Gradient training diverged."""
 
 
-class SingularSystem(VocabForgeError):
-    """Unregularized normal equations are rank-deficient."""
-
-
 class MalformedMap(VocabForgeError):
     """A saved map's sidecar or records do not describe an affine map."""
 

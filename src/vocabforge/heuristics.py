@@ -54,6 +54,9 @@ class HeuristicConfig:
             value = getattr(self, name)
             if value not in allowed:
                 raise ValueError(f"unknown {name} {value!r}")
+        if self.clp_top_k < 0:
+            raise ValueError(
+                f"clp_top_k must be >= 0 (0 = dense), got {self.clp_top_k}")
 
 
 @dataclass

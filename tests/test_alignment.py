@@ -29,7 +29,6 @@ from vocabforge.errors import (
     NonFiniteLoss,
     NonFiniteValue,
     PartitionInconsistent,
-    SingularSystem,
     SizeMismatch,
 )
 
@@ -268,9 +267,8 @@ def seed_adam_fit(x, y, cfg):
             w -= lr * (mw / c1) / (np.sqrt(vw / c2) + 1e-8)
             b -= lr * (mb / c1) / (np.sqrt(vb / c2) + 1e-8)
     final = float(np.mean((xs @ w.T + b - ys) ** 2))
-    phi = AffineMap(w, b, in_scaler, out_scaler, nu, True)
-    oracle = fit_closed_form(x, y, 1e-6,
-                             l2_normalize=True)
+    phi = AffineMap(w, b, in_scaler, out_scaler, nu)
+    oracle = fit_closed_form(x, y)
     oracle_mse = float(np.mean((xs @ oracle.weight.T + oracle.bias - ys) ** 2))
     want = oracle.apply(x)
     gap = float(np.linalg.norm(phi.apply(x) - want)
@@ -583,16 +581,17 @@ class TestFitClosedForm:
         x = rng.normal(size=(10, 4))
         x[:, 3] = x[:, 2]  # duplicate column after scaling
         y = rng.normal(size=(10, 2))
-        with pytest.raises(SingularSystem):
-            fit_closed_form(x, y, ridge_lambda=0.0)
-        fit_closed_form(x, y, ridge_lambda=1e-6)  # ridge restores solvability
+        phi = fit_closed_form(x, y)  # the fixed ridge keeps it solvable
+        assert np.isfinite(phi.weight).all() and np.isfinite(phi.bias).all()
 
-    def test_matches_numpy_lstsq_without_normalization(self):
+    def test_matches_numpy_lstsq_on_normalized_inputs(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(80, 5))
         y = x @ rng.normal(size=(5, 3)) + rng.normal(size=(80, 3)) * 0.2
-        phi = fit_closed_form(x, y, l2_normalize=False)
+        phi = fit_closed_form(x, y)
         xs = Scaler.fit(x).forward(x)
+        xs /= np.mean(np.linalg.norm(xs, axis=1))
+        assert phi.input_norm != 1.0
         ys = Scaler.fit(y).forward(y)
         design = np.hstack([xs, np.ones((80, 1))])
         theta, *_ = np.linalg.lstsq(design, ys, rcond=None)
@@ -610,7 +609,7 @@ class TestAffineMap:
         w = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
         b = np.array([0.25, -0.5, 1.0])
         phi = AffineMap(w, b, Scaler.identity(2), Scaler.identity(3),
-                        input_norm=1.0, l2_normalize_inputs=False)
+                        input_norm=1.0)
         x = np.array([2.0, -3.0])
         np.testing.assert_allclose(phi.apply(x), w @ x + b, atol=1e-12)
 
@@ -642,7 +641,7 @@ class TestAffineMap:
         save_map(phi, path)
         back = load_map(path)
         assert (back.in_dim, back.out_dim) == (4, 7)
-        assert back.l2_normalize_inputs == phi.l2_normalize_inputs
+        assert back.input_norm == phi.input_norm
         # storage is float32, so compare predictions at float32 precision
         np.testing.assert_allclose(back.apply(x), phi.apply(x),
                                    rtol=1e-4, atol=1e-4)
@@ -709,6 +708,20 @@ class TestLoadMapChecks:
         Path(path + ".json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(MalformedMap, match=repr(key)):
             load_map(path)
+
+    def test_unnormalized_sidecar_reads_as_unit_norm(self, tmp_path):
+        # save_map always writes true; a false sidecar means no division
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 3))
+        path = self.saved(tmp_path, fit_closed_form(x, x[:, ::-1] * 2.0))
+        meta = json.loads(Path(path + ".json").read_text(encoding="utf-8"))
+        assert meta["l2_normalize_inputs"] is True and meta["input_norm"] != 1.0
+        normalized = load_map(path)
+        meta["l2_normalize_inputs"] = False
+        Path(path + ".json").write_text(json.dumps(meta), encoding="utf-8")
+        back = load_map(path)
+        assert back.input_norm == 1.0
+        np.testing.assert_array_equal(back.weight, normalized.weight)
 
     @pytest.mark.parametrize("change", ["missing", "extra"])
     def test_sidecar_keys(self, tmp_path, change):

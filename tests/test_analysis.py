@@ -359,6 +359,10 @@ class TestBlockedSimilarity:
             tracemalloc.stop()
         assert peak - whole_call <= embeddings.CACHE_BUDGET
 
+    def test_unknown_projection_rejected(self):
+        with pytest.raises(ValueError, match="unknown projection 'cos'"):
+            relative_similarity(*self.zeroed(), self.anchors, projection="cos")
+
     def test_zero_relative_representation_rejected(self):
         with pytest.raises(ZeroNormRow,
                            match="^token id 5 has a zero-norm relative"):

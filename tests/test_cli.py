@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vocabforge import heuristics
+from vocabforge import analysis, heuristics
 from vocabforge.cli import build_parser, main
 from vocabforge.tokenizer import MARKERS
 
@@ -528,6 +528,20 @@ class TestAdapt:
         assert err == "--batch must be at least 0, got -5\n"
         assert not os.path.exists(out)
 
+    def test_negative_clp_top_k_is_usage_error(self, capsys, world):
+        # HeuristicConfig's check comes before any file is read: the source
+        # is missing
+        out = world["tmp"] + "/adapted.emb1"
+        argv = self.adapt_args(world, out, world["tmp"] + "/report.json",
+                               "--clp-top-k", "-3")
+        argv[argv.index("--method") + 1] = "clp"
+        argv[argv.index("--source-emb") + 1] = world["tmp"] + "/missing.emb1"
+        code, stdout, err = run(capsys, *argv, "--helper-emb",
+                                world["helper_emb"])
+        assert (code, stdout) == (1, "")
+        assert err == "error: clp_top_k must be >= 0 (0 = dense), got -3\n"
+        assert not os.path.exists(out)
+
     # every check runs before any file is read or written
     @pytest.mark.parametrize("extra, message", [
         (["--helper-head-emb", "h.emb1", "--out-head", "o.emb1"],
@@ -665,6 +679,95 @@ class TestAdapt:
         assert written == Path(paths["lib.emb1"]).read_bytes()
         assert load_matrix(paths["out.emb1"]).data[0].tobytes() == \
             source.data[0].tobytes()
+
+
+class TestReportShapes:
+    """Each report's exact keys; arrays come out as JSON lists."""
+
+    def test_report_keys(self, capsys, world, tmp_path):
+        tmp = world["tmp"]
+        top = {"schema_version", "config"}
+
+        def report(*argv, path=None):
+            code, out, err = run(capsys, *argv)
+            assert code == 0, err
+            doc = json.loads(Path(path).read_text("utf-8") if path else out)
+            assert doc["schema_version"] == "1"
+            assert isinstance(doc["config"], dict)
+            return doc
+
+        def floats(value, length):
+            assert isinstance(value, list) and len(value) == length
+            assert all(type(v) is float for v in value)
+
+        part = tmp + "/part.json"
+        doc = report("intersect", "--source-vocab", world["source_vocab"],
+                     "--target-vocab", world["target_vocab"], "--source-marker",
+                     "none", "--target-marker", "none", "--out", part,
+                     path=part)
+        assert doc.keys() == top | {"canonicalization_mode", "shared_count",
+                                    "novel_count", "shared", "novel", "warnings"}
+
+        doc = report("stats", "--matrix", world["source_emb"], "--json")
+        assert doc.keys() == top | {"rows", "dim", "mean", "variance",
+                                    "scalar_mean", "scalar_variance"}
+        floats(doc["mean"], 4)
+        floats(doc["variance"], 4)
+        assert type(doc["scalar_mean"]) is float
+
+        doc = report("fit-map", "--helper-emb", world["helper_emb"],
+                     "--source-emb", world["source_emb"], "--partition", part,
+                     "--out", tmp + "/map.bin", "--steps", "2")
+        assert doc.keys() == top | {"fit"}
+        assert doc["fit"].keys() == {"initial_mse", "final_mse", "pair_count",
+                                     "oracle_mse", "frobenius_gap_to_oracle"}
+
+        doc = report("similarity", "--emb-a", world["source_emb"],
+                     "--emb-b", world["helper_emb"], "--vocab",
+                     world["source_vocab"], "--marker", "none",
+                     "--n-prefix", "0", "--n-nonprefix", "3")
+        assert doc.keys() == top | {"similarity"}
+        assert doc["similarity"].keys() == {"score", "anchor_count",
+                                            "anchor_ids", "seed"}
+        assert [type(a) for a in doc["similarity"]["anchor_ids"]] == [int] * 3
+
+        doc = report("params", "--before", "10", "--after", "8", "--dim", "4",
+                     "--base", "100")
+        assert doc.keys() == top | {"params"}
+        assert doc["params"].keys() == {
+            "vocab_before", "vocab_after", "dim", "tied",
+            "non_embedding_params", "total_before", "total_after", "delta"}
+
+        adaptation = {"copied_count", "initialized_count", "fallback_count",
+                      "method", "timing_seconds"}
+        for extra, keys in (([], adaptation),
+                            (["--verbose-report"], adaptation | {"per_token"})):
+            path = tmp + "/adapt.json"
+            doc = report(*TestAdapt().adapt_args(
+                world, tmp + "/adapted.emb1", path, *extra), path=path)
+            assert doc.keys() == top | {"adaptation"}
+            assert doc["adaptation"].keys() == keys
+            assert doc["adaptation"]["method"].keys() == {
+                "method", "seed", "clp_top_k", "clp_negative_policy",
+                "random_moments", "fallback"}
+        assert doc["adaptation"]["per_token"][-1] == [7, "heuristic"]
+
+        vocab = tmp_path / "fvocab.json"
+        vocab.write_text(json.dumps({"a": 0, "b": 1}), encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b ab\nba\n", encoding="utf-8")
+        fertility = {"corpus_label", "tokenizer_label", "word_count",
+                     "token_count", "fertility"}
+        for extra, keys in (
+                ([], fertility),
+                (["--hist-out", tmp + "/hist.csv"], fertility),
+                (["--per-doc"], fertility | {"per_document"})):
+            doc = report("fertility", "--vocab", str(vocab), "--merges",
+                         world["merges"], "--corpus", str(corpus),
+                         "--marker", "none", *extra)
+            assert doc.keys() == top | {"fertility"}
+            assert doc["fertility"].keys() == keys
+        floats(doc["fertility"]["per_document"], 2)
 
 
 class TestAtomicOutputs:
@@ -967,13 +1070,15 @@ class TestFlagSurface:
             assert tuple(actions[name].choices) == allowed
             if name != "method":  # --method has no default
                 assert actions[name].default == getattr(default, name)
-        for command, dests in [("intersect", ("source_marker", "target_marker")),
-                               ("adapt", ("source_marker", "target_marker")),
-                               ("fertility", ("marker",)),
-                               ("similarity", ("marker",))]:
+        for command, dests, allowed in [
+                ("intersect", ("source_marker", "target_marker"), MARKERS),
+                ("adapt", ("source_marker", "target_marker"), MARKERS),
+                ("fertility", ("marker",), MARKERS),
+                ("similarity", ("marker",), MARKERS),
+                ("similarity", ("projection",), analysis.PROJECTIONS)]:
             actions = {a.dest: a for a in subs[command]._actions}
             for dest in dests:
-                assert tuple(actions[dest].choices) == tuple(MARKERS)
+                assert tuple(actions[dest].choices) == tuple(allowed)
 
     @pytest.mark.parametrize("flag, value, field", [
         ("--fallback", "zero", "fallback"),

@@ -769,6 +769,12 @@ class TestHeuristicConfig:
         with pytest.raises(ValueError):
             HeuristicConfig(fallback="wat")
 
+    def test_rejects_negative_clp_top_k(self):
+        with pytest.raises(ValueError,
+                           match=r"clp_top_k must be >= 0 \(0 = dense\), got -3"):
+            HeuristicConfig(method="clp", clp_top_k=-3)
+        assert HeuristicConfig(method="clp", clp_top_k=0).clp_top_k == 0
+
     def test_roundtrips_to_dict(self):
         cfg = HeuristicConfig(method="clp", seed=3, clp_top_k=5)
         assert HeuristicConfig(**asdict(cfg)) == cfg

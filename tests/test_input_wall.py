@@ -146,6 +146,19 @@ def test_corrupt_matrix_header(files, pos, flip):
     check_outcome(*run_cli("stats", "--matrix", path, "--json"))
 
 
+def test_similarity_vocab_larger_than_matrices(files):
+    # anchors drawn from a 40-token vocabulary would index past 8 rows
+    vocab = files["root"] / "vocab40.json"
+    tokens = [f"▁w{i}" for i in range(20)] + [f"w{i}" for i in range(20)]
+    vocab.write_text(json.dumps({t: i for i, t in enumerate(tokens)}),
+                     encoding="utf-8")
+    assert run_cli(
+        "similarity", "--emb-a", files["helper"], "--emb-b", files["helper"],
+        "--vocab", vocab, "--n-prefix", "4", "--n-nonprefix", "4",
+    ) == (1, "", "error: the vocabulary has 40 tokens but the matrices have "
+                 "8 rows; they must index the same tokens\n")
+
+
 # --- partition JSON through fit-map -------------------------------------
 
 
