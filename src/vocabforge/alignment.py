@@ -9,8 +9,10 @@ map with a fixed ridge (_RIDGE_LAMBDA); fit_closed_form returns it.
 
 Every fit uses one representation: inputs are standard-scaled then
 divided by the mean L2 norm of the scaled training inputs; targets are
-standard-scaled only. Applying a trained map inverts the output scaling
-so results land back in the source distribution.
+standard-scaled only. Scaler.fit takes the means and standard deviations
+from embeddings.column_moments, reading the pairs' rows by id. Applying
+a trained map inverts the output scaling so results land back in the
+source distribution.
 """
 
 from __future__ import annotations
@@ -51,28 +53,12 @@ class Scaler:
     zero_variance_dims: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
     @classmethod
-    def fit(cls, data: np.ndarray) -> "Scaler":
-        mean = data.mean(axis=0)
-        std = data.std(axis=0)
-        zero = std == 0.0
-        return cls(mean, np.where(zero, 1.0, std), zero)
-
-    @classmethod
-    def fit_rows(cls, data: np.ndarray, ids: np.ndarray | None = None) -> "Scaler":
-        """fit(data[ids] as float64) bit for bit, read in row blocks by id
-        (without ids, fit(data) from views of its row blocks).
-
-        Two passes, as np.mean and np.std make: the column sums, then the
-        sums of squared deviations from the mean.
-        """
-        count = len(data) if ids is None else len(ids)
-        mean = _column_sum(data, ids, np.copyto) / count
-
-        def squared_deviation(out, block):
-            np.subtract(block, mean, out=out)
-            np.square(out, out=out)
-
-        std = np.sqrt(_column_sum(data, ids, squared_deviation) / count)
+    def fit(cls, data: np.ndarray, ids: np.ndarray | None = None) -> "Scaler":
+        """The mean and std of data[ids] (without ids, of data) as float64:
+        embeddings.column_moments and its square root, so np.mean and
+        np.std of the gathered float64 rows bit for bit."""
+        mean, variance = embeddings.column_moments(data, ids)
+        std = np.sqrt(variance)
         zero = std == 0.0
         return cls(mean, np.where(zero, 1.0, std), zero)
 
@@ -204,41 +190,6 @@ def collect_pairs(
             source.data[source_ids].astype(np.float64))
 
 
-def _blocks(data: np.ndarray, ids: np.ndarray | None = None):
-    """Yield (start, data[ids[start:...]]) in CACHE_BUDGET blocks, or
-    without ids (start, data[start:...]), views of all the rows in order.
-
-    A single column comes as one block: numpy sums a C-contiguous array
-    over axis 0 one row after another, but a lone column pairwise.
-    """
-    dim = data.shape[1]
-    count = len(data) if ids is None else len(ids)
-    step = count if dim == 1 else max(1, embeddings.CACHE_BUDGET // (8 * dim))
-    for lo in range(0, count, step):
-        yield lo, data[lo:lo + step] if ids is None else data[ids[lo:lo + step]]
-
-
-def _column_sum(data: np.ndarray, ids: np.ndarray | None, fill) -> np.ndarray:
-    """Column sums of the float64 rows fill(out, block) writes for data[ids].
-
-    Equal to one axis-0 sum over all the rows: each block after the first
-    is summed with the running sums as its first row, so the additions
-    run in the same order.
-    """
-    total = None
-    buf = None
-    for lo, block in _blocks(data, ids):
-        if buf is None:
-            buf = np.empty((len(block) + 1, data.shape[1]))
-        first = 0 if total is None else 1
-        if first:
-            buf[0] = total
-        rows = buf[:first + len(block)]
-        fill(rows[first:], block)
-        total = rows.sum(axis=0)
-    return total
-
-
 class _Pairs:
     """The training pairs (x[x_ids[i]], y[y_ids[i]]), i < count (with ids
     None, the rows of x and y), and the module docstring's scaling fitted
@@ -251,11 +202,11 @@ class _Pairs:
         self.count = len(x) if x_ids is None else len(x_ids)
         if self.count < 2:
             raise DimensionMismatch("fitting requires at least 2 pairs")
-        self.in_scaler = Scaler.fit_rows(x, x_ids)
-        self.out_scaler = Scaler.fit_rows(y, y_ids)
+        self.in_scaler = Scaler.fit(x, x_ids)
+        self.out_scaler = Scaler.fit(y, y_ids)
         # one vector of norms: np.mean sums them in one order
         norms = np.empty(self.count)
-        for lo, block in _blocks(x, x_ids):
+        for lo, block in embeddings.row_blocks(x, x_ids):
             norms[lo:lo + len(block)] = np.linalg.norm(
                 self.in_scaler.forward(block), axis=1)
         nu = float(np.mean(norms))

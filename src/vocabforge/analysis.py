@@ -158,16 +158,6 @@ def select_anchors(
     return anchors
 
 
-def _unit_rows(rows: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
-    """Normalize float64 rows in place; a zero-norm row raises ZeroNormRow."""
-    norms = np.linalg.norm(rows, axis=1)
-    bad = np.flatnonzero(norms == 0)
-    if bad.size:
-        raise ZeroNormRow(f"{what} id {ids[bad[0]]} has a zero-norm embedding")
-    rows /= norms[:, None]
-    return rows
-
-
 def relative_similarity(
     emb_a: EmbeddingMatrix,
     emb_b: EmbeddingMatrix,
@@ -181,14 +171,16 @@ def relative_similarity(
     Each token is re-expressed as its vector of projections onto the
     anchor rows of its own space (cosine by default, raw dot products
     with projection="dot"); the score is 100 times the mean cosine
-    between the two relative representations. An empty token sample
-    raises EmptyMatrix.
+    between the two relative representations. An empty token sample or
+    anchor set raises EmptyMatrix, and an anchor or sample id outside the
+    matrices' rows DimensionMismatch, before any row is read.
 
     Tokens are scored in row blocks whose float64 working set fits in
-    embeddings.CACHE_BUDGET bytes. Both sides' anchors are checked before
-    any token; then, block by block, zero-norm token rows (left side, then right side) and
-    zero-norm relative representations raise ZeroNormRow naming the first
-    offending id. A projection not in PROJECTIONS raises ValueError.
+    embeddings.CACHE_BUDGET bytes. Cosine projections take
+    embeddings.unit_rows of both sides' anchors, checked before any token;
+    then, block by block, zero-norm token rows (left side, then right
+    side) and zero-norm relative representations raise ZeroNormRow naming
+    the first offending id. A projection not in PROJECTIONS raises ValueError.
     """
     if projection not in PROJECTIONS:
         raise ValueError(f"unknown projection {projection!r}")
@@ -204,10 +196,19 @@ def relative_similarity(
         sample = np.asarray(list(token_sample), dtype=int)
     if len(sample) == 0:
         raise EmptyMatrix("no tokens to score: the token sample is empty")
+    if len(anchors) == 0:
+        raise EmptyMatrix("no anchors to project onto: the anchor set is empty")
+    for ids, what in ((anchors, "anchor"), (sample, "token")):
+        bad = (ids < 0) | (ids >= emb_a.rows)
+        if bad.any():
+            raise DimensionMismatch(
+                f"{what} id {ids[bad][0]} is outside the {emb_a.rows}-row "
+                f"matrices"
+            )
 
     def rows(emb: EmbeddingMatrix, ids: np.ndarray, what: str) -> np.ndarray:
         out = emb.data[ids].astype(np.float64)
-        return _unit_rows(out, ids, what) if projection == "cosine" else out
+        return embeddings.unit_rows(out, ids, what) if projection == "cosine" else out
 
     anchors_a = rows(emb_a, anchors, "left anchor")
     anchors_b = rows(emb_b, anchors, "right anchor")

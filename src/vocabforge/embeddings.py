@@ -1,4 +1,4 @@
-"""EMB1 embedding matrix storage and moment statistics.
+"""EMB1 embedding matrix storage and the row statistics the methods share.
 
 EMB1 is a deliberately simple binary layout:
 
@@ -10,6 +10,11 @@ EMB1 is a deliberately simple binary layout:
 
 Files round-trip bit-exactly; non-finite values are rejected on both
 load and save.
+
+column_moments is the one per-dimension mean and variance: `stats` (the
+moments of random rows) and SAVA's scalers take theirs from it. unit_rows
+is the one row normalization, for CLP's weights and for
+`relative_similarity`'s cosines.
 """
 
 from __future__ import annotations
@@ -21,21 +26,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch
+from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch, ZeroNormRow
 
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
 # Bytes of float64 working rows per block in the whole-vocabulary passes
-# (stats, CLP, FVT, the finiteness check and record writes): caps their
+# (CLP, FVT, the finiteness check and record writes): caps their
 # memory whatever the vocabulary size. CLP re-reads all shared rows once
 # per block, so it wants tall blocks. Read at call time (patchable).
 BUDGET = 16 << 20
-# Bytes of the per-block working set of `relative_similarity` and of the
-# SAVA fit's statistics, Adam chunks and sums. Each block is used once,
-# so it is kept small: blocks of tens of MB miss the cache and map fresh
-# pages on every block, while blocks under ~1 MiB pay per-block overhead
-# and short GEMMs. 4 MiB is where a 256 KiB-16 MiB sweep on the benchmark
-# workloads stopped improving. Read at call time, so it can be patched.
+# Bytes of the per-block working set of `relative_similarity`, of
+# `column_moments` and of the SAVA fit's Adam chunks and sums. Each block
+# is used once, so it is kept small: blocks of tens of MB miss the cache
+# and map fresh pages on every block, while blocks under ~1 MiB pay
+# per-block overhead and short GEMMs. 4 MiB is where a 256 KiB-16 MiB
+# sweep on the benchmark workloads stopped improving. Read at call time,
+# so it can be patched.
 CACHE_BUDGET = 4 << 20
 
 
@@ -202,34 +208,78 @@ def load_matrix(path: str, label: str = "") -> EmbeddingMatrix:
     return EmbeddingMatrix(data, label=label or path)
 
 
-def stats(matrix: EmbeddingMatrix) -> EmbeddingStats:
-    """Compute mean/variance per dimension and over all entries.
+def row_blocks(data: np.ndarray, ids: np.ndarray | None = None):
+    """Yield (start, data[ids[start:...]]) in CACHE_BUDGET blocks, or
+    without ids (start, data[start:...]), views of all the rows in order.
 
-    Rows are read BUDGET bytes of float64 at a time; each block's sums and
-    centered sums of squares are merged into the running ones (Chan et
-    al.'s pairwise update). The scalar moments follow from the
-    per-dimension ones by the law of total variance.
+    A single column comes as one block: numpy sums a C-contiguous array
+    over axis 0 one row after another, but a lone column pairwise.
+    """
+    dim = data.shape[1]
+    count = len(data) if ids is None else len(ids)
+    step = count if dim == 1 else max(1, CACHE_BUDGET // (8 * dim))
+    for lo in range(0, count, step):
+        yield lo, data[lo:lo + step] if ids is None else data[ids[lo:lo + step]]
+
+
+def _column_sum(data: np.ndarray, ids: np.ndarray | None, fill) -> np.ndarray:
+    """Column sums of the float64 rows fill(out, block) writes for data[ids].
+
+    Equal to one axis-0 sum over all the rows: each block after the first
+    is summed with the running sums as its first row, so the additions
+    run in the same order.
+    """
+    total = None
+    buf = None
+    for lo, block in row_blocks(data, ids):
+        if buf is None:
+            buf = np.empty((len(block) + 1, data.shape[1]))
+        first = 0 if total is None else 1
+        if first:
+            buf[0] = total
+        rows = buf[:first + len(block)]
+        fill(rows[first:], block)
+        total = rows.sum(axis=0)
+    return total
+
+
+def column_moments(data: np.ndarray, ids: np.ndarray | None = None):
+    """(mean, variance) per column of data[ids] (without ids, of data) as
+    float64, equal bit for bit to np.mean and np.var of the gathered
+    float64 rows, read in row_blocks.
+
+    Two passes, as np.mean and np.var make: the column sums, then the
+    sums of squared deviations from the mean.
+    """
+    count = len(data) if ids is None else len(ids)
+    mean = _column_sum(data, ids, np.copyto) / count
+
+    def squared_deviation(out, block):
+        np.subtract(block, mean, out=out)
+        np.square(out, out=out)
+
+    return mean, _column_sum(data, ids, squared_deviation) / count
+
+
+def unit_rows(rows: np.ndarray, ids: np.ndarray, what: str) -> np.ndarray:
+    """Normalize float64 rows in place and return them; a zero-norm row
+    raises ZeroNormRow naming its id, ids[i] for rows[i]."""
+    norms = np.linalg.norm(rows, axis=1)
+    bad = np.flatnonzero(norms == 0)
+    if bad.size:
+        raise ZeroNormRow(f"{what} id {ids[bad[0]]} has a zero-norm embedding")
+    rows /= norms[:, None]
+    return rows
+
+
+def stats(matrix: EmbeddingMatrix) -> EmbeddingStats:
+    """Compute mean/variance per dimension (column_moments) and over all
+    entries: the scalar moments follow from the per-dimension ones by
+    the law of total variance.
     """
     if matrix.rows == 0:
         raise EmptyMatrix("stats requires at least one row")
-    total = np.zeros(matrix.dim)
-    m2 = np.zeros(matrix.dim)
-    seen = 0
-    step = block_rows(matrix.dim)
-    for lo in range(0, matrix.rows, step):
-        block = matrix.data[lo:lo + step].astype(np.float64)
-        n = len(block)
-        block_sum = block.sum(axis=0)
-        block -= block_sum / n
-        block *= block
-        m2 += block.sum(axis=0)
-        if seen:
-            delta = block_sum / n - total / seen
-            m2 += delta * delta * (seen * n / (seen + n))
-        total += block_sum
-        seen += n
-    mean = total / seen
-    variance = m2 / seen
+    mean, variance = column_moments(matrix.data)
     scalar_mean = float(mean.mean())
     spread = np.square(mean - scalar_mean).mean()
     return EmbeddingStats(

@@ -63,8 +63,9 @@ class DegenerateSimilarity(FallbackRequired):
     """All CLP weights vanished after the negative-similarity policy."""
 
 
-class ZeroNormEmbedding(VocabForgeError):
-    """Cosine similarity is undefined for a zero-norm embedding row."""
+class ZeroNormRow(VocabForgeError):
+    """Cosine similarity is undefined for a zero-norm embedding row (a
+    token, anchor or CLP helper row)."""
 
 
 # --- affine alignment --------------------------------------------------
@@ -95,7 +96,3 @@ class MalformedCorpus(VocabForgeError):
 
 class InsufficientTokens(VocabForgeError):
     """Vocabulary has fewer prefix/non-prefix tokens than requested."""
-
-
-class ZeroNormRow(VocabForgeError):
-    """A token or anchor row has zero norm."""

@@ -12,7 +12,8 @@ import numpy as np
 
 from . import alignment, embeddings
 from .alignment import AffineMap, TrainConfig
-from .embeddings import EmbeddingMatrix, EmbeddingStats, stats as matrix_stats
+from .embeddings import EmbeddingMatrix, EmbeddingStats, unit_rows
+from .embeddings import stats as matrix_stats
 from .errors import (
     DegenerateSimilarity,
     DimensionMismatch,
@@ -20,7 +21,6 @@ from .errors import (
     PartitionInconsistent,
     UnencodableInput,
     VocabForgeError,
-    ZeroNormEmbedding,
 )
 from .tokenizer import TokenizerModel, TokenPartition, canonicalize, partition
 
@@ -215,7 +215,8 @@ class ClpInitializer:
     by the negative policy, optionally truncated to the top-k support,
     and normalized to sum to 1. Rows are computed embeddings.BUDGET bytes
     of similarities at a time: one GEMM against the shared helper rows for
-    the weights, one against the shared source rows for the result.
+    the weights, one against the shared source rows for the result. A
+    zero-norm shared or novel helper row raises ZeroNormRow naming its id.
     """
 
     def __init__(
@@ -230,25 +231,15 @@ class ClpInitializer:
         self.cfg = cfg
         self.helper = helper_emb.data  # float32; blocks are converted as used
         self.shared_source_rows = source_emb.data[part.source_ids].astype(np.float64)
-        anchors = self.helper[part.shared_target_ids].astype(np.float64)
-        norms = np.linalg.norm(anchors, axis=1)
-        if np.any(norms == 0):
-            raise ZeroNormEmbedding(
-                "a shared token has a zero-norm helper embedding"
-            )
-        self.anchor_unit = anchors / norms[:, None]
+        anchor_ids = part.shared_target_ids
+        self.anchor_unit = unit_rows(self.helper[anchor_ids].astype(np.float64),
+                                     anchor_ids, "shared helper token")
 
     def _weights(self, token_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Weight rows for a block of ids; ok is False where all vanished."""
-        v = self.helper[token_ids].astype(np.float64)
-        norms = np.linalg.norm(v, axis=1)
-        zero = norms == 0
-        if zero.any():
-            raise ZeroNormEmbedding(
-                f"token id {token_ids[zero.argmax()]} has a zero-norm helper "
-                f"embedding"
-            )
-        w = (v / norms[:, None]) @ self.anchor_unit.T
+        v = unit_rows(self.helper[token_ids].astype(np.float64), token_ids,
+                      "helper token")
+        w = v @ self.anchor_unit.T
         policy = self.cfg.clp_negative_policy
         if policy == "clamp-zero":
             np.maximum(w, 0.0, out=w)
@@ -399,10 +390,12 @@ def assemble(
     return EmbeddingMatrix(out, label="adapted"), report
 
 
-def _make_fallback(cfg: HeuristicConfig, source_stats: EmbeddingStats):
+def _make_fallback(cfg: HeuristicConfig, source_emb: EmbeddingMatrix):
+    """The fallback rows; the source moments are taken only when it runs."""
     if cfg.fallback == "mean-row":
-        return lambda tids: np.tile(source_stats.mean, (len(tids), 1))
-    return lambda tids: random_rows(tids, source_stats, cfg.seed, cfg.random_moments)
+        return lambda tids: np.tile(matrix_stats(source_emb).mean, (len(tids), 1))
+    return lambda tids: random_rows(tids, matrix_stats(source_emb), cfg.seed,
+                                    cfg.random_moments)
 
 
 def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -445,14 +438,12 @@ def adapt_matrix(
             )
         check_helper_rows(helper_emb.rows, target_model)
     _check_partition(part, source_emb.rows)  # before a kernel reads a row
-    source_stats = matrix_stats(source_emb)
-    fallback = _make_fallback(cfg, source_stats)
+    fallback = _make_fallback(cfg, source_emb)
 
     if cfg.method == "random":
         def init(tokens, tids):
-            return _all_ok(
-                random_rows(tids, source_stats, cfg.seed, cfg.random_moments)
-            )
+            return _all_ok(random_rows(tids, matrix_stats(source_emb), cfg.seed,
+                                       cfg.random_moments))
     elif cfg.method == "fvt":
         def init(tokens, tids):
             pieces = [canonicalize(token, target_model.marker, source_model.marker)

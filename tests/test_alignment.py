@@ -449,13 +449,13 @@ class TestBlockedAdam:
         # one statistics pass: one scaler fit per side, for the fit, its
         # report and the oracle together
         calls = []
-        real = Scaler.fit_rows.__func__
+        real = Scaler.fit.__func__
 
         def spy(cls, data, ids=None):
             calls.append(data.shape)
             return real(cls, data, ids)
 
-        monkeypatch.setattr(Scaler, "fit_rows", classmethod(spy))
+        monkeypatch.setattr(Scaler, "fit", classmethod(spy))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 5))
         y = rng.normal(size=(40, 6))
@@ -531,7 +531,8 @@ def scattered_pairs(count, m, n, seed):
 
 
 class TestScalerFitRows:
-    """Scaler.fit_rows must equal Scaler.fit of the gathered float64 rows."""
+    """Scaler.fit(data, ids) must equal np.mean and np.std of the gathered
+    float64 rows at every block height."""
 
     @pytest.mark.parametrize("count, dim", [
         (100, 9), (777, 5), (1000, 1), (300, 2),
@@ -546,11 +547,12 @@ class TestScalerFitRows:
         if dim > 1:
             data[:, 1] = 0.25  # a zero-variance column
         ids = rng.permutation(count + 20)[:count]
-        got = Scaler.fit_rows(data, ids)
-        want = Scaler.fit(data[ids].astype(np.float64))
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.std, want.std)
-        assert np.array_equal(got.zero_variance_dims, want.zero_variance_dims)
+        got = Scaler.fit(data, ids)
+        rows = data[ids].astype(np.float64)
+        std = rows.std(axis=0)
+        assert np.array_equal(got.mean, rows.mean(axis=0))
+        assert np.array_equal(got.std, np.where(std == 0.0, 1.0, std))
+        assert np.array_equal(got.zero_variance_dims, std == 0.0)
         assert got.zero_variance_dims.any() == (dim > 1)
 
     @pytest.mark.parametrize("count, dim", [(100, 9), (1000, 1)])
@@ -560,10 +562,9 @@ class TestScalerFitRows:
             monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * dim * height)
         rng = np.random.default_rng(count * dim)
         data = rng.normal(size=(count, dim)) * 3.0 + 1.0
-        got = Scaler.fit_rows(data)
-        want = Scaler.fit(data)
-        assert np.array_equal(got.mean, want.mean)
-        assert np.array_equal(got.std, want.std)
+        got = Scaler.fit(data)
+        assert np.array_equal(got.mean, data.mean(axis=0))
+        assert np.array_equal(got.std, data.std(axis=0))
 
 
 class TestFitClosedForm:

@@ -240,6 +240,25 @@ class TestRelativeSimilarity:
         with pytest.raises(ZeroNormRow):
             relative_similarity(EmbeddingMatrix(data), self.emb, self.anchors)
 
+    def test_empty_anchor_set_rejected(self):
+        with pytest.raises(EmptyMatrix, match="the anchor set is empty"):
+            relative_similarity(self.emb, self.emb, [])
+
+    def test_anchor_id_past_the_rows_rejected(self):
+        # checked before any row is read: anchor 1's zero row is never seen
+        data = self.emb.data.copy()
+        data[1] = 0.0
+        with pytest.raises(DimensionMismatch,
+                           match="^anchor id 30 is outside the 30-row"):
+            relative_similarity(EmbeddingMatrix(data), self.emb, [1, 30])
+
+    def test_negative_sample_id_rejected(self):
+        # -1 would index the last row and score it silently
+        with pytest.raises(DimensionMismatch,
+                           match="^token id -1 is outside the 30-row"):
+            relative_similarity(self.emb, self.emb, self.anchors,
+                                token_sample=[3, -1])
+
     def test_row_count_mismatch(self):
         rng = np.random.default_rng(5)
         with pytest.raises(DimensionMismatch):

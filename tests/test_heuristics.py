@@ -28,7 +28,7 @@ from vocabforge.errors import (
     PartitionInconsistent,
     UnencodableInput,
     VocabForgeError,
-    ZeroNormEmbedding,
+    ZeroNormRow,
 )
 from vocabforge.heuristics import ClpInitializer
 
@@ -188,9 +188,17 @@ class TestGClp:
 
     def test_zero_norm_helper_row(self):
         part, source_emb, helper = clp_fixture()
-        with pytest.raises(ZeroNormEmbedding):
+        with pytest.raises(ZeroNormRow):
             ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
                            HeuristicConfig(method="clp"))(3)
+
+    def test_zero_norm_shared_helper_row_names_its_id(self):
+        part, source_emb, helper = clp_fixture()
+        _, _, tid = part.shared[1]
+        helper[tid] = 0.0
+        with pytest.raises(ZeroNormRow, match=f"^shared helper token id {tid} "):
+            ClpInitializer(source_emb, EmbeddingMatrix(helper), part,
+                           HeuristicConfig(method="clp"))
 
     def test_all_negative_similarity_is_degenerate(self):
         part, source_emb, helper = clp_fixture()
@@ -437,7 +445,7 @@ class TestClpKernel:
     def test_zero_norm_novel_row_raises(self):
         part, source_emb, helper, source, target = tied_clp_fixture()
         helper[part.novel[5][1]] = 0.0
-        with pytest.raises(ZeroNormEmbedding, match=f"id {part.novel[5][1]} "):
+        with pytest.raises(ZeroNormRow, match=f"id {part.novel[5][1]} "):
             adapt(source_emb, source, target, EmbeddingMatrix(helper),
                   HeuristicConfig(method="clp"))
 
@@ -650,6 +658,35 @@ class TestAdapt:
         # novel names aren't spellable from source tokens, so all fall back
         assert report.fallback_count == 4
         assert report.initialized_count == 0
+
+    @pytest.mark.parametrize("method, calls, fallbacks", [
+        ("sava", 0, 0), ("clp", 0, 0), ("random", 1, 0), ("fvt", 1, 1),
+    ])
+    def test_source_moments_taken_only_when_a_row_reads_them(
+            self, monkeypatch, method, calls, fallbacks):
+        from vocabforge import heuristics
+        source = char_tokenizer(alphabet="ab")
+        # "xy" has no source tokenization: FVT's one fallback row
+        target = char_tokenizer(alphabet="ab", extra_tokens=["ba", "abab", "xy"])
+        rng = np.random.default_rng(6)
+        source_emb = random_matrix(rng, source.vocab.size, 4)
+        # positive rows: no CLP weight row vanishes
+        helper = EmbeddingMatrix(
+            np.abs(rng.normal(size=(target.vocab.size, 4))).astype(np.float32)
+            + np.float32(0.1))
+        seen = []
+        real = heuristics.matrix_stats
+
+        def spy(matrix):
+            seen.append(matrix)
+            return real(matrix)
+
+        monkeypatch.setattr(heuristics, "matrix_stats", spy)
+        _, report = adapt(source_emb, source, target, helper,
+                          HeuristicConfig(method=method), TrainConfig(steps=2))
+        assert report.fallback_count == fallbacks
+        assert len(seen) == calls
+        assert all(matrix is source_emb for matrix in seen)
 
     def test_random_is_seed_deterministic(self):
         source, target, source_emb, _ = adaptation_fixture()
