@@ -28,10 +28,10 @@ from .embeddings import EmbeddingMatrix, read_record, write_record
 from .errors import DimensionMismatch, EmptyIntersection, MalformedMap, NonFiniteLoss
 from .tokenizer import TokenPartition, load_json
 
-# Bytes of one row block of the Adam state: each update finishes its
-# elementwise passes over one block of weight, moment and gradient rows
-# before the next, so they run in cache. Adam's chunks of scaled pairs
-# take the same size. Read at call time (patchable).
+# Bytes of one flat block of the Adam state: each update finishes its
+# elementwise passes over one block of parameter, moment and gradient
+# entries before the next, so they run in cache. Adam's chunks of scaled
+# pairs take the same size. Read at call time (patchable).
 _ADAM_BLOCK = 256 << 10
 
 # Adam's moment decays and denominator guard, and the ridge added to the
@@ -232,41 +232,37 @@ def _array_pairs(x, y) -> _Pairs:
 # A diverging fit overflows; the epoch check reports it as one
 # NonFiniteLoss instead of a stream of numpy warnings.
 @np.errstate(over="ignore", invalid="ignore")
-def _adam(
-    pairs: _Pairs,
-    weight: np.ndarray,
-    bias: np.ndarray,
-    rng: np.random.Generator,
-    cfg: TrainConfig,
-) -> None:
-    """Train weight and bias in place by cfg.steps epochs of minibatch Adam.
+def _adam(pairs: _Pairs, params: np.ndarray, rng: np.random.Generator,
+          cfg: TrainConfig) -> None:
+    """Train params = [W row-major, b] in place by cfg.steps epochs of
+    minibatch Adam.
 
     Each epoch's permutation is gathered and scaled in chunks of whole
     batches holding _ADAM_BLOCK bytes of float64 rows; a batch is a row
     slice of its chunk. Raises NonFiniteLoss after the first epoch that
     leaves a non-finite entry. The state is freed on return.
     """
-    n, m = weight.shape
+    m, n = pairs.x.shape[1], pairs.y.shape[1]
     count = pairs.count
     batch = cfg.batch if cfg.batch > 0 else count
     chunk = batch * max(1, _ADAM_BLOCK // (8 * (m + n) * batch))
     x_buf, y_buf = np.empty((min(chunk, count), m)), np.empty((min(chunk, count), n))
+    resid_buf = np.empty((min(batch, count), n))
     b1, b2, eps = _BETA1, _BETA2, _EPS
-    m_w = np.zeros_like(weight)
-    v_w = np.zeros_like(weight)
-    m_b = np.zeros_like(bias)
-    v_b = np.zeros_like(bias)
-    # One GEMM forms the whole weight gradient in g_w (a product of fewer
-    # rows may round differently: a single row goes to GEMV); the
-    # elementwise Adam passes then walk row blocks of the state in cache.
-    g_w = np.empty_like(weight)
-    height = min(n, max(1, _ADAM_BLOCK // (8 * m)))
-    tmp, den = np.empty((height, m)), np.empty((height, m))
-    blocks = []
-    for lo in range(0, n, height):
-        hi = min(lo + height, n)
-        blocks.append((g_w[lo:hi], weight[lo:hi], m_w[lo:hi], v_w[lo:hi],
-                       tmp[:hi - lo], den[:hi - lo]))
+    # The gradient and both moments share the parameters' layout, so the
+    # bias entries take the weights' elementwise passes, which walk flat
+    # _ADAM_BLOCK blocks of the state in cache. One GEMM forms the whole
+    # weight gradient (a product of fewer rows may round differently: a
+    # single row goes to GEMV).
+    grad, m_t, v_t = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+    weight, bias = params[:n * m].reshape(n, m), params[n * m:]
+    g_w, g_b = grad[:n * m].reshape(n, m), grad[n * m:]
+    total = len(params)
+    size = min(total, max(1, _ADAM_BLOCK // 8))
+    tmp, den = np.empty(size), np.empty(size)
+    blocks = [(grad[lo:lo + size], params[lo:lo + size], m_t[lo:lo + size],
+               v_t[lo:lo + size], tmp[:total - lo], den[:total - lo])
+              for lo in range(0, total, size)]
     one_b1, one_b2 = 1 - b1, 1 - b2
     t = 0
     for step in range(cfg.steps):
@@ -277,8 +273,12 @@ def _adam(
             for start in range(0, len(x_chunk), batch):
                 t += 1
                 xb = x_chunk[start:start + batch]
-                resid = xb @ weight.T + bias - y_chunk[start:start + batch]
+                resid = resid_buf[:len(xb)]
+                np.matmul(xb, weight.T, out=resid)
+                resid += bias
+                resid -= y_chunk[start:start + batch]
                 np.matmul(resid.T, xb, out=g_w)
+                resid.sum(axis=0, out=g_b)
                 # 2*G/(k*n) == G/(k*n/2) bit for bit: doubling is exact.
                 half = len(xb) * n / 2
                 c1 = 1 - b1 ** t
@@ -303,11 +303,7 @@ def _adam(
                     db += eps
                     tb /= db
                     w -= tb
-                g_b = 2.0 * resid.sum(axis=0) / (len(xb) * n)
-                m_b = b1 * m_b + one_b1 * g_b
-                v_b = b2 * v_b + one_b2 * g_b * g_b
-                bias -= lr * (m_b / c1) / (np.sqrt(v_b / c2) + eps)
-        if not (np.isfinite(weight).all() and np.isfinite(bias).all()):
+        if not all(np.isfinite(w).all() for _, w, *_ in blocks):
             raise NonFiniteLoss(
                 f"training diverged to non-finite weights in epoch "
                 f"{step + 1} of {cfg.steps}"
@@ -316,10 +312,14 @@ def _adam(
 
 def _normal_equations(pairs: _Pairs):
     """(G, C, tr(YᵀY)) of the scaled pairs, G = AᵀA and C = AᵀY for the
-    design A = [X 1] (so G's last row is [Σx, count]), summed over
-    embeddings.CACHE_BUDGET row blocks."""
+    design A = [X 1] (so G's last row is [Σx, count]), summed over row
+    blocks of embeddings.CACHE_BUDGET bytes or, for wide rows, more."""
     m, n = pairs.x.shape[1], pairs.y.shape[1]
-    step = min(pairs.count, max(1, embeddings.CACHE_BUDGET // (8 * (m + 1 + n))))
+    # Short blocks leave each rank-`step` update of G memory-bound, so rows
+    # wider than 1025 floats (d = 512 on both sides) get 1025's height, 511
+    # at 4 MiB: at d = 4096, 64-row blocks took 54 s and 511-row ones 14 s.
+    width = min(m + 1 + n, 1025)
+    step = min(pairs.count, max(1, embeddings.CACHE_BUDGET // (8 * width)))
     design, y_buf = np.ones((step, m + 1)), np.empty((step, n))
     gram, rhs, yy = np.zeros((m + 1, m + 1)), np.zeros((m + 1, n)), 0.0
     for lo in range(0, pairs.count, step):
@@ -344,6 +344,16 @@ def _column_forms(theta: np.ndarray, gram: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", theta, gram @ theta)
 
 
+def _start(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """rng.uniform(-1, 1, out.shape) / sqrt(m) bit for bit, written into
+    the n×m `out`: uniform is -1 + 2u of random()'s u, and 2u is exact."""
+    rng.random(out=out)
+    out *= 2.0
+    out -= 1.0
+    out /= np.sqrt(out.shape[1])
+    return out
+
+
 def _fit(
     pairs: _Pairs, cfg: TrainConfig, report: bool = False,
     compare_oracle: bool = False,
@@ -355,10 +365,10 @@ def _fit(
     it has been read."""
     m, n = pairs.x.shape[1], pairs.y.shape[1]
     rng = np.random.default_rng(cfg.seed)
-    weight = rng.uniform(-1.0, 1.0, size=(n, m)) / np.sqrt(m)
-    bias = np.zeros(n)
-    start = np.vstack([weight.T, bias]) if report else None
-    _adam(pairs, weight, bias, rng, cfg)
+    params = np.zeros(n * m + n)  # [W row-major, b]
+    weight, bias = params[:n * m].reshape(n, m), params[n * m:]
+    _start(rng, weight)
+    _adam(pairs, params, rng, cfg)
     phi = AffineMap(weight, bias, pairs.in_scaler, pairs.out_scaler, pairs.nu)
     if not report:
         return phi, None
@@ -368,6 +378,9 @@ def _fit(
     def mse(theta, forms):
         return max(float(yy - 2.0 * np.vdot(theta, rhs) + forms.sum()), 0.0) / size
 
+    # the start again, from the seed: Adam did not hold a copy
+    start = _start(np.random.default_rng(cfg.seed), np.empty((n, m)))
+    start = np.vstack([start.T, np.zeros(n)])
     initial_mse = mse(start, _column_forms(start, gram))
     del start
     theta = np.vstack([weight.T, bias])
@@ -427,9 +440,16 @@ def fit_map(
 ) -> tuple[AffineMap, FitReport]:
     """`vocabforge fit-map`'s fit: fit_gradient(*collect_pairs(helper,
     source, part, limit, cfg.seed), cfg, compare_oracle=True) bit for bit,
-    with the pairs read by id and no whole-pair array built."""
-    ids = _pair_ids(helper, source, part, limit, cfg.seed)
-    return _fit(_Pairs(helper.data, source.data, *ids), cfg, True, True)
+    with no whole-pair float64 array built. A limit below the shared count
+    gathers the kept float32 rows once, and the fit holds neither matrix:
+    a caller that passes its only references frees them here."""
+    x_ids, y_ids = _pair_ids(helper, source, part, limit, cfg.seed)
+    if len(x_ids) < part.shared_count:
+        pairs = _Pairs(helper.data[x_ids], source.data[y_ids])
+    else:
+        pairs = _Pairs(helper.data, source.data, x_ids, y_ids)
+    del helper, source
+    return _fit(pairs, cfg, True, True)
 
 
 def train_map(

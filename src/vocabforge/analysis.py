@@ -158,6 +158,18 @@ def select_anchors(
     return anchors
 
 
+def _row_ids(values, what: str) -> np.ndarray:
+    """values as an int array; a float or bool id, which int conversion
+    would truncate or read as 0 or 1, raises DimensionMismatch."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        values = list(values)
+        for v in values:
+            if (isinstance(v, (bool, np.bool_))
+                    or not isinstance(v, (int, np.integer))):
+                raise DimensionMismatch(f"{what} id {v} is not an integer row id")
+    return np.asarray(values, dtype=int)
+
+
 def relative_similarity(
     emb_a: EmbeddingMatrix,
     emb_b: EmbeddingMatrix,
@@ -172,8 +184,9 @@ def relative_similarity(
     anchor rows of its own space (cosine by default, raw dot products
     with projection="dot"); the score is 100 times the mean cosine
     between the two relative representations. An empty token sample or
-    anchor set raises EmptyMatrix, and an anchor or sample id outside the
-    matrices' rows DimensionMismatch, before any row is read.
+    anchor set raises EmptyMatrix, and an anchor or sample id that is not
+    an integer (a float or a bool) or lies outside the matrices' rows
+    DimensionMismatch, before any row is read.
 
     Tokens are scored in row blocks whose float64 working set fits in
     embeddings.CACHE_BUDGET bytes. Cosine projections take
@@ -189,11 +202,11 @@ def relative_similarity(
             f"matrices index different vocabularies "
             f"({emb_a.rows} vs {emb_b.rows} rows)"
         )
-    anchors = np.asarray(list(anchors), dtype=int)
+    anchors = _row_ids(anchors, "anchor")
     if token_sample is None:
         sample = np.arange(emb_a.rows)
     else:
-        sample = np.asarray(list(token_sample), dtype=int)
+        sample = _row_ids(token_sample, "token")
     if len(sample) == 0:
         raise EmptyMatrix("no tokens to score: the token sample is empty")
     if len(anchors) == 0:

@@ -188,13 +188,14 @@ def cmd_adapt(args) -> int:
 def cmd_fit_map(args) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
     _at_least(args, 0, "batch", "limit")
-    helper = embeddings.load_matrix(args.helper_emb)
-    source = embeddings.load_matrix(args.source_emb)
-    part = TokenPartition.from_dict(
-        load_json(args.partition, PartitionInconsistent)
-    )
+    # The matrices are passed without a name here, so that under --limit
+    # fit_map can free them once it has gathered the kept rows (Python
+    # 3.11 and later hand a call's arguments over to the callee).
     phi, fit_report = alignment.fit_map(
-        helper, source, part, _train_config(args), limit=args.limit
+        embeddings.load_matrix(args.helper_emb),
+        embeddings.load_matrix(args.source_emb),
+        TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent)),
+        _train_config(args), limit=args.limit,
     )
     alignment.save_map(phi, args.out)
     _emit(args, {"fit": fit_report}, None)

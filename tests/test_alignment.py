@@ -283,8 +283,8 @@ class CountingRng:
         self._rng = np.random.Generator(np.random.PCG64(seed))
         self.permutations = 0
 
-    def uniform(self, *args, **kwargs):
-        return self._rng.uniform(*args, **kwargs)
+    def random(self, *args, **kwargs):
+        return self._rng.random(*args, **kwargs)
 
     def permutation(self, count):
         self.permutations += 1
@@ -307,7 +307,7 @@ class TestBlockedAdam:
     @pytest.mark.parametrize("count, m, n, batch", [
         (100, 6, 9, 32),  # partial last batch (100 = 3*32 + 4), n > m
         (100, 6, 9, 0),  # full batch
-        (70, 11, 20, 32),  # blocks of 7 rows: 7 + 7 + 6
+        (70, 11, 20, 32),  # flat blocks of 7 weight rows: 77 * 3 + 9
         (60, 12, 5, 32),  # n < m
         (45, 8, 1, 16),  # a single output row
     ])
@@ -346,6 +346,64 @@ class TestBlockedAdam:
         assert np.array_equal(phi.bias, b)
         assert_close_report(report, whole)
 
+    @pytest.mark.parametrize("count, m, n, batch, block", [
+        (100, 6, 9, 32, 10),  # [50, 60) holds W's last 4 and b's first 6
+        (100, 6, 9, 0, 10),  # the same in full batch
+        (100, 6, 9, 32, 1),  # 1-entry blocks
+        (100, 6, 9, 0, 1),
+        (40, 1, 1, 16, 1),  # m = n = 1: W and b one entry each
+        (40, 1, 7, 16, 3),  # m = 1: [6, 9) holds W's last and b's first 2
+        (40, 7, 1, 16, 3),  # n = 1: the last block [6, 8) holds W[0, 6], b
+        (40, 7, 1, 0, None),  # n = 1 full batch, one block of 8
+    ])
+    def test_flat_state_blocks(self, monkeypatch, count, m, n, batch, block):
+        # theta = [W row-major, b] with its gradient and moments in flat
+        # blocks of `block` entries
+        if block is not None:
+            monkeypatch.setattr(alignment, "_ADAM_BLOCK", 8 * block)
+            assert block == 1 or (n * m) % block  # a block spans the seam
+        rng = np.random.default_rng(count + m + n)
+        x = rng.normal(size=(count, m)) * 2.0 + 0.5
+        y = x @ rng.normal(size=(m, n)) + rng.normal(size=(count, n))
+        cfg = TrainConfig(steps=3, batch=batch, seed=4, learning_rate=1e-2)
+        w, b, *whole = seed_adam_fit(x, y, cfg)
+        phi, report = fit_gradient(x, y, cfg, compare_oracle=True)
+        assert np.array_equal(phi.weight, w)
+        assert np.array_equal(phi.bias, b)
+        assert_close_report(report, whole)
+
+    @pytest.mark.parametrize("report", [False, True])
+    def test_fit_holds_one_weight_array_and_no_update_temporaries(
+            self, monkeypatch, report):
+        count, m, n, batch = 320, 24, 400, 32
+        helper, source, part = scattered_pairs(count, m, n, seed=9)
+        part.shared_target_ids, part.source_ids  # built before tracing
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * (m + n) * 16)
+        # chunks of one batch; one flat block of the whole state
+        monkeypatch.setattr(alignment, "_ADAM_BLOCK", 8 * (m + n) * batch)
+        cfg = TrainConfig(steps=1, batch=batch, seed=2)
+        tracemalloc.start()
+        try:
+            if report:
+                alignment.fit_map(helper, source, part, cfg)
+            else:
+                alignment.train_map(helper, source, part, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = 8 * n * (m + 1)
+        # theta, its gradient and two moments; the two block temporaries;
+        # the x and y chunk buffers and the residual; one chunk's float32
+        # gather and numpy's two buffers for casting it; the permutation
+        # and the norms
+        known = (6 * state + 8 * batch * (m + 2 * n) + 4 * batch * (m + n)
+                 + 2 * 8 * np.getbufsize() + 8 * 2 * count)
+        slack = 32 << 10
+        assert peak <= known + slack, peak - known
+        # a second n×m array, or one more batch×n array per update, would
+        # not fit
+        assert slack < 8 * n * m and slack < 8 * batch * n
+
     def test_exact_fit_reports_no_negative_mse(self):
         # the sums nearly cancel on y = 2x; rounding must not go below 0
         # (with this seed the oracle's unclamped sum of squares is -1e-13)
@@ -361,7 +419,8 @@ class TestBlockedAdam:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(96, 80))
         y = rng.normal(size=(96, 500))
-        # 256 KiB / (8 * 80) = 409 rows: two blocks, the last partial
+        # 256 KiB / 8 = 32768 entries: two flat blocks of the 500 * 81
+        # entries, the last partial
         assert alignment._ADAM_BLOCK // (8 * 80) < 500
         cfg = TrainConfig(steps=2, batch=32, seed=1)
         w, b, *_ = seed_adam_fit(x, y, cfg)
@@ -426,6 +485,35 @@ class TestBlockedAdam:
         # collect_pairs alone would hold count * (m + n) float64 entries
         assert peak < count * m * 8
 
+    @pytest.mark.parametrize("limit, gathered", [(50, True), (200, False),
+                                                 (None, False)])
+    def test_limited_fit_holds_neither_matrix(self, monkeypatch, limit,
+                                              gathered):
+        # below the shared count the kept rows are gathered once, so the
+        # caller's matrices can be freed before Adam
+        helper, source, part = scattered_pairs(200, 6, 9, seed=3)
+        seen = []
+        real = alignment._fit
+
+        def spy(pairs, *args):
+            seen.append(pairs)
+            return real(pairs, *args)
+
+        monkeypatch.setattr(alignment, "_fit", spy)
+        cfg = TrainConfig(steps=2, batch=8, seed=5)
+        phi, report = alignment.fit_map(helper, source, part, cfg, limit)
+        [pairs] = seen
+        assert pairs.count == min(limit or 200, 200)
+        assert (pairs.x_ids is None) == gathered
+        assert np.shares_memory(pairs.x, helper.data) != gathered
+        assert np.shares_memory(pairs.y, source.data) != gathered
+        want_phi, want = fit_gradient(
+            *collect_pairs(helper, source, part, limit, cfg.seed), cfg,
+            compare_oracle=True)
+        assert np.array_equal(phi.weight, want_phi.weight)
+        assert np.array_equal(phi.bias, want_phi.bias)
+        assert report == want
+
     def test_map_only_fit_checks_the_pairs(self):
         helper, source, _ = scattered_pairs(5, 3, 3, seed=1)
         with pytest.raises(EmptyIntersection):
@@ -484,6 +572,31 @@ class TestBlockedReport:
         assert np.array_equal(phi.weight, w)
         assert np.array_equal(phi.bias, b)
         assert_close_report(report, whole)
+
+    @pytest.mark.parametrize("m, n, budget_rows, want", [
+        (6, 9, 3, 3),  # 16 floats a row: CACHE_BUDGET rows
+        (512, 512, 3, 3),  # 1025 floats, the widest sized by its own width
+        (600, 700, 3, 3),  # wider rows get as many rows as 1025 floats
+        (600, 700, 1, 1),
+    ])
+    def test_sums_block_height_floor(self, monkeypatch, m, n, budget_rows,
+                                     want):
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET",
+                            8 * min(m + 1 + n, 1025) * budget_rows)
+        heights = []
+        real = alignment._Pairs.rows
+
+        def spy(self, sel, x_out, y_out):
+            if isinstance(sel, slice):
+                heights.append(len(x_out))
+            return real(self, sel, x_out, y_out)
+
+        monkeypatch.setattr(alignment._Pairs, "rows", spy)
+        rng = np.random.default_rng(13)
+        pairs = alignment._array_pairs(rng.normal(size=(10, m)),
+                                       rng.normal(size=(10, n)))
+        alignment._normal_equations(pairs)
+        assert heights == [want] * len(range(0, 10, want))
 
     def test_working_set_beyond_the_pairs(self, monkeypatch):
         count, m, n = 4000, 16, 24

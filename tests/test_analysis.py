@@ -259,6 +259,31 @@ class TestRelativeSimilarity:
             relative_similarity(self.emb, self.emb, self.anchors,
                                 token_sample=[3, -1])
 
+    @pytest.mark.parametrize("anchors, sample, message", [
+        # int conversion would truncate 1.9 to anchor 1
+        ([1.9, 2], [3], r"anchor id 1\.9"),
+        ([0, 3, 7], np.array([3.0, 4.0]), r"token id 3\.0"),
+        ([0, 3, 7], [2, True], "token id True"),  # True would score row 1
+        (np.array([True, False]), None, "anchor id True"),
+    ])
+    def test_float_or_bool_id_rejected(self, anchors, sample, message):
+        with pytest.raises(DimensionMismatch,
+                           match=f"^{message} is not an integer"):
+            relative_similarity(self.emb, self.emb, anchors,
+                                token_sample=sample)
+
+    def test_integer_ids_of_any_kind_accepted(self):
+        want = relative_similarity(self.emb, self.emb, self.anchors,
+                                   token_sample=[1, 2, 3])
+        for anchors, sample in (
+            (np.array(self.anchors, dtype=np.int32),
+             np.array([1, 2, 3], dtype=np.uint16)),
+            ([np.int64(a) for a in self.anchors], (i for i in (1, 2, 3))),
+        ):
+            got = relative_similarity(self.emb, self.emb, anchors,
+                                      token_sample=sample)
+            assert got == want
+
     def test_row_count_mismatch(self):
         rng = np.random.default_rng(5)
         with pytest.raises(DimensionMismatch):
