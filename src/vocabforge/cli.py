@@ -21,6 +21,7 @@ from .tokenizer import (
     MARKERS,
     MarkerConvention,
     TokenPartition,
+    check_partition,
     load_json,
     load_tokenizer,
     load_vocab,
@@ -167,7 +168,7 @@ def cmd_adapt(args) -> int:
         elif helper_path:
             # random and fvt read no helper row: check the header alone
             rows, _ = embeddings.matrix_shape(helper_path)
-            heuristics.check_helper_rows(rows, target_model)
+            heuristics.check_helper_rows(rows, target_model.vocab.size)
         out, report = heuristics.adapt_matrix(
             source_emb, source_model, target_model, part, helper_emb, cfg,
             train_cfg,
@@ -188,14 +189,24 @@ def cmd_adapt(args) -> int:
 def cmd_fit_map(args) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
     _at_least(args, 0, "batch", "limit")
-    # The matrices are passed without a name here, so that under --limit
-    # fit_map can free them once it has gathered the kept rows (Python
-    # 3.11 and later hand a call's arguments over to the callee).
+    matrices = [embeddings.load_matrix(args.helper_emb),
+                embeddings.load_matrix(args.source_emb)]
+    part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
+    train_cfg = _train_config(args)
+    # adapt's checks, so that no pair is fitted twice and the helper has
+    # one row per target token
+    try:
+        heuristics.check_helper_rows(matrices[0].rows,
+                                     part.shared_count + part.novel_count)
+        check_partition(part, matrices[1].rows)
+    except (DimensionMismatch, PartitionInconsistent) as exc:
+        raise type(exc)(f"{args.partition}: {exc}") from None
+    # pop() leaves the call the only references to the matrices, so that
+    # under --limit fit_map can free them once it has gathered the kept
+    # rows (Python 3.11 and later hand a call's arguments over to the
+    # callee).
     phi, fit_report = alignment.fit_map(
-        embeddings.load_matrix(args.helper_emb),
-        embeddings.load_matrix(args.source_emb),
-        TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent)),
-        _train_config(args), limit=args.limit,
+        matrices.pop(0), matrices.pop(0), part, train_cfg, limit=args.limit,
     )
     alignment.save_map(phi, args.out)
     _emit(args, {"fit": fit_report}, None)

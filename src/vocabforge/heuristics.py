@@ -22,7 +22,13 @@ from .errors import (
     UnencodableInput,
     VocabForgeError,
 )
-from .tokenizer import TokenizerModel, TokenPartition, canonicalize, partition
+from .tokenizer import (
+    TokenizerModel,
+    TokenPartition,
+    canonicalize,
+    check_partition,
+    partition,
+)
 
 METHODS = ("random", "fvt", "clp", "sava")
 HELPER_METHODS = ("clp", "sava")
@@ -309,35 +315,6 @@ def _check_rows(rows, count: int, dim: int, what: str) -> None:
         )
 
 
-def _check_partition(part: TokenPartition, source_rows: int):
-    """part's shared source, shared target and novel target ids. Raises
-    PartitionInconsistent unless each source id indexes a source row and
-    the target ids cover 0 .. shared + novel - 1 once each."""
-    target_size = part.shared_count + part.novel_count
-    sids, shared_tids, novel_tids = (
-        part.source_ids, part.shared_target_ids, part.novel_target_ids)
-    tids = np.concatenate([shared_tids, novel_tids])
-    bad = (sids < 0) | (sids >= source_rows)
-    if bad.any():
-        raise PartitionInconsistent(
-            f"source id {sids[bad][0]} is outside the {source_rows}-row "
-            f"source matrix"
-        )
-    bad = (tids < 0) | (tids >= target_size)
-    if bad.any():
-        raise PartitionInconsistent(
-            f"target id {tids[bad][0]} is outside the {target_size}-token target"
-        )
-    # target_size ids, all in range: a repeated id leaves another uncovered
-    counts = np.bincount(tids, minlength=target_size)
-    if counts.max(initial=1) > 1:
-        raise PartitionInconsistent(
-            f"target id {counts.argmax()} appears {counts.max()} times; the "
-            f"partition does not cover every target id"
-        )
-    return sids, shared_tids, novel_tids
-
-
 def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
@@ -355,7 +332,7 @@ def assemble(
     fallback. Shared rows are copied bit-exactly.
     """
     start = time.perf_counter()
-    sids, shared_tids, novel_tids = _check_partition(part, source_emb.rows)
+    sids, shared_tids, novel_tids = check_partition(part, source_emb.rows)
     target_size = part.shared_count + part.novel_count
     dim = source_emb.dim
     out = np.empty((target_size, dim), dtype=np.float32)
@@ -402,13 +379,13 @@ def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.ones(len(rows), dtype=bool)
 
 
-def check_helper_rows(rows: int, target_model: TokenizerModel) -> None:
+def check_helper_rows(rows: int, target_size: int) -> None:
     """A helper matrix has one row per target token."""
-    if rows != target_model.vocab.size:
+    if rows != target_size:
         raise DimensionMismatch(
             f"helper matrix has {rows} rows but the target vocabulary has "
-            f"{target_model.vocab.size} tokens; the helper must be trained "
-            f"with the target tokenizer"
+            f"{target_size} tokens; the helper must be trained with the "
+            f"target tokenizer"
         )
 
 
@@ -436,8 +413,8 @@ def adapt_matrix(
             raise VocabForgeError(
                 f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
             )
-        check_helper_rows(helper_emb.rows, target_model)
-    _check_partition(part, source_emb.rows)  # before a kernel reads a row
+        check_helper_rows(helper_emb.rows, target_model.vocab.size)
+    check_partition(part, source_emb.rows)  # before a kernel reads a row
     fallback = _make_fallback(cfg, source_emb)
 
     if cfg.method == "random":

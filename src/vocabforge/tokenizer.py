@@ -14,7 +14,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -274,14 +274,23 @@ class TokenizerModel:
 def load_json(path: str, error: type[Exception]):
     """Parse the JSON file at path. Text that is not UTF-8 JSON, or is
     nested too deep for the parser, raises `error` (a one-line message)
-    rather than ValueError or RecursionError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise error(f"{path}: JSON nested too deeply to parse") from None
-        except ValueError as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from None
+    rather than ValueError or RecursionError.
+
+    The file is read as bytes and decoded once, strictly: a text-mode read
+    would also translate newlines, which JSON reads as whitespace anyway.
+    The bytes are dropped before the parse, so one decoded copy is held.
+    (json.loads of the bytes would accept UTF-16 and encoded surrogates.)
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+        del data
+        return json.loads(text)
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply to parse") from None
+    except ValueError as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_vocab(path: str) -> Vocabulary:
@@ -401,17 +410,17 @@ class TokenPartition:
     @cached_property
     def source_ids(self) -> np.ndarray:
         """The shared tokens' source ids."""
-        return _id_array([sid for _, sid, _ in self.shared])
+        return _id_array(self.shared, 1)
 
     @cached_property
     def shared_target_ids(self) -> np.ndarray:
         """The shared tokens' target ids."""
-        return _id_array([tid for _, _, tid in self.shared])
+        return _id_array(self.shared, 2)
 
     @cached_property
     def novel_target_ids(self) -> np.ndarray:
         """The novel tokens' target ids."""
-        return _id_array([tid for _, tid in self.novel])
+        return _id_array(self.novel, 1)
 
     @property
     def shared_count(self) -> int:
@@ -432,21 +441,25 @@ class TokenPartition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TokenPartition":
-        """Read an `intersect` report; malformed input raises PartitionInconsistent."""
+        """Read an `intersect` report; malformed input raises PartitionInconsistent.
+
+        Each list's rows come from one comprehension, and their ids are
+        checked a column at a time. Only a report that fails is walked
+        entry by entry, so the error names its first bad entry or id.
+        """
         if not isinstance(d, dict) or "shared" not in d or "novel" not in d:
             raise PartitionInconsistent(
                 "partition must be a JSON object with 'shared' and 'novel' lists"
             )
         try:
-            shared = tuple(
-                (str(t), _partition_id(s), _partition_id(g)) for t, s, g in d["shared"]
-            )
-            novel = tuple((str(t), _partition_id(g)) for t, g in d["novel"])
-        except (TypeError, ValueError) as exc:
-            raise PartitionInconsistent(
-                "partition entries must be [token, source id, target id] "
-                f"(shared) and [token, target id] (novel): {exc}"
-            ) from exc
+            shared = tuple([(str(t), s, g) for t, s, g in d["shared"]])
+            novel = tuple([(str(t), g) for t, g in d["novel"]])
+            valid = (_ids_valid(shared, 1) and _ids_valid(shared, 2)
+                     and _ids_valid(novel, 1))
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
+            shared, novel = _checked_entries(d)
         warnings = d.get("warnings", [])
         if not (isinstance(warnings, list)
                 and all(isinstance(w, str) for w in warnings)):
@@ -455,10 +468,68 @@ class TokenPartition:
         return cls(shared, novel, tuple(warnings))
 
 
-def _id_array(ids: list[int]) -> np.ndarray:
-    array = np.array(ids, dtype=np.int64)
+def check_partition(part: TokenPartition, source_rows: int):
+    """part's shared source, shared target and novel target ids. Raises
+    PartitionInconsistent unless each source id indexes a source row and
+    the target ids cover 0 .. shared + novel - 1 once each."""
+    target_size = part.shared_count + part.novel_count
+    try:
+        sids, shared_tids, novel_tids = (
+            part.source_ids, part.shared_target_ids, part.novel_target_ids)
+    except OverflowError:
+        raise PartitionInconsistent(
+            "a partition id is past the int64 range, outside every matrix"
+        ) from None
+    tids = np.concatenate([shared_tids, novel_tids])
+    bad = (sids < 0) | (sids >= source_rows)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"source id {sids[bad][0]} is outside the {source_rows}-row "
+            f"source matrix"
+        )
+    bad = (tids < 0) | (tids >= target_size)
+    if bad.any():
+        raise PartitionInconsistent(
+            f"target id {tids[bad][0]} is outside the {target_size}-token target"
+        )
+    # target_size ids, all in range: a repeated id leaves another uncovered
+    counts = np.bincount(tids, minlength=target_size)
+    if counts.max(initial=1) > 1:
+        raise PartitionInconsistent(
+            f"target id {counts.argmax()} appears {counts.max()} times; the "
+            f"partition does not cover every target id"
+        )
+    return sids, shared_tids, novel_tids
+
+
+def _id_array(rows, column: int) -> np.ndarray:
+    array = np.fromiter(map(itemgetter(column), rows), np.int64, count=len(rows))
     array.flags.writeable = False
     return array
+
+
+def _ids_valid(rows, column: int) -> bool:
+    """Whether every row's id at column is an int (not a bool) and >= 0:
+    one pass over the types, then one for the least id. The type must be
+    int itself; an int subclass is left to _checked_entries, which keeps it."""
+    return (set(map(type, map(itemgetter(column), rows))) <= {int}
+            and min(map(itemgetter(column), rows), default=0) >= 0)
+
+
+def _checked_entries(d: dict):
+    """The shared and novel rows of d, checked entry by entry in order: the
+    first malformed entry or id raises PartitionInconsistent naming it."""
+    try:
+        shared = tuple(
+            (str(t), _partition_id(s), _partition_id(g)) for t, s, g in d["shared"]
+        )
+        novel = tuple((str(t), _partition_id(g)) for t, g in d["novel"])
+    except (TypeError, ValueError) as exc:
+        raise PartitionInconsistent(
+            "partition entries must be [token, source id, target id] "
+            f"(shared) and [token, target id] (novel): {exc}"
+        ) from exc
+    return shared, novel
 
 
 def _partition_id(value) -> int:

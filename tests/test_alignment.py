@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_matrix
 from vocabforge import (
@@ -126,6 +128,36 @@ class TestCollectPairs:
             assert got.tobytes() == want.tobytes()
 
 
+ENTRIES = ("partition entries must be [token, source id, target id] (shared) "
+           "and [token, target id] (novel): ")
+
+
+def bad_id(value):
+    return f"partition id {value!r} is not a non-negative integer"
+
+
+def partition_doc(**entries):
+    """A valid report (3 shared, 2 novel entries) with entries replaced:
+    shared_2=[...] replaces the third shared entry."""
+    doc = {"shared": [["a", 0, 1], ["b", 1, 2], ["c", 2, 0]],
+           "novel": [["x", 3], ["y", 4]], "warnings": []}
+    for key, entry in entries.items():
+        where, index = key.rsplit("_", 1)
+        doc[where][int(index)] = entry
+    return doc
+
+
+@st.composite
+def token_partitions(draw):
+    """Partitions with int64 ids; either list may be empty."""
+    tokens = st.text(max_size=4)
+    ids = st.integers(0, 2**63 - 1)
+    return TokenPartition(
+        tuple(draw(st.lists(st.tuples(tokens, ids, ids), max_size=8))),
+        tuple(draw(st.lists(st.tuples(tokens, ids), max_size=8))),
+        tuple(draw(st.lists(tokens, max_size=2))))
+
+
 class TestPartitionFromDict:
     def test_roundtrip(self):
         part = make_partition(3, n_novel=2)
@@ -149,6 +181,64 @@ class TestPartitionFromDict:
     def test_malformed_rejected(self, doc):
         with pytest.raises(PartitionInconsistent):
             TokenPartition.from_dict(doc)
+
+    # one defect each, in the first or a later entry of either list
+    @pytest.mark.parametrize("entries, message", [
+        ({"shared_0": ["a", 0, 1, 5]}, ENTRIES + "too many values to unpack "
+                                                 "(expected 3)"),
+        ({"shared_2": ["c", 2]}, ENTRIES + "not enough values to unpack "
+                                           "(expected 3, got 2)"),
+        ({"shared_0": ["a", True, 1]}, bad_id(True)),
+        ({"shared_2": ["c", 2, False]}, bad_id(False)),
+        ({"shared_0": ["a", 0.0, 1]}, bad_id(0.0)),
+        ({"shared_2": ["c", 2, 2.5]}, bad_id(2.5)),
+        ({"shared_0": ["a", -1, 1]}, bad_id(-1)),
+        ({"shared_2": ["c", 2, -3]}, bad_id(-3)),
+        ({"novel_0": ["x", 3, 4]}, ENTRIES + "too many values to unpack "
+                                             "(expected 2)"),
+        ({"novel_1": 7}, ENTRIES + "cannot unpack non-iterable int object"),
+        ({"novel_0": ["x", True]}, bad_id(True)),
+        ({"novel_1": ["y", 4.0]}, bad_id(4.0)),
+        ({"novel_0": ["x", -1]}, bad_id(-1)),
+        ({"novel_1": ["y", -4]}, bad_id(-4)),
+    ])
+    def test_one_defect_keeps_its_message(self, entries, message):
+        with pytest.raises(PartitionInconsistent) as got:
+            TokenPartition.from_dict(partition_doc(**entries))
+        assert str(got.value) == message
+
+    # the first defect in file order is named, shared before novel
+    @pytest.mark.parametrize("entries, message", [
+        ({"shared_0": ["a", -1, 1], "shared_2": ["c"]}, bad_id(-1)),
+        ({"shared_0": ["a"], "shared_2": ["c", -1, 0]},
+         ENTRIES + "not enough values to unpack (expected 3, got 1)"),
+        ({"shared_1": ["b", 1.5, True]}, bad_id(1.5)),
+        ({"shared_1": ["b", 1, True], "shared_2": ["c", -2, 0]}, bad_id(True)),
+        ({"shared_2": ["c", 2, None], "novel_0": "x"}, bad_id(None)),
+        ({"novel_0": ["x", -5], "novel_1": ["y", 4, 4]}, bad_id(-5)),
+    ])
+    def test_first_defect_is_named(self, entries, message):
+        with pytest.raises(PartitionInconsistent) as got:
+            TokenPartition.from_dict(partition_doc(**entries))
+        assert str(got.value) == message
+
+    def test_int_subclass_id_is_kept(self):
+        class Id(int):
+            pass
+
+        part = TokenPartition.from_dict(partition_doc(shared_1=["b", Id(1), 2]))
+        assert part == TokenPartition.from_dict(partition_doc())
+        assert type(part.shared[1][1]) is Id
+
+    @given(part=token_partitions())
+    def test_roundtrip_and_id_arrays(self, part):
+        got = TokenPartition.from_dict(json.loads(json.dumps(part.to_dict())))
+        assert got == part
+        for ids, rows, column in ((got.source_ids, part.shared, 1),
+                                  (got.shared_target_ids, part.shared, 2),
+                                  (got.novel_target_ids, part.novel, 1)):
+            assert ids.dtype == np.int64 and not ids.flags.writeable
+            assert ids.tolist() == [row[column] for row in rows]
 
 
 class TestScaler:

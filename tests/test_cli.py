@@ -183,11 +183,14 @@ class TestIntersectAndFitMap:
         rng = np.random.default_rng(5)
         helper = EmbeddingMatrix(rng.normal(size=(60, 5)).astype(np.float32))
         source = EmbeddingMatrix(rng.normal(size=(50, 7)).astype(np.float32))
+        # 40 of the 60 target tokens are shared; fit-map checks that the
+        # partition covers every helper row once
+        sids, tids = rng.permutation(50)[:40], rng.permutation(60)
         part = TokenPartition(
             shared=tuple((f"t{i}", int(sid), int(tid)) for i, (sid, tid) in
-                         enumerate(zip(rng.permutation(50)[:40],
-                                       rng.permutation(60)[:40]))),
-            novel=(), warnings=())
+                         enumerate(zip(sids, tids[:40]))),
+            novel=tuple((f"n{i}", int(tid)) for i, tid in enumerate(tids[40:])),
+            warnings=())
         paths = {name: str(tmp_path / name) for name in
                  ("helper.emb1", "source.emb1", "part.json", "cli.map",
                   "arrays.map")}
@@ -278,7 +281,7 @@ class TestIntersectAndFitMap:
         part_path = world["tmp"] + "/part.json"
         with open(part_path, "w", encoding="utf-8") as fh:
             json.dump({"shared": [[f"s{i}", i, i] for i in range(6)],
-                       "novel": []}, fh)
+                       "novel": [["n0", 6], ["n1", 7]]}, fh)
         code, out, err = run(
             capsys, "fit-map",
             "--helper-emb", world["helper_emb"],

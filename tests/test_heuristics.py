@@ -20,6 +20,7 @@ from vocabforge import (
     g_sava,
     partition,
     stats,
+    tokenizer,
 )
 from vocabforge.errors import (
     DegenerateSimilarity,
@@ -742,9 +743,10 @@ class TestAdapt:
         for a in arrays:
             assert a.dtype == np.int64 and not a.flags.writeable
         built = []
+        real = tokenizer._id_array
         monkeypatch.setattr(
-            "vocabforge.tokenizer._id_array",
-            lambda ids: built.append(ids) or np.array(ids, dtype=np.int64))
+            tokenizer, "_id_array",
+            lambda rows, column: built.append(column) or real(rows, column))
         adapt_matrix(source_emb, source, target, part, helper_emb,
                      HeuristicConfig(method="clp"), TrainConfig(steps=1))
         assert built == []  # the checks and the CLP kernel read the arrays

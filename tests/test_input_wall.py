@@ -195,6 +195,52 @@ def test_partition_value_replaced(files, where, entry, field, value):
     check_outcome(*fit_map_with(files, json.dumps(doc).encode()), must_fail=False)
 
 
+HELPER_ROWS = ("helper matrix has 8 rows but the target vocabulary has 9 "
+               "tokens; the helper must be trained with the target tokenizer")
+
+
+@pytest.mark.parametrize("shared_extra, novel, message", [
+    # the first shared entry repeated: its pair would be fitted twice
+    ([0], [["n0", 0], ["n1", 1]], HELPER_ROWS),
+    # a novel id past the 8-row helper
+    ([], [["n0", 0], ["n1", 1], ["zz", 1000000]], HELPER_ROWS),
+    # the same two edits with the row count kept
+    ([0], [["n0", 0]], "target id 2 appears 2 times; the partition does not "
+                       "cover every target id"),
+    ([], [["n0", 0], ["zz", 1000000]],
+     "target id 1000000 is outside the 8-token target"),
+], ids=["shared-repeated", "novel-added", "shared-repeated-same-rows",
+        "novel-replaced"])
+def test_partition_adapt_would_reject(files, shared_extra, novel, message):
+    # fit-map checks the partition as adapt does, before the fit
+    doc = json.loads(files["partition"])
+    doc["shared"] += [doc["shared"][i] for i in shared_extra]
+    doc["novel"] = novel
+    (files["root"] / "fit.map").unlink(missing_ok=True)
+    code, out, err = fit_map_with(files, json.dumps(doc).encode())
+    assert (code, out) == (1, "")
+    assert err == f"error: {files['root'] / 'part.json'}: {message}\n"
+    assert not (files["root"] / "fit.map").exists()
+
+
+def test_source_id_past_the_source_matrix(files):
+    doc = json.loads(files["partition"])
+    doc["shared"][3][1] = 6
+    code, out, err = fit_map_with(files, json.dumps(doc).encode())
+    assert (code, out) == (1, "")
+    assert err == (f"error: {files['root'] / 'part.json'}: source id 6 is "
+                   f"outside the 6-row source matrix\n")
+
+
+def test_partition_id_past_int64(files):
+    doc = json.loads(files["partition"])
+    doc["novel"][1][1] = 2**70
+    code, out, err = fit_map_with(files, json.dumps(doc).encode())
+    assert (code, out) == (1, "")
+    assert err == (f"error: {files['root'] / 'part.json'}: a partition id is "
+                   f"past the int64 range, outside every matrix\n")
+
+
 # --- vocab and merges files through fertility and intersect ------------
 
 

@@ -13,11 +13,15 @@ from vocabforge import (
     load_vocab,
     partition,
 )
+from vocabforge.cli import UsageError
 from vocabforge.errors import (
+    MalformedMap,
     MalformedVocab,
+    PartitionInconsistent,
     UnencodableInput,
     UnknownMergeSymbol,
 )
+from vocabforge.tokenizer import load_json
 
 
 class TestLoadTokenizer:
@@ -476,3 +480,99 @@ class TestRankTableOnFirstUse:
         target = char_tokenizer(merges=[("b", "c")], marker=BYTE)
         partition(source.vocab, target.vocab, source.marker, target.marker)
         assert "_ranks" not in vars(source) and "_ranks" not in vars(target)
+
+
+# --- JSON files read as bytes, against a text-mode read ------------------
+
+
+def text_mode_load_json(path, error):
+    """load_json through a text-mode file, which translates newlines: the
+    reference for load_json's results and errors."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise error(f"{path}: JSON nested too deeply to parse") from None
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def json_files(draw):
+    """A JSON document's bytes, indented or not, with LF, CRLF or CR line
+    ends, maybe with one byte changed."""
+    text = json.dumps(draw(JSON_DOCS), indent=draw(st.sampled_from([None, 1])),
+                      ensure_ascii=draw(st.booleans()))
+    data = bytearray(text.replace("\n", draw(st.sampled_from(
+        ["\n", "\r\n", "\r"]))).encode("utf-8", "surrogatepass"))
+    if data and draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+class TestLoadJson:
+    # each reader's own error type: vocab, partition, map sidecar, --config
+    @pytest.mark.parametrize("error", [MalformedVocab, PartitionInconsistent,
+                                       MalformedMap, UsageError])
+    @pytest.mark.parametrize("data, message", [
+        (b'{"a": "\xff"}', "not valid JSON: 'utf-8' codec can't decode byte "
+                           "0xff in position 7: invalid start byte"),
+        (b'\xef\xbb\xbf{"a": 0}', "not valid JSON: Unexpected UTF-8 BOM "
+                                  "(decode using utf-8-sig): line 1 column 1 "
+                                  "(char 0)"),
+        (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply to parse"),
+        ('{"a": 0}'.encode("utf-16"), "not valid JSON: 'utf-8' codec can't "
+                                      "decode byte 0xff in position 0: invalid "
+                                      "start byte"),
+        ('{"a": 0}'.encode("utf-16-le"), "not valid JSON: Expecting property "
+                                         "name enclosed in double quotes: line "
+                                         "1 column 2 (char 1)"),
+        (b'["\xed\xa0\x80"]', "not valid JSON: 'utf-8' codec can't decode "
+                              "byte 0xed in position 2: invalid continuation "
+                              "byte"),
+    ], ids=["not-utf8", "utf8-bom", "too-deep", "utf16", "utf16-no-bom",
+            "encoded-surrogate"])
+    def test_error_parity(self, tmp_path, error, data, message):
+        path = tmp_path / "in.json"
+        path.write_bytes(data)
+        with pytest.raises(error) as got:
+            load_json(str(path), error)
+        assert str(got.value) == f"{path}: {message}"
+        with pytest.raises(error) as want:
+            text_mode_load_json(str(path), error)
+        assert str(got.value) == str(want.value)
+
+    def test_crlf_file_parses_as_its_lf_twin(self, tmp_path):
+        doc = {"shared": [["a", 0, 1], ["b", 2, 0]], "novel": [["c\r", 1]],
+               "warnings": ["x y"]}
+        text = json.dumps(doc, indent=2)
+        (tmp_path / "lf.json").write_bytes(text.encode())
+        (tmp_path / "crlf.json").write_bytes(text.replace("\n", "\r\n").encode())
+        assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
+        got = load_json(str(tmp_path / "crlf.json"), ValueError)
+        assert got == load_json(str(tmp_path / "lf.json"), ValueError) == doc
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=json_files())
+    def test_same_value_or_same_error(self, tmp_path_factory, data):
+        # a CR is whitespace to JSON and never allowed raw in a string, so
+        # no newline translation changes what parses; only the offsets in
+        # the message of a file holding one may differ
+        path = tmp_path_factory.mktemp("json") / "in.json"
+        path.write_bytes(data)
+        got = outcome(load_json, str(path), MalformedVocab)
+        want = outcome(text_mode_load_json, str(path), MalformedVocab)
+        if isinstance(want, tuple) and want and want[0] is MalformedVocab:
+            assert got[0] is MalformedVocab
+            if b"\r" not in data:
+                assert got == want
+        else:
+            assert got == want
