@@ -58,6 +58,11 @@ def iter_corpus(path: str):
         raise MalformedCorpus(f"{fh.name}: not UTF-8 text: {exc}") from None
 
 
+# Bytes that fertility counts for each word it buffers: a short word's str
+# object and its list slot.
+WORD_BYTES = 64
+
+
 def fertility(
     model: TokenizerModel,
     documents,
@@ -72,23 +77,55 @@ def fertility(
     total tokens / total words, not a mean of per-document ratios, so it
     is independent of document order and sharding. Each distinct word is
     encoded once per call.
+
+    New words are encoded in blocks, one `encode_pieces` call for
+    embeddings.CACHE_BUDGET // WORD_BYTES of them, and documents wait in
+    a buffer until the words they hold are counted. The buffer is emptied
+    once it holds that many words, so memory stays bounded. A new word's
+    characters are checked against the alphabet when it is first seen,
+    so the first word that cannot be encoded raises before any later
+    document is read.
     """
+    marker = model.marker.marker
+    block = max(1, embeddings.CACHE_BUDGET // WORD_BYTES)
     total_words = 0
     total_tokens = 0
     per_doc: list[float] = []
     counts: dict[str, int] = {}  # word -> token count
+    new: list[str] = []  # words seen, not yet encoded
+    waiting: list[list[str]] = []  # documents holding them, in order
+    buffered = 0  # words in waiting
+    known: set[str] = set()  # characters found encodable
+
+    def count_waiting():
+        nonlocal total_words, total_tokens, buffered
+        if new:
+            _, lengths, _ = model.encode_pieces([marker + w for w in new])
+            counts.update(zip(new, lengths.tolist()))
+            new.clear()
+        for words in waiting:
+            doc_tokens = sum(map(counts.__getitem__, words))
+            total_words += len(words)
+            total_tokens += doc_tokens
+            if per_document:
+                per_doc.append(doc_tokens / len(words))
+        waiting.clear()
+        buffered = 0
+
     for doc in documents:
         words = doc.split()
         if not words:
             continue
         for word in words:
             if word not in counts:
-                counts[word] = len(model.tokenize_word(word))
-        doc_tokens = sum(map(counts.__getitem__, words))
-        total_words += len(words)
-        total_tokens += doc_tokens
-        if per_document:
-            per_doc.append(doc_tokens / len(words))
+                model.check_alphabet(marker + word, known)
+                counts[word] = 0  # set when its block is encoded
+                new.append(word)
+        waiting.append(words)
+        buffered += len(words)
+        if buffered >= block:
+            count_waiting()
+    count_waiting()
     if total_words == 0:
         raise EmptyCorpus(f"corpus {corpus_label!r} contains no words")
     return FertilityReport(

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import (
     DimensionMismatch,
     FallbackRequired,
     PartitionInconsistent,
-    UnencodableInput,
     VocabForgeError,
 )
 from .tokenizer import (
@@ -169,17 +167,12 @@ def fvt_rows(
     gather added to a prefix of the block.
     """
     dim = source_emb.dim
-    unk = source_model.unk_id
-    encoded = []
-    for piece in pieces:
-        try:
-            ids = source_model.encode_piece(piece)
-        except UnencodableInput:
-            ids = []
-        encoded.append([t for t in ids if t != unk])
-    counts = np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded))
-    flat = np.fromiter(chain.from_iterable(encoded), dtype=np.int64,
-                       count=int(counts.sum()))
+    flat, counts, _ = source_model.encode_pieces(pieces)
+    if source_model.unk_id is not None:
+        known = flat != source_model.unk_id
+        counts = np.bincount(np.repeat(np.arange(len(pieces)), counts)[known],
+                             minlength=len(pieces))
+        flat = flat[known]
     starts = np.cumsum(counts) - counts
     data = source_emb.data
     rows = np.zeros((len(pieces), dim))
@@ -198,7 +191,8 @@ def fvt_rows(
     if dim == 1:
         # numpy sums a lone column pairwise, which differs from 8 rows on
         for i in np.flatnonzero(counts >= 8):
-            rows[i] = data[encoded[i]].astype(np.float64).mean(axis=0)
+            ids = flat[starts[i]:starts[i] + counts[i]]
+            rows[i] = data[ids].astype(np.float64).mean(axis=0)
     return rows, counts > 0
 
 

@@ -4,6 +4,11 @@ marker canonicalization, and vocabulary intersection.
 Supported file layout is the classic vocab.json + merges.txt pair: the
 vocab maps token string to id, the merges file lists one rank-ordered
 merge per line.
+
+Encoding has one kernel, `TokenizerModel.encode_pieces`, which applies
+the merges to a whole batch of pieces as arrays of symbol ids, looking
+pairs up in one sorted table of merge keys; `encode_piece`,
+`tokenize_word` and `tokenize` each make one call to it.
 """
 
 from __future__ import annotations
@@ -113,17 +118,18 @@ class TokenizerModel:
 
     Immutable after construction; tokenize/decode are pure functions.
     _symbols holds the checked merges' left and right symbols in rank
-    order, repeats included. The rank table (`_ranks`, and `merges`) is
-    built from them at first use, so a model that never encodes never
-    builds one; after that it is a plain instance attribute.
+    order, repeats included, and each one's merged id. The merge table
+    (`_merge_table`) and `merges` are built from them at first use, so a
+    model that never encodes never builds a table; after that each is a
+    plain instance attribute.
     """
 
     vocab: Vocabulary
     marker: MarkerConvention
     byte_level: bool = False
     unk_id: int | None = None
-    _symbols: tuple[Sequence[str], Sequence[str]] = field(
-        repr=False, default=((), ()))
+    _symbols: tuple[Sequence[str], Sequence[str], np.ndarray] = field(
+        repr=False, default=((), (), np.empty(0, np.int64)))
 
     @classmethod
     def build(
@@ -137,21 +143,16 @@ class TokenizerModel:
         merges = list(merges)
         lefts = [a for a, _ in merges]
         rights = [b for _, b in merges]
-        bad = _first_unknown_merge(vocab, lefts, rights)
+        merged, bad = _check_merges(vocab, lefts, rights)
         if bad is not None:
             raise UnknownMergeSymbol(_unknown_merge(lefts[bad], rights[bad]))
-        return cls(vocab, marker, byte_level, unk_id, (lefts, rights))
-
-    @cached_property
-    def _ranks(self) -> dict[tuple[str, str], int]:
-        """Rank of each distinct merge: the order of its first line."""
-        pairs = dict.fromkeys(zip(*self._symbols))
-        return dict(zip(pairs, range(len(pairs))))
+        return cls(vocab, marker, byte_level, unk_id, (lefts, rights, merged))
 
     @cached_property
     def merges(self) -> tuple[tuple[str, str], ...]:
         """The distinct merges in rank order."""
-        return tuple(self._ranks)
+        lefts, rights, _ = self._symbols
+        return tuple(dict.fromkeys(zip(lefts, rights)))
 
     def __eq__(self, other):
         """Equal vocab, distinct merges in rank order, marker, byte_level
@@ -164,36 +165,157 @@ class TokenizerModel:
 
     # --- encoding ------------------------------------------------------
 
-    def _apply_merges(self, symbols: list[str]) -> list[str]:
-        """Greedy BPE: repeatedly merge the lowest-rank adjacent pair.
+    @cached_property
+    def _merge_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(keys, ranks, merged): each distinct merge's key
+        left_id * (V + 2) + right_id in ascending order, then a sentinel
+        key past every pair; the rank beside each key (the index of the
+        merge's first line, so the first of repeated lines wins; the
+        sentinel's is the line count, the rank of a pair that is no merge);
+        and each line's merged id. V is the vocabulary size: ids V and
+        V + 1, which the encoder gives piece separators and characters
+        outside the vocabulary, pair with no merge."""
+        lefts, rights, merged = self._symbols
+        get = self.vocab.token_to_id.__getitem__
+        count = len(lefts)
+        left = np.fromiter(map(get, lefts), np.int64, count)
+        right = np.fromiter(map(get, rights), np.int64, count)
+        keys, first = np.unique(left * (self.vocab.size + 2) + right,
+                                return_index=True)
+        return (np.append(keys, np.iinfo(np.int64).max),
+                np.append(first, count), merged)
 
-        Each round merges every occurrence of that pair, left to right.
-        rs[i] is the rank of (symbols[i], symbols[i + 1]), len(ranks) for
-        a pair that is no merge. A merge changes only the two ranks beside
-        it, and neither can be the merged pair's: distinct pairs have
-        distinct ranks, and a merged symbol a+b is longer than a and b.
+    def encode_pieces(self, pieces: Sequence[str]):
+        """BPE-encode word fragments (no whitespace handling), all at once.
+
+        Returns (ids, counts, ok): every piece's int64 ids one piece after
+        another, each piece's id count, and whether each piece could be
+        encoded. A piece holding a character that is not in the vocabulary
+        and has neither byte tokens (byte_level) nor unk gets ok False,
+        count 0 and no ids.
+
+        Greedy BPE (Sennrich et al., 2016): in each round every unfinished
+        piece merges all occurrences of its lowest-rank adjacent pair, left
+        to right and without overlap, until no adjacent pair is a merge.
+        The pieces' symbol ids lie in one array, each piece after a
+        separator id, with one rank per adjacent pair. A round takes each
+        piece's least rank (one reduceat), merges in place, and looks up
+        only the two pairs beside each merge: neither can be the merged
+        pair, as a merged symbol a+b is longer than a and b. A piece
+        without a merge leaves the arrays. A character outside the
+        vocabulary never merges; at the end it becomes its byte tokens or
+        unk, as `_symbol_ids` gives them.
         """
-        get = self._ranks.get
-        none = len(self._ranks)
-        symbols = list(symbols)
-        rs = list(map(get, zip(symbols, symbols[1:]), repeat(none)))
-        while rs:
-            best = min(rs)
-            if best == none:
-                break
-            i = rs.index(best)
-            while True:
-                merged = symbols[i] + symbols.pop(i + 1)
-                symbols[i] = merged
-                del rs[i]
-                if i:
-                    rs[i - 1] = get((symbols[i - 1], merged), none)
-                if i < len(rs):
-                    rs[i] = get((merged, symbols[i + 1]), none)
-                if best not in rs:
-                    break
-                i = rs.index(best, i)
-        return symbols
+        size = self.vocab.size
+        sep, alien = size, size + 1
+        keys, ranks, merged = self._merge_table
+        none = len(merged)
+
+        def pair_ranks(left, right):
+            key = left * (size + 2) + right
+            order = np.argsort(key)
+            key = key[order]
+            at = np.searchsorted(keys, key)
+            out = np.empty(len(key), np.int64)
+            out[order] = np.where(keys[at] == key, ranks[at], none)
+            return out
+
+        count = len(pieces)
+        lengths = np.fromiter(map(len, pieces), np.int64, count)
+        codes = np.frombuffer(
+            "".join(pieces).encode("utf-32-le", "surrogatepass"), np.uint32)
+        # each character's id, through a table indexed by code point
+        by_code = np.zeros(int(codes.max(initial=0)) + 1, np.int64)
+        by_code[codes] = 1
+        chars = np.flatnonzero(by_code)
+        get = self.vocab.token_to_id.get
+        by_code[chars] = [get(chr(c), alien) for c in chars.tolist()]
+        text_ids = by_code[codes]
+        found_at = np.flatnonzero(text_ids == alien)
+        sym = np.append(np.insert(text_ids, np.cumsum(lengths) - lengths, sep),
+                        sep)
+        rank = np.append(pair_ranks(sym[:-1], sym[1:]), none)
+        live = np.arange(count)
+        out_syms, out_pieces, out_spans = [], [], []
+        while live.size:
+            starts = np.flatnonzero(sym[:-1] == sep)
+            spans = np.diff(starts, append=len(sym) - 1)
+            least = np.minimum.reduceat(rank, starts)
+            finished = least == none
+            # -1 is no pair's rank: a finished piece merges nothing, and
+            # its positions are dropped with the merged-away ones
+            least[finished] = -1
+            span_least = np.repeat(least, spans)
+            at = np.flatnonzero(rank[:-1] == span_least)
+            if at.size > 1 and (np.diff(at) == 1).any():
+                at = _every_other(at)
+            sym[at] = merged[rank[at]]
+            keep = np.append(span_least >= 0, True)
+            if finished.any():
+                out_syms.append(sym[np.flatnonzero(~keep)])
+                out_pieces.append(live[finished])
+                out_spans.append(spans[finished])
+                live = live[~finished]
+            keep[at + 1] = False
+            kept = np.flatnonzero(keep)
+            sym, rank = sym[kept], rank[kept]
+            at = np.searchsorted(kept, at)
+            near = np.concatenate([at - 1, at])
+            rank[near] = pair_ranks(sym[near], sym[near + 1])
+        return self._expand(lengths, found_at, codes[found_at], out_syms,
+                            out_pieces, out_spans)
+
+    def _expand(self, lengths, found_at, found, out_syms, out_pieces,
+                out_spans):
+        """encode_pieces' result from its finished pieces: out_syms[k] holds
+        the separators and symbols of the pieces out_pieces[k], which span
+        out_spans[k] positions each. found holds the code points of the
+        characters outside the vocabulary, in text order (the order of
+        their symbols, which never merge), and found_at their positions in
+        the pieces' joined text."""
+        count = len(lengths)
+        sep, alien = self.vocab.size, self.vocab.size + 1
+        if not count:
+            return np.empty(0, np.int64), np.empty(0, np.int64), np.ones(0, bool)
+        order = np.concatenate(out_pieces)
+        spans = np.concatenate(out_spans)
+        span_of = np.empty(count, np.int64)
+        span_of[order] = spans
+        syms = np.empty(int(span_of.sum()), np.int64)
+        syms[_ragged((np.cumsum(span_of) - span_of)[order], spans)] = (
+            np.concatenate(out_syms))
+        counts = span_of - 1
+        ok = np.ones(count, bool)
+        if found.size:
+            unknown = np.unique(found)
+            which = np.searchsorted(unknown, found)
+            widths = np.zeros(len(unknown), np.int64)
+            bad = np.zeros(len(unknown), bool)
+            expansions: list[int] = []
+            for j, code in enumerate(unknown.tolist()):
+                try:
+                    ids = self._symbol_ids(chr(code))
+                except UnencodableInput:
+                    bad[j] = True
+                    continue
+                widths[j] = len(ids)
+                expansions += ids
+            firsts = np.cumsum(widths) - widths
+            copies = np.ones(len(syms), np.int64)
+            aliens = syms == alien
+            copies[aliens] = widths[which]
+            syms = np.repeat(syms, copies)
+            syms[np.repeat(aliens, copies)] = np.array(expansions, np.int64)[
+                _ragged(firsts[which], widths[which])]
+            counts = np.diff(np.flatnonzero(syms == sep), append=len(syms)) - 1
+            if bad.any():
+                ok[np.searchsorted(np.cumsum(lengths), found_at[bad[which]],
+                                   side="right")] = False
+        keep = syms != sep
+        if not ok.all():
+            keep &= np.repeat(ok, counts + 1)
+            counts[~ok] = 0
+        return syms[keep], counts, ok
 
     def _symbol_ids(self, symbol: str) -> list[int]:
         tid = self.vocab.token_to_id.get(symbol)
@@ -214,14 +336,30 @@ class TokenizerModel:
             return [self.unk_id]
         raise UnencodableInput(f"symbol {symbol!r} is outside the alphabet")
 
+    def check_alphabet(self, piece: str, known: set[str]) -> None:
+        """Raise UnencodableInput, with the message that encoding piece
+        gives, at piece's first character that is not in the vocabulary
+        and has neither byte tokens nor unk. known holds characters already
+        found encodable and gains those checked here."""
+        if known.issuperset(piece):
+            return
+        for char in piece:
+            if char not in known:
+                self._symbol_ids(char)
+                known.add(char)
+
+    def _encode(self, pieces: list[str]) -> list[int]:
+        """The ids of pieces one after another; a piece that cannot be
+        encoded raises UnencodableInput naming the text's first character
+        at fault."""
+        ids, _, ok = self.encode_pieces(pieces)
+        if not ok.all():
+            self.check_alphabet("".join(pieces), set())
+        return ids.tolist()
+
     def encode_piece(self, piece: str) -> list[int]:
         """BPE-encode a single word fragment (no whitespace handling)."""
-        if not piece:
-            return []
-        ids: list[int] = []
-        for symbol in self._apply_merges(list(piece)):
-            ids.extend(self._symbol_ids(symbol))
-        return ids
+        return self._encode([piece])
 
     def tokenize(self, text: str) -> list[int]:
         """Encode text to token ids.
@@ -230,24 +368,17 @@ class TokenizerModel:
         each marker starts a new pre-token, so merges never cross word
         boundaries. Under "none" the text is a single symbol stream.
         """
-        if not text:
-            return []
         marker = self.marker.marker
         if not marker:
-            return self.encode_piece(text)
-        s = text.replace(" ", marker)
-        ids: list[int] = []
-        start = 0
-        for i in range(1, len(s)):
-            if s[i] == marker:
-                ids.extend(self.encode_piece(s[start:i]))
-                start = i
-        ids.extend(self.encode_piece(s[start:]))
-        return ids
+            return self._encode([text])
+        # the text before the first marker, then each marker and its text
+        first, *rest = text.replace(" ", marker).split(marker)
+        pieces = [first] if first else []
+        return self._encode(pieces + [marker + p for p in rest])
 
     def tokenize_word(self, word: str) -> list[int]:
         """Encode one word as it would appear after a word boundary."""
-        return self.encode_piece(self.marker.marker + word)
+        return self._encode([self.marker.marker + word])
 
     def decode(self, ids: list[int]) -> str:
         """Invert tokenize: concatenate pieces and restore spaces."""
@@ -269,6 +400,24 @@ class TokenizerModel:
         if self.marker.marker:
             text = text.replace(self.marker.marker, " ")
         return text
+
+
+def _every_other(at: np.ndarray) -> np.ndarray:
+    """at (ascending) without overlapping pairs: in each run of consecutive
+    positions, as in a run of one repeated symbol, every other position
+    from the run's first, as a left-to-right scan takes them."""
+    index = np.arange(len(at))
+    first = np.maximum.accumulate(
+        np.where(np.diff(at, prepend=-2) != 1, index, 0))
+    return at[(index - first) % 2 == 0]
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1 for each k
+    in turn."""
+    ends = np.cumsum(lengths)
+    return (np.repeat(starts - ends + lengths, lengths)
+            + np.arange(ends[-1] if ends.size else 0))
 
 
 def load_json(path: str, error: type[Exception]):
@@ -305,16 +454,23 @@ def _unknown_merge(a: str, b: str) -> str:
     return f"merge {a!r} + {b!r} references symbols missing from the vocabulary"
 
 
-def _first_unknown_merge(vocab: Vocabulary, lefts, rights) -> int | None:
-    """Index of the first merge whose symbols or concatenation are not in
-    vocab, or None. One whole-list check per kind: the symbols as a set,
-    the concatenations one by one."""
+def _check_merges(vocab: Vocabulary, lefts, rights):
+    """Each merge's merged id (an int64 array, -1 where the concatenation
+    is not in vocab), and the index of the first merge whose symbols or
+    concatenation are not in vocab, or None. One whole-list check per
+    kind: the symbols as a set, the concatenations one by one, and the ids
+    that finds are kept for the encoder's merge table."""
     known = vocab.token_to_id
     has = known.__contains__
-    found = [list(map(has, map(add, lefts, rights)))]
+    merged = np.fromiter(map(known.get, map(add, lefts, rights), repeat(-1)),
+                         np.int64, len(lefts))
+    missing = merged < 0
+    found = [int(missing.argmax())] if missing.any() else []
     if not known.keys() >= {*lefts, *rights}:
-        found += [list(map(has, lefts)), list(map(has, rights))]
-    return min((f.index(False) for f in found if not all(f)), default=None)
+        found += [f.index(False) for f in (list(map(has, lefts)),
+                                           list(map(has, rights)))
+                  if not all(f)]
+    return merged, min(found, default=None)
 
 
 def _split_merges(path: str, lines: list[str]):
@@ -384,12 +540,13 @@ def load_tokenizer(
         if unk_token not in vocab:
             raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
         unk_id = vocab.token_to_id[unk_token]
-    bad = _first_unknown_merge(vocab, lefts, rights)
+    merged, bad = _check_merges(vocab, lefts, rights)
     if bad is not None:
         raise UnknownMergeSymbol(
             f"{merges_path}:{linenos[bad]}: {_unknown_merge(lefts[bad], rights[bad])}"
         )
-    return TokenizerModel(vocab, marker, byte_level, unk_id, (lefts, rights))
+    return TokenizerModel(vocab, marker, byte_level, unk_id,
+                          (lefts, rights, merged))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from vocabforge import (
     Vocabulary,
     save_matrix,
 )
+from vocabforge.errors import UnencodableInput
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
 # failure reproduces locally with the same setting.
@@ -100,3 +101,89 @@ def write_emb(tmp_path):
         return path
 
     return _write
+
+
+# --- the per-piece BPE encoder that TokenizerModel.encode_pieces replaced,
+# kept as the reference for the batch kernel's ids, counts and errors ---
+
+
+def reference_ranks(model):
+    """Rank of each distinct merge of model: the order of its first line."""
+    lefts, rights, _ = model._symbols
+    pairs = dict.fromkeys(zip(lefts, rights))
+    return dict(zip(pairs, range(len(pairs))))
+
+
+def reference_apply_merges(ranks, symbols):
+    """Greedy BPE on one piece: repeatedly merge the lowest-rank adjacent
+    pair, every occurrence of it left to right. rs[i] is the rank of
+    (symbols[i], symbols[i + 1]), len(ranks) for a pair that is no merge; a
+    merge changes only the two ranks beside it."""
+    get = ranks.get
+    none = len(ranks)
+    symbols = list(symbols)
+    rs = [get(pair, none) for pair in zip(symbols, symbols[1:])]
+    while rs:
+        best = min(rs)
+        if best == none:
+            break
+        i = rs.index(best)
+        while True:
+            merged = symbols[i] + symbols.pop(i + 1)
+            symbols[i] = merged
+            del rs[i]
+            if i:
+                rs[i - 1] = get((symbols[i - 1], merged), none)
+            if i < len(rs):
+                rs[i] = get((merged, symbols[i + 1]), none)
+            if best not in rs:
+                break
+            i = rs.index(best, i)
+    return symbols
+
+
+def reference_symbol_ids(model, symbol):
+    """A final symbol's ids: its own, its byte tokens under byte_level, or
+    unk; otherwise UnencodableInput."""
+    tid = model.vocab.token_to_id.get(symbol)
+    if tid is not None:
+        return [tid]
+    if model.byte_level:
+        ids = []
+        for byte in symbol.encode("utf-8"):
+            btok = f"<0x{byte:02X}>"
+            bid = model.vocab.token_to_id.get(btok)
+            if bid is None:
+                raise UnencodableInput(
+                    f"no byte fallback token {btok} for symbol {symbol!r}"
+                )
+            ids.append(bid)
+        return ids
+    if model.unk_id is not None:
+        return [model.unk_id]
+    raise UnencodableInput(f"symbol {symbol!r} is outside the alphabet")
+
+
+def reference_encode_piece(model, piece):
+    """One piece's ids, or UnencodableInput, one symbol at a time."""
+    ids = []
+    for symbol in reference_apply_merges(reference_ranks(model), list(piece)):
+        ids.extend(reference_symbol_ids(model, symbol))
+    return ids
+
+
+def reference_tokenize(model, text):
+    """tokenize by walking the text one character at a time: each marker
+    after the first character starts a new piece."""
+    marker = model.marker.marker
+    if not marker:
+        return reference_encode_piece(model, text)
+    s = text.replace(" ", marker)
+    ids = []
+    start = 0
+    for i in range(1, len(s)):
+        if s[i] == marker:
+            ids.extend(reference_encode_piece(model, s[start:i]))
+            start = i
+    ids.extend(reference_encode_piece(model, s[start:]))
+    return ids

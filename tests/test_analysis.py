@@ -13,13 +13,14 @@ from vocabforge import (
     relative_similarity,
     select_anchors,
 )
-from vocabforge import embeddings
+from vocabforge import analysis, embeddings
 from vocabforge.analysis import FertilityReport, histogram_csv, iter_corpus
 from vocabforge.errors import (
     DimensionMismatch,
     EmptyCorpus,
     EmptyMatrix,
     InsufficientTokens,
+    UnencodableInput,
     VocabForgeError,
     ZeroNormRow,
 )
@@ -95,17 +96,66 @@ class TestFertility:
 
         want = unmemoized()
         calls = []
-        encode = TokenizerModel.tokenize_word
+        encode = TokenizerModel.encode_pieces
 
-        def spy(self, word):
-            calls.append(word)
-            return encode(self, word)
+        def spy(self, pieces):
+            calls.extend(pieces)
+            return encode(self, pieces)
 
-        monkeypatch.setattr(TokenizerModel, "tokenize_word", spy)
+        monkeypatch.setattr(TokenizerModel, "encode_pieces", spy)
         got = fertility(model, docs, corpus_label="c", tokenizer_label="t",
                         per_document=True)
         assert got == want
         assert sorted(calls) == sorted({w for d in docs for w in d.split()})
+
+    @pytest.mark.parametrize("block", [1, 7, None])
+    def test_reports_do_not_depend_on_the_block(self, monkeypatch, block):
+        model = char_tokenizer(merges=[("▁", "a"), ("a", "b"), ("▁a", "b")],
+                               marker=META, alphabet="abc")
+        docs = ["ab abc c", "", "b b ab", "cab ab abc ba", "a", "c c c c c c c c",
+                "bab ab", "abc"]
+        want = fertility(model, docs, "c", "t", per_document=True)
+        counts = [[len(model.tokenize_word(w)) for w in d.split()] for d in docs]
+        counts = [c for c in counts if c]
+        assert want.per_document == tuple(sum(c) / len(c) for c in counts)
+        assert want.token_count == sum(map(sum, counts))
+        if block is not None:
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET",
+                                block * analysis.WORD_BYTES)
+        calls = []
+        encode = TokenizerModel.encode_pieces
+
+        def spy(self, pieces):
+            calls.append(len(pieces))
+            return encode(self, pieces)
+
+        monkeypatch.setattr(TokenizerModel, "encode_pieces", spy)
+        assert fertility(model, iter(docs), "c", "t", per_document=True) == want
+        assert len(calls) > 1 if block else calls == [8]
+
+    @pytest.mark.parametrize("model, message", [
+        (char_tokenizer(alphabet="ab"), "symbol 'z' is outside the alphabet"),
+        (char_tokenizer(alphabet="ab", byte_level=True, extra_tokens=["<0x7A>"]),
+         "no byte fallback token <0xC3> for symbol 'é'"),
+        (TokenizerModel.build(vocab_of("abz"), [], META),
+         "symbol '▁' is outside the alphabet"),
+    ], ids=["outside-the-alphabet", "missing-byte-token", "marker"])
+    def test_first_unencodable_word_raises_before_later_documents(
+            self, model, message):
+        read = []
+
+        def documents():
+            for doc in ["", "b azé a", "ab ba", "zz"]:
+                read.append(doc)
+                yield doc
+
+        with pytest.raises(UnencodableInput) as info:
+            fertility(model, documents())
+        assert str(info.value) == message
+        assert read == ["", "b azé a"]
+        with pytest.raises(UnencodableInput) as info:
+            model.tokenize_word("azé")
+        assert str(info.value) == message
 
 
 class TestCorpusIO:

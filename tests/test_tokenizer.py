@@ -1,10 +1,21 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import BYTE, META, NONE, char_tokenizer, vocab_of
+from conftest import (
+    BYTE,
+    META,
+    NONE,
+    char_tokenizer,
+    reference_apply_merges,
+    reference_encode_piece,
+    reference_ranks,
+    reference_tokenize,
+    vocab_of,
+)
 from vocabforge import (
     MarkerConvention,
     TokenizerModel,
@@ -209,10 +220,112 @@ class TestMergeLoop:
     def test_equals_the_reference_loop(self, table):
         alphabet, merges, word = table
         model = char_tokenizer(merges=merges, alphabet=alphabet)
-        symbols = list(word)
-        assert model._apply_merges(symbols) == reference_merges(
-            model._ranks, list(word))
-        assert symbols == list(word)  # the caller's list is left as it was
+        ranks = reference_ranks(model)
+        symbols = reference_merges(ranks, list(word))
+        # the per-piece loop that tests/conftest.py keeps as the reference
+        assert reference_apply_merges(ranks, word) == symbols
+        assert model.encode_piece("".join(word)) == [
+            model.vocab.token_to_id[s] for s in symbols]
+
+
+BYTE_TOKENS = [f"<0x{b:02X}>" for b in "xé".encode("utf-8")]
+
+
+@st.composite
+def encoder_batches(draw):
+    """A merges table as merge_tables draws it, a fallback for the
+    characters x and é that are outside the alphabet (all their byte
+    tokens, some of them, unk, or none), and pieces made of the merged
+    symbols, those two characters and the marker, empty pieces included."""
+    alphabet, merges, _ = draw(merge_tables())
+    fallback = draw(st.sampled_from(["bytes", "some bytes", "unk", "none"]))
+    extra = {"bytes": BYTE_TOKENS, "some bytes": BYTE_TOKENS[:2],
+             "unk": ["<unk>"], "none": []}[fallback]
+    model = char_tokenizer(
+        extra_tokens=extra, merges=merges, marker=META, alphabet=alphabet,
+        byte_level=fallback.endswith("bytes"),
+        unk_token="<unk>" if fallback == "unk" else None)
+    parts = list(alphabet) + ["".join(m) for m in merges] + ["▁", "x", "é"]
+    pieces = draw(st.lists(
+        st.lists(st.sampled_from(parts), max_size=8).map("".join), max_size=8))
+    return model, pieces
+
+
+class TestEncodePieces:
+    @settings(max_examples=400, deadline=None)
+    @given(encoder_batches())
+    @example((char_tokenizer(merges=[("a", "a")], alphabet="abc"),
+              ["aaaaa", "aaaa", "baaab", "", "a"]))
+    @example((char_tokenizer(merges=[("a", "b"), ("b", "c"), ("a", "b")],
+                             alphabet="abc"), ["abcabc", "cab", "b"]))
+    @example((char_tokenizer(merges=[("▁", "a")], marker=META, alphabet="ab"),
+              ["▁", "▁a", "▁▁a", "", "a▁"]))
+    @example((char_tokenizer(alphabet="ab", extra_tokens=BYTE_TOKENS,
+                             byte_level=True), ["xé", "aéb", "é"]))
+    @example((char_tokenizer(alphabet="ab", extra_tokens=BYTE_TOKENS[:2],
+                             byte_level=True), ["ax", "é", "b", "xé"]))
+    @example((char_tokenizer(alphabet="ab", extra_tokens=["<unk>"],
+                             unk_token="<unk>"), ["axb", "éé", ""]))
+    @example((char_tokenizer(alphabet="ab"), ["ab", "x", "", "bé", "a"]))
+    @example((char_tokenizer(alphabet="ab"), []))
+    def test_equals_the_reference_on_each_piece(self, batch):
+        model, pieces = batch
+        want = []
+        for piece in pieces:
+            try:
+                want.append(reference_encode_piece(model, piece))
+            except UnencodableInput:
+                want.append(None)
+        ids, counts, ok = model.encode_pieces(pieces)
+        assert (ids.dtype, counts.dtype, ok.dtype) == (np.int64, np.int64, bool)
+        assert ok.tolist() == [w is not None for w in want]
+        assert counts.tolist() == [len(w or ()) for w in want]
+        assert ids.tolist() == [i for w in want for i in w or ()]
+
+    @settings(max_examples=200, deadline=None)
+    @given(encoder_batches())
+    def test_single_piece_calls_raise_the_reference_message(self, batch):
+        model, pieces = batch
+        for piece in pieces:
+            try:
+                want = reference_encode_piece(model, piece)
+            except UnencodableInput as exc:
+                with pytest.raises(UnencodableInput) as info:
+                    model.encode_piece(piece)
+                assert str(info.value) == str(exc)
+            else:
+                assert model.encode_piece(piece) == want
+
+    def test_unencodable_messages(self):
+        model = char_tokenizer(alphabet="ab")
+        with pytest.raises(UnencodableInput) as info:
+            model.encode_piece("abzy")
+        assert str(info.value) == "symbol 'z' is outside the alphabet"
+        model = char_tokenizer(alphabet="ab", byte_level=True,
+                               extra_tokens=["<0xC3>"])
+        with pytest.raises(UnencodableInput) as info:
+            model.encode_piece("aéz")
+        assert str(info.value) == "no byte fallback token <0xA9> for symbol 'é'"
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from([
+               char_tokenizer(merges=[("▁", "a"), ("a", "b"), ("▁a", "b")],
+                              marker=META, alphabet="ab"),
+               char_tokenizer(merges=[("Ġ", "a")], marker=BYTE, alphabet="ab",
+                              extra_tokens=["<unk>"], unk_token="<unk>"),
+               char_tokenizer(merges=[("a", "b")], alphabet="ab")]),
+           text=st.text(alphabet="ab ▁Ġx", max_size=16))
+    @example(model=char_tokenizer(merges=[("▁", "a")], marker=META,
+                                  alphabet="ab"), text="  a  b ")
+    def test_tokenize_equals_the_character_loop(self, model, text):
+        try:
+            want = reference_tokenize(model, text)
+        except UnencodableInput as exc:
+            with pytest.raises(UnencodableInput) as info:
+                model.tokenize(text)
+            assert str(info.value) == str(exc)
+        else:
+            assert model.tokenize(text) == want
 
 
 class TestRoundTrip:
@@ -415,7 +528,10 @@ class TestLoaderEquivalence:
         assert isinstance(got, TokenizerModel)
         assert (got.vocab, got.unk_id) == (vocab, unk_id)
         assert got.merges == merges_
-        assert list(got._ranks.items()) == list(ranks.items())
+        assert list(reference_ranks(got).items()) == list(ranks.items())
+        lefts, rights, merged = got._symbols
+        assert merged.tolist() == [vocab.token_to_id[a + b]
+                                   for a, b in zip(lefts, rights)]
         for piece in pieces:
             ids = [vocab.token_to_id.get(s, unk_id)
                    for s in reference_merges(ranks, list(piece))]
@@ -450,26 +566,31 @@ class TestRankTableOnFirstUse:
                                           "abc": 4})
         merges = write_text("merges.txt", "a b\nab c\na b\n")
         model = load_tokenizer(vocab, merges, marker="none")
-        assert "_ranks" not in vars(model) and "merges" not in vars(model)
+        assert "_merge_table" not in vars(model) and "merges" not in vars(model)
         twin = load_tokenizer(vocab, merges, marker="none")
-        assert model == twin  # == reads the merges
-        assert "_ranks" in vars(model) and "_ranks" in vars(twin)
+        assert model == twin  # == reads the merges, not the table
+        assert "merges" in vars(model) and "_merge_table" not in vars(model)
         fresh = load_tokenizer(vocab, merges, marker="none")
         assert fresh.encode_piece("abcab") == [4, 2]
-        assert vars(fresh)["_ranks"] == {("a", "b"): 0, ("ab", "c"): 1}
+        keys, ranks, merged = vars(fresh)["_merge_table"]
+        # keys left * (5 + 2) + right, then the sentinel; the first "a b"
+        # line's rank; each line's merged id
+        assert keys.tolist() == [0 * 7 + 1, 2 * 7 + 3, np.iinfo(np.int64).max]
+        assert ranks.tolist() == [0, 1, 3]
+        assert merged.tolist() == [2, 4, 2]
         # after the build the table is a plain attribute, read as it is
-        assert fresh._ranks is vars(fresh)["_ranks"]
+        assert fresh._merge_table is vars(fresh)["_merge_table"]
         assert fresh.encode_piece("abcab") == [4, 2]
         assert fresh.merges == (("a", "b"), ("ab", "c"))
         assert fresh == model
 
     def test_built_model_builds_at_first_encode(self):
         model = char_tokenizer(merges=[("a", "b"), ("ab", "c")], alphabet="abc")
-        assert "_ranks" not in vars(model)
-        before = model.merges
-        assert "_ranks" in vars(model)
-        assert before == (("a", "b"), ("ab", "c"))
+        assert "_merge_table" not in vars(model)
+        assert model.merges == (("a", "b"), ("ab", "c"))
+        assert "_merge_table" not in vars(model)
         assert model.encode_piece("abc") == [model.vocab.token_to_id["abc"]]
+        assert "_merge_table" in vars(model)
         assert model == char_tokenizer(merges=[("a", "b"), ("ab", "c")],
                                        alphabet="abc")
         assert model != char_tokenizer(merges=[("ab", "c"), ("a", "b")],
@@ -479,7 +600,8 @@ class TestRankTableOnFirstUse:
         source = char_tokenizer(merges=[("a", "b")], marker=META)
         target = char_tokenizer(merges=[("b", "c")], marker=BYTE)
         partition(source.vocab, target.vocab, source.marker, target.marker)
-        assert "_ranks" not in vars(source) and "_ranks" not in vars(target)
+        assert "_merge_table" not in vars(source)
+        assert "_merge_table" not in vars(target)
 
 
 # --- JSON files read as bytes, against a text-mode read ------------------
