@@ -8,7 +8,11 @@ BASE_SRC and HEAD_SRC are `src` directories holding the `vocabforge`
 package. For each workload and seed, the inputs are generated once with
 perfbench/gen.py; then, for each tree, `intersect` and every job of
 perfbench/workloads.jobs run through `python -m vocabforge.cli` with that
-tree on PYTHONPATH, each tree writing to its own directory.
+tree on PYTHONPATH, each tree writing to its own directory. The benchmark
+intersects meta-space source tokens with byte-marker target tokens only,
+so `intersect` also runs on the same vocabularies for every (source,
+target) pair of marker conventions that both trees name in
+`vocabforge.tokenizer.MARKERS`.
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -25,6 +29,7 @@ output bytes on purpose.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import subprocess
@@ -55,6 +60,34 @@ def check_package(src: Path) -> None:
     found = Path(done.stdout.strip()).resolve().parent
     if not found.is_relative_to(src):
         sys.exit(f"{src}: vocabforge resolved to {found}, outside the tree")
+
+
+def marker_names(src: Path) -> list[str]:
+    """The marker convention names in `src`'s `vocabforge.tokenizer.MARKERS`."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "from vocabforge.tokenizer import MARKERS; print(*MARKERS)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True,
+    )
+    if done.returncode:
+        sys.exit(f"{src}: cannot read vocabforge.tokenizer.MARKERS:\n"
+                 f"{done.stderr}")
+    return done.stdout.split()
+
+
+def marker_pair_jobs(paths: dict, out_dir: Path, markers) -> list:
+    """`intersect` of the source and target vocabularies under every
+    (source, target) pair of the marker conventions `markers`."""
+    jobs = []
+    for frm, to in itertools.product(markers, repeat=2):
+        out = str(out_dir / f"intersect-{frm}-{to}.json")
+        jobs.append(workloads.Job(f"intersect_{frm}_{to}", (
+            "intersect", "--source-vocab", paths["source_vocab"],
+            "--target-vocab", paths["target_vocab"],
+            "--source-marker", frm, "--target-marker", to, "--out", out,
+        ), (out,)))
+    return jobs
 
 
 def run_job(job: workloads.Job, src: Path, cwd: Path):
@@ -96,9 +129,10 @@ def is_report(path: str) -> bool:
     return path.endswith(".json") and not path.endswith(".map.json")
 
 
-def compare_workload(name: str, seed: int, srcs: dict, root: Path):
-    """Run one workload on both trees; return (differing outputs, failed
-    jobs), each as lines naming the workload, seed and job."""
+def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
+    """Run one workload on both trees, with `intersect` under each pair of
+    `markers`; return (differing outputs, failed jobs), each as lines
+    naming the workload, seed and job."""
     spec = workloads.WORKLOADS[name]
     inputs = gen.generate(spec, seed, str(root / "in"))["paths"]
     outs = {}
@@ -109,6 +143,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path):
         out_dir.mkdir()
         paths = {**inputs, "partition": str(out_dir / "partition.json")}
         jobs = [workloads.intersect_job(paths)]
+        jobs += marker_pair_jobs(paths, out_dir, markers)
         jobs += workloads.jobs(spec, paths, seed, str(out_dir))
         for job in jobs:
             rc, text, err = run_job(job, srcs[tree], root)
@@ -158,13 +193,16 @@ def main(argv=None) -> int:
                                                             args.head_src))}
     for src in srcs.values():
         check_package(src)
+    base_markers = set(marker_names(srcs["base"]))
+    markers = [m for m in marker_names(srcs["head"]) if m in base_markers]
     differ, failed = [], []
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
         for name in args.workload or list(workloads.WORKLOADS):
             for seed in args.seed or [1]:
                 root = Path(tmp) / f"{name}-s{seed}"
                 root.mkdir()
-                differs, fails = compare_workload(name, seed, srcs, root)
+                differs, fails = compare_workload(name, seed, srcs, root,
+                                                  markers)
                 differ += differs
                 failed += fails
     lines = [f"differs: {line}" for line in differ]

@@ -44,7 +44,6 @@ from .tokenizer import (
     TokenPartition,
     TokenizerModel,
     Vocabulary,
-    canonicalize,
     load_tokenizer,
     load_vocab,
     partition,
@@ -70,7 +69,6 @@ __all__ = [
     "adapt",
     "adapt_matrix",
     "assemble",
-    "canonicalize",
     "collect_pairs",
     "fertility",
     "fit_closed_form",

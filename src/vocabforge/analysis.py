@@ -168,15 +168,9 @@ def select_anchors(
     marker. Sampling is uniform without replacement and depends only on
     (vocab, marker, counts, seed).
     """
-    if marker.marker:
-        prefix_ids = [
-            tid for tid, tok in enumerate(vocab.id_to_token)
-            if tok.startswith(marker.marker)
-        ]
-    else:
-        prefix_ids = []
-    prefix_set = set(prefix_ids)
-    nonprefix_ids = [tid for tid in range(vocab.size) if tid not in prefix_set]
+    initial = np.fromiter(map(marker.word_initial, vocab.id_to_token), bool,
+                          vocab.size)
+    prefix_ids, nonprefix_ids = np.flatnonzero(initial), np.flatnonzero(~initial)
     if len(prefix_ids) < n_prefix:
         raise InsufficientTokens(
             f"requested {n_prefix} prefix tokens, vocabulary has "
@@ -190,9 +184,8 @@ def select_anchors(
     rng = np.random.default_rng(seed)
     chosen_non = rng.choice(len(nonprefix_ids), size=n_nonprefix, replace=False)
     chosen_pre = rng.choice(len(prefix_ids), size=n_prefix, replace=False)
-    anchors = [nonprefix_ids[i] for i in sorted(chosen_non)]
-    anchors += [prefix_ids[i] for i in sorted(chosen_pre)]
-    return anchors
+    return (nonprefix_ids[np.sort(chosen_non)].tolist()
+            + prefix_ids[np.sort(chosen_pre)].tolist())
 
 
 def _row_ids(values, what: str) -> np.ndarray:

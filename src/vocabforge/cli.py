@@ -92,10 +92,7 @@ def cmd_intersect(args) -> int:
     part = partition(source, target, src_marker, tgt_marker)
     for warning in part.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    mode = (
-        "raw" if src_marker.kind == tgt_marker.kind or not src_marker.marker
-        or not tgt_marker.marker else "marker-canonicalized"
-    )
+    mode = "marker-canonicalized" if src_marker.rewrites(tgt_marker) else "raw"
     _emit(args, {"canonicalization_mode": mode, **part.to_dict()}, args.out)
     return 0
 

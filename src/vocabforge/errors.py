@@ -21,7 +21,7 @@ class UnknownMergeSymbol(VocabForgeError):
 
 
 class UnencodableInput(VocabForgeError):
-    """Text contains a symbol with no byte fallback and no unknown id."""
+    """Text or token ids that the tokenizer cannot encode or decode."""
 
 
 # --- embedding I/O -----------------------------------------------------

@@ -23,7 +23,6 @@ from .errors import (
 from .tokenizer import (
     TokenizerModel,
     TokenPartition,
-    canonicalize,
     check_partition,
     partition,
 )
@@ -417,8 +416,8 @@ def adapt_matrix(
                                        cfg.random_moments))
     elif cfg.method == "fvt":
         def init(tokens, tids):
-            pieces = [canonicalize(token, target_model.marker, source_model.marker)
-                      for token in tokens]
+            spell = target_model.marker.spell
+            pieces = [spell(token, source_model.marker) for token in tokens]
             return fvt_rows(pieces, source_model, source_emb)
     elif cfg.method == "clp":
         clp = ClpInitializer(source_emb, helper_emb, part, cfg)

@@ -1,9 +1,14 @@
 """BPE tokenizer core: vocabularies, deterministic merge application,
-marker canonicalization, and vocabulary intersection.
+the token codec, and vocabulary intersection.
 
 Supported file layout is the classic vocab.json + merges.txt pair: the
 vocab maps token string to id, the merges file lists one rank-ordered
 merge per line.
+
+What a token string means is decided in one place, `MarkerConvention`:
+its word-boundary marker, its `<0xNN>` byte fallback, how text splits
+into pieces before BPE, how tokens decode to text, and how a token is
+spelled in another tokenizer's convention (for `partition` and FVT).
 
 Encoding has one kernel, `TokenizerModel.encode_pieces`, which applies
 the merges to a whole batch of pieces as arrays of symbol ids, looking
@@ -16,9 +21,9 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import add, itemgetter
 
 import numpy as np
@@ -32,51 +37,81 @@ from .errors import (
 
 _BYTE_TOKEN_RE = re.compile(r"^<0x([0-9A-Fa-f]{2})>$")
 
-META_SPACE = "▁"  # ▁ (SentencePiece)
-BYTE_MARKER = "Ġ"  # Ġ (GPT-2 byte-level)
-# Each marker convention's name and its literal prefix string; the CLI's
-# marker flags take their choices from here.
-MARKERS = {
-    "meta-space": META_SPACE,
-    "byte-marker": BYTE_MARKER,
-    "none": "",
-}
+# Each marker convention's name and its literal prefix string: the
+# meta-space of SentencePiece, the byte marker of GPT-2 byte-level BPE,
+# and none. The CLI's marker flags take their choices from here.
+MARKERS = {"meta-space": "▁", "byte-marker": "Ġ", "none": ""}
 
 
 @dataclass(frozen=True)
 class MarkerConvention:
-    """Word-boundary marker convention of a tokenizer.
+    """How a tokenizer spells its tokens; every caller asks it.
 
-    kind is one of the MARKERS names; marker is its literal prefix
-    string ("" for none).
+    kind is one of the MARKERS names and marker its literal prefix
+    string ("" for none), which stands for the space before a word. Under
+    byte_fallback a character outside the vocabulary is spelled as the
+    `<0xNN>` tokens of its UTF-8 bytes (SentencePiece's byte fallback).
     """
 
     kind: str
     marker: str
+    byte_fallback: bool = False
 
     @classmethod
-    def from_name(cls, name: str) -> "MarkerConvention":
+    def from_name(cls, name: str, byte_fallback=False) -> "MarkerConvention":
         if name not in MARKERS:
             raise ValueError(
                 f"unknown marker convention {name!r}; "
                 f"expected one of {sorted(MARKERS)}"
             )
-        return cls(name, MARKERS[name])
+        return cls(name, MARKERS[name], byte_fallback)
 
+    def rewrites(self, to: "MarkerConvention") -> bool:
+        """Whether `spell` rewrites tokens into `to`'s convention: only
+        between two different markers. Spelling to or from "none" is the
+        identity: there is no marker to rewrite, and dropping one would
+        make the mapping irreversible."""
+        return self.kind != to.kind and bool(self.marker and to.marker)
 
-def canonicalize(piece: str, frm: MarkerConvention, to: MarkerConvention) -> str:
-    """Translate a token piece between marker conventions.
+    def spell(self, token: str, to: "MarkerConvention") -> str:
+        """token, spelled in this convention, as `to` spells it: when
+        `rewrites(to)`, a word-initial token swaps its marker; any other
+        token passes through unchanged."""
+        if token.startswith(self.marker) and self.rewrites(to):
+            return to.marker + token[len(self.marker):]
+        return token
 
-    Word-initial pieces swap their marker; word-internal pieces pass
-    through unchanged. Translation involving the "none" convention is
-    the identity: there is no marker to rewrite, and dropping one would
-    make the mapping irreversible.
-    """
-    if frm.kind == to.kind or not frm.marker or not to.marker:
-        return piece
-    if piece.startswith(frm.marker):
-        return to.marker + piece[len(frm.marker):]
-    return piece
+    def pretokenize(self, text: str) -> list[str]:
+        """text's pieces for BPE: spaces become the marker and each marker
+        starts a new piece, so merges never cross word boundaries. Under
+        "none" the text is a single piece."""
+        marker = self.marker
+        if not marker:
+            return [text]
+        # the text before the first marker, then each marker and its text
+        first, *rest = text.replace(" ", marker).split(marker)
+        return ([first] if first else []) + [marker + p for p in rest]
+
+    def word_initial(self, token: str) -> bool:
+        """Whether token starts with the marker (never under "none")."""
+        return token.startswith(self.marker) and self.marker != ""
+
+    def fallback(self, char: str) -> list[str] | None:
+        """The byte tokens that spell char, a character outside the
+        vocabulary, under byte_fallback; otherwise None."""
+        if not self.byte_fallback:
+            return None
+        return [f"<0x{byte:02X}>" for byte in char.encode("utf-8")]
+
+    def decode(self, tokens) -> str:
+        """The text that tokens spell: each run of `<0xNN>` tokens as UTF-8
+        (with or without byte_fallback), and each marker as a space."""
+        pieces = [bytes.fromhex(m[1]) if (m := _BYTE_TOKEN_RE.match(tok))
+                  else tok for tok in tokens]
+        text = "".join(b"".join(run).decode("utf-8", "replace")
+                       if kind is bytes else "".join(run)
+                       for kind, run in groupby(pieces, type))
+        return text.replace(self.marker, " ") if self.marker else text
 
 
 @dataclass(frozen=True)
@@ -114,7 +149,8 @@ class Vocabulary:
 
 @dataclass(frozen=True, eq=False)
 class TokenizerModel:
-    """A BPE tokenizer: vocabulary, rank-ordered merges, marker convention.
+    """A BPE tokenizer: vocabulary, rank-ordered merges, and the marker
+    convention that spells its tokens.
 
     Immutable after construction; tokenize/decode are pure functions.
     _symbols holds the checked merges' left and right symbols in rank
@@ -126,7 +162,6 @@ class TokenizerModel:
 
     vocab: Vocabulary
     marker: MarkerConvention
-    byte_level: bool = False
     unk_id: int | None = None
     _symbols: tuple[Sequence[str], Sequence[str], np.ndarray] = field(
         repr=False, default=((), (), np.empty(0, np.int64)))
@@ -137,16 +172,11 @@ class TokenizerModel:
         vocab: Vocabulary,
         merges: list[tuple[str, str]],
         marker: MarkerConvention,
-        byte_level: bool = False,
         unk_id: int | None = None,
     ) -> "TokenizerModel":
         merges = list(merges)
-        lefts = [a for a, _ in merges]
-        rights = [b for _, b in merges]
-        merged, bad = _check_merges(vocab, lefts, rights)
-        if bad is not None:
-            raise UnknownMergeSymbol(_unknown_merge(lefts[bad], rights[bad]))
-        return cls(vocab, marker, byte_level, unk_id, (lefts, rights, merged))
+        return _checked_model(vocab, [a for a, _ in merges],
+                              [b for _, b in merges], marker, unk_id)
 
     @cached_property
     def merges(self) -> tuple[tuple[str, str], ...]:
@@ -155,13 +185,12 @@ class TokenizerModel:
         return tuple(dict.fromkeys(zip(lefts, rights)))
 
     def __eq__(self, other):
-        """Equal vocab, distinct merges in rank order, marker, byte_level
-        and unk_id; repeated merge lines do not count."""
+        """Equal vocab, distinct merges in rank order, marker and unk_id;
+        repeated merge lines do not count."""
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return ((self.vocab, self.merges, self.marker, self.byte_level,
-                 self.unk_id) == (other.vocab, other.merges, other.marker,
-                                  other.byte_level, other.unk_id))
+        return ((self.vocab, self.merges, self.marker, self.unk_id)
+                == (other.vocab, other.merges, other.marker, other.unk_id))
 
     # --- encoding ------------------------------------------------------
 
@@ -191,8 +220,8 @@ class TokenizerModel:
         Returns (ids, counts, ok): every piece's int64 ids one piece after
         another, each piece's id count, and whether each piece could be
         encoded. A piece holding a character that is not in the vocabulary
-        and has neither byte tokens (byte_level) nor unk gets ok False,
-        count 0 and no ids.
+        and has neither byte tokens (the marker's fallback) nor unk gets ok
+        False, count 0 and no ids.
 
         Greedy BPE (Sennrich et al., 2016): in each round every unfinished
         piece merges all occurrences of its lowest-rank adjacent pair, left
@@ -318,19 +347,17 @@ class TokenizerModel:
         return syms[keep], counts, ok
 
     def _symbol_ids(self, symbol: str) -> list[int]:
-        tid = self.vocab.token_to_id.get(symbol)
+        get = self.vocab.token_to_id.get
+        tid = get(symbol)
         if tid is not None:
             return [tid]
-        if self.byte_level:
-            ids = []
-            for byte in symbol.encode("utf-8"):
-                btok = f"<0x{byte:02X}>"
-                bid = self.vocab.token_to_id.get(btok)
-                if bid is None:
-                    raise UnencodableInput(
-                        f"no byte fallback token {btok} for symbol {symbol!r}"
-                    )
-                ids.append(bid)
+        tokens = self.marker.fallback(symbol)
+        if tokens is not None:
+            ids = list(map(get, tokens))
+            if None in ids:
+                raise UnencodableInput(f"no byte fallback token "
+                                       f"{tokens[ids.index(None)]} for symbol "
+                                       f"{symbol!r}")
             return ids
         if self.unk_id is not None:
             return [self.unk_id]
@@ -362,44 +389,25 @@ class TokenizerModel:
         return self._encode([piece])
 
     def tokenize(self, text: str) -> list[int]:
-        """Encode text to token ids.
-
-        Under a marker convention, spaces become the marker character and
-        each marker starts a new pre-token, so merges never cross word
-        boundaries. Under "none" the text is a single symbol stream.
-        """
-        marker = self.marker.marker
-        if not marker:
-            return self._encode([text])
-        # the text before the first marker, then each marker and its text
-        first, *rest = text.replace(" ", marker).split(marker)
-        pieces = [first] if first else []
-        return self._encode(pieces + [marker + p for p in rest])
+        """Encode text to token ids, piece by piece as the marker convention
+        splits it (`MarkerConvention.pretokenize`)."""
+        return self._encode(self.marker.pretokenize(text))
 
     def tokenize_word(self, word: str) -> list[int]:
         """Encode one word as it would appear after a word boundary."""
         return self._encode([self.marker.marker + word])
 
-    def decode(self, ids: list[int]) -> str:
-        """Invert tokenize: concatenate pieces and restore spaces."""
-        out: list[str] = []
-        pending: bytearray = bytearray()
+    def decode(self, ids) -> str:
+        """Invert tokenize: the text that the tokens of ids spell. An id
+        that is not an int in [0, V) raises UnencodableInput naming the
+        first such id."""
+        ids, size = list(ids), self.vocab.size
         for tid in ids:
-            tok = self.vocab.id_to_token[tid]
-            m = _BYTE_TOKEN_RE.match(tok)
-            if m:
-                pending.append(int(m.group(1), 16))
-                continue
-            if pending:
-                out.append(pending.decode("utf-8", errors="replace"))
-                pending = bytearray()
-            out.append(tok)
-        if pending:
-            out.append(pending.decode("utf-8", errors="replace"))
-        text = "".join(out)
-        if self.marker.marker:
-            text = text.replace(self.marker.marker, " ")
-        return text
+            if (isinstance(tid, bool) or not isinstance(tid, (int, np.integer))
+                    or not 0 <= tid < size):
+                raise UnencodableInput(
+                    f"token id {tid!r} is not an int in [0, {size})")
+        return self.marker.decode(map(self.vocab.id_to_token.__getitem__, ids))
 
 
 def _every_other(at: np.ndarray) -> np.ndarray:
@@ -450,16 +458,13 @@ def load_vocab(path: str) -> Vocabulary:
     return Vocabulary.from_mapping(mapping)
 
 
-def _unknown_merge(a: str, b: str) -> str:
-    return f"merge {a!r} + {b!r} references symbols missing from the vocabulary"
-
-
-def _check_merges(vocab: Vocabulary, lefts, rights):
-    """Each merge's merged id (an int64 array, -1 where the concatenation
-    is not in vocab), and the index of the first merge whose symbols or
-    concatenation are not in vocab, or None. One whole-list check per
-    kind: the symbols as a set, the concatenations one by one, and the ids
-    that finds are kept for the encoder's merge table."""
+def _checked_model(vocab: Vocabulary, lefts, rights, marker, unk_id,
+                   where=lambda k: "") -> TokenizerModel:
+    """The model of vocab and the merges lefts[k] + rights[k] in rank
+    order. The first merge whose symbols or concatenation are not in vocab
+    raises UnknownMergeSymbol, its message after where(k). One whole-list
+    check per kind: the symbols as a set, the concatenations one by one,
+    and the merged ids that finds are kept for the encoder's merge table."""
     known = vocab.token_to_id
     has = known.__contains__
     merged = np.fromiter(map(known.get, map(add, lefts, rights), repeat(-1)),
@@ -470,7 +475,12 @@ def _check_merges(vocab: Vocabulary, lefts, rights):
         found += [f.index(False) for f in (list(map(has, lefts)),
                                            list(map(has, rights)))
                   if not all(f)]
-    return merged, min(found, default=None)
+    if found:
+        k = min(found)
+        raise UnknownMergeSymbol(
+            f"{where(k)}merge {lefts[k]!r} + {rights[k]!r} references "
+            f"symbols missing from the vocabulary")
+    return TokenizerModel(vocab, marker, unk_id, (lefts, rights, merged))
 
 
 def _split_merges(path: str, lines: list[str]):
@@ -528,10 +538,12 @@ def load_tokenizer(
     this order: the vocab, then the first malformed merge line, then the
     unknown token, then the first merge whose symbols or concatenation
     are not in the vocab (named by its line). The rank table is built at
-    the first encode.
+    the first encode. byte_level turns on the marker's byte fallback.
     """
     if isinstance(marker, str):
         marker = MarkerConvention.from_name(marker)
+    if byte_level:
+        marker = replace(marker, byte_fallback=True)
     vocab = load_vocab(vocab_path)
     lefts, rights, linenos = _read_merges(merges_path)
 
@@ -540,13 +552,8 @@ def load_tokenizer(
         if unk_token not in vocab:
             raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
         unk_id = vocab.token_to_id[unk_token]
-    merged, bad = _check_merges(vocab, lefts, rights)
-    if bad is not None:
-        raise UnknownMergeSymbol(
-            f"{merges_path}:{linenos[bad]}: {_unknown_merge(lefts[bad], rights[bad])}"
-        )
-    return TokenizerModel(vocab, marker, byte_level, unk_id,
-                          (lefts, rights, merged))
+    return _checked_model(vocab, lefts, rights, marker, unk_id,
+                          lambda k: f"{merges_path}:{linenos[k]}: ")
 
 
 @dataclass(frozen=True)
@@ -705,14 +712,16 @@ def partition(
 ) -> TokenPartition:
     """Intersect two vocabularies after marker canonicalization.
 
-    Source tokens are rewritten into the target convention and matched
-    against target strings. When two source tokens collide on the same
-    canonical string the lowest source id wins and a warning is recorded.
+    Source tokens are spelled in the target convention
+    (`MarkerConvention.spell`) and matched against target strings. When
+    two source tokens collide on the same canonical string the lowest
+    source id wins and a warning is recorded.
     """
     canonical: dict[str, int] = {}
     warnings: list[str] = []
+    spell = source_marker.spell
     for sid, tok in enumerate(source.id_to_token):
-        c = canonicalize(tok, source_marker, target_marker)
+        c = spell(tok, target_marker)
         if c in canonical:
             warnings.append(
                 f"source ids {canonical[c]} and {sid} both canonicalize to "

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -30,7 +31,9 @@ def vocab_of(tokens):
 
 def char_tokenizer(extra_tokens=(), merges=(), marker=NONE, alphabet="abcd",
                    byte_level=False, unk_token=None):
-    """Tokenizer whose alphabet is always encodable, plus optional merges."""
+    """Tokenizer whose alphabet is always encodable, plus optional merges;
+    byte_level turns on the marker's byte fallback."""
+    marker = MarkerConvention.from_name(marker.kind, byte_level)
     tokens = list(alphabet)
     if marker.marker:
         tokens.insert(0, marker.marker)
@@ -40,7 +43,7 @@ def char_tokenizer(extra_tokens=(), merges=(), marker=NONE, alphabet="abcd",
             tokens.append(a + b)
     vocab = vocab_of(tokens)
     unk_id = vocab.token_to_id[unk_token] if unk_token else None
-    return TokenizerModel.build(vocab, list(merges), marker, byte_level, unk_id)
+    return TokenizerModel.build(vocab, list(merges), marker, unk_id)
 
 
 def word_list_tokenizer(names, marker=NONE):
@@ -143,12 +146,12 @@ def reference_apply_merges(ranks, symbols):
 
 
 def reference_symbol_ids(model, symbol):
-    """A final symbol's ids: its own, its byte tokens under byte_level, or
-    unk; otherwise UnencodableInput."""
+    """A final symbol's ids: its own, its byte tokens under the marker's
+    byte fallback, or unk; otherwise UnencodableInput."""
     tid = model.vocab.token_to_id.get(symbol)
     if tid is not None:
         return [tid]
-    if model.byte_level:
+    if model.marker.byte_fallback:
         ids = []
         for byte in symbol.encode("utf-8"):
             btok = f"<0x{byte:02X}>"
@@ -187,3 +190,67 @@ def reference_tokenize(model, text):
             start = i
     ids.extend(reference_encode_piece(model, s[start:]))
     return ids
+
+
+# --- the marker codec's operations as free functions, before
+# MarkerConvention owned them; kept as references for spell and decode ---
+
+_BYTE_TOKEN_RE = re.compile(r"^<0x([0-9A-Fa-f]{2})>$")
+
+
+def reference_canonicalize(piece, frm, to):
+    """Translate a token piece between marker conventions: word-initial
+    pieces swap their marker, and any translation involving "none" is the
+    identity."""
+    if frm.kind == to.kind or not frm.marker or not to.marker:
+        return piece
+    if piece.startswith(frm.marker):
+        return to.marker + piece[len(frm.marker):]
+    return piece
+
+
+def reference_decode(model, ids):
+    """Concatenate the tokens of ids, each run of byte tokens as UTF-8,
+    and restore spaces."""
+    out = []
+    pending = bytearray()
+    for tid in ids:
+        tok = model.vocab.id_to_token[tid]
+        m = _BYTE_TOKEN_RE.match(tok)
+        if m:
+            pending.append(int(m.group(1), 16))
+            continue
+        if pending:
+            out.append(pending.decode("utf-8", errors="replace"))
+            pending = bytearray()
+        out.append(tok)
+    if pending:
+        out.append(pending.decode("utf-8", errors="replace"))
+    text = "".join(out)
+    if model.marker.marker:
+        text = text.replace(model.marker.marker, " ")
+    return text
+
+
+def reference_partition(source, target, source_marker, target_marker):
+    """(shared, novel, warnings) of partition, with reference_canonicalize
+    for the source tokens."""
+    canonical = {}
+    warnings = []
+    for sid, tok in enumerate(source.id_to_token):
+        c = reference_canonicalize(tok, source_marker, target_marker)
+        if c in canonical:
+            warnings.append(
+                f"source ids {canonical[c]} and {sid} both canonicalize to "
+                f"{c!r}; keeping id {canonical[c]}"
+            )
+        else:
+            canonical[c] = sid
+    shared, novel = [], []
+    for tid, tok in enumerate(target.id_to_token):
+        sid = canonical.get(tok)
+        if sid is None:
+            novel.append((tok, tid))
+        else:
+            shared.append((tok, sid, tid))
+    return tuple(shared), tuple(novel), tuple(warnings)

@@ -11,7 +11,9 @@ from conftest import (
     NONE,
     char_tokenizer,
     reference_apply_merges,
+    reference_decode,
     reference_encode_piece,
+    reference_partition,
     reference_ranks,
     reference_tokenize,
     vocab_of,
@@ -19,7 +21,6 @@ from conftest import (
 from vocabforge import (
     MarkerConvention,
     TokenizerModel,
-    canonicalize,
     load_tokenizer,
     load_vocab,
     partition,
@@ -32,7 +33,7 @@ from vocabforge.errors import (
     UnencodableInput,
     UnknownMergeSymbol,
 )
-from vocabforge.tokenizer import load_json
+from vocabforge.tokenizer import MARKERS, load_json
 
 
 class TestLoadTokenizer:
@@ -346,26 +347,29 @@ class TestRoundTrip:
 
 
 class TestCanonicalize:
+    """MarkerConvention.spell, the source side's spelling of a token in the
+    target convention."""
+
     def test_marker_swap(self):
-        assert canonicalize("▁casa", META, BYTE) == "Ġcasa"
+        assert META.spell("▁casa", BYTE) == "Ġcasa"
 
     def test_internal_identity(self):
-        for pair in [(META, BYTE), (BYTE, META), (META, NONE), (NONE, BYTE)]:
-            assert canonicalize("casa", *pair) == "casa"
+        for a, b in [(META, BYTE), (BYTE, META), (META, NONE), (NONE, BYTE)]:
+            assert a.spell("casa", b) == "casa"
 
     def test_pure_marker(self):
-        assert canonicalize("▁", META, BYTE) == "Ġ"
+        assert META.spell("▁", BYTE) == "Ġ"
 
     def test_none_is_identity(self):
-        assert canonicalize("▁casa", META, NONE) == "▁casa"
-        assert canonicalize("casa", NONE, META) == "casa"
+        assert META.spell("▁casa", NONE) == "▁casa"
+        assert NONE.spell("casa", META) == "casa"
 
     @given(st.text(alphabet="ab", max_size=8), st.booleans())
     def test_involution(self, body, word_initial):
         # a valid piece carries at most its own convention's marker
         for a, b in [(META, BYTE), (BYTE, META), (META, NONE), (NONE, BYTE)]:
             piece = (a.marker if word_initial else "") + body
-            assert canonicalize(canonicalize(piece, a, b), b, a) == piece
+            assert b.spell(a.spell(piece, b), a) == piece
 
     def test_marker_names(self):
         assert [MarkerConvention.from_name(n) for n in
@@ -412,6 +416,98 @@ class TestPartition:
         part = partition(vocab_of("abc"), vocab_of("bcd"), NONE, NONE)
         from vocabforge import TokenPartition
         assert TokenPartition.from_dict(part.to_dict()) == part
+
+
+# --- the marker codec against the free functions it replaced -----------
+
+CODEC_TOKENS = st.one_of(
+    st.text(alphabet="▁Ġab", min_size=1, max_size=4),
+    st.sampled_from(["<0x41>", "<0xC3>", "<0xA9>", "<0xa9>", "<0xFF>",
+                     "<unk>"]))
+CONVENTIONS = st.builds(MarkerConvention.from_name, st.sampled_from(
+    sorted(MARKERS)), st.booleans())
+
+
+class TestMarkerCodec:
+    """partition, tokenize and decode against the references in conftest,
+    over all nine (source, target) convention pairs with byte fallback on
+    and off."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(CODEC_TOKENS, unique=True, max_size=10),
+           st.lists(CODEC_TOKENS, unique=True, max_size=10),
+           CONVENTIONS, CONVENTIONS)
+    def test_partition_equals_the_reference(self, source, target, frm, to):
+        part = partition(vocab_of(source), vocab_of(target), frm, to)
+        assert (part.shared, part.novel, part.warnings) == reference_partition(
+            vocab_of(source), vocab_of(target), frm, to)
+
+    @settings(max_examples=300, deadline=None)
+    @given(CONVENTIONS, st.lists(CODEC_TOKENS, unique=True, max_size=8),
+           st.booleans(), st.text(alphabet="ab ▁Ġé<x", max_size=12),
+           st.data())
+    def test_tokenize_and_decode_equal_the_reference(self, marker, extra,
+                                                     unk, text, data):
+        merges = [m for m in [("▁", "a"), ("Ġ", "a"), ("a", "b"), ("b", "b")]
+                  if {*m} <= {"a", "b", marker.marker, *extra}]
+        model = char_tokenizer(
+            extra_tokens=dict.fromkeys(extra + ["<unk>"] * unk), merges=merges,
+            marker=marker, alphabet="ab", byte_level=marker.byte_fallback,
+            unk_token="<unk>" if unk else None)
+        # outcome (below) gives the result, or the error's type and message
+        assert outcome(model.tokenize, text) == outcome(
+            reference_tokenize, model, text)
+        ids = data.draw(st.lists(st.integers(0, model.vocab.size - 1),
+                                 max_size=10))
+        assert model.decode(ids) == reference_decode(model, ids)
+
+    def test_meta_space_and_byte_marker_rewrite(self):
+        part = partition(vocab_of(["▁casa"]), vocab_of(["Ġcasa"]), META, BYTE)
+        assert part.shared == (("Ġcasa", 0, 0),)
+        part = partition(vocab_of(["Ġcasa"]), vocab_of(["▁casa"]), BYTE, META)
+        assert part.shared == (("▁casa", 0, 0),)
+        assert META.rewrites(BYTE) and BYTE.rewrites(META)
+
+    def test_meta_space_and_none_do_not_rewrite(self):
+        for frm, to in [(META, NONE), (NONE, META)]:
+            part = partition(vocab_of(["▁casa"]), vocab_of(["▁casa"]), frm, to)
+            assert part.shared == (("▁casa", 0, 0),)
+            assert not frm.rewrites(to)
+
+    def test_byte_marker_and_none_do_not_rewrite(self):
+        part = partition(vocab_of(["▁casa"]), vocab_of(["Ġcasa"]), NONE, BYTE)
+        assert part.novel == (("Ġcasa", 0),)
+        assert not NONE.rewrites(BYTE) and not BYTE.rewrites(NONE)
+
+    def test_operations(self):
+        assert META.pretokenize("a b ") == ["a", "▁b", "▁"]
+        assert NONE.pretokenize("a b") == ["a b"]
+        assert [META.word_initial(t) for t in ("▁a", "a", "Ġa")] == [
+            True, False, False]
+        assert not NONE.word_initial("▁a")
+        assert META.fallback("é") is None
+        assert MarkerConvention.from_name("none", True).fallback("é") == [
+            "<0xC3>", "<0xA9>"]
+        assert BYTE.decode(["<0xC3>", "<0xA9>", "Ġa", "<0xFF>"]) == "é a\ufffd"
+
+
+class TestDecodeIds:
+    """decode names the first id that is not an int in [0, V)."""
+
+    MODEL = char_tokenizer(marker=META, alphabet="ab")
+
+    @pytest.mark.parametrize("ids, bad", [([-1, 0, 1], "-1"),
+                                          ([0, True], "True"),
+                                          ([99], "99"),
+                                          ([0, 1.0], "1.0")],
+                             ids=["negative", "bool", "past-the-end", "float"])
+    def test_bad_id_is_named(self, ids, bad):
+        with pytest.raises(UnencodableInput) as info:
+            self.MODEL.decode(ids)
+        assert str(info.value) == f"token id {bad} is not an int in [0, 3)"
+
+    def test_numpy_ids_decode(self):
+        assert self.MODEL.decode(np.array([1, 0, 2])) == "a b"
 
 
 # --- the merges loader against the line-by-line loader -----------------
