@@ -12,7 +12,10 @@ tree on PYTHONPATH, each tree writing to its own directory. The benchmark
 intersects meta-space source tokens with byte-marker target tokens only,
 so `intersect` also runs on the same vocabularies for every (source,
 target) pair of marker conventions that both trees name in
-`vocabforge.tokenizer.MARKERS`.
+`vocabforge.tokenizer.MARKERS`. The benchmark's only fallback rows are
+FVT's, all random, and its CLP is dense with clamp-zero weights, so two
+more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row` and
+`adapt --method clp --clp-top-k 16 --clp-negative-policy shift-min`.
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -90,6 +93,28 @@ def marker_pair_jobs(paths: dict, out_dir: Path, markers) -> list:
     return jobs
 
 
+# adapt jobs of the benchmark, each with the name and the extra flags of
+# a variant that takes a path the benchmark never does
+VARIANTS = {
+    "adapt_fvt": ("adapt_fvt_mean_row", ("--fallback", "mean-row")),
+    "adapt_clp": ("adapt_clp_top16_shift_min",
+                  ("--clp-top-k", "16", "--clp-negative-policy", "shift-min")),
+}
+
+
+def variant_jobs(jobs: list, out_dir: Path) -> list:
+    """The VARIANTS of `jobs`, each writing its own files in `out_dir`."""
+    variants = []
+    for job in jobs:
+        if job.name in VARIANTS:
+            name, flags = VARIANTS[job.name]
+            renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
+                       for path in job.outputs}
+            argv = tuple(renamed.get(arg, arg) for arg in job.argv) + flags
+            variants.append(workloads.Job(name, argv, tuple(renamed.values())))
+    return variants
+
+
 def run_job(job: workloads.Job, src: Path, cwd: Path):
     """(exit code, stdout, stderr) of one job run against `src`."""
     done = subprocess.run(
@@ -145,6 +170,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
         jobs = [workloads.intersect_job(paths)]
         jobs += marker_pair_jobs(paths, out_dir, markers)
         jobs += workloads.jobs(spec, paths, seed, str(out_dir))
+        jobs += variant_jobs(jobs, out_dir)
         for job in jobs:
             rc, text, err = run_job(job, srcs[tree], root)
             if rc:

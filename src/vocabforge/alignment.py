@@ -26,7 +26,7 @@ import numpy as np
 from . import embeddings
 from .embeddings import EmbeddingMatrix, read_record, write_record
 from .errors import DimensionMismatch, EmptyIntersection, MalformedMap, NonFiniteLoss
-from .tokenizer import TokenPartition, load_json
+from .tokenizer import TokenPartition, check_partition, load_json
 
 # Bytes of one flat block of the Adam state: each update finishes its
 # elementwise passes over one block of parameter, moment and gradient
@@ -156,19 +156,12 @@ def _pair_ids(
     limit: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The shared tokens' helper and source row ids, in partition order;
-    `limit` keeps a seeded uniform subsample (clamped to the pair count)."""
+    """check_partition, then the shared tokens' helper and source row ids in
+    partition order; `limit` keeps a seeded uniform subsample (clamped)."""
+    check_partition(part, source.rows, helper.rows)
     if part.shared_count == 0:
         raise EmptyIntersection("partition has no shared tokens")
-    try:
-        target_ids, source_ids = part.shared_target_ids, part.source_ids
-    except OverflowError:  # an id past int64 indexes no row
-        target_ids = source_ids = None
-    if (target_ids is None or target_ids.min() < 0 or source_ids.min() < 0
-            or target_ids.max() >= helper.rows or source_ids.max() >= source.rows):
-        raise DimensionMismatch(
-            "partition ids fall outside the helper or source matrix rows"
-        )
+    target_ids, source_ids = part.shared_target_ids, part.source_ids
     if limit is not None and limit < len(target_ids):
         rng = np.random.default_rng(seed)
         keep = np.sort(rng.choice(len(target_ids), size=limit, replace=False))

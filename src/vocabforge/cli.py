@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise exc
 
 
+class _MethodFlag(argparse.Action):
+    """An adapt flag that only --method `const` reads; parsing lists it in `given`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = [*getattr(namespace, "given", []), self]
+
+
 def _require(args, *names):
     for name in names:
         if getattr(args, name.replace("-", "_"), None) is None:
@@ -125,6 +133,10 @@ def cmd_adapt(args) -> int:
         "target-vocab", "target-merges", "out", "report",
     )
     _at_least(args, 0, "batch")
+    for flag in vars(args).pop("given", []):  # --config values too; not reported
+        if args.method != flag.const:
+            raise UsageError(f"{flag.option_strings[-1]} is read only by "
+                             f"--method {flag.const}, not {args.method}")
     untied = args.source_head_emb is not None
     if untied and args.out_head is None:
         raise UsageError("--source-head-emb requires --out-head")
@@ -163,9 +175,9 @@ def cmd_adapt(args) -> int:
         if cfg.method in heuristics.HELPER_METHODS:
             helper_emb = embeddings.load_matrix(helper_path)
         elif helper_path:
-            # random and fvt read no helper row: check the header alone
+            # random and fvt read no helper row: check its header's row count
             rows, _ = embeddings.matrix_shape(helper_path)
-            heuristics.check_helper_rows(rows, target_model.vocab.size)
+            check_partition(part, source_model.vocab.size, rows)
         out, report = heuristics.adapt_matrix(
             source_emb, source_model, target_model, part, helper_emb, cfg,
             train_cfg,
@@ -190,12 +202,9 @@ def cmd_fit_map(args) -> int:
                 embeddings.load_matrix(args.source_emb)]
     part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
     train_cfg = _train_config(args)
-    # adapt's checks, so that no pair is fitted twice and the helper has
-    # one row per target token
+    # fit_map's own check, run here so that its error names the file
     try:
-        heuristics.check_helper_rows(matrices[0].rows,
-                                     part.shared_count + part.novel_count)
-        check_partition(part, matrices[1].rows)
+        check_partition(part, matrices[1].rows, matrices[0].rows)
     except (DimensionMismatch, PartitionInconsistent) as exc:
         raise type(exc)(f"{args.partition}: {exc}") from None
     # pop() leaves the call the only references to the matrices, so that
@@ -281,12 +290,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", help="write the JSON report here instead of stdout")
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+def _add_train_flags(sub: argparse.ArgumentParser, **kwargs) -> None:
     default = alignment.TrainConfig()
     sub.add_argument("--seed", type=int, default=default.seed)
-    sub.add_argument("--steps", type=int, default=default.steps)
-    sub.add_argument("--lr", type=float, default=default.learning_rate)
-    sub.add_argument("--batch", type=int, default=default.batch)
+    sub.add_argument("--steps", type=int, default=default.steps, **kwargs)
+    sub.add_argument("--lr", type=float, default=default.learning_rate, **kwargs)
+    sub.add_argument("--batch", type=int, default=default.batch, **kwargs)
 
 
 def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -333,15 +342,17 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--report")
     s.add_argument("--verbose-report", action="store_true")
     default = heuristics.HeuristicConfig()
-    s.add_argument("--clp-top-k", type=int, default=default.clp_top_k)
+    clp_flag = {"action": _MethodFlag, "const": "clp"}
+    s.add_argument("--clp-top-k", type=int, default=default.clp_top_k, **clp_flag)
     for name in ("clp_negative_policy", "random_moments", "fallback"):
         s.add_argument("--" + name.replace("_", "-"), default=getattr(default, name),
-                       choices=heuristics.CHOICES[name])
+                       choices=heuristics.CHOICES[name],
+                       **(clp_flag if name.startswith("clp") else {}))
     s.add_argument("--source-marker", choices=MARKERS, default="meta-space")
     s.add_argument("--target-marker", choices=MARKERS, default="meta-space")
     s.add_argument("--byte-level", action="store_true")
     s.add_argument("--unk-token")
-    _add_train_flags(s)
+    _add_train_flags(s, action=_MethodFlag, const="sava")
     _add_common(s)
 
     s = sub("fit-map", cmd_fit_map,

@@ -94,11 +94,12 @@ class AdaptationReport:
 
 # --- row kernels --------------------------------------------------------
 #
-# Each method fills all novel rows at once. A kernel takes the novel
-# target ids (and tokens) in partition order and returns float64 rows,
-# plus, where a row can fail, a bool mask of rows it could build. The
-# single-row functions g_random/g_fvt/g_sava and ClpInitializer's
-# __call__ call the same kernels.
+# Each method fills all novel rows at once: adapt_matrix calls its kernel
+# on the novel target ids (FVT: their pieces) in partition order, and it
+# returns float64 rows, plus, where a row can fail, a bool mask of rows
+# it could build, which assemble takes as they are. The single-row
+# functions g_random/g_fvt/g_sava and ClpInitializer's __call__ call the
+# same kernels.
 
 
 def random_rows(
@@ -301,30 +302,20 @@ def g_sava(token_id: int, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.nda
 PROVENANCE = ("copied", "heuristic", "fallback")
 
 
-def _check_rows(rows, count: int, dim: int, what: str) -> None:
-    if np.shape(rows) != (count, dim):
-        raise DimensionMismatch(
-            f"{what} returned shape {np.shape(rows)}, expected ({count}, {dim})"
-        )
-
-
 def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
-    init=None,
-    fallback=None,
+    rows: np.ndarray | None = None,
+    ok: np.ndarray | None = None,
     method: HeuristicConfig | None = None,
 ) -> tuple[EmbeddingMatrix, AdaptationReport]:
-    """Build the target matrix: copy shared rows, initialize novel rows.
-
-    init(tokens, target_ids) gets the novel tokens and their target ids
-    in partition order and returns (rows, ok): float64 rows of shape
-    (n, dim) and a bool mask. Rows with ok=False are replaced in one
-    batch by fallback(target_ids), or raise FallbackRequired when no
-    fallback is given; with init=None every novel row needs the
-    fallback. Shared rows are copied bit-exactly.
-    """
-    start = time.perf_counter()
+    """Build the target matrix: copy the shared rows bit-exactly and place
+    rows, the novel tokens' float64 rows in partition order (novel, dim).
+    Rows that the bool mask ok marks False (None: none), or every novel
+    row when rows is None, get method's fallback, computed here: the
+    source mean row or random_rows under its seed and moments.
+    timing_seconds is left at 0; adapt_matrix times the whole build."""
+    cfg = method or HeuristicConfig()
     sids, shared_tids, novel_tids = check_partition(part, source_emb.rows)
     target_size = part.shared_count + part.novel_count
     dim = source_emb.dim
@@ -332,21 +323,22 @@ def assemble(
     out[shared_tids] = source_emb.data[sids]
     kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
     missing = novel_tids
-    if init is not None and part.novel_count:
-        rows, ok = init([token for token, _ in part.novel], novel_tids)
-        _check_rows(rows, part.novel_count, dim, "initializer")
+    if rows is not None:
+        if np.shape(rows) != (part.novel_count, dim):
+            raise DimensionMismatch(f"rows have shape {np.shape(rows)}, "
+                                    f"expected ({part.novel_count}, {dim})")
         out[novel_tids] = rows
         kind[novel_tids] = 1
-        missing = novel_tids[~np.asarray(ok, dtype=bool)]
+        missing = novel_tids[:0]
+        if ok is not None:
+            missing = novel_tids[~np.asarray(ok, dtype=bool)]
     if missing.size:
-        if fallback is None:
-            raise FallbackRequired(
-                f"{missing.size} novel rows need a fallback (first target id "
-                f"{missing[0]})"
-            )
-        rows = fallback(missing)
-        _check_rows(rows, missing.size, dim, "fallback")
-        out[missing] = rows
+        source_stats = matrix_stats(source_emb)
+        if cfg.fallback == "mean-row":
+            out[missing] = source_stats.mean
+        else:
+            out[missing] = random_rows(missing, source_stats, cfg.seed,
+                                       cfg.random_moments)
         kind[missing] = 2
 
     report = AdaptationReport(
@@ -354,32 +346,9 @@ def assemble(
         initialized_count=part.novel_count - missing.size,
         fallback_count=missing.size,
         provenance=kind,
-        method=method or HeuristicConfig(),
-        timing_seconds=time.perf_counter() - start,
+        method=cfg,
     )
     return EmbeddingMatrix(out, label="adapted"), report
-
-
-def _make_fallback(cfg: HeuristicConfig, source_emb: EmbeddingMatrix):
-    """The fallback rows; the source moments are taken only when it runs."""
-    if cfg.fallback == "mean-row":
-        return lambda tids: np.tile(matrix_stats(source_emb).mean, (len(tids), 1))
-    return lambda tids: random_rows(tids, matrix_stats(source_emb), cfg.seed,
-                                    cfg.random_moments)
-
-
-def _all_ok(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return rows, np.ones(len(rows), dtype=bool)
-
-
-def check_helper_rows(rows: int, target_size: int) -> None:
-    """A helper matrix has one row per target token."""
-    if rows != target_size:
-        raise DimensionMismatch(
-            f"helper matrix has {rows} rows but the target vocabulary has "
-            f"{target_size} tokens; the helper must be trained with the "
-            f"target tokenizer"
-        )
 
 
 def adapt_matrix(
@@ -395,42 +364,36 @@ def adapt_matrix(
 
     An untied model calls this once for its embedding matrix and once for
     its head, with the same partition; SAVA fits a separate map each time.
+    The report's timing_seconds covers the whole build, SAVA's fit too.
     """
+    start = time.perf_counter()
     if source_emb.rows != source_model.vocab.size:
         raise DimensionMismatch(
             f"source matrix has {source_emb.rows} rows, source vocabulary "
             f"has {source_model.vocab.size} tokens"
         )
-    if cfg.method in HELPER_METHODS:
-        if helper_emb is None:
-            raise VocabForgeError(
-                f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
-            )
-        check_helper_rows(helper_emb.rows, target_model.vocab.size)
-    check_partition(part, source_emb.rows)  # before a kernel reads a row
-    fallback = _make_fallback(cfg, source_emb)
-
+    if cfg.method in HELPER_METHODS and helper_emb is None:
+        raise VocabForgeError(
+            f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
+        )
+    helper_rows = helper_emb.rows if cfg.method in HELPER_METHODS else None
+    check_partition(part, source_emb.rows, helper_rows)  # before a kernel reads a row
+    tids, ok = part.novel_target_ids, None
     if cfg.method == "random":
-        def init(tokens, tids):
-            return _all_ok(random_rows(tids, matrix_stats(source_emb), cfg.seed,
-                                       cfg.random_moments))
+        rows = random_rows(tids, matrix_stats(source_emb), cfg.seed,
+                           cfg.random_moments)
     elif cfg.method == "fvt":
-        def init(tokens, tids):
-            spell = target_model.marker.spell
-            pieces = [spell(token, source_model.marker) for token in tokens]
-            return fvt_rows(pieces, source_model, source_emb)
+        spell = target_model.marker.spell
+        pieces = [spell(token, source_model.marker) for token, _ in part.novel]
+        rows, ok = fvt_rows(pieces, source_model, source_emb)
     elif cfg.method == "clp":
-        clp = ClpInitializer(source_emb, helper_emb, part, cfg)
-
-        def init(tokens, tids):
-            return clp.rows(tids)
+        rows, ok = ClpInitializer(source_emb, helper_emb, part, cfg).rows(tids)
     else:  # sava
         phi = alignment.train_map(helper_emb, source_emb, part, train_cfg)
-
-        def init(tokens, tids):
-            return _all_ok(sava_rows(tids, helper_emb, phi))
-
-    return assemble(source_emb, part, init, fallback, method=cfg)
+        rows = sava_rows(tids, helper_emb, phi)
+    out, report = assemble(source_emb, part, rows, ok, method=cfg)
+    report.timing_seconds = time.perf_counter() - start
+    return out, report
 
 
 def adapt(

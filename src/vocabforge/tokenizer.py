@@ -29,13 +29,14 @@ from operator import add, itemgetter
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     MalformedVocab,
     PartitionInconsistent,
     UnencodableInput,
     UnknownMergeSymbol,
 )
 
-_BYTE_TOKEN_RE = re.compile(r"^<0x([0-9A-Fa-f]{2})>$")
+_BYTE_TOKEN_RE = re.compile(r"<0x([0-9A-F]{2})>")  # fullmatch, as `fallback` writes
 
 # Each marker convention's name and its literal prefix string: the
 # meta-space of SentencePiece, the byte marker of GPT-2 byte-level BPE,
@@ -101,12 +102,15 @@ class MarkerConvention:
         vocabulary, under byte_fallback; otherwise None."""
         if not self.byte_fallback:
             return None
-        return [f"<0x{byte:02X}>" for byte in char.encode("utf-8")]
+        try:
+            return [f"<0x{byte:02X}>" for byte in char.encode("utf-8")]
+        except UnicodeEncodeError:  # a lone surrogate
+            raise UnencodableInput(f"symbol {char!r} has no UTF-8 bytes") from None
 
     def decode(self, tokens) -> str:
         """The text that tokens spell: each run of `<0xNN>` tokens as UTF-8
         (with or without byte_fallback), and each marker as a space."""
-        pieces = [bytes.fromhex(m[1]) if (m := _BYTE_TOKEN_RE.match(tok))
+        pieces = [bytes.fromhex(m[1]) if (m := _BYTE_TOKEN_RE.fullmatch(tok))
                   else tok for tok in tokens]
         text = "".join(b"".join(run).decode("utf-8", "replace")
                        if kind is bytes else "".join(run)
@@ -632,11 +636,19 @@ class TokenPartition:
         return cls(shared, novel, tuple(warnings))
 
 
-def check_partition(part: TokenPartition, source_rows: int):
+def check_partition(part: TokenPartition, source_rows: int,
+                    helper_rows: int | None = None):
     """part's shared source, shared target and novel target ids. Raises
-    PartitionInconsistent unless each source id indexes a source row and
-    the target ids cover 0 .. shared + novel - 1 once each."""
+    DimensionMismatch unless a helper of helper_rows rows (if given) has one
+    row per target token, then PartitionInconsistent unless each source id
+    indexes a source row and the target ids are 0 .. shared + novel - 1."""
     target_size = part.shared_count + part.novel_count
+    if helper_rows is not None and helper_rows != target_size:
+        raise DimensionMismatch(
+            f"helper matrix has {helper_rows} rows but the target vocabulary "
+            f"has {target_size} tokens; the helper must be trained with the "
+            f"target tokenizer"
+        )
     try:
         sids, shared_tids, novel_tids = (
             part.source_ids, part.shared_target_ids, part.novel_target_ids)

@@ -195,7 +195,7 @@ def reference_tokenize(model, text):
 # --- the marker codec's operations as free functions, before
 # MarkerConvention owned them; kept as references for spell and decode ---
 
-_BYTE_TOKEN_RE = re.compile(r"^<0x([0-9A-Fa-f]{2})>$")
+_BYTE_TOKEN_RE = re.compile(r"<0x([0-9A-F]{2})>")
 
 
 def reference_canonicalize(piece, frm, to):
@@ -216,7 +216,7 @@ def reference_decode(model, ids):
     pending = bytearray()
     for tid in ids:
         tok = model.vocab.id_to_token[tid]
-        m = _BYTE_TOKEN_RE.match(tok)
+        m = _BYTE_TOKEN_RE.fullmatch(tok)
         if m:
             pending.append(int(m.group(1), 16))
             continue

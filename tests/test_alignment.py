@@ -47,7 +47,8 @@ class TestCollectPairs:
         helper = random_matrix(rng, 6, 3)
         source = random_matrix(rng, 6, 4)
         part = TokenPartition(
-            shared=(("a", 4, 1), ("b", 0, 5)), novel=(), warnings=()
+            shared=(("a", 4, 1), ("b", 0, 5)),
+            novel=(("c", 0), ("d", 2), ("e", 3), ("f", 4)), warnings=()
         )
         x, y = collect_pairs(helper, source, part)
         np.testing.assert_array_equal(x[0], helper.data[1])
@@ -88,21 +89,23 @@ class TestCollectPairs:
         with pytest.raises(DimensionMismatch):
             collect_pairs(helper, source, make_partition(5))
 
+    # one-row matrices, so the helper has one row per target token and
+    # the ids are what check_partition rejects
     @pytest.mark.parametrize("entry", [("a", -1, 0), ("a", 0, -1)])
     def test_negative_ids(self, entry):
         rng = np.random.default_rng(5)
-        m = random_matrix(rng, 3, 2)
+        m = random_matrix(rng, 1, 2)
         part = TokenPartition(shared=(entry,), novel=(), warnings=())
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PartitionInconsistent, match="id -1 is outside"):
             collect_pairs(m, m, part)
 
     @pytest.mark.parametrize("entry", [("a", 2**63, 0), ("a", 0, 2**70)])
     def test_ids_past_int64(self, entry):
         # no row has such an id; the id arrays cannot hold it
         rng = np.random.default_rng(5)
-        m = random_matrix(rng, 3, 2)
+        m = random_matrix(rng, 1, 2)
         part = TokenPartition(shared=(entry,), novel=(), warnings=())
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(PartitionInconsistent, match="past the int64 range"):
             collect_pairs(m, m, part)
 
     @pytest.mark.parametrize("limit", [None, 300])
@@ -606,12 +609,14 @@ class TestBlockedAdam:
 
     def test_map_only_fit_checks_the_pairs(self):
         helper, source, _ = scattered_pairs(5, 3, 3, seed=1)
+        # 14 helper rows (one per target token) and 10 source rows
         with pytest.raises(EmptyIntersection):
-            alignment.train_map(helper, source, make_partition(0, n_novel=4))
-        with pytest.raises(DimensionMismatch, match="outside"):
-            alignment.train_map(helper, source, make_partition(20))
+            alignment.train_map(helper, source, make_partition(0, n_novel=14))
+        with pytest.raises(PartitionInconsistent,
+                           match="^source id 10 is outside the 10-row source"):
+            alignment.train_map(helper, source, make_partition(11, n_novel=3))
         with pytest.raises(DimensionMismatch, match="at least 2 pairs"):
-            alignment.train_map(helper, source, make_partition(1))
+            alignment.train_map(helper, source, make_partition(1, n_novel=13))
 
     def test_negative_batch_rejected(self):
         assert TrainConfig(batch=0).batch == 0  # 0 is the full batch
@@ -717,7 +722,8 @@ class TestBlockedReport:
 
 def scattered_pairs(count, m, n, seed):
     """float32 helper and source matrices and a partition whose `count`
-    shared tokens sit at shuffled rows of each, with y affine in x."""
+    shared tokens sit at shuffled rows of each, with y affine in x; the
+    helper's other rows are novel tokens."""
     rng = np.random.default_rng(seed)
     helper_ids = rng.permutation(count + 9)[:count]
     source_ids = rng.permutation(count + 5)[:count]
@@ -727,7 +733,9 @@ def scattered_pairs(count, m, n, seed):
     part = TokenPartition(
         shared=tuple((f"t{i}", int(sid), int(tid)) for i, (sid, tid)
                      in enumerate(zip(source_ids, helper_ids))),
-        novel=(), warnings=(),
+        novel=tuple((f"n{tid}", tid) for tid in
+                    np.setdiff1d(np.arange(count + 9), helper_ids).tolist()),
+        warnings=(),
     )
     return (EmbeddingMatrix(helper.astype(np.float32)),
             EmbeddingMatrix(source.astype(np.float32)), part)

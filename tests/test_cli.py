@@ -4,6 +4,7 @@ import math
 import os
 import re
 import struct
+import time
 from pathlib import Path
 
 import numpy as np
@@ -545,6 +546,91 @@ class TestAdapt:
         assert err == "error: clp_top_k must be >= 0 (0 = dense), got -3\n"
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("flag, value, reader, method", [
+        (flag, value, reader, method)
+        for flag, value, reader in [
+            ("--steps", "5", "sava"), ("--lr", "0.5", "sava"),
+            ("--batch", "3", "sava"), ("--clp-top-k", "2", "clp"),
+            ("--clp-negative-policy", "absolute", "clp")]
+        for method in heuristics.METHODS if method != reader
+    ])
+    def test_flag_of_another_method_is_usage_error(self, capsys, world, flag,
+                                                   value, reader, method):
+        out = world["tmp"] + "/adapted.emb1"
+        argv = self.adapt_args(world, out, world["tmp"] + "/report.json",
+                               "--helper-emb", world["helper_emb"], flag, value)
+        argv[2] = method
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == f"{flag} is read only by --method {reader}, not {method}\n"
+        assert not os.path.exists(out)
+
+    def test_config_value_counts_as_given(self, capsys, world):
+        cfg = world["tmp"] + "/cfg.json"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"clp_top_k": 0}, fh)  # the default value, given
+        code, _, err = run(capsys, *self.adapt_args(
+            world, world["tmp"] + "/adapted.emb1", world["tmp"] + "/r.json",
+            "--config", cfg))
+        assert code == 1
+        assert err == "--clp-top-k is read only by --method clp, not random\n"
+
+    @pytest.mark.parametrize("method", ["random", "sava"])
+    def test_report_config_shows_the_method_flag_defaults(self, capsys, world,
+                                                          method):
+        report_path = world["tmp"] + "/report.json"
+        argv = self.adapt_args(world, world["tmp"] + "/adapted.emb1",
+                               report_path, "--helper-emb", world["helper_emb"])
+        argv[2] = method
+        if method == "sava":
+            argv += ["--steps", "2"]
+        assert run(capsys, *argv)[0] == 0
+        config = json.loads(open(report_path, encoding="utf-8").read())["config"]
+        assert "given" not in config
+        assert (config["steps"], config["lr"], config["batch"]) == (
+            2 if method == "sava" else 1000, 1e-3, 32)
+        assert (config["clp_top_k"], config["clp_negative_policy"]) == (
+            0, "clamp-zero")
+
+    def test_timing_covers_the_sava_fit(self, capsys, world, monkeypatch):
+        from vocabforge import alignment
+        real = alignment.train_map
+
+        def slow_fit(*args, **kwargs):
+            time.sleep(0.25)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(alignment, "train_map", slow_fit)
+        assert run(capsys, *self.sava_args(
+            world, world["tmp"] + "/sava.emb1"))[0] == 0
+        report = json.loads(open(world["tmp"] + "/sava.json").read())
+        assert report["adaptation"]["timing_seconds"] >= 0.25
+
+    def test_fvt_piece_with_a_lone_surrogate_falls_back(self, capsys, tmp_path):
+        from vocabforge import EmbeddingMatrix, save_matrix
+        paths = {}
+        for name, obj in (("source", {"▁": 0, "a": 1, "▁a": 2, "<0x41>": 3}),
+                          ("target", {"▁a": 0, "\ud800": 1})):
+            paths[name] = tmp_path / f"{name}.json"
+            # json.dumps writes the surrogate as the escape \ud800
+            paths[name].write_text(json.dumps(obj), encoding="utf-8")
+        (tmp_path / "merges.txt").write_text("▁ a\n", encoding="utf-8")
+        (tmp_path / "none.txt").write_text("", encoding="utf-8")
+        save_matrix(EmbeddingMatrix(np.ones((4, 2), np.float32)),
+                    str(tmp_path / "source.emb1"))
+        code, _, err = run(
+            capsys, "adapt", "--method", "fvt", "--byte-level",
+            "--source-emb", str(tmp_path / "source.emb1"),
+            "--source-vocab", str(paths["source"]),
+            "--source-merges", str(tmp_path / "merges.txt"),
+            "--target-vocab", str(paths["target"]),
+            "--target-merges", str(tmp_path / "none.txt"),
+            "--out", str(tmp_path / "out.emb1"),
+            "--report", str(tmp_path / "report.json"))
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "report.json").read_text("utf-8"))
+        assert report["adaptation"]["fallback_count"] == 1
+
     # every check runs before any file is read or written
     @pytest.mark.parametrize("extra, message", [
         (["--helper-head-emb", "h.emb1", "--out-head", "o.emb1"],
@@ -578,7 +664,8 @@ class TestAdapt:
             world["tmp"] + "/untied.json",
             "--source-head-emb", head,
             "--out-head", world["tmp"] + "/head_out.emb1",
-            "--helper-emb", world["helper_emb"], "--steps", "3", *extra)
+            "--helper-emb", world["helper_emb"],
+            *(["--steps", "3"] if method == "sava" else []), *extra)
         args[2] = method
         return args, head
 

@@ -31,7 +31,7 @@ from vocabforge.errors import (
     VocabForgeError,
     ZeroNormRow,
 )
-from vocabforge.heuristics import ClpInitializer
+from vocabforge.heuristics import ClpInitializer, random_rows
 
 
 def stats_of(array):
@@ -223,12 +223,6 @@ class TestGSava:
             g_sava(0, helper, AffineMap.identity(5))
 
 
-def zeros_init(dim):
-    """Row kernel that builds an all-zero row for every novel token."""
-    return lambda tokens, tids: (np.zeros((len(tids), dim)),
-                                 np.ones(len(tids), dtype=bool))
-
-
 class TestAssemble:
     def test_pure_copy(self):
         rng = np.random.default_rng(0)
@@ -236,7 +230,7 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 3, 0), ("b", 1, 1)), novel=(), warnings=()
         )
-        out, report = assemble(source_emb, part, init=None)
+        out, report = assemble(source_emb, part)
         assert out.data[0].tobytes() == source_emb.data[3].tobytes()
         assert out.data[1].tobytes() == source_emb.data[1].tobytes()
         assert (report.copied_count, report.initialized_count,
@@ -248,13 +242,9 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
-
-        def init(tokens, tids):
-            assert tokens == ["x", "y"] and tids.tolist() == [1, 2]
-            return (np.repeat(tids[:, None], 3, axis=1).astype(np.float64),
-                    np.ones(len(tids), dtype=bool))
-
-        out, report = assemble(source_emb, part, init=init)
+        # the rows of x and y, in partition order
+        rows = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
+        out, report = assemble(source_emb, part, rows)
         np.testing.assert_array_equal(out.data[1], [1, 1, 1])
         np.testing.assert_array_equal(out.data[2], [2, 2, 2])
         assert report.initialized_count == 2
@@ -268,29 +258,34 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
-
-        def init(tokens, tids):
-            return np.zeros((len(tids), 3)), np.array([t != "y" for t in tokens])
-
-        def fallback(tids):
-            assert tids.tolist() == [2]
-            return np.ones((len(tids), 3))
-
-        out, report = assemble(source_emb, part, init, fallback=fallback)
-        np.testing.assert_array_equal(out.data[2], [1, 1, 1])
+        cfg = HeuristicConfig(method="fvt", seed=4, random_moments="scalar")
+        out, report = assemble(source_emb, part, np.zeros((2, 3)),
+                               np.array([True, False]), method=cfg)
+        np.testing.assert_array_equal(out.data[1], [0, 0, 0])
+        # the random fallback under the method's seed and moments
+        want = random_rows([2], stats(source_emb), 4, "scalar")
+        assert out.data[2].tobytes() == want[0].astype(np.float32).tobytes()
         assert report.fallback_count == 1
         assert (2, "fallback") in report.per_token
 
-    def test_fallback_absent_reraises(self):
+    def test_mean_row_fallback_routing(self):
         rng = np.random.default_rng(3)
-        source_emb = random_matrix(rng, 1, 2)
-        part = TokenPartition(shared=(), novel=(("x", 0),), warnings=())
-
-        def init(tokens, tids):
-            return np.zeros((len(tids), 2)), np.zeros(len(tids), dtype=bool)
-
-        with pytest.raises(FallbackRequired):
-            assemble(source_emb, part, init)
+        source_emb = random_matrix(rng, 2, 3)
+        part = TokenPartition(
+            shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2), ("z", 3)),
+            warnings=()
+        )
+        out, report = assemble(source_emb, part, np.ones((3, 3)),
+                               np.array([False, True, False]),
+                               method=HeuristicConfig(fallback="mean-row"))
+        mean = stats(source_emb).mean.astype(np.float32)
+        for tid in (1, 3):
+            assert out.data[tid].tobytes() == mean.tobytes()
+        np.testing.assert_array_equal(out.data[2], [1, 1, 1])
+        assert (report.initialized_count, report.fallback_count) == (1, 2)
+        assert sorted(report.per_token) == [
+            (0, "copied"), (1, "fallback"), (2, "heuristic"), (3, "fallback")
+        ]
 
     def test_no_initializer_means_every_novel_row_falls_back(self):
         rng = np.random.default_rng(6)
@@ -298,15 +293,10 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
-        with pytest.raises(FallbackRequired):
-            assemble(source_emb, part, init=None)
-
-        def fallback(tids):
-            assert tids.tolist() == [1, 2]
-            return np.ones((len(tids), 3))
-
-        out, report = assemble(source_emb, part, init=None, fallback=fallback)
-        np.testing.assert_array_equal(out.data[1:], np.ones((2, 3)))
+        # rows=None: the default method's random fallback, seed 0
+        out, report = assemble(source_emb, part)
+        want = random_rows([1, 2], stats(source_emb), 0).astype(np.float32)
+        assert out.data[1:].tobytes() == want.tobytes()
         assert (report.initialized_count, report.fallback_count) == (0, 2)
         assert sorted(report.per_token) == [
             (0, "copied"), (1, "fallback"), (2, "fallback")
@@ -319,7 +309,7 @@ class TestAssemble:
             shared=(("a", 0, 0), ("b", 1, 0)), novel=(("x", 1),), warnings=()
         )
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, init=zeros_init(2))
+            assemble(source_emb, part, np.zeros((1, 2)))
 
     def test_coverage_gap_rejected(self):
         rng = np.random.default_rng(5)
@@ -327,10 +317,10 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 1),), novel=(("x", 2),), warnings=()
         )
-        # ids 1 and 2 exist but 0 is never produced in a 3-row target?
-        # partition size is shared+novel = 2, so id 2 is out of range
+        # the target has shared + novel = 2 ids, so id 2 is out of range
+        # and id 0 is never produced
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, init=zeros_init(2))
+            assemble(source_emb, part, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("shared, novel", [
         ((("a", -1, 0),), (("x", 1),)),
@@ -343,14 +333,15 @@ class TestAssemble:
         source_emb = random_matrix(rng, 2, 2)
         part = TokenPartition(shared=shared, novel=novel, warnings=())
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, init=zeros_init(2))
+            assemble(source_emb, part, np.zeros((1, 2)))
 
     def test_wrong_row_shape_rejected(self):
         rng = np.random.default_rng(6)
         source_emb = random_matrix(rng, 1, 3)
         part = TokenPartition(shared=(), novel=(("x", 0), ("y", 1)), warnings=())
-        with pytest.raises(DimensionMismatch):
-            assemble(source_emb, part, init=zeros_init(5))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^rows have shape \(2, 5\), expected \(2, 3\)$"):
+            assemble(source_emb, part, np.zeros((2, 5)))
 
 
 def clp_reference(helper, part, source_emb, token_id, policy, k):

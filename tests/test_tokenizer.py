@@ -160,6 +160,18 @@ class TestTokenize:
         with pytest.raises(UnencodableInput):
             model.tokenize("z")
 
+    def test_lone_surrogate_under_byte_fallback(self):
+        # a JSON escape can put one in a vocabulary or a piece; it has no
+        # UTF-8 bytes to fall back on
+        model = char_tokenizer(alphabet="ab", byte_level=True)
+        with pytest.raises(UnencodableInput,
+                           match=r"^symbol '\\ud800' has no UTF-8 bytes"):
+            model.tokenize("a\ud800")
+        ids, counts, ok = model.encode_pieces(["ab", "\ud800", "b"])
+        assert ok.tolist() == [True, False, True]
+        assert counts.tolist() == [2, 0, 1]
+        assert ids.tolist() == [0, 1, 1]
+
 
 def reference_merges(ranks, symbols):
     """The first greedy BPE loop: every round re-ranks every adjacent pair
@@ -508,6 +520,12 @@ class TestDecodeIds:
 
     def test_numpy_ids_decode(self):
         assert self.MODEL.decode(np.array([1, 0, 2])) == "a b"
+
+    @pytest.mark.parametrize("token", ["<0x41>\n", "<0xa9>", " <0x41>"])
+    def test_byte_token_matches_whole_and_uppercase(self, token):
+        # only the whole `<0xNN>` that `fallback` writes is a byte
+        meta = MarkerConvention.from_name("meta-space")
+        assert meta.decode(["<0x41>", token, "b"]) == "A" + token + "b"
 
 
 # --- the merges loader against the line-by-line loader -----------------
