@@ -16,6 +16,10 @@ target) pair of marker conventions that both trees name in
 FVT's, all random, and its CLP is dense with clamp-zero weights, so two
 more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row` and
 `adapt --method clp --clp-top-k 16 --clp-negative-policy shift-min`.
+gen.py writes every vocabulary with its ids in key order, so `intersect`
+and `adapt --method fvt` also run (SHUFFLED) on copies of the source and
+target vocabularies that hold the same token -> id pairs in a key order
+shuffled with the seed.
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -35,6 +39,7 @@ import argparse
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -102,17 +107,50 @@ VARIANTS = {
 }
 
 
-def variant_jobs(jobs: list, out_dir: Path) -> list:
-    """The VARIANTS of `jobs`, each writing its own files in `out_dir`."""
-    variants = []
+# jobs of the benchmark that run again on the shuffled vocabularies
+SHUFFLED = ("intersect", "adapt_fvt")
+
+
+def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
+                flags=()) -> workloads.Job:
+    """`job` as `name`, writing its own files in `out_dir`, with each
+    argument found in `swap` replaced and `flags` appended."""
+    renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
+               for path in job.outputs}
+    swap = {**(swap or {}), **renamed}
+    argv = tuple(swap.get(arg, arg) for arg in job.argv) + flags
+    return workloads.Job(name, argv, tuple(renamed.values()))
+
+
+def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
+    """The VARIANTS and the SHUFFLED jobs of `jobs`, the latter reading
+    the vocabulary copies `copies` (original path -> copy)."""
+    extra = []
     for job in jobs:
         if job.name in VARIANTS:
             name, flags = VARIANTS[job.name]
-            renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
-                       for path in job.outputs}
-            argv = tuple(renamed.get(arg, arg) for arg in job.argv) + flags
-            variants.append(workloads.Job(name, argv, tuple(renamed.values())))
-    return variants
+            extra.append(renamed_job(job, name, out_dir, flags=flags))
+        if job.name in SHUFFLED:
+            extra.append(renamed_job(job, f"{job.name}_shuffled_vocab",
+                                     out_dir, swap=copies))
+    return extra
+
+
+def shuffled_vocabs(inputs: dict, seed: int) -> dict:
+    """Write a copy of the source and of the target vocabulary with the
+    same token -> id pairs in a key order shuffled with `seed`; return
+    {original path: copy path}."""
+    rng = random.Random(seed)
+    copies = {}
+    for name in ("source_vocab", "target_vocab"):
+        path = inputs[name]
+        with open(path, encoding="utf-8") as fh:
+            items = list(json.load(fh).items())
+        rng.shuffle(items)
+        copies[path] = str(Path(path).with_suffix(".shuffled.json"))
+        with open(copies[path], "w", encoding="utf-8") as fh:
+            json.dump(dict(items), fh, ensure_ascii=False)
+    return copies
 
 
 def run_job(job: workloads.Job, src: Path, cwd: Path):
@@ -160,6 +198,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
     naming the workload, seed and job."""
     spec = workloads.WORKLOADS[name]
     inputs = gen.generate(spec, seed, str(root / "in"))["paths"]
+    copies = shuffled_vocabs(inputs, seed)
     outs = {}
     stdout = {}
     failed = []
@@ -170,7 +209,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
         jobs = [workloads.intersect_job(paths)]
         jobs += marker_pair_jobs(paths, out_dir, markers)
         jobs += workloads.jobs(spec, paths, seed, str(out_dir))
-        jobs += variant_jobs(jobs, out_dir)
+        jobs += variant_jobs(jobs, out_dir, copies)
         for job in jobs:
             rc, text, err = run_job(job, srcs[tree], root)
             if rc:

@@ -168,8 +168,7 @@ def select_anchors(
     marker. Sampling is uniform without replacement and depends only on
     (vocab, marker, counts, seed).
     """
-    initial = np.fromiter(map(marker.word_initial, vocab.id_to_token), bool,
-                          vocab.size)
+    initial = marker.word_initials(vocab.id_to_token)
     prefix_ids, nonprefix_ids = np.flatnonzero(initial), np.flatnonzero(~initial)
     if len(prefix_ids) < n_prefix:
         raise InsufficientTokens(

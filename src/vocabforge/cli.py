@@ -43,10 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _MethodFlag(argparse.Action):
-    """An adapt flag that only --method `const` reads; parsing lists it in `given`."""
+    """An adapt flag that only the methods `readers` read; parsing lists it
+    in `given`. With nargs=0 it is a switch that stores True."""
+
+    def __init__(self, *args, readers, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.readers = readers
 
     def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, True if self.nargs == 0 else values)
         namespace.given = [*getattr(namespace, "given", []), self]
 
 
@@ -64,11 +69,18 @@ def _at_least(args, low, *names):
 
 
 def _write(text: str, dest: str | None) -> None:
-    """Write text over the file `dest` (whole or not at all), or to stdout."""
+    """Write text as UTF-8 over the file `dest` (whole or not at all), or
+    to stdout. Text with no UTF-8 encoding raises UnicodeEncodeError
+    before anything is written."""
+    data = text.encode("utf-8")
     if dest:
-        with embeddings.atomic_open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+        with embeddings.atomic_open(dest) as fh:
+            fh.write(data)
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
+    else:  # a text stream with no bytes below it, such as io.StringIO
         sys.stdout.write(text)
 
 
@@ -81,11 +93,18 @@ def _fields(obj):
 
 
 def _emit(args, payload: dict, dest: str | None) -> None:
-    """Write the JSON report to the file `dest`, or to stdout if None."""
+    """Write the JSON report to the file `dest`, or to stdout if None.
+
+    A report whose text has no UTF-8 encoding, because a token holds a
+    lone surrogate (a JSON vocabulary can spell one as an escape), is
+    written with every non-ASCII character escaped instead."""
     config = {k: v for k, v in vars(args).items() if k not in ("func", "config")}
     report = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
-    _write(json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False,
-                      default=_fields) + "\n", dest)
+    options = {"indent": 2, "sort_keys": True, "default": _fields}
+    try:
+        _write(json.dumps(report, ensure_ascii=False, **options) + "\n", dest)
+    except UnicodeEncodeError:
+        _write(json.dumps(report, **options) + "\n", dest)
 
 
 # --- subcommands -------------------------------------------------------
@@ -134,9 +153,10 @@ def cmd_adapt(args) -> int:
     )
     _at_least(args, 0, "batch")
     for flag in vars(args).pop("given", []):  # --config values too; not reported
-        if args.method != flag.const:
+        if args.method not in flag.readers:
             raise UsageError(f"{flag.option_strings[-1]} is read only by "
-                             f"--method {flag.const}, not {args.method}")
+                             f"--method {' or '.join(flag.readers)}, "
+                             f"not {args.method}")
     untied = args.source_head_emb is not None
     if untied and args.out_head is None:
         raise UsageError("--source-head-emb requires --out-head")
@@ -342,17 +362,22 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     s.add_argument("--report")
     s.add_argument("--verbose-report", action="store_true")
     default = heuristics.HeuristicConfig()
-    clp_flag = {"action": _MethodFlag, "const": "clp"}
+    clp_flag = {"action": _MethodFlag, "readers": ("clp",)}
+    # only FVT and CLP rows fall back; random rows read the moments too
+    fallback_flag = {"action": _MethodFlag, "readers": ("fvt", "clp")}
+    moments_flag = {"action": _MethodFlag, "readers": ("random", "fvt", "clp")}
     s.add_argument("--clp-top-k", type=int, default=default.clp_top_k, **clp_flag)
-    for name in ("clp_negative_policy", "random_moments", "fallback"):
+    for name, flag in (("clp_negative_policy", clp_flag),
+                       ("random_moments", moments_flag),
+                       ("fallback", fallback_flag)):
         s.add_argument("--" + name.replace("_", "-"), default=getattr(default, name),
-                       choices=heuristics.CHOICES[name],
-                       **(clp_flag if name.startswith("clp") else {}))
+                       choices=heuristics.CHOICES[name], **flag)
     s.add_argument("--source-marker", choices=MARKERS, default="meta-space")
     s.add_argument("--target-marker", choices=MARKERS, default="meta-space")
-    s.add_argument("--byte-level", action="store_true")
+    s.add_argument("--byte-level", action=_MethodFlag, nargs=0, default=False,
+                   readers=("fvt",))  # only FVT encodes
     s.add_argument("--unk-token")
-    _add_train_flags(s, action=_MethodFlag, const="sava")
+    _add_train_flags(s, action=_MethodFlag, readers=("sava",))
     _add_common(s)
 
     s = sub("fit-map", cmd_fit_map,

@@ -331,6 +331,9 @@ def assemble(
         kind[novel_tids] = 1
         missing = novel_tids[:0]
         if ok is not None:
+            if np.shape(ok) != (part.novel_count,):
+                raise DimensionMismatch(f"ok has shape {np.shape(ok)}, "
+                                        f"expected ({part.novel_count},)")
             missing = novel_tids[~np.asarray(ok, dtype=bool)]
     if missing.size:
         source_stats = matrix_stats(source_emb)
@@ -383,8 +386,8 @@ def adapt_matrix(
         rows = random_rows(tids, matrix_stats(source_emb), cfg.seed,
                            cfg.random_moments)
     elif cfg.method == "fvt":
-        spell = target_model.marker.spell
-        pieces = [spell(token, source_model.marker) for token, _ in part.novel]
+        pieces = target_model.marker.spell_all(
+            [token for token, _ in part.novel], source_model.marker)
         rows, ok = fvt_rows(pieces, source_model, source_emb)
     elif cfg.method == "clp":
         rows, ok = ClpInitializer(source_emb, helper_emb, part, cfg).rows(tids)

@@ -75,12 +75,20 @@ class MarkerConvention:
         return self.kind != to.kind and bool(self.marker and to.marker)
 
     def spell(self, token: str, to: "MarkerConvention") -> str:
-        """token, spelled in this convention, as `to` spells it: when
+        """token, spelled in this convention, as `to` spells it
+        (`spell_all` of the one token)."""
+        return self.spell_all([token], to)[0]
+
+    def spell_all(self, tokens: Sequence[str],
+                  to: "MarkerConvention") -> list[str]:
+        """tokens, spelled in this convention, each as `to` spells it: when
         `rewrites(to)`, a word-initial token swaps its marker; any other
         token passes through unchanged."""
-        if token.startswith(self.marker) and self.rewrites(to):
-            return to.marker + token[len(self.marker):]
-        return token
+        if not self.rewrites(to):
+            return list(tokens)
+        old, new = self.marker, to.marker
+        return [new + tok[len(old):] if tok.startswith(old) else tok
+                for tok in tokens]
 
     def pretokenize(self, text: str) -> list[str]:
         """text's pieces for BPE: spaces become the marker and each marker
@@ -94,8 +102,17 @@ class MarkerConvention:
         return ([first] if first else []) + [marker + p for p in rest]
 
     def word_initial(self, token: str) -> bool:
-        """Whether token starts with the marker (never under "none")."""
-        return token.startswith(self.marker) and self.marker != ""
+        """Whether token starts with the marker (`word_initials` of the
+        one token)."""
+        return bool(self.word_initials([token])[0])
+
+    def word_initials(self, tokens: Sequence[str]) -> np.ndarray:
+        """Whether each token starts with the marker, as a bool array;
+        never under "none"."""
+        if not self.marker:
+            return np.zeros(len(tokens), bool)
+        return np.fromiter(map(str.startswith, tokens, repeat(self.marker)),
+                           bool, len(tokens))
 
     def fallback(self, char: str) -> list[str] | None:
         """The byte tokens that spell char, a character outside the
@@ -127,7 +144,17 @@ class Vocabulary:
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, int]) -> "Vocabulary":
+        """The vocabulary of mapping, token to id. When the ids are the
+        ints 0 .. size - 1 in the mapping's own order (as vocabulary files
+        list them), checked as one list, the tokens' order is the mapping's.
+        Any other mapping is walked entry by entry: a valid one is placed
+        id by id, and the error of an invalid one names its first bad
+        entry."""
         size = len(mapping)
+        ids = list(mapping.values())
+        # the types as well as the values: True == 1
+        if set(map(type, ids)) <= {int} and ids == list(range(size)):
+            return cls(dict(mapping), tuple(mapping))
         id_to_token: list[str | None] = [None] * size
         for tok, tid in mapping.items():
             if not isinstance(tid, int) or isinstance(tid, bool):
@@ -489,22 +516,26 @@ def _checked_model(vocab: Vocabulary, lefts, rights, marker, unk_id,
 
 def _split_merges(path: str, lines: list[str]):
     """The left and right symbols of the merge lines among `lines` (a
-    merges file's lines without their newlines), and each merge's line
-    number. The first line that is not two space-separated symbols raises
-    UnknownMergeSymbol."""
-    linenos = [n for n, line in enumerate(lines, 1)
-               if line.strip() and line[0] != "#"]
-    kept = [lines[n - 1] for n in linenos]
+    merges file's lines without their newlines), and a function from a
+    merge's index to its line number, which counts the lines only when it
+    is called. The first line that is not two space-separated symbols
+    raises UnknownMergeSymbol."""
+    kept = [line for line in lines if line.strip() and line[0] != "#"]
+
+    def lineno(k: int) -> int:
+        return [n for n, line in enumerate(lines, 1)
+                if line.strip() and line[0] != "#"][k]
+
     spaces = list(map(str.count, kept, repeat(" ")))
     if spaces.count(1) != len(spaces):
         k = next(k for k, n in enumerate(spaces) if n != 1)
         raise UnknownMergeSymbol(
-            f"{path}:{linenos[k]}: expected two space-separated symbols, "
+            f"{path}:{lineno(k)}: expected two space-separated symbols, "
             f"got {kept[k]!r}"
         )
     # each kept line holds one space, so the joined text alternates a, b
     symbols = " ".join(kept).split(" ") if kept else []
-    return symbols[0::2], symbols[1::2], linenos
+    return symbols[0::2], symbols[1::2], lineno
 
 
 def _read_merges(path: str):
@@ -549,7 +580,7 @@ def load_tokenizer(
     if byte_level:
         marker = replace(marker, byte_fallback=True)
     vocab = load_vocab(vocab_path)
-    lefts, rights, linenos = _read_merges(merges_path)
+    lefts, rights, lineno = _read_merges(merges_path)
 
     unk_id = None
     if unk_token is not None:
@@ -557,7 +588,7 @@ def load_tokenizer(
             raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
         unk_id = vocab.token_to_id[unk_token]
     return _checked_model(vocab, lefts, rights, marker, unk_id,
-                          lambda k: f"{merges_path}:{linenos[k]}: ")
+                          lambda k: f"{merges_path}:{lineno(k)}: ")
 
 
 @dataclass(frozen=True)
@@ -725,28 +756,30 @@ def partition(
     """Intersect two vocabularies after marker canonicalization.
 
     Source tokens are spelled in the target convention
-    (`MarkerConvention.spell`) and matched against target strings. When
+    (`MarkerConvention.spell_all`) and matched against target strings. When
     two source tokens collide on the same canonical string the lowest
-    source id wins and a warning is recorded.
+    source id wins and a warning is recorded. Each step is one whole-list
+    pass; the collisions are walked for their warnings only when there
+    are any.
     """
-    canonical: dict[str, int] = {}
-    warnings: list[str] = []
-    spell = source_marker.spell
-    for sid, tok in enumerate(source.id_to_token):
-        c = spell(tok, target_marker)
-        if c in canonical:
-            warnings.append(
-                f"source ids {canonical[c]} and {sid} both canonicalize to "
-                f"{c!r}; keeping id {canonical[c]}"
-            )
-        else:
-            canonical[c] = sid
-    shared: list[tuple[str, int, int]] = []
-    novel: list[tuple[str, int]] = []
-    for tid, tok in enumerate(target.id_to_token):
-        sid = canonical.get(tok)
-        if sid is None:
-            novel.append((tok, tid))
-        else:
-            shared.append((tok, sid, tid))
-    return TokenPartition(tuple(shared), tuple(novel), tuple(warnings))
+    keys = source_marker.spell_all(source.id_to_token, target_marker)
+    n = len(keys)
+    # built from the highest id down, so the lowest id of a key is kept
+    canonical = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+    warnings = []
+    if len(canonical) < n:
+        for sid, c in enumerate(keys):
+            if canonical[c] != sid:
+                warnings.append(
+                    f"source ids {canonical[c]} and {sid} both canonicalize "
+                    f"to {c!r}; keeping id {canonical[c]}"
+                )
+    tokens = target.id_to_token
+    sids = list(map(canonical.get, tokens))
+    del keys, canonical  # the spelled strings go before the rows are built
+    tids = range(len(tokens))
+    shared = tuple([(tok, sid, tid) for tok, sid, tid in zip(tokens, sids, tids)
+                    if sid is not None])
+    novel = tuple([(tok, tid) for tok, sid, tid in zip(tokens, sids, tids)
+                   if sid is None])
+    return TokenPartition(shared, novel, tuple(warnings))

@@ -13,7 +13,7 @@ from vocabforge import (
     Vocabulary,
     save_matrix,
 )
-from vocabforge.errors import UnencodableInput
+from vocabforge.errors import MalformedVocab, UnencodableInput
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
 # failure reproduces locally with the same setting.
@@ -209,6 +209,11 @@ def reference_canonicalize(piece, frm, to):
     return piece
 
 
+def reference_word_initial(marker, token):
+    """Whether token starts with marker's marker (never under "none")."""
+    return token.startswith(marker.marker) and marker.marker != ""
+
+
 def reference_decode(model, ids):
     """Concatenate the tokens of ids, each run of byte tokens as UTF-8,
     and restore spaces."""
@@ -254,3 +259,28 @@ def reference_partition(source, target, source_marker, target_marker):
         else:
             shared.append((tok, sid, tid))
     return tuple(shared), tuple(novel), tuple(warnings)
+
+
+# --- the entry-by-entry vocabulary loader that Vocabulary.from_mapping's
+# whole-list check replaced; it still walks every mapping whose ids are
+# not 0 .. size - 1 in key order ---
+
+
+def reference_from_mapping(mapping):
+    """(token_to_id, id_to_token) of mapping, placing one entry at a time;
+    the first bad entry raises MalformedVocab."""
+    size = len(mapping)
+    id_to_token = [None] * size
+    for tok, tid in mapping.items():
+        if not isinstance(tid, int) or isinstance(tid, bool):
+            raise MalformedVocab(f"id for token {tok!r} is not an integer")
+        if not 0 <= tid < size:
+            raise MalformedVocab(
+                f"token {tok!r} has id {tid}, outside [0, {size})"
+            )
+        if id_to_token[tid] is not None:
+            raise MalformedVocab(
+                f"duplicate id {tid} ({id_to_token[tid]!r} vs {tok!r})"
+            )
+        id_to_token[tid] = tok
+    return dict(mapping), tuple(id_to_token)

@@ -4,7 +4,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import META, NONE, char_tokenizer, random_matrix, vocab_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    BYTE,
+    META,
+    NONE,
+    char_tokenizer,
+    random_matrix,
+    reference_word_initial,
+    vocab_of,
+)
 from vocabforge import (
     EmbeddingMatrix,
     TokenizerModel,
@@ -212,6 +223,40 @@ class TestAnchors:
             select_anchors(vocab, NONE, n_prefix=1, n_nonprefix=8)
         anchors = select_anchors(vocab, NONE, n_prefix=0, n_nonprefix=8)
         assert len(anchors) == 8
+
+
+def reference_select_anchors(vocab, marker, n_prefix, n_nonprefix, seed):
+    """select_anchors with the mask built one word_initial at a time."""
+    initial = [reference_word_initial(marker, tok) for tok in vocab.id_to_token]
+    prefix = [tid for tid, flag in enumerate(initial) if flag]
+    nonprefix = [tid for tid, flag in enumerate(initial) if not flag]
+    if len(prefix) < n_prefix or len(nonprefix) < n_nonprefix:
+        raise InsufficientTokens
+    rng = np.random.default_rng(seed)
+    chosen_non = rng.choice(len(nonprefix), size=n_nonprefix, replace=False)
+    chosen_pre = rng.choice(len(prefix), size=n_prefix, replace=False)
+    return ([nonprefix[k] for k in sorted(chosen_non)]
+            + [prefix[k] for k in sorted(chosen_pre)])
+
+
+class TestAnchorsProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="▁Ġa", max_size=3), unique=True,
+                    max_size=12),
+           st.sampled_from([META, BYTE, NONE]), st.integers(0, 6),
+           st.integers(0, 6), st.integers(0, 3))
+    def test_equals_the_per_token_reference(self, tokens, marker, n_prefix,
+                                            n_nonprefix, seed):
+        vocab = vocab_of(tokens)
+        try:
+            want = reference_select_anchors(vocab, marker, n_prefix,
+                                            n_nonprefix, seed)
+        except InsufficientTokens:
+            with pytest.raises(InsufficientTokens):
+                select_anchors(vocab, marker, n_prefix, n_nonprefix, seed)
+            return
+        assert select_anchors(vocab, marker, n_prefix, n_nonprefix,
+                              seed) == want
 
 
 class TestRelativeSimilarity:

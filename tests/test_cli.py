@@ -172,6 +172,44 @@ class TestIntersectAndFitMap:
         assert report["fit"]["pair_count"] == 6
         assert report["fit"]["oracle_mse"] is not None
 
+    @pytest.mark.parametrize("dest", ["out", "stdout"])
+    def test_report_with_a_lone_surrogate_is_written_escaped(self, capsys,
+                                                             tmp_path, dest):
+        from vocabforge import TokenPartition
+        from vocabforge.errors import PartitionInconsistent
+        from vocabforge.tokenizer import load_json
+        paths = {}
+        for name, obj in (("source", {"▁a": 0}),
+                          ("target", {"▁a": 0, "\ud800": 1})):
+            paths[name] = tmp_path / f"{name}.json"
+            # json.dumps writes the surrogate as the escape \ud800
+            paths[name].write_text(json.dumps(obj), encoding="utf-8")
+        report_path = tmp_path / "part.json"
+        argv = ["intersect", "--source-vocab", str(paths["source"]),
+                "--target-vocab", str(paths["target"])]
+        if dest == "out":
+            argv += ["--out", str(report_path)]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        if dest == "stdout":
+            report_path.write_text(out, encoding="utf-8")
+        text = report_path.read_text(encoding="utf-8")
+        # every non-ASCII character is escaped, the marker too
+        assert text.isascii() and "\\ud800" in text and "\\u2581a" in text
+        part = TokenPartition.from_dict(load_json(str(report_path),
+                                                  PartitionInconsistent))
+        assert part.shared == (("▁a", 0, 0),)
+        assert part.novel == (("\ud800", 1),)
+
+    def test_report_without_a_surrogate_keeps_its_characters(self, capsys,
+                                                             tmp_path):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"▁a": 0, "é": 1}), encoding="utf-8")
+        code, out, _ = run(capsys, "intersect", "--source-vocab", str(vocab),
+                           "--target-vocab", str(vocab))
+        assert code == 0
+        assert '"▁a",' in out and '"é",' in out
+
     @pytest.mark.parametrize("limit", [None, 25])
     def test_map_equals_the_fit_of_gathered_pairs(self, capsys, tmp_path,
                                                   limit):
@@ -564,6 +602,53 @@ class TestAdapt:
         assert (code, stdout) == (1, "")
         assert err == f"{flag} is read only by --method {reader}, not {method}\n"
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags, readers, method", [
+        (("--byte-level",), "fvt", "random"),
+        (("--byte-level",), "fvt", "clp"),
+        (("--byte-level",), "fvt", "sava"),
+        (("--fallback", "mean-row"), "fvt or clp", "random"),
+        (("--fallback", "random"), "fvt or clp", "sava"),
+        (("--random-moments", "scalar"), "random or fvt or clp", "sava"),
+    ])
+    def test_switch_or_shared_flag_of_another_method_is_usage_error(
+            self, capsys, world, flags, readers, method):
+        out = world["tmp"] + "/adapted.emb1"
+        argv = self.adapt_args(world, out, world["tmp"] + "/report.json",
+                               "--helper-emb", world["helper_emb"], *flags)
+        argv[2] = method
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (1, "")
+        assert err == (f"{flags[0]} is read only by --method {readers}, "
+                       f"not {method}\n")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("flags, method", [
+        (("--fallback", "mean-row"), "fvt"), (("--fallback", "mean-row"), "clp"),
+        (("--random-moments", "scalar"), "random"), (("--byte-level",), "fvt")])
+    def test_switch_or_shared_flag_of_its_method_is_accepted(
+            self, capsys, world, flags, method):
+        report_path = world["tmp"] + "/report.json"
+        argv = self.adapt_args(world, world["tmp"] + "/adapted.emb1",
+                               report_path, "--helper-emb", world["helper_emb"],
+                               *flags)
+        argv[2] = method
+        assert run(capsys, *argv)[:2] == (0, "")
+        config = json.loads(open(report_path, encoding="utf-8").read())["config"]
+        assert config[flags[0][2:].replace("-", "_")] == (
+            flags[1] if len(flags) > 1 else True)
+
+    def test_config_switch_counts_as_given(self, capsys, world):
+        cfg = world["tmp"] + "/cfg.json"
+        for value, want in [(True, (1, "--byte-level is read only by --method "
+                                       "fvt, not random\n")),
+                            (False, (0, ""))]:  # a switch left off is not given
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump({"byte_level": value}, fh)
+            code, _, err = run(capsys, *self.adapt_args(
+                world, world["tmp"] + "/adapted.emb1", world["tmp"] + "/r.json",
+                "--config", cfg))
+            assert (code, err) == want
 
     def test_config_value_counts_as_given(self, capsys, world):
         cfg = world["tmp"] + "/cfg.json"

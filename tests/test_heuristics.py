@@ -342,6 +342,9 @@ class TestAssemble:
         with pytest.raises(DimensionMismatch,
                            match=r"^rows have shape \(2, 5\), expected \(2, 3\)$"):
             assemble(source_emb, part, np.zeros((2, 5)))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^ok has shape \(1,\), expected \(2,\)$"):
+            assemble(source_emb, part, np.zeros((2, 3)), np.array([True]))
 
 
 def clp_reference(helper, part, source_emb, token_id, policy, k):

@@ -11,8 +11,10 @@ from conftest import (
     NONE,
     char_tokenizer,
     reference_apply_merges,
+    reference_canonicalize,
     reference_decode,
     reference_encode_piece,
+    reference_from_mapping,
     reference_partition,
     reference_ranks,
     reference_tokenize,
@@ -21,6 +23,7 @@ from conftest import (
 from vocabforge import (
     MarkerConvention,
     TokenizerModel,
+    Vocabulary,
     load_tokenizer,
     load_vocab,
     partition,
@@ -455,6 +458,14 @@ class TestMarkerCodec:
             vocab_of(source), vocab_of(target), frm, to)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="▁Ġa", max_size=4), max_size=8),
+           CONVENTIONS, CONVENTIONS)
+    def test_spell_all_equals_the_reference(self, tokens, frm, to):
+        want = [reference_canonicalize(tok, frm, to) for tok in tokens]
+        assert frm.spell_all(tokens, to) == want
+        assert [frm.spell(tok, to) for tok in tokens] == want
+
+    @settings(max_examples=300, deadline=None)
     @given(CONVENTIONS, st.lists(CODEC_TOKENS, unique=True, max_size=8),
            st.booleans(), st.text(alphabet="ab ▁Ġé<x", max_size=12),
            st.data())
@@ -501,6 +512,62 @@ class TestMarkerCodec:
         assert MarkerConvention.from_name("none", True).fallback("é") == [
             "<0xC3>", "<0xA9>"]
         assert BYTE.decode(["<0xC3>", "<0xA9>", "Ġa", "<0xFF>"]) == "é a\ufffd"
+
+
+class _Id(int):
+    """An int subclass, which only the entry-by-entry walk takes."""
+
+
+@st.composite
+def id_mappings(draw):
+    """token -> id mappings: a permutation of 0 .. n - 1 (the identity
+    among them), with up to two ids replaced by a bool, a negative id, an
+    id of n or more (2^63 and past included), a repeated id, a float or an
+    int subclass."""
+    tokens = draw(st.lists(st.text(alphabet="ab▁", max_size=3), unique=True,
+                           max_size=8))
+    ids = list(draw(st.permutations(range(len(tokens)))))
+    n = len(ids)
+    for _ in range(draw(st.integers(0, 2)) if ids else 0):
+        ids[draw(st.integers(0, n - 1))] = draw(st.one_of(
+            st.booleans(), st.integers(-3, -1), st.integers(n, n + 2),
+            st.integers(2**63 - 1, 2**64), st.sampled_from(ids),
+            st.floats(0, n), st.builds(_Id, st.integers(0, n - 1))))
+    return dict(zip(tokens, ids))
+
+
+class TestFromMapping:
+    """Vocabulary.from_mapping against the entry-by-entry walk in conftest:
+    the same table, or the same error type and message."""
+
+    @staticmethod
+    def table(mapping):
+        vocab = Vocabulary.from_mapping(mapping)
+        return vocab.token_to_id, vocab.id_to_token
+
+    @settings(max_examples=500, deadline=None)
+    @given(id_mappings())
+    @example({})
+    @example({"a": True, "b": 0})
+    @example({"a": 1, "b": True})
+    @example({"a": 2**63, "b": 0})
+    @example({"a": 1, "b": 1, "c": 0})
+    @example({"a": 1, "b": -1})
+    def test_same_table_or_same_error(self, mapping):
+        assert outcome(self.table, mapping) == outcome(reference_from_mapping,
+                                                       mapping)
+
+    @pytest.mark.parametrize("order", ["in-order", "reversed", "shuffled"])
+    def test_large_vocabulary(self, order):
+        tokens = [f"t{i}" for i in range(5000)]
+        ids = list(range(5000))
+        if order == "reversed":
+            ids.reverse()
+        elif order == "shuffled":
+            np.random.default_rng(0).shuffle(ids)
+        mapping = dict(zip(tokens, ids))
+        assert self.table(mapping) == reference_from_mapping(mapping)
+        assert list(Vocabulary.from_mapping(mapping).token_to_id) == tokens
 
 
 class TestDecodeIds:
