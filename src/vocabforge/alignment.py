@@ -30,7 +30,8 @@ from .tokenizer import TokenPartition, check_partition, load_json
 
 # Bytes of one flat block of the Adam state: each update finishes its
 # elementwise passes over one block of parameter, moment and gradient
-# entries before the next, so they run in cache. Adam's chunks of scaled
+# entries before the next, so they run in cache; 256 KiB was the best size
+# in a 16 KiB-1 MiB sweep at d=256 and d=512. Adam's chunks of scaled
 # pairs take the same size. Read at call time (patchable).
 _ADAM_BLOCK = 256 << 10
 
@@ -238,7 +239,7 @@ def _adam(pairs: _Pairs, params: np.ndarray, rng: np.random.Generator,
     m, n = pairs.x.shape[1], pairs.y.shape[1]
     count = pairs.count
     batch = cfg.batch if cfg.batch > 0 else count
-    chunk = batch * max(1, _ADAM_BLOCK // (8 * (m + n) * batch))
+    chunk = batch * embeddings.block_rows(8 * (m + n) * batch, _ADAM_BLOCK)
     x_buf, y_buf = np.empty((min(chunk, count), m)), np.empty((min(chunk, count), n))
     resid_buf = np.empty((min(batch, count), n))
     b1, b2, eps = _BETA1, _BETA2, _EPS
@@ -251,7 +252,7 @@ def _adam(pairs: _Pairs, params: np.ndarray, rng: np.random.Generator,
     weight, bias = params[:n * m].reshape(n, m), params[n * m:]
     g_w, g_b = grad[:n * m].reshape(n, m), grad[n * m:]
     total = len(params)
-    size = min(total, max(1, _ADAM_BLOCK // 8))
+    size = min(total, embeddings.block_rows(8, _ADAM_BLOCK))
     tmp, den = np.empty(size), np.empty(size)
     blocks = [(grad[lo:lo + size], params[lo:lo + size], m_t[lo:lo + size],
                v_t[lo:lo + size], tmp[:total - lo], den[:total - lo])
@@ -306,13 +307,12 @@ def _adam(pairs: _Pairs, params: np.ndarray, rng: np.random.Generator,
 def _normal_equations(pairs: _Pairs):
     """(G, C, tr(YᵀY)) of the scaled pairs, G = AᵀA and C = AᵀY for the
     design A = [X 1] (so G's last row is [Σx, count]), summed over row
-    blocks of embeddings.CACHE_BUDGET bytes or, for wide rows, more."""
+    blocks of embeddings.block_rows height."""
     m, n = pairs.x.shape[1], pairs.y.shape[1]
     # Short blocks leave each rank-`step` update of G memory-bound, so rows
     # wider than 1025 floats (d = 512 on both sides) get 1025's height, 511
     # at 4 MiB: at d = 4096, 64-row blocks took 54 s and 511-row ones 14 s.
-    width = min(m + 1 + n, 1025)
-    step = min(pairs.count, max(1, embeddings.CACHE_BUDGET // (8 * width)))
+    step = min(pairs.count, embeddings.block_rows(8 * min(m + 1 + n, 1025)))
     design, y_buf = np.ones((step, m + 1)), np.empty((step, n))
     gram, rhs, yy = np.zeros((m + 1, m + 1)), np.zeros((m + 1, n)), 0.0
     for lo in range(0, pairs.count, step):

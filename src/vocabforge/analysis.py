@@ -79,7 +79,7 @@ def fertility(
     encoded once per call.
 
     New words are encoded in blocks, one `encode_pieces` call for
-    embeddings.CACHE_BUDGET // WORD_BYTES of them, and documents wait in
+    embeddings.block_rows(WORD_BYTES) of them, and documents wait in
     a buffer until the words they hold are counted. The buffer is emptied
     once it holds that many words, so memory stays bounded. A new word's
     characters are checked against the alphabet when it is first seen,
@@ -87,7 +87,7 @@ def fertility(
     document is read.
     """
     marker = model.marker.marker
-    block = max(1, embeddings.CACHE_BUDGET // WORD_BYTES)
+    block = embeddings.block_rows(WORD_BYTES)
     total_words = 0
     total_tokens = 0
     per_doc: list[float] = []
@@ -217,8 +217,8 @@ def relative_similarity(
     an integer (a float or a bool) or lies outside the matrices' rows
     DimensionMismatch, before any row is read.
 
-    Tokens are scored in row blocks whose float64 working set fits in
-    embeddings.CACHE_BUDGET bytes. Cosine projections take
+    Tokens are scored in embeddings.block_rows blocks of their float64
+    working set. Cosine projections take
     embeddings.unit_rows of both sides' anchors, checked before any token;
     then, block by block, zero-norm token rows (left side, then right
     side) and zero-norm relative representations raise ZeroNormRow naming
@@ -257,7 +257,7 @@ def relative_similarity(
     # Per token: its float64 rows on both sides, its two relative rows
     # and the temporary that a row norm of one of them builds.
     row_bytes = 8 * (emb_a.dim + emb_b.dim + 3 * len(anchors))
-    step = max(1, embeddings.CACHE_BUDGET // row_bytes)
+    step = embeddings.block_rows(row_bytes)
     cosines = np.empty(len(sample))
     for lo in range(0, len(sample), step):
         ids = sample[lo:lo + step]

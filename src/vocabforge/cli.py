@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import fields
 
@@ -166,11 +167,10 @@ def cmd_adapt(args) -> int:
     cfg = heuristics.HeuristicConfig(**{  # each field has the flag of its name
         f.name: getattr(args, f.name) for f in fields(heuristics.HeuristicConfig)
     })
-    if cfg.method in heuristics.HELPER_METHODS and args.helper_emb is None:
-        raise UsageError(
-            f"method {cfg.method!r} requires --helper-emb (a helper model "
-            f"trained with the target tokenizer)"
-        )
+    loads_helper = cfg.method in heuristics.HELPER_METHODS
+    if loads_helper and args.helper_emb is None:
+        raise UsageError(f"method {cfg.method!r} requires --helper-emb (a helper "
+                         f"model trained with the target tokenizer)")
     source_model = load_tokenizer(
         args.source_vocab, args.source_merges, args.source_marker,
         args.byte_level, args.unk_token,
@@ -187,31 +187,36 @@ def cmd_adapt(args) -> int:
     for warning in part.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
+    jobs = {"adaptation": (args.source_emb, args.helper_emb, args.out)}
+    if untied:
+        jobs["head_adaptation"] = (args.source_head_emb, args.helper_head_emb
+                                   or args.helper_emb, args.out_head)
+
+    def rows(path, loaded, default=None):
+        # A pipe can be read only once: one whose rows are loaded later
+        # has its header checked then, by load_matrix and adapt_matrix.
+        if path is None or loaded and not os.path.isfile(path):
+            return default
+        return embeddings.matrix_shape(path)[0]
+
+    # Every header, then every row count, before any row is read.
+    vocab_size = source_model.vocab.size
+    counts = [(rows(s, True, vocab_size), rows(h, loads_helper))
+              for s, h, _ in jobs.values()]
+    for source_rows, helper_rows in counts:
+        heuristics.check_rows(part, vocab_size, source_rows, helper_rows)
+
     def adapt_file(source_path, helper_path, out_path) -> dict:
         # Only the report outlives the call, so an untied model holds one
         # matrix's source, helper and output at a time.
         source_emb = embeddings.load_matrix(source_path)
-        helper_emb = None
-        if cfg.method in heuristics.HELPER_METHODS:
-            helper_emb = embeddings.load_matrix(helper_path)
-        elif helper_path:
-            # random and fvt read no helper row: check its header's row count
-            rows, _ = embeddings.matrix_shape(helper_path)
-            check_partition(part, source_model.vocab.size, rows)
-        out, report = heuristics.adapt_matrix(
-            source_emb, source_model, target_model, part, helper_emb, cfg,
-            train_cfg,
-        )
+        helper_emb = embeddings.load_matrix(helper_path) if loads_helper else None
+        out, report = heuristics.adapt_matrix(source_emb, source_model, target_model,
+                                              part, helper_emb, cfg, train_cfg)
         embeddings.save_matrix(out, out_path)
         return report.to_dict(args.verbose_report)
 
-    payload = {"adaptation": adapt_file(args.source_emb, args.helper_emb, args.out)}
-    if untied:
-        payload["head_adaptation"] = adapt_file(
-            args.source_head_emb, args.helper_head_emb or args.helper_emb,
-            args.out_head,
-        )
-    _emit(args, payload, args.report)
+    _emit(args, {key: adapt_file(*job) for key, job in jobs.items()}, args.report)
     return 0
 
 

@@ -30,24 +30,18 @@ from .errors import BadMagic, EmptyMatrix, NonFiniteValue, SizeMismatch, ZeroNor
 
 MAGIC = b"EMB1"
 HEADER_SIZE = 16
-# Bytes of float64 working rows per block in the whole-vocabulary passes
-# (CLP, FVT, the finiteness check and record writes): caps their
-# memory whatever the vocabulary size. CLP re-reads all shared rows once
-# per block, so it wants tall blocks. Read at call time (patchable).
-BUDGET = 16 << 20
-# Bytes of the per-block working set of `relative_similarity`, of
-# `column_moments` and of the SAVA fit's Adam chunks and sums. Each block
-# is used once, so it is kept small: blocks of tens of MB miss the cache
-# and map fresh pages on every block, while blocks under ~1 MiB pay
-# per-block overhead and short GEMMs. 4 MiB is where a 256 KiB-16 MiB
-# sweep on the benchmark workloads stopped improving. Read at call time,
-# so it can be patched.
+# block_rows' default budget: bytes of one block's working set. A one-pass
+# loop uses each block once, so it is kept small: tens of MB miss the cache
+# and map fresh pages each block, under ~1 MiB pays per-block overhead and
+# short GEMMs, and a 256 KiB-16 MiB sweep on the benchmark workloads
+# stopped improving at 4 MiB. Read at call time (patchable).
 CACHE_BUDGET = 4 << 20
 
 
-def block_rows(dim: int) -> int:
-    """Rows of a `dim`-wide block that hold BUDGET bytes of float64."""
-    return max(1, BUDGET // (8 * max(dim, 1)))
+def block_rows(row_bytes: int, budget: int | None = None) -> int:
+    """Rows of row_bytes each that fit in budget bytes (None: CACHE_BUDGET),
+    at least one: the height of every blocked pass."""
+    return max(1, (CACHE_BUDGET if budget is None else budget) // max(row_bytes, 1))
 
 
 @dataclass(frozen=True)
@@ -63,9 +57,8 @@ class EmbeddingMatrix:
             raise SizeMismatch(f"expected a 2-D matrix, got shape {arr.shape}")
         if arr.shape[1] == 0:
             raise SizeMismatch(f"matrix {self.label!r} has zero-width rows")
-        step = block_rows(arr.shape[1])
-        for lo in range(0, arr.shape[0], step):
-            if not np.isfinite(arr[lo:lo + step]).all():
+        for _, block in row_blocks(arr):
+            if not np.isfinite(block).all():
                 raise NonFiniteValue(f"matrix {self.label!r} contains NaN/Inf")
         # Freeze a view, not the caller's array (which ascontiguousarray
         # returns as-is when it is already C-contiguous float32).
@@ -98,20 +91,16 @@ class EmbeddingStats:
 def write_record(fh, data: np.ndarray) -> None:
     """Write one EMB1 record (header + payload) of a 2-D array.
 
-    A C-contiguous little-endian float32 array is written from its own
-    buffer; any other array is converted BUDGET bytes of float64 rows at
-    a time, so neither holds a second copy of the payload.
+    The rows go out one row_blocks block at a time, each converted to
+    little-endian float32 only where it is not already one, so no second
+    copy of the payload is held.
     """
     data = np.asarray(data)
     fh.write(MAGIC)
     fh.write(struct.pack("<II", data.shape[0], data.shape[1]))
     fh.write(b"\x00\x00\x00\x00")
-    if data.dtype == np.dtype("<f4") and data.flags.c_contiguous:
-        fh.write(data)
-        return
-    step = block_rows(data.shape[1])
-    for lo in range(0, data.shape[0], step):
-        fh.write(np.ascontiguousarray(data[lo:lo + step], dtype="<f4"))
+    for _, block in row_blocks(data):
+        fh.write(np.ascontiguousarray(block, dtype="<f4"))
 
 
 def _read_header(fh, path: str) -> tuple[int, int]:
@@ -164,7 +153,7 @@ def matrix_shape(path: str) -> tuple[int, int]:
         if size:
             found = size - HEADER_SIZE
         else:
-            found = sum(map(len, iter(lambda: fh.read(BUDGET), b"")))
+            found = sum(map(len, iter(lambda: fh.read(block_rows(1)), b"")))
     _check_payload(path, rows, dim, found)
     if dim == 0:
         raise SizeMismatch(f"matrix {path!r} has zero-width rows")
@@ -209,15 +198,15 @@ def load_matrix(path: str, label: str = "") -> EmbeddingMatrix:
 
 
 def row_blocks(data: np.ndarray, ids: np.ndarray | None = None):
-    """Yield (start, data[ids[start:...]]) in CACHE_BUDGET blocks, or
-    without ids (start, data[start:...]), views of all the rows in order.
+    """Yield (start, data[ids[start:...]]) in blocks of block_rows(8 * dim)
+    rows, or without ids (start, data[start:...]), views of all the rows.
 
     A single column comes as one block: numpy sums a C-contiguous array
     over axis 0 one row after another, but a lone column pairwise.
     """
     dim = data.shape[1]
     count = len(data) if ids is None else len(ids)
-    step = count if dim == 1 else max(1, CACHE_BUDGET // (8 * dim))
+    step = max(count, 1) if dim == 1 else block_rows(8 * dim)
     for lo in range(0, count, step):
         yield lo, data[lo:lo + step] if ids is None else data[ids[lo:lo + step]]
 

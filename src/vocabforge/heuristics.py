@@ -40,6 +40,12 @@ CHOICES = {
 
 _MASK64 = (1 << 64) - 1
 
+# Bytes of float64 similarities per CLP block. CLP re-reads every shared
+# source row once per block, so it wants taller blocks than CACHE_BUDGET:
+# at 4 MiB its kernel took 57.0 ms, not 46.5, on corpus-32k and 98.8 ms,
+# not 87.5, on tied-5k-d256. Read at call time (patchable).
+_CLP_BUDGET = 16 << 20
+
 
 @dataclass(frozen=True)
 class HeuristicConfig:
@@ -162,9 +168,9 @@ def fvt_rows(
     Each row equals data[ids].astype(float64).mean(axis=0) bit for bit.
     numpy sums a C-contiguous block over axis 0 from 0.0, one row after
     another, and then divides by the count; here position p of every
-    piece is added in the same order. Pieces are taken BUDGET bytes of
-    float64 rows at a time, longest first, so position p is one float32
-    gather added to a prefix of the block.
+    piece is added in the same order. Pieces are taken one
+    embeddings.block_rows block of float64 rows at a time, longest first,
+    so position p is one float32 gather added to a prefix of the block.
     """
     dim = source_emb.dim
     flat, counts, _ = source_model.encode_pieces(pieces)
@@ -176,7 +182,7 @@ def fvt_rows(
     starts = np.cumsum(counts) - counts
     data = source_emb.data
     rows = np.zeros((len(pieces), dim))
-    step = embeddings.block_rows(dim)
+    step = embeddings.block_rows(8 * dim)
     for lo in range(0, len(pieces), step):
         order = lo + np.argsort(-counts[lo:lo + step])
         order = order[counts[order] > 0]
@@ -213,8 +219,8 @@ class ClpInitializer:
 
     Weights are cosine similarities in the helper space, post-processed
     by the negative policy, optionally truncated to the top-k support,
-    and normalized to sum to 1. Rows are computed embeddings.BUDGET bytes
-    of similarities at a time: one GEMM against the shared helper rows for
+    and normalized to sum to 1. Rows are computed _CLP_BUDGET bytes of
+    similarities at a time: one GEMM against the shared helper rows for
     the weights, one against the shared source rows for the result. A
     zero-norm shared or novel helper row raises ZeroNormRow naming its id.
     """
@@ -264,7 +270,7 @@ class ClpInitializer:
         token_ids = np.asarray(token_ids, dtype=np.int64)
         out = np.empty((len(token_ids), self.shared_source_rows.shape[1]))
         ok = np.empty(len(token_ids), dtype=bool)
-        step = embeddings.block_rows(len(self.anchor_unit))
+        step = embeddings.block_rows(8 * len(self.anchor_unit), _CLP_BUDGET)
         for lo in range(0, len(token_ids), step):
             w, ok[lo:lo + step] = self._weights(token_ids[lo:lo + step])
             out[lo:lo + step] = w @ self.shared_source_rows
@@ -354,6 +360,16 @@ def assemble(
     return EmbeddingMatrix(out, label="adapted"), report
 
 
+def check_rows(part: TokenPartition, vocab_size: int, source_rows: int,
+               helper_rows: int | None = None) -> None:
+    """DimensionMismatch unless the source matrix has one row per source
+    token, then check_partition: the checks that need only row counts."""
+    if source_rows != vocab_size:
+        raise DimensionMismatch(f"source matrix has {source_rows} rows, source "
+                                f"vocabulary has {vocab_size} tokens")
+    check_partition(part, source_rows, helper_rows)
+
+
 def adapt_matrix(
     source_emb: EmbeddingMatrix,
     source_model: TokenizerModel,
@@ -370,17 +386,12 @@ def adapt_matrix(
     The report's timing_seconds covers the whole build, SAVA's fit too.
     """
     start = time.perf_counter()
-    if source_emb.rows != source_model.vocab.size:
-        raise DimensionMismatch(
-            f"source matrix has {source_emb.rows} rows, source vocabulary "
-            f"has {source_model.vocab.size} tokens"
-        )
     if cfg.method in HELPER_METHODS and helper_emb is None:
         raise VocabForgeError(
             f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
         )
     helper_rows = helper_emb.rows if cfg.method in HELPER_METHODS else None
-    check_partition(part, source_emb.rows, helper_rows)  # before a kernel reads a row
+    check_rows(part, source_model.vocab.size, source_emb.rows, helper_rows)
     tids, ok = part.novel_target_ids, None
     if cfg.method == "random":
         rows = random_rows(tids, matrix_stats(source_emb), cfg.seed,

@@ -116,7 +116,6 @@ class TestCollectPairs:
         if height is not None:
             # block budgets of `height` rows of the wider (source) side
             # leave the gathered pairs as they are
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * 9 * height)
             monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * 9 * height)
         x, y = collect_pairs(helper, source, part, limit=limit, seed=3)
         helper_ids, source_ids = alignment._pair_ids(helper, source, part)

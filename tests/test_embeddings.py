@@ -33,6 +33,27 @@ def _raw_file(path, rows, dim, payload: bytes, magic=MAGIC):
         fh.write(payload)
 
 
+def _through_pipe(tmp_path, data: bytes, read):
+    """read(path) of a FIFO that a thread fills with data: its result, or
+    the VocabForgeError it raised."""
+    fifo = str(tmp_path / "pipe")
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = read(fifo)
+    except (BadMagic, SizeMismatch) as exc:
+        got = exc
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    return got
+
+
 class TestFormat:
     def test_minimal_file(self, tmp_path):
         path = str(tmp_path / "m.emb1")
@@ -124,26 +145,31 @@ class TestFormat:
     def test_matrix_shape_reads_a_pipe_to_its_end(self, tmp_path, payload):
         record = tmp_path / "m.emb1"
         _raw_file(str(record), 2, 3, payload)
-        fifo = str(tmp_path / "pipe")
-        os.mkfifo(fifo)
-
-        def write():
-            with open(fifo, "wb") as fh:
-                fh.write(record.read_bytes())
-
-        writer = threading.Thread(target=write, daemon=True)
-        writer.start()
-        try:
-            got = embeddings.matrix_shape(fifo)
-        except SizeMismatch as exc:
-            got = exc
-        writer.join(timeout=10)
-        assert not writer.is_alive()
+        got = _through_pipe(tmp_path, record.read_bytes(),
+                            embeddings.matrix_shape)
         if len(payload) == 24:
             assert got == (2, 3)
         else:
-            assert str(got) == f"{fifo}: header claims 2x3 (24 bytes), " \
-                               f"payload has 20 bytes"
+            assert str(got) == f"{tmp_path / 'pipe'}: header claims 2x3 " \
+                               f"(24 bytes), payload has 20 bytes"
+
+    @pytest.mark.parametrize("floats", [6, 5, 7],
+                             ids=["valid", "short", "trailing"])
+    def test_load_matrix_reads_a_pipe_as_a_file(self, tmp_path, floats):
+        record = str(tmp_path / "m.emb1")
+        _raw_file(record, 2, 3, struct.pack(f"<{floats}f", *range(floats)))
+        try:
+            want = load_matrix(record).data
+        except SizeMismatch as exc:
+            want = exc
+        with open(record, "rb") as fh:
+            got = _through_pipe(tmp_path, fh.read(), load_matrix)
+        if floats == 6:
+            assert got.data.tobytes() == want.tobytes()
+            assert got.data.shape == want.shape == (2, 3)
+        else:
+            assert type(got) is type(want)
+            assert str(got) == str(want).replace(record, str(tmp_path / "pipe"))
 
     def test_nonfinite_construction_rejected(self):
         with pytest.raises(NonFiniteValue):
@@ -162,15 +188,23 @@ class TestFormat:
 
 
 class TestBlockedPasses:
-    """The finiteness check and record writes walk embeddings.BUDGET row
+    """The finiteness check and record writes walk embeddings.row_blocks
     blocks; heights 1, 7 and the default must give the same result."""
+
+    def test_block_rows_reads_its_budget_at_call_time(self, monkeypatch):
+        assert embeddings.block_rows(8 * 512) == 1024  # 4 MiB by default
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 100)
+        assert embeddings.block_rows(30) == 3
+        assert embeddings.block_rows(30, 1000) == 33
+        assert embeddings.block_rows(101) == 1  # never less than one row
+        assert embeddings.block_rows(0) == 100
 
     @pytest.mark.parametrize("height", [1, 7, None])
     @pytest.mark.parametrize("row", [0, 10, 39], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_found_in_any_block(self, monkeypatch, height, row, bad):
         if height is not None:
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * 6 * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * 6 * height)
         data = np.ones((40, 6), dtype=np.float32)
         EmbeddingMatrix(data, label="m")  # finite: every block passes
         data[row, 3] = bad
@@ -183,7 +217,7 @@ class TestBlockedPasses:
     def test_record_bytes_match_float32_payload(self, monkeypatch, height,
                                                 layout):
         if height is not None:
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * 5 * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * 5 * height)
         data = np.random.default_rng(9).normal(size=(23, 5))
         if layout == "fortran":
             array = np.asfortranarray(data.astype(np.float32))
@@ -192,6 +226,17 @@ class TestBlockedPasses:
         fh = io.BytesIO()
         embeddings.write_record(fh, array)
         assert fh.getvalue() == (MAGIC + struct.pack("<II", 23, 5)
+                                 + b"\x00" * 4 + data.astype("<f4").tobytes())
+
+    @pytest.mark.parametrize("shape", [(0, 1), (0, 5), (3, 1)])
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_empty_and_one_column_matrices(self, shape, dtype):
+        # a lone column is one block, however many rows (even none)
+        data = np.arange(shape[0] * shape[1], dtype=dtype).reshape(shape)
+        assert EmbeddingMatrix(data).data.shape == shape
+        fh = io.BytesIO()
+        embeddings.write_record(fh, data)
+        assert fh.getvalue() == (MAGIC + struct.pack("<II", *shape)
                                  + b"\x00" * 4 + data.astype("<f4").tobytes())
 
     def test_save_matrix_writes_from_the_array(self, tmp_path):
@@ -205,7 +250,7 @@ class TestBlockedPasses:
         assert peak < matrix.data.nbytes // 16  # 4 MiB matrix
 
     def test_float64_record_converts_one_block_at_a_time(self, monkeypatch):
-        monkeypatch.setattr(embeddings, "BUDGET", 8 * 512 * 16)
+        monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * 512 * 16)
         data = np.ones((1024, 512))
         with open(os.devnull, "wb") as fh:
             tracemalloc.start()

@@ -404,9 +404,9 @@ class TestClpKernel:
     @pytest.mark.parametrize("policy", ["clamp-zero", "shift-min", "absolute"])
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_blocked_matches_per_row_reference(self, monkeypatch, policy, k):
-        from vocabforge import embeddings, heuristics
+        from vocabforge import heuristics
         part, source_emb, helper, _, _ = tied_clp_fixture()
-        monkeypatch.setattr(embeddings, "BUDGET", 3 * 8 * part.shared_count)
+        monkeypatch.setattr(heuristics, "_CLP_BUDGET", 3 * 8 * part.shared_count)
         init = heuristics.ClpInitializer(
             source_emb, EmbeddingMatrix(helper), part,
             HeuristicConfig(method="clp", clp_negative_policy=policy,
@@ -422,13 +422,13 @@ class TestClpKernel:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_block_size_does_not_change_output(self, monkeypatch, k):
-        from vocabforge import embeddings
+        from vocabforge import heuristics
         _, source_emb, helper, source, target = tied_clp_fixture()
         shared = 8
         cfg = HeuristicConfig(method="clp", clp_top_k=k)
         results = []
-        for budget in (8 * shared, 7 * 8 * shared, embeddings.BUDGET):
-            monkeypatch.setattr(embeddings, "BUDGET", budget)
+        for budget in (8 * shared, 7 * 8 * shared, heuristics._CLP_BUDGET):
+            monkeypatch.setattr(heuristics, "_CLP_BUDGET", budget)
             results.append(adapt(source_emb, source, target,
                                  EmbeddingMatrix(helper), cfg))
         (first, first_report), *rest = results
@@ -538,7 +538,7 @@ class TestFvtKernel:
         from vocabforge import embeddings
         from vocabforge.heuristics import fvt_rows
         if height is not None:
-            monkeypatch.setattr(embeddings, "BUDGET", 8 * dim * height)
+            monkeypatch.setattr(embeddings, "CACHE_BUDGET", 8 * dim * height)
         model = self.model(kind)
         rng = np.random.default_rng(dim)
         # float32 rows whose magnitudes span 2**40: their float64 sums
@@ -610,10 +610,10 @@ class TestNovelKernelMemory:
         emb = random_matrix(rng, model.vocab.size, self.dim)
         pieces = ["".join(rng.choice(list("abcd"), size=rng.integers(1, 13)))
                   for _ in range(self.rows)]
-        # the output and the id lists, one BUDGET block of float64 sums
+        # the output and the id lists, one block of float64 sums
         # and one float32 gather of at most a block's rows (a float64
         # gather of every piece's ids would be several arrays)
-        block = embeddings.BUDGET
+        block = embeddings.CACHE_BUDGET
         assert traced_peak(fvt_rows, pieces, model, emb) < (
             1.1 * self.array + 1.5 * block)
 

@@ -12,7 +12,9 @@ error is still one line and never a traceback.
 import contextlib
 import io
 import json
+import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocabforge import AffineMap, fit_closed_form, load_map, save_map
+from vocabforge import AffineMap, fit_closed_form, heuristics, load_map, save_map
 from vocabforge.cli import main
 from vocabforge.embeddings import HEADER_SIZE, write_record
 from vocabforge.errors import VocabForgeError
@@ -157,6 +159,117 @@ def test_similarity_vocab_larger_than_matrices(files):
         "--vocab", vocab, "--n-prefix", "4", "--n-nonprefix", "4",
     ) == (1, "", "error: the vocabulary has 40 tokens but the matrices have "
                  "8 rows; they must index the same tokens\n")
+
+
+# --- an untied model's matrices through adapt --------------------------
+
+
+@pytest.fixture
+def untied(tmp_path):
+    """An untied model that `adapt_argv` adapts with a given head."""
+    source = [f"s{i}" for i in range(8)]
+    for name, tokens in (("source", source), ("target", source[:6] + ["n0"])):
+        (tmp_path / f"{name}.json").write_text(
+            json.dumps({t: i for i, t in enumerate(tokens)}), encoding="utf-8")
+    (tmp_path / "merges.txt").write_text("", encoding="utf-8")
+    (tmp_path / "embed.emb1").write_bytes(emb1_bytes(8, 4, seed=1))
+    (tmp_path / "head.emb1").write_bytes(emb1_bytes(8, 4, seed=2))
+    return tmp_path
+
+
+def adapt_argv(root, head, seed):
+    return ["adapt", "--method", "random", "--seed", seed,
+            "--source-emb", root / "embed.emb1", "--source-head-emb", head,
+            "--source-vocab", root / "source.json",
+            "--target-vocab", root / "target.json",
+            "--source-merges", root / "merges.txt",
+            "--target-merges", root / "merges.txt",
+            "--source-marker", "none", "--target-marker", "none",
+            "--out", root / "out.emb1", "--out-head", root / "out_head.emb1",
+            "--report", root / "report.json"]
+
+
+def adapt_bad_head(root, monkeypatch, head: bytes):
+    """adapt with a damaged head over a run with the good one: its outcome,
+    the outputs of both runs, the files left and the adapt_matrix calls."""
+    assert run_cli(*adapt_argv(root, root / "head.emb1", 1))[0] == 0
+    outputs = [root / name for name in ("out.emb1", "out_head.emb1",
+                                        "report.json")]
+    before = [p.read_bytes() for p in outputs]
+    (root / "bad_head.emb1").write_bytes(head)
+    listing = sorted(os.listdir(root))
+    calls = []
+    real = heuristics.adapt_matrix
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heuristics, "adapt_matrix", spy)
+    outcome = run_cli(*adapt_argv(root, root / "bad_head.emb1", 2))
+    after = [p.read_bytes() for p in outputs]
+    return outcome, before, after, sorted(os.listdir(root)) == listing, calls
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda head: head[:100],
+     "header claims 8x4 (128 bytes), payload has 84 bytes"),
+    (lambda head: b"EMB2" + head[4:], "not an EMB1 record"),
+], ids=["truncated", "magic"])
+def test_bad_head_header_stops_adapt_before_any_row(untied, monkeypatch,
+                                                    damage, message):
+    head = damage((untied / "head.emb1").read_bytes())
+    outcome, before, after, same_files, calls = adapt_bad_head(
+        untied, monkeypatch, head)
+    path = untied / "bad_head.emb1"
+    assert outcome == (1, "", f"error: {path}: {message}\n")
+    assert after == before  # --out, --out-head and --report
+    assert same_files  # no temporary file left
+    assert calls == []
+
+
+def test_piped_source_is_read_once(untied):
+    # the header pass skips a pipe whose rows are loaded: reading it there
+    # would leave load_matrix waiting for a second writer
+    assert run_cli(*adapt_argv(untied, untied / "head.emb1", 1))[0] == 0
+    want = [(untied / name).read_bytes() for name in ("out.emb1", "out_head.emb1")]
+    fifo = untied / "embed.pipe"
+    os.mkfifo(fifo)
+    data = (untied / "embed.emb1").read_bytes()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    argv = adapt_argv(untied, untied / "head.emb1", 1)
+    argv[argv.index(untied / "embed.emb1")] = fifo
+    result = []
+    adapt = threading.Thread(target=lambda: result.append(run_cli(*argv)),
+                             daemon=True)
+    adapt.start()
+    adapt.join(timeout=30)
+    writer.join(timeout=10)
+    assert not adapt.is_alive() and not writer.is_alive()
+    assert result[0][0] == 0
+    assert [(untied / name).read_bytes()
+            for name in ("out.emb1", "out_head.emb1")] == want
+
+
+def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
+    # Finiteness needs every row, so a NaN in the head is found after the
+    # embedding matrix is adapted and --out replaced; the head's output
+    # and the report are left as they were.
+    head = bytearray((untied / "head.emb1").read_bytes())
+    head[HEADER_SIZE + 4 * 13:HEADER_SIZE + 4 * 14] = struct.pack("<f", np.nan)
+    outcome, before, after, same_files, calls = adapt_bad_head(
+        untied, monkeypatch, bytes(head))
+    path = untied / "bad_head.emb1"
+    assert outcome == (1, "", f"error: matrix {str(path)!r} contains NaN/Inf\n")
+    assert after[1:] == before[1:]
+    assert same_files
+    assert len(calls) == 1
 
 
 # --- partition JSON through fit-map -------------------------------------
