@@ -17,9 +17,13 @@ FVT's, all random, and its CLP is dense with clamp-zero weights, so two
 more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row` and
 `adapt --method clp --clp-top-k 16 --clp-negative-policy shift-min`.
 gen.py writes every vocabulary with its ids in key order, so `intersect`
-and `adapt --method fvt` also run (SHUFFLED) on copies of the source and
-target vocabularies that hold the same token -> id pairs in a key order
-shuffled with the seed.
+and `adapt --method fvt` also run on copies of the source and target
+vocabularies that hold the same token -> id pairs in a key order
+shuffled with the seed. It writes no merges file with a comment or blank
+line past the `#version` header, so `adapt --method fvt` and both
+`fertility` jobs also run on copies of the two merges files with comment,
+empty and whitespace-only lines placed among the merges with the seed
+(COPIES names both sets of jobs).
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -107,8 +111,17 @@ VARIANTS = {
 }
 
 
-# jobs of the benchmark that run again on the shuffled vocabularies
-SHUFFLED = ("intersect", "adapt_fvt")
+# jobs of the benchmark that run again on copies of their inputs, by the
+# name of the copies: vocabularies in a shuffled key order, and merges
+# files with comment and blank lines among the merges
+COPIES = {
+    "shuffled_vocab": ("intersect", "adapt_fvt"),
+    "commented_merges": ("adapt_fvt", "fertility_source", "fertility_target"),
+}
+# the lines placed among the merges: comments, and lines that are blank
+# to str.strip (empty, or whitespace only, a space among it or not)
+SKIPPED_LINES = ("#", "# a comment", "#\tx  y", "", " ", "\t", "\u3000",
+                 " \x0c ", "\u2028 \u3000")
 
 
 def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
@@ -123,16 +136,17 @@ def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
 
 
 def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
-    """The VARIANTS and the SHUFFLED jobs of `jobs`, the latter reading
-    the vocabulary copies `copies` (original path -> copy)."""
+    """The VARIANTS and the COPIES jobs of `jobs`, the latter reading the
+    input copies `copies[name]` (original path -> copy) of their name."""
     extra = []
     for job in jobs:
         if job.name in VARIANTS:
             name, flags = VARIANTS[job.name]
             extra.append(renamed_job(job, name, out_dir, flags=flags))
-        if job.name in SHUFFLED:
-            extra.append(renamed_job(job, f"{job.name}_shuffled_vocab",
-                                     out_dir, swap=copies))
+        for name, readers in COPIES.items():
+            if job.name in readers:
+                extra.append(renamed_job(job, f"{job.name}_{name}", out_dir,
+                                         swap=copies[name]))
     return extra
 
 
@@ -150,6 +164,27 @@ def shuffled_vocabs(inputs: dict, seed: int) -> dict:
         copies[path] = str(Path(path).with_suffix(".shuffled.json"))
         with open(copies[path], "w", encoding="utf-8") as fh:
             json.dump(dict(items), fh, ensure_ascii=False)
+    return copies
+
+
+def commented_merges(inputs: dict, seed: int) -> dict:
+    """Write a copy of the source and of the target merges file with the
+    same lines and, after about one line in fifty (chosen with `seed`), one
+    of SKIPPED_LINES; return {original path: copy path}."""
+    rng = random.Random(seed)
+    copies = {}
+    for name in ("source_merges", "target_merges"):
+        path = inputs[name]
+        with open(path, encoding="utf-8", newline="") as fh:
+            lines = fh.read().split("\n")
+        out = []
+        for line in lines:
+            out.append(line)
+            if rng.random() < 0.02:
+                out.append(rng.choice(SKIPPED_LINES))
+        copies[path] = str(Path(path).with_suffix(".commented.txt"))
+        with open(copies[path], "w", encoding="utf-8", newline="") as fh:
+            fh.write("\n".join(out))
     return copies
 
 
@@ -198,7 +233,8 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
     naming the workload, seed and job."""
     spec = workloads.WORKLOADS[name]
     inputs = gen.generate(spec, seed, str(root / "in"))["paths"]
-    copies = shuffled_vocabs(inputs, seed)
+    copies = {"shuffled_vocab": shuffled_vocabs(inputs, seed),
+              "commented_merges": commented_merges(inputs, seed)}
     outs = {}
     stdout = {}
     failed = []

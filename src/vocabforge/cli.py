@@ -9,9 +9,12 @@ flags win over file values.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -69,11 +72,9 @@ def _at_least(args, low, *names):
             raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
-def _write(text: str, dest: str | None) -> None:
-    """Write text as UTF-8 over the file `dest` (whole or not at all), or
-    to stdout. Text with no UTF-8 encoding raises UnicodeEncodeError
-    before anything is written."""
-    data = text.encode("utf-8")
+def _write(data: bytes, dest: str | None) -> None:
+    """Write data over the file `dest` (whole or not at all), or to
+    stdout."""
     if dest:
         with embeddings.atomic_open(dest) as fh:
             fh.write(data)
@@ -82,7 +83,7 @@ def _write(text: str, dest: str | None) -> None:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
     else:  # a text stream with no bytes below it, such as io.StringIO
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode("utf-8"))
 
 
 def _fields(obj):
@@ -93,8 +94,8 @@ def _fields(obj):
     return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
-def _emit(args, payload: dict, dest: str | None) -> None:
-    """Write the JSON report to the file `dest`, or to stdout if None.
+def _report(args, payload: dict) -> bytes:
+    """The JSON report of payload, as UTF-8.
 
     A report whose text has no UTF-8 encoding, because a token holds a
     lone surrogate (a JSON vocabulary can spell one as an escape), is
@@ -103,9 +104,15 @@ def _emit(args, payload: dict, dest: str | None) -> None:
     report = {"schema_version": SCHEMA_VERSION, "config": config, **payload}
     options = {"indent": 2, "sort_keys": True, "default": _fields}
     try:
-        _write(json.dumps(report, ensure_ascii=False, **options) + "\n", dest)
+        text = json.dumps(report, ensure_ascii=False, **options) + "\n"
+        return text.encode("utf-8")
     except UnicodeEncodeError:
-        _write(json.dumps(report, **options) + "\n", dest)
+        return (json.dumps(report, **options) + "\n").encode("ascii")
+
+
+def _emit(args, payload: dict, dest: str | None) -> None:
+    """Write the JSON report to the file `dest`, or to stdout if None."""
+    _write(_report(args, payload), dest)
 
 
 # --- subcommands -------------------------------------------------------
@@ -138,7 +145,7 @@ def cmd_stats(args) -> int:
             f"scalar mean: {st.scalar_mean:.6g}\n"
             f"scalar variance: {st.scalar_variance:.6g}\n"
         )
-        _write(text, args.out)
+        _write(text.encode("utf-8"), args.out)
     return 0
 
 
@@ -192,12 +199,17 @@ def cmd_adapt(args) -> int:
         jobs["head_adaptation"] = (args.source_head_emb, args.helper_head_emb
                                    or args.helper_emb, args.out_head)
 
+    shapes = {}
+
     def rows(path, loaded, default=None):
         # A pipe can be read only once: one whose rows are loaded later
         # has its header checked then, by load_matrix and adapt_matrix.
+        # Any other path has its header read once.
         if path is None or loaded and not os.path.isfile(path):
             return default
-        return embeddings.matrix_shape(path)[0]
+        if path not in shapes:
+            shapes[path] = embeddings.matrix_shape(path)[0]
+        return shapes[path]
 
     # Every header, then every row count, before any row is read.
     vocab_size = source_model.vocab.size
@@ -206,17 +218,39 @@ def cmd_adapt(args) -> int:
     for source_rows, helper_rows in counts:
         heuristics.check_rows(part, vocab_size, source_rows, helper_rows)
 
+    # A helper that serves both matrices is loaded once (a pipe can be read
+    # only once) and kept until the second.
+    helper_uses = Counter(helper for _, helper, _ in jobs.values())
+    kept = {}
+
+    def load_helper(path):
+        helper_uses[path] -= 1
+        matrix = kept.pop(path) if path in kept else embeddings.load_matrix(path)
+        if helper_uses[path]:
+            kept[path] = matrix
+        return matrix
+
+    # Every output is written to its own temporary file once it is built;
+    # all of them replace their paths only when the last is complete, so a
+    # run that fails leaves every previous output as it was.
+    outputs = contextlib.ExitStack()
+
     def adapt_file(source_path, helper_path, out_path) -> dict:
         # Only the report outlives the call, so an untied model holds one
         # matrix's source, helper and output at a time.
         source_emb = embeddings.load_matrix(source_path)
-        helper_emb = embeddings.load_matrix(helper_path) if loads_helper else None
-        out, report = heuristics.adapt_matrix(source_emb, source_model, target_model,
-                                              part, helper_emb, cfg, train_cfg)
-        embeddings.save_matrix(out, out_path)
+        helper_emb = load_helper(helper_path) if loads_helper else None
+        adapted, report = heuristics.adapt_matrix(
+            source_emb, source_model, target_model, part, helper_emb, cfg,
+            train_cfg)
+        out = outputs.enter_context(embeddings.atomic_open(out_path))
+        embeddings.write_record(out, adapted.data)
         return report.to_dict(args.verbose_report)
 
-    _emit(args, {key: adapt_file(*job) for key, job in jobs.items()}, args.report)
+    with outputs:
+        payload = {key: adapt_file(*job) for key, job in jobs.items()}
+        outputs.enter_context(embeddings.atomic_open(args.report)).write(
+            _report(args, payload))
     return 0
 
 
@@ -259,7 +293,8 @@ def cmd_fertility(args) -> int:
     if args.hist_out:
         if not report.per_document:
             raise UsageError("--hist-out requires a non-empty corpus")
-        _write(analysis.histogram_csv(report.per_document), args.hist_out)
+        _write(analysis.histogram_csv(report.per_document).encode("utf-8"),
+               args.hist_out)
     payload = _fields(report)
     if not args.per_doc:
         del payload["per_document"]
@@ -476,8 +511,15 @@ def _parse(parser, subs, argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser, subs = build_parser()
+    # A command's data holds no reference cycles (arrays, strings, ints and
+    # tuples of them), so reference counting frees it, and each pass of the
+    # cyclic collector over its vocabulary-sized containers finds nothing.
+    # The collector is paused for the command and left as it was found;
+    # the parser's few hundred cyclic objects are collected after.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
+        parser, subs = build_parser()
         args = _parse(parser, subs, argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
@@ -494,6 +536,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import groupby, repeat
-from operator import add, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -207,7 +207,8 @@ class TokenizerModel:
     ) -> "TokenizerModel":
         merges = list(merges)
         return _checked_model(vocab, [a for a, _ in merges],
-                              [b for _, b in merges], marker, unk_id)
+                              [b for _, b in merges],
+                              [a + b for a, b in merges], marker, unk_id)
 
     @cached_property
     def merges(self) -> tuple[tuple[str, str], ...]:
@@ -489,17 +490,18 @@ def load_vocab(path: str) -> Vocabulary:
     return Vocabulary.from_mapping(mapping)
 
 
-def _checked_model(vocab: Vocabulary, lefts, rights, marker, unk_id,
+def _checked_model(vocab: Vocabulary, lefts, rights, joined, marker, unk_id,
                    where=lambda k: "") -> TokenizerModel:
     """The model of vocab and the merges lefts[k] + rights[k] in rank
-    order. The first merge whose symbols or concatenation are not in vocab
-    raises UnknownMergeSymbol, its message after where(k). One whole-list
-    check per kind: the symbols as a set, the concatenations one by one,
-    and the merged ids that finds are kept for the encoder's merge table."""
+    order, whose concatenations joined[k] holds. The first merge whose
+    symbols or concatenation are not in vocab raises UnknownMergeSymbol,
+    its message after where(k). One whole-list check per kind: the symbols
+    as a set, the concatenations one by one, and the merged ids that finds
+    are kept for the encoder's merge table."""
     known = vocab.token_to_id
     has = known.__contains__
-    merged = np.fromiter(map(known.get, map(add, lefts, rights), repeat(-1)),
-                         np.int64, len(lefts))
+    merged = np.fromiter(map(known.get, joined, repeat(-1)), np.int64,
+                         len(joined))
     missing = merged < 0
     found = [int(missing.argmax())] if missing.any() else []
     if not known.keys() >= {*lefts, *rights}:
@@ -514,28 +516,44 @@ def _checked_model(vocab: Vocabulary, lefts, rights, marker, unk_id,
     return TokenizerModel(vocab, marker, unk_id, (lefts, rights, merged))
 
 
-def _split_merges(path: str, lines: list[str]):
-    """The left and right symbols of the merge lines among `lines` (a
-    merges file's lines without their newlines), and a function from a
-    merge's index to its line number, which counts the lines only when it
-    is called. The first line that is not two space-separated symbols
-    raises UnknownMergeSymbol."""
-    kept = [line for line in lines if line.strip() and line[0] != "#"]
+# A comment line or a blank line (whitespace only, as str.strip sees it;
+# re's \s is the same set), with the newline before it.
+_SKIPPED = re.compile(r"\n(?=[#\s])(?:#[^\n]*|[^\S\n]*)(?=\n)")
+# every byte but the space and the newline, which separate merge symbols
+_NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b" \n")))
 
-    def lineno(k: int) -> int:
-        return [n for n, line in enumerate(lines, 1)
-                if line.strip() and line[0] != "#"][k]
 
-    spaces = list(map(str.count, kept, repeat(" ")))
-    if spaces.count(1) != len(spaces):
-        k = next(k for k, n in enumerate(spaces) if n != 1)
+def _merge_lines(text: str) -> list[tuple[int, str]]:
+    """The number and text of each merge line in a merges file's text: the
+    lines that are not blank and do not start with '#'. Only errors walk
+    the lines."""
+    return [(n, line) for n, line in enumerate(text.split("\n"), 1)
+            if line.strip() and line[0] != "#"]
+
+
+def _split_merges(path: str, text: str):
+    """The left symbols, right symbols and concatenations of the merges in
+    `text` (a merges file's text, its lines split at newlines only), and a
+    function from a merge's index to its line number, which walks the
+    lines only when it is called. The first merge line that is not two
+    space-separated symbols raises UnknownMergeSymbol.
+
+    Whole-text passes, whatever comment or blank lines the text holds:
+    drop those lines, check that the separators left alternate space and
+    newline, then split at both for the symbols and, with the spaces
+    removed, at the newlines for the concatenations."""
+    kept = _SKIPPED.sub("", "\n" + text + "\n")[1:]
+    separators = kept.encode("utf-8").translate(None, _NOT_SEPARATOR)
+    if separators != b" \n" * (len(separators) // 2):
+        n, line = next((n, line) for n, line in _merge_lines(text)
+                       if line.count(" ") != 1)
         raise UnknownMergeSymbol(
-            f"{path}:{lineno(k)}: expected two space-separated symbols, "
-            f"got {kept[k]!r}"
-        )
-    # each kept line holds one space, so the joined text alternates a, b
-    symbols = " ".join(kept).split(" ") if kept else []
-    return symbols[0::2], symbols[1::2], lineno
+            f"{path}:{n}: expected two space-separated symbols, got {line!r}")
+    body = kept[:-1]  # no merge line is empty, so "" holds no merges
+    symbols = body.replace("\n", " ").split(" ") if body else []
+    joined = body.replace(" ", "").split("\n") if body else []
+    return (symbols[0::2], symbols[1::2], joined,
+            lambda k: _merge_lines(text)[k][0])
 
 
 def _read_merges(path: str):
@@ -545,18 +563,18 @@ def _read_merges(path: str):
     reader meets first; its message is that reader's too."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _split_merges(path, fh.read().split("\n"))
+            return _split_merges(path, fh.read())
     except UnicodeDecodeError:
         pass
     lines: list[str] = []
     try:
         with open(path, encoding="utf-8") as fh:
             for line in fh:
-                lines.append(line.rstrip("\n"))
+                lines.append(line)
     except UnicodeDecodeError as exc:
-        _split_merges(path, lines)
+        _split_merges(path, "".join(lines))
         raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
-    return _split_merges(path, lines)  # the file changed between the reads
+    return _split_merges(path, "".join(lines))  # the file changed between the reads
 
 
 def load_tokenizer(
@@ -580,14 +598,14 @@ def load_tokenizer(
     if byte_level:
         marker = replace(marker, byte_fallback=True)
     vocab = load_vocab(vocab_path)
-    lefts, rights, lineno = _read_merges(merges_path)
+    lefts, rights, joined, lineno = _read_merges(merges_path)
 
     unk_id = None
     if unk_token is not None:
         if unk_token not in vocab:
             raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
         unk_id = vocab.token_to_id[unk_token]
-    return _checked_model(vocab, lefts, rights, marker, unk_id,
+    return _checked_model(vocab, lefts, rights, joined, marker, unk_id,
                           lambda k: f"{merges_path}:{lineno(k)}: ")
 
 

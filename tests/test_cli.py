@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -92,6 +93,60 @@ class TestParams:
         )
         assert code == 1
         assert "error" in err
+
+
+class TestCollectorPause:
+    """main runs a command with the cyclic collector paused and leaves it
+    as it found it, however the command ends."""
+
+    @pytest.fixture(params=[True, False], ids=["enabled", "disabled"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("argv, code, reaches", [
+        (["params", "--before", "2", "--after", "1", "--dim", "1",
+          "--base", "0"], 0, True),
+        (["params", "--before", "0", "--after", "1", "--dim", "1",
+          "--base", "0"], 1, True),
+        (["params", "--after", "1"], 1, True),  # a UsageError
+        (["params", "--dim", "x"], 1, False),  # a UsageError while parsing
+        (["fertility", "--vocab", "nope.json", "--merges", "nope.txt",
+          "--corpus", "nope.txt"], 2, False),
+    ], ids=["exit-0", "value-error", "missing-flag", "bad-flag", "os-error"])
+    def test_state_restored(self, capsys, monkeypatch, collecting, argv, code,
+                            reaches):
+        from vocabforge import cli
+        seen = []
+        real = cli.cmd_params
+
+        def spy(args):
+            seen.append(gc.isenabled())
+            return real(args)
+
+        monkeypatch.setattr(cli, "cmd_params", spy)
+        assert run(capsys, *argv)[0] == code
+        assert gc.isenabled() is collecting
+        assert seen == ([False] if reaches else [])
+
+    def test_vocabforge_error(self, capsys, collecting, world):
+        path = world["tmp"] + "/narrow.emb1"
+        write_zero_width(path, 3)
+        assert run(capsys, "stats", "--matrix", path)[0] == 1
+        assert gc.isenabled() is collecting
+
+    def test_exception_out_of_main(self, monkeypatch, collecting):
+        from vocabforge import cli
+
+        def crash(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_params", crash)
+        with pytest.raises(RuntimeError, match="boom"):
+            main(["params"])
+        assert gc.isenabled() is collecting
 
 
 class TestStats:
@@ -774,32 +829,38 @@ class TestAdapt:
             assert embed_out[6:].tobytes() != head_out[6:].tobytes()
 
     @pytest.mark.parametrize("helper_head", [False, True],
-                             ids=["helper-reloaded", "helper-head"])
+                             ids=["helper-shared", "helper-head"])
     def test_untied_adapts_one_matrix_at_a_time(self, capsys, world,
                                                 monkeypatch, helper_head):
+        # each output's temporary file is opened once its matrix is built,
+        # before the head's inputs are loaded; a helper that serves both
+        # matrices is loaded once
         from vocabforge import embeddings
         calls = []
-        load, save = embeddings.load_matrix, embeddings.save_matrix
+        load, atomic_open = embeddings.load_matrix, embeddings.atomic_open
 
         def logged_load(path, *rest):
             calls.append(("load", path))
             return load(path, *rest)
 
-        def logged_save(matrix, path):
+        def logged_open(path, *rest, **kwargs):
             calls.append(("save", path))
-            return save(matrix, path)
+            return atomic_open(path, *rest, **kwargs)
 
-        monkeypatch.setattr(embeddings, "load_matrix", logged_load)
-        monkeypatch.setattr(embeddings, "save_matrix", logged_save)
         extra = ["--helper-head-emb", world["source_emb"]] if helper_head else []
         args, head = self.untied_args(world, "sava", *extra)
+        monkeypatch.setattr(embeddings, "load_matrix", logged_load)
+        monkeypatch.setattr(embeddings, "atomic_open", logged_open)
         assert run(capsys, *args)[0] == 0
-        head_helper = world["source_emb"] if helper_head else world["helper_emb"]
+        head_loads = [("load", head)]
+        if helper_head:
+            head_loads.append(("load", world["source_emb"]))
         assert calls == [
             ("load", world["source_emb"]), ("load", world["helper_emb"]),
             ("save", world["tmp"] + "/embed_out.emb1"),
-            ("load", head), ("load", head_helper),
+            *head_loads,
             ("save", world["tmp"] + "/head_out.emb1"),
+            ("save", world["tmp"] + "/untied.json"),
         ]
 
     def test_unreadable_head_writes_no_report(self, capsys, world):
@@ -811,8 +872,11 @@ class TestAdapt:
         assert err.startswith("i/o error: ") and err.count("\n") == 1
         assert not os.path.exists(world["tmp"] + "/untied.json")
         assert not os.path.exists(world["tmp"] + "/head_out.emb1")
-        # the embedding matrix was finished before the head was read
-        assert os.path.exists(world["tmp"] + "/embed_out.emb1")
+        # the embedding matrix was finished before the head was read, but
+        # no output replaces its path unless every output is complete
+        assert not os.path.exists(world["tmp"] + "/embed_out.emb1")
+        assert not [name for name in os.listdir(world["tmp"])
+                    if name.endswith(".tmp")]
 
     def test_collision_warning_on_stderr(self, capsys, tmp_path):
         # "▁x" and "Ġx" both canonicalize to the target's "Ġx"; the lowest

@@ -228,23 +228,20 @@ def test_bad_head_header_stops_adapt_before_any_row(untied, monkeypatch,
     assert calls == []
 
 
-def test_piped_source_is_read_once(untied):
-    # the header pass skips a pipe whose rows are loaded: reading it there
-    # would leave load_matrix waiting for a second writer
-    assert run_cli(*adapt_argv(untied, untied / "head.emb1", 1))[0] == 0
-    want = [(untied / name).read_bytes() for name in ("out.emb1", "out_head.emb1")]
-    fifo = untied / "embed.pipe"
-    os.mkfifo(fifo)
-    data = (untied / "embed.emb1").read_bytes()
+OUTPUTS = ("out.emb1", "out_head.emb1")
+
+
+def run_reading_pipe(argv, pipe, data: bytes):
+    """run_cli(*argv) while another thread writes data into the new pipe at
+    `pipe`; both must end within a timeout."""
+    os.mkfifo(pipe)
 
     def write():
-        with open(fifo, "wb") as fh:
+        with contextlib.suppress(BrokenPipeError), open(pipe, "wb") as fh:
             fh.write(data)
 
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
-    argv = adapt_argv(untied, untied / "head.emb1", 1)
-    argv[argv.index(untied / "embed.emb1")] = fifo
     result = []
     adapt = threading.Thread(target=lambda: result.append(run_cli(*argv)),
                              daemon=True)
@@ -252,22 +249,56 @@ def test_piped_source_is_read_once(untied):
     adapt.join(timeout=30)
     writer.join(timeout=10)
     assert not adapt.is_alive() and not writer.is_alive()
-    assert result[0][0] == 0
-    assert [(untied / name).read_bytes()
-            for name in ("out.emb1", "out_head.emb1")] == want
+    return result[0]
+
+
+def test_piped_source_is_read_once(untied):
+    # the header pass skips a pipe whose rows are loaded: reading it there
+    # would leave load_matrix waiting for a second writer
+    assert run_cli(*adapt_argv(untied, untied / "head.emb1", 1))[0] == 0
+    want = [(untied / name).read_bytes() for name in OUTPUTS]
+    fifo = untied / "embed.pipe"
+    argv = adapt_argv(untied, untied / "head.emb1", 1)
+    argv[argv.index(untied / "embed.emb1")] = fifo
+    result = run_reading_pipe(argv, fifo, (untied / "embed.emb1").read_bytes())
+    assert result[0] == 0
+    assert [(untied / name).read_bytes() for name in OUTPUTS] == want
+
+
+@pytest.mark.parametrize("method", ["random", "clp", "sava"])
+def test_piped_helper_of_both_matrices_is_read_once(untied, method):
+    # with no --helper-head-emb the helper serves both matrices: its header
+    # is read once (random) or its rows are loaded once (clp, sava)
+    helper = untied / "helper.emb1"
+    helper.write_bytes(emb1_bytes(7, 4, seed=3))
+
+    def argv(path):
+        args = adapt_argv(untied, untied / "head.emb1", 1)
+        args[args.index("random")] = method
+        return args + ["--helper-emb", path] + (
+            ["--steps", "2"] if method == "sava" else [])
+
+    assert run_cli(*argv(helper))[0] == 0
+    want = [(untied / name).read_bytes() for name in OUTPUTS]
+    for name in OUTPUTS:
+        (untied / name).unlink()
+    fifo = untied / "helper.pipe"
+    result = run_reading_pipe(argv(fifo), fifo, helper.read_bytes())
+    assert result[0] == 0, result
+    assert [(untied / name).read_bytes() for name in OUTPUTS] == want
 
 
 def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
     # Finiteness needs every row, so a NaN in the head is found after the
-    # embedding matrix is adapted and --out replaced; the head's output
-    # and the report are left as they were.
+    # embedding matrix is adapted and written to its temporary file; no
+    # output replaces its path, and no temporary file is left.
     head = bytearray((untied / "head.emb1").read_bytes())
     head[HEADER_SIZE + 4 * 13:HEADER_SIZE + 4 * 14] = struct.pack("<f", np.nan)
     outcome, before, after, same_files, calls = adapt_bad_head(
         untied, monkeypatch, bytes(head))
     path = untied / "bad_head.emb1"
     assert outcome == (1, "", f"error: matrix {str(path)!r} contains NaN/Inf\n")
-    assert after[1:] == before[1:]
+    assert after == before  # --out, --out-head and --report
     assert same_files
     assert len(calls) == 1
 

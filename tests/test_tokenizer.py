@@ -741,6 +741,67 @@ class TestLoaderEquivalence:
         assert outcome(load_tokenizer, *args) == want
 
 
+# Symbols that start with whitespace or are empty; lines that are blank
+# (whitespace only, as str.strip sees it, one space among it or not) or
+# comments; and lines that are not two space-separated symbols.
+EDGE_SYMBOLS = ["a", "b", "ab", "\ta", "\x0ca", "", "▁"]
+EDGE_SKIPPED = ["", " ", "\t", "\x0c", "\u3000", " \u3000", "\u3000 \x0c",
+                "\x1c\x85", "\u2028 \t", "#", "#version: 0.2", "# a b",
+                "#a  b", "# "]
+EDGE_MALFORMED = ["ab", "a  b", "a b c", "\ta", " a b", "\u3000a"]
+
+
+@st.composite
+def edge_merges_files(draw):
+    """A vocabulary and merges file bytes: merge lines of EDGE_SYMBOLS among
+    comment and blank lines, maybe one malformed line, each line ended by
+    \n, \r\n or \r, the last one maybe by nothing. The vocabulary holds
+    every symbol and concatenation but at most one."""
+    merge = st.tuples(st.sampled_from(EDGE_SYMBOLS),
+                      st.sampled_from(EDGE_SYMBOLS)).map(" ".join)
+    lines = draw(st.lists(merge | st.sampled_from(EDGE_SKIPPED), max_size=12))
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(EDGE_MALFORMED)))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    tokens = list(dict.fromkeys(EDGE_SYMBOLS + [a + b for a in EDGE_SYMBOLS
+                                                for b in EDGE_SYMBOLS]))
+    for token in draw(st.sets(st.sampled_from(tokens), max_size=1)):
+        tokens.remove(token)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return tokens, text.encode("utf-8")
+
+
+class TestMergesEdgeCases:
+    @settings(max_examples=300, deadline=None)
+    @given(case=edge_merges_files())
+    @example(case=(EDGE_SYMBOLS, "#v\n\u3000 \x0c\n\ta a\r\n\x0c \n \n"
+                                 "a \r".encode("utf-8")))
+    @example(case=(EDGE_SYMBOLS, "a b\n\n#c\n\u3000a\n".encode("utf-8")))
+    def test_same_model_or_same_error(self, loader_dir, case):
+        tokens, merges = case
+        vocab_path = loader_dir / "edge_vocab.json"
+        vocab_path.write_text(json.dumps({t: i for i, t in enumerate(tokens)}),
+                              encoding="utf-8")
+        merges_path = loader_dir / "edge_merges.txt"
+        merges_path.write_bytes(merges)
+        args = (str(vocab_path), str(merges_path), "none")
+        got = outcome(load_tokenizer, *args)
+        want = outcome(reference_load_tokenizer, *args)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want
+            return
+        vocab, merges_, ranks, unk_id = want
+        assert isinstance(got, TokenizerModel)
+        assert (got.vocab, got.unk_id, got.merges) == (vocab, unk_id, merges_)
+        assert list(reference_ranks(got).items()) == list(ranks.items())
+        lefts, rights, merged = got._symbols
+        assert merged.tolist() == [vocab.token_to_id[a + b]
+                                   for a, b in zip(lefts, rights)]
+
+
 class TestRankTableOnFirstUse:
     def test_loaded_model_builds_at_first_encode(self, write_json, write_text):
         vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2, "c": 3,
