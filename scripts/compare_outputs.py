@@ -23,7 +23,10 @@ shuffled with the seed. It writes no merges file with a comment or blank
 line past the `#version` header, so `adapt --method fvt` and both
 `fertility` jobs also run on copies of the two merges files with comment,
 empty and whitespace-only lines placed among the merges with the seed
-(COPIES names both sets of jobs).
+(COPIES names both sets of jobs). The benchmark's untied adapt jobs give
+each matrix its own helper, so on an untied workload `adapt --method clp`
+and `--method sava` also run without `--helper-head-emb`: one helper
+then serves both matrices and is loaded once (SHARED_HELPER).
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -111,6 +114,10 @@ VARIANTS = {
 }
 
 
+# untied adapt jobs of the benchmark that run again without
+# --helper-head-emb, so that --helper-emb serves both matrices
+SHARED_HELPER = ("adapt_clp", "adapt_sava")
+
 # jobs of the benchmark that run again on copies of their inputs, by the
 # name of the copies: vocabularies in a shuffled key order, and merges
 # files with comment and blank lines among the merges
@@ -125,24 +132,32 @@ SKIPPED_LINES = ("#", "# a comment", "#\tx  y", "", " ", "\t", "\u3000",
 
 
 def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
-                flags=()) -> workloads.Job:
+                flags=(), drop=None) -> workloads.Job:
     """`job` as `name`, writing its own files in `out_dir`, with each
-    argument found in `swap` replaced and `flags` appended."""
+    argument found in `swap` replaced, the flag `drop` and its value
+    removed, and `flags` appended."""
     renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
                for path in job.outputs}
     swap = {**(swap or {}), **renamed}
-    argv = tuple(swap.get(arg, arg) for arg in job.argv) + flags
-    return workloads.Job(name, argv, tuple(renamed.values()))
+    argv = [swap.get(arg, arg) for arg in job.argv]
+    if drop is not None:
+        at = argv.index(drop)
+        del argv[at:at + 2]
+    return workloads.Job(name, (*argv, *flags), tuple(renamed.values()))
 
 
 def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
-    """The VARIANTS and the COPIES jobs of `jobs`, the latter reading the
-    input copies `copies[name]` (original path -> copy) of their name."""
+    """The VARIANTS, SHARED_HELPER and COPIES jobs of `jobs`, the last
+    reading the input copies `copies[name]` (original path -> copy) of
+    their name."""
     extra = []
     for job in jobs:
         if job.name in VARIANTS:
             name, flags = VARIANTS[job.name]
             extra.append(renamed_job(job, name, out_dir, flags=flags))
+        if job.name in SHARED_HELPER and "--helper-head-emb" in job.argv:
+            extra.append(renamed_job(job, f"{job.name}_shared_helper", out_dir,
+                                     drop="--helper-head-emb"))
         for name, readers in COPIES.items():
             if job.name in readers:
                 extra.append(renamed_job(job, f"{job.name}_{name}", out_dir,

@@ -63,18 +63,11 @@ class Scaler:
         zero = std == 0.0
         return cls(mean, np.where(zero, 1.0, std), zero)
 
-    @classmethod
-    def identity(cls, dim: int) -> "Scaler":
-        return cls(np.zeros(dim), np.ones(dim), np.zeros(dim, dtype=bool))
-
     def forward(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(x - mean) / std, written to `out` (which may be x) if given."""
         out = np.subtract(x, self.mean, out=out)
         out /= self.std
         return out
-
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return x * self.std + self.mean
 
 
 @dataclass(frozen=True)
@@ -113,27 +106,19 @@ class AffineMap:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
-    @classmethod
-    def identity(cls, dim: int) -> "AffineMap":
-        return cls(
-            np.eye(dim),
-            np.zeros(dim),
-            Scaler.identity(dim),
-            Scaler.identity(dim),
-        )
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
         if x.shape[-1] != self.in_dim:
             raise DimensionMismatch(
                 f"input has dim {x.shape[-1]}, map expects {self.in_dim}"
             )
-        # The same operations as inverse(norm(forward(x)) @ W.T + b), each
-        # done in place after forward's copy: x itself is never written.
+        # The same operations as norm(forward(x)) @ W.T + b, scaled back by
+        # the output scaler's std and mean, each done in place after
+        # forward's copy: x itself is never written.
         # forward's subtraction of the float64 mean promotes float32 rows
         # exactly, so they need no float64 copy of their own.
         xs = self.input_scaler.forward(x)
-        xs /= self.input_norm  # 1.0 for identity: the division is exact
+        xs /= self.input_norm
         pred = xs @ self.weight.T
         pred += self.bias
         pred *= self.output_scaler.std

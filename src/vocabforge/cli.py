@@ -110,11 +110,6 @@ def _report(args, payload: dict) -> bytes:
         return (json.dumps(report, **options) + "\n").encode("ascii")
 
 
-def _emit(args, payload: dict, dest: str | None) -> None:
-    """Write the JSON report to the file `dest`, or to stdout if None."""
-    _write(_report(args, payload), dest)
-
-
 # --- subcommands -------------------------------------------------------
 
 
@@ -128,7 +123,8 @@ def cmd_intersect(args) -> int:
     for warning in part.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     mode = "marker-canonicalized" if src_marker.rewrites(tgt_marker) else "raw"
-    _emit(args, {"canonicalization_mode": mode, **part.to_dict()}, args.out)
+    _write(_report(args, {"canonicalization_mode": mode, **part.to_dict()}),
+           args.out)
     return 0
 
 
@@ -137,8 +133,8 @@ def cmd_stats(args) -> int:
     matrix = embeddings.load_matrix(args.matrix)
     st = embeddings.stats(matrix)
     if args.json:
-        _emit(args, {"rows": matrix.rows, "dim": matrix.dim, **_fields(st)},
-              args.out)
+        _write(_report(args, {"rows": matrix.rows, "dim": matrix.dim,
+                              **_fields(st)}), args.out)
     else:
         text = (
             f"matrix: {matrix.rows} x {matrix.dim}\n"
@@ -171,6 +167,18 @@ def cmd_adapt(args) -> int:
     for name in ("helper-head-emb", "out-head"):
         if not untied and getattr(args, name.replace("-", "_")) is not None:
             raise UsageError(f"--{name} requires --source-head-emb")
+    # Two outputs on one file would silently replace each other; a device
+    # or a pipe (such as /dev/null) is written directly, as often as asked.
+    claimed = {}
+    for name in ("out", "out-head", "report"):
+        path = getattr(args, name.replace("-", "_"))
+        real = path and os.path.realpath(path)  # as atomic_open resolves it
+        if not real or os.path.exists(real) and not os.path.isfile(real):
+            continue
+        if real in claimed:
+            raise UsageError(f"--{claimed[real]} and --{name} name the same "
+                             f"file {real!r}")
+        claimed[real] = name
     cfg = heuristics.HeuristicConfig(**{  # each field has the flag of its name
         f.name: getattr(args, f.name) for f in fields(heuristics.HeuristicConfig)
     })
@@ -274,7 +282,7 @@ def cmd_fit_map(args) -> int:
         matrices.pop(0), matrices.pop(0), part, train_cfg, limit=args.limit,
     )
     alignment.save_map(phi, args.out)
-    _emit(args, {"fit": fit_report}, None)
+    _write(_report(args, {"fit": fit_report}), None)
     return 0
 
 
@@ -298,7 +306,7 @@ def cmd_fertility(args) -> int:
     payload = _fields(report)
     if not args.per_doc:
         del payload["per_document"]
-    _emit(args, {"fertility": payload}, args.out)
+    _write(_report(args, {"fertility": payload}), args.out)
     return 0
 
 
@@ -329,7 +337,7 @@ def cmd_similarity(args) -> int:
         emb_a, emb_b, anchors, token_sample=sample, seed=args.seed,
         projection=args.projection,
     )
-    _emit(args, {"similarity": score}, args.out)
+    _write(_report(args, {"similarity": score}), args.out)
     return 0
 
 
@@ -338,7 +346,7 @@ def cmd_params(args) -> int:
     report = analysis.param_report(
         args.before, args.after, args.dim, args.tied, args.base
     )
-    _emit(args, {"params": report}, args.out)
+    _write(_report(args, {"params": report}), args.out)
     return 0
 
 

@@ -191,10 +191,10 @@ def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
         write_record(fh, matrix.data)
 
 
-def load_matrix(path: str, label: str = "") -> EmbeddingMatrix:
+def load_matrix(path: str) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         data = read_record(fh, path, last=True)
-    return EmbeddingMatrix(data, label=label or path)
+    return EmbeddingMatrix(data, label=path)
 
 
 def row_blocks(data: np.ndarray, ids: np.ndarray | None = None):

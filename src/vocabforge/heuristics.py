@@ -103,9 +103,9 @@ class AdaptationReport:
 # Each method fills all novel rows at once: adapt_matrix calls its kernel
 # on the novel target ids (FVT: their pieces) in partition order, and it
 # returns float64 rows, plus, where a row can fail, a bool mask of rows
-# it could build, which assemble takes as they are. The single-row
-# functions g_random/g_fvt/g_sava and ClpInitializer's __call__ call the
-# same kernels.
+# it could build, which assemble takes as they are. The one-row forms
+# (g_random, g_fvt, g_sava, and ClpInitializer's weights and __call__)
+# build one id's row the same way.
 
 
 def random_rows(
@@ -278,19 +278,16 @@ class ClpInitializer:
         return out, ok
 
     def weights(self, token_id: int) -> np.ndarray:
-        return _clp_single(self._weights(np.array([token_id])), token_id)
+        """One id's weight row; DegenerateSimilarity if all vanished."""
+        w, ok = self._weights(np.array([token_id]))
+        if not ok[0]:
+            raise DegenerateSimilarity(
+                f"all CLP weights vanished for token id {token_id}")
+        return w[0]
 
     def __call__(self, token_id: int) -> np.ndarray:
-        return _clp_single(self.rows([token_id]), token_id)
-
-
-def _clp_single(result: tuple[np.ndarray, np.ndarray], token_id: int) -> np.ndarray:
-    rows, ok = result
-    if not ok[0]:
-        raise DegenerateSimilarity(
-            f"all CLP weights vanished for token id {token_id}"
-        )
-    return rows[0]
+        """One id's row: its weights times the shared source rows."""
+        return self.weights(token_id) @ self.shared_source_rows
 
 
 def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:
@@ -311,16 +308,16 @@ PROVENANCE = ("copied", "heuristic", "fallback")
 def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
     ok: np.ndarray | None = None,
     method: HeuristicConfig | None = None,
 ) -> tuple[EmbeddingMatrix, AdaptationReport]:
     """Build the target matrix: copy the shared rows bit-exactly and place
     rows, the novel tokens' float64 rows in partition order (novel, dim).
-    Rows that the bool mask ok marks False (None: none), or every novel
-    row when rows is None, get method's fallback, computed here: the
-    source mean row or random_rows under its seed and moments.
-    timing_seconds is left at 0; adapt_matrix times the whole build."""
+    Rows that the bool mask ok marks False (None: none) get method's
+    fallback, computed here: the source mean row or random_rows under its
+    seed and moments. timing_seconds is left at 0; adapt_matrix times the
+    whole build."""
     cfg = method or HeuristicConfig()
     sids, shared_tids, novel_tids = check_partition(part, source_emb.rows)
     target_size = part.shared_count + part.novel_count
@@ -328,19 +325,17 @@ def assemble(
     out = np.empty((target_size, dim), dtype=np.float32)
     out[shared_tids] = source_emb.data[sids]
     kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
-    missing = novel_tids
-    if rows is not None:
-        if np.shape(rows) != (part.novel_count, dim):
-            raise DimensionMismatch(f"rows have shape {np.shape(rows)}, "
-                                    f"expected ({part.novel_count}, {dim})")
-        out[novel_tids] = rows
-        kind[novel_tids] = 1
-        missing = novel_tids[:0]
-        if ok is not None:
-            if np.shape(ok) != (part.novel_count,):
-                raise DimensionMismatch(f"ok has shape {np.shape(ok)}, "
-                                        f"expected ({part.novel_count},)")
-            missing = novel_tids[~np.asarray(ok, dtype=bool)]
+    if np.shape(rows) != (part.novel_count, dim):
+        raise DimensionMismatch(f"rows have shape {np.shape(rows)}, "
+                                f"expected ({part.novel_count}, {dim})")
+    out[novel_tids] = rows
+    kind[novel_tids] = 1
+    missing = novel_tids[:0]
+    if ok is not None:
+        if np.shape(ok) != (part.novel_count,):
+            raise DimensionMismatch(f"ok has shape {np.shape(ok)}, "
+                                    f"expected ({part.novel_count},)")
+        missing = novel_tids[~np.asarray(ok, dtype=bool)]
     if missing.size:
         source_stats = matrix_stats(source_emb)
         if cfg.fallback == "mean-row":

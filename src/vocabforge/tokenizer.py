@@ -12,8 +12,8 @@ spelled in another tokenizer's convention (for `partition` and FVT).
 
 Encoding has one kernel, `TokenizerModel.encode_pieces`, which applies
 the merges to a whole batch of pieces as arrays of symbol ids, looking
-pairs up in one sorted table of merge keys; `encode_piece`,
-`tokenize_word` and `tokenize` each make one call to it.
+pairs up in one sorted table of merge keys; `encode_piece` and
+`tokenize` each make one call to it.
 """
 
 from __future__ import annotations
@@ -68,16 +68,11 @@ class MarkerConvention:
         return cls(name, MARKERS[name], byte_fallback)
 
     def rewrites(self, to: "MarkerConvention") -> bool:
-        """Whether `spell` rewrites tokens into `to`'s convention: only
+        """Whether `spell_all` rewrites tokens into `to`'s convention: only
         between two different markers. Spelling to or from "none" is the
         identity: there is no marker to rewrite, and dropping one would
         make the mapping irreversible."""
         return self.kind != to.kind and bool(self.marker and to.marker)
-
-    def spell(self, token: str, to: "MarkerConvention") -> str:
-        """token, spelled in this convention, as `to` spells it
-        (`spell_all` of the one token)."""
-        return self.spell_all([token], to)[0]
 
     def spell_all(self, tokens: Sequence[str],
                   to: "MarkerConvention") -> list[str]:
@@ -100,11 +95,6 @@ class MarkerConvention:
         # the text before the first marker, then each marker and its text
         first, *rest = text.replace(" ", marker).split(marker)
         return ([first] if first else []) + [marker + p for p in rest]
-
-    def word_initial(self, token: str) -> bool:
-        """Whether token starts with the marker (`word_initials` of the
-        one token)."""
-        return bool(self.word_initials([token])[0])
 
     def word_initials(self, tokens: Sequence[str]) -> np.ndarray:
         """Whether each token starts with the marker, as a bool array;
@@ -424,10 +414,6 @@ class TokenizerModel:
         """Encode text to token ids, piece by piece as the marker convention
         splits it (`MarkerConvention.pretokenize`)."""
         return self._encode(self.marker.pretokenize(text))
-
-    def tokenize_word(self, word: str) -> list[int]:
-        """Encode one word as it would appear after a word boundary."""
-        return self._encode([self.marker.marker + word])
 
     def decode(self, ids) -> str:
         """Invert tokenize: the text that the tokens of ids spell. An id

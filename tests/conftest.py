@@ -7,12 +7,14 @@ import pytest
 from hypothesis import settings
 
 from vocabforge import (
+    AffineMap,
     EmbeddingMatrix,
     MarkerConvention,
     TokenizerModel,
     Vocabulary,
     save_matrix,
 )
+from vocabforge.alignment import Scaler
 from vocabforge.errors import MalformedVocab, UnencodableInput
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
@@ -58,6 +60,17 @@ def random_matrix(rng, rows, dim, label=""):
     return EmbeddingMatrix(
         rng.normal(size=(rows, dim)).astype(np.float32), label=label
     )
+
+
+def identity_scaler(dim):
+    """A Scaler that leaves every value as it is: mean 0, std 1."""
+    return Scaler(np.zeros(dim), np.ones(dim), np.zeros(dim, dtype=bool))
+
+
+def identity_map(dim):
+    """The AffineMap x -> x on dim dimensions."""
+    return AffineMap(np.eye(dim), np.zeros(dim), identity_scaler(dim),
+                     identity_scaler(dim))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

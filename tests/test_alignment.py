@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_matrix
+from conftest import identity_map, identity_scaler, random_matrix
 from vocabforge import (
     AffineMap,
     EmbeddingMatrix,
@@ -248,7 +248,7 @@ class TestScaler:
         rng = np.random.default_rng(0)
         data = rng.normal(size=(40, 5)) * 3.0 + 1.5
         sc = Scaler.fit(data)
-        np.testing.assert_allclose(sc.inverse(sc.forward(data)), data,
+        np.testing.assert_allclose(sc.forward(data) * sc.std + sc.mean, data,
                                    atol=1e-6)
         scaled = sc.forward(data)
         np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-9)
@@ -812,21 +812,21 @@ class TestFitClosedForm:
 
 class TestAffineMap:
     def test_identity(self):
-        phi = AffineMap.identity(4)
+        phi = identity_map(4)
         x = np.arange(4.0)
         np.testing.assert_array_equal(phi.apply(x), x)
 
     def test_plain_linear_formula(self):
         w = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
         b = np.array([0.25, -0.5, 1.0])
-        phi = AffineMap(w, b, Scaler.identity(2), Scaler.identity(3),
+        phi = AffineMap(w, b, identity_scaler(2), identity_scaler(3),
                         input_norm=1.0)
         x = np.array([2.0, -3.0])
         np.testing.assert_allclose(phi.apply(x), w @ x + b, atol=1e-12)
 
     def test_dimension_check(self):
         with pytest.raises(DimensionMismatch):
-            AffineMap.identity(3).apply(np.zeros(5))
+            identity_map(3).apply(np.zeros(5))
 
     @pytest.mark.parametrize("shape", [(5,), (9, 5)], ids=["1-d", "2-d"])
     def test_apply_equals_step_by_step_expression(self, shape):
@@ -838,7 +838,8 @@ class TestAffineMap:
         before = query.copy()
         got = phi.apply(query)
         xs = phi.input_scaler.forward(query) / phi.input_norm
-        want = phi.output_scaler.inverse(xs @ phi.weight.T + phi.bias)
+        scaler = phi.output_scaler
+        want = (xs @ phi.weight.T + phi.bias) * scaler.std + scaler.mean
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert query.tobytes() == before.tobytes()
@@ -859,7 +860,7 @@ class TestAffineMap:
 
     def test_failed_save_keeps_the_previous_map(self, tmp_path, monkeypatch):
         path = str(tmp_path / "map.bin")
-        save_map(AffineMap.identity(3), path)
+        save_map(identity_map(3), path)
         before = [Path(p).read_bytes() for p in (path, path + ".json")]
         real = alignment.write_record
         written = []
@@ -872,13 +873,13 @@ class TestAffineMap:
 
         monkeypatch.setattr(alignment, "write_record", write_record)
         with pytest.raises(OSError, match="No space"):
-            save_map(AffineMap.identity(5), path)
+            save_map(identity_map(5), path)
         assert [Path(p).read_bytes() for p in (path, path + ".json")] == before
         assert sorted(os.listdir(tmp_path)) == ["map.bin", "map.bin.json"]
 
     def test_truncated_container_rejected(self, tmp_path):
         path = str(tmp_path / "map.bin")
-        save_map(AffineMap.identity(3), path)
+        save_map(identity_map(3), path)
         with open(path, "r+b") as fh:
             fh.truncate(len(fh.read()) - 4)
         with pytest.raises(SizeMismatch):
@@ -890,7 +891,7 @@ class TestLoadMapChecks:
 
     def saved(self, tmp_path, phi=None):
         path = str(tmp_path / "map.bin")
-        save_map(phi or AffineMap.identity(3), path)
+        save_map(phi or identity_map(3), path)
         return path
 
     @pytest.mark.parametrize("text", [
@@ -951,7 +952,7 @@ class TestLoadMapChecks:
         # is whole, but the weight has the wrong shape
         path = self.saved(tmp_path)
         (tmp_path / "wide").mkdir()
-        wide = self.saved(tmp_path / "wide", AffineMap.identity(4))
+        wide = self.saved(tmp_path / "wide", identity_map(4))
         Path(path + ".json").write_bytes(Path(wide + ".json").read_bytes())
         with pytest.raises(MalformedMap, match="'weight' has shape"):
             load_map(path)

@@ -97,7 +97,8 @@ class TestFertility:
             words = tokens = 0
             per_doc = []
             for doc in docs:
-                counts = [len(model.tokenize_word(w)) for w in doc.split()]
+                counts = [len(model.encode_piece(model.marker.marker + w))
+                          for w in doc.split()]
                 if counts:
                     words += len(counts)
                     tokens += sum(counts)
@@ -126,7 +127,9 @@ class TestFertility:
         docs = ["ab abc c", "", "b b ab", "cab ab abc ba", "a", "c c c c c c c c",
                 "bab ab", "abc"]
         want = fertility(model, docs, "c", "t", per_document=True)
-        counts = [[len(model.tokenize_word(w)) for w in d.split()] for d in docs]
+        marker = model.marker.marker
+        counts = [[len(model.encode_piece(marker + w)) for w in d.split()]
+                  for d in docs]
         counts = [c for c in counts if c]
         assert want.per_document == tuple(sum(c) / len(c) for c in counts)
         assert want.token_count == sum(map(sum, counts))
@@ -165,7 +168,7 @@ class TestFertility:
         assert str(info.value) == message
         assert read == ["", "b azé a"]
         with pytest.raises(UnencodableInput) as info:
-            model.tokenize_word("azé")
+            model.encode_piece(model.marker.marker + "azé")
         assert str(info.value) == message
 
 

@@ -878,6 +878,41 @@ class TestAdapt:
         assert not [name for name in os.listdir(world["tmp"])
                     if name.endswith(".tmp")]
 
+    @pytest.mark.parametrize("first, second", [
+        ("--out", "--report"), ("--out", "--out-head"),
+        ("--out-head", "--report"),
+    ])
+    def test_outputs_on_one_file_are_a_usage_error(self, capsys, world, first,
+                                                   second):
+        # the inputs do not exist: the error comes before any is read
+        missing = world["tmp"] + "/missing.emb1"
+        same = world["tmp"] + "/same"
+        paths = {"--out": world["tmp"] + "/o", "--out-head": world["tmp"] + "/h",
+                 "--report": world["tmp"] + "/r", first: same, second: same}
+        args = self.adapt_args(world, paths["--out"], paths["--report"],
+                               "--source-head-emb", missing,
+                               "--out-head", paths["--out-head"])
+        args[args.index("--source-emb") + 1] = missing
+        code, stdout, err = run(capsys, *args)
+        assert (code, stdout) == (1, "")
+        assert err == f"{first} and {second} name the same file {same!r}\n"
+        assert not [p for p in paths.values() if os.path.exists(p)]
+
+    def test_output_through_a_symlink_is_the_same_file(self, capsys, world):
+        out = world["tmp"] + "/adapted.emb1"
+        link = world["tmp"] + "/link.json"
+        os.symlink(out, link)
+        code, stdout, err = run(capsys, *self.adapt_args(world, out, link))
+        assert (code, stdout) == (1, "")
+        assert err == f"--out and --report name the same file {out!r}\n"
+        assert not os.path.exists(out)
+
+    def test_every_output_on_the_null_device(self, capsys, world):
+        args, _ = self.untied_args(world, "random")
+        for flag in ("--out", "--out-head", "--report"):
+            args[args.index(flag) + 1] = os.devnull
+        assert run(capsys, *args) == (0, "", "")
+
     def test_collision_warning_on_stderr(self, capsys, tmp_path):
         # "▁x" and "Ġx" both canonicalize to the target's "Ġx"; the lowest
         # source id wins, as the library's adapt decides

@@ -4,7 +4,14 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from conftest import META, NONE, char_tokenizer, random_matrix, word_list_tokenizer
+from conftest import (
+    META,
+    NONE,
+    char_tokenizer,
+    identity_map,
+    random_matrix,
+    word_list_tokenizer,
+)
 from vocabforge import (
     AffineMap,
     EmbeddingMatrix,
@@ -213,14 +220,14 @@ class TestGSava:
     def test_identity_map_copies_helper_row(self):
         rng = np.random.default_rng(0)
         helper = random_matrix(rng, 4, 6)
-        row = g_sava(2, helper, AffineMap.identity(6))
+        row = g_sava(2, helper, identity_map(6))
         np.testing.assert_allclose(row, helper.data[2], atol=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(1)
         helper = random_matrix(rng, 4, 6)
         with pytest.raises(DimensionMismatch):
-            g_sava(0, helper, AffineMap.identity(5))
+            g_sava(0, helper, identity_map(5))
 
 
 class TestAssemble:
@@ -230,7 +237,7 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 3, 0), ("b", 1, 1)), novel=(), warnings=()
         )
-        out, report = assemble(source_emb, part)
+        out, report = assemble(source_emb, part, np.zeros((0, 3)))
         assert out.data[0].tobytes() == source_emb.data[3].tobytes()
         assert out.data[1].tobytes() == source_emb.data[1].tobytes()
         assert (report.copied_count, report.initialized_count,
@@ -293,8 +300,10 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 0, 0),), novel=(("x", 1), ("y", 2)), warnings=()
         )
-        # rows=None: the default method's random fallback, seed 0
-        out, report = assemble(source_emb, part)
+        # every row marked not ok: the default method's random fallback,
+        # seed 0
+        out, report = assemble(source_emb, part, np.zeros((2, 3)),
+                               np.zeros(2, dtype=bool))
         want = random_rows([1, 2], stats(source_emb), 0).astype(np.float32)
         assert out.data[1:].tobytes() == want.tobytes()
         assert (report.initialized_count, report.fallback_count) == (0, 2)

@@ -362,29 +362,29 @@ class TestRoundTrip:
 
 
 class TestCanonicalize:
-    """MarkerConvention.spell, the source side's spelling of a token in the
-    target convention."""
+    """MarkerConvention.spell_all, the source side's spelling of tokens in
+    the target convention."""
 
     def test_marker_swap(self):
-        assert META.spell("▁casa", BYTE) == "Ġcasa"
+        assert META.spell_all(["▁casa"], BYTE) == ["Ġcasa"]
 
     def test_internal_identity(self):
         for a, b in [(META, BYTE), (BYTE, META), (META, NONE), (NONE, BYTE)]:
-            assert a.spell("casa", b) == "casa"
+            assert a.spell_all(["casa"], b) == ["casa"]
 
     def test_pure_marker(self):
-        assert META.spell("▁", BYTE) == "Ġ"
+        assert META.spell_all(["▁"], BYTE) == ["Ġ"]
 
     def test_none_is_identity(self):
-        assert META.spell("▁casa", NONE) == "▁casa"
-        assert NONE.spell("casa", META) == "casa"
+        assert META.spell_all(["▁casa"], NONE) == ["▁casa"]
+        assert NONE.spell_all(["casa"], META) == ["casa"]
 
     @given(st.text(alphabet="ab", max_size=8), st.booleans())
     def test_involution(self, body, word_initial):
         # a valid piece carries at most its own convention's marker
         for a, b in [(META, BYTE), (BYTE, META), (META, NONE), (NONE, BYTE)]:
             piece = (a.marker if word_initial else "") + body
-            assert b.spell(a.spell(piece, b), a) == piece
+            assert b.spell_all(a.spell_all([piece], b), a) == [piece]
 
     def test_marker_names(self):
         assert [MarkerConvention.from_name(n) for n in
@@ -463,7 +463,6 @@ class TestMarkerCodec:
     def test_spell_all_equals_the_reference(self, tokens, frm, to):
         want = [reference_canonicalize(tok, frm, to) for tok in tokens]
         assert frm.spell_all(tokens, to) == want
-        assert [frm.spell(tok, to) for tok in tokens] == want
 
     @settings(max_examples=300, deadline=None)
     @given(CONVENTIONS, st.lists(CODEC_TOKENS, unique=True, max_size=8),
@@ -505,9 +504,9 @@ class TestMarkerCodec:
     def test_operations(self):
         assert META.pretokenize("a b ") == ["a", "▁b", "▁"]
         assert NONE.pretokenize("a b") == ["a b"]
-        assert [META.word_initial(t) for t in ("▁a", "a", "Ġa")] == [
+        assert META.word_initials(["▁a", "a", "Ġa"]).tolist() == [
             True, False, False]
-        assert not NONE.word_initial("▁a")
+        assert NONE.word_initials(["▁a"]).tolist() == [False]
         assert META.fallback("é") is None
         assert MarkerConvention.from_name("none", True).fallback("é") == [
             "<0xC3>", "<0xA9>"]
