@@ -172,8 +172,8 @@ def cmd_adapt(args) -> int:
     claimed = {}
     for name in ("out", "out-head", "report"):
         path = getattr(args, name.replace("-", "_"))
-        real = path and os.path.realpath(path)  # as atomic_open resolves it
-        if not real or os.path.exists(real) and not os.path.isfile(real):
+        real = path and embeddings.replaced_path(path)
+        if not real:
             continue
         if real in claimed:
             raise UsageError(f"--{claimed[real]} and --{name} name the same "

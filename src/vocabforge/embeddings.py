@@ -160,6 +160,17 @@ def matrix_shape(path: str) -> tuple[int, int]:
     return rows, dim
 
 
+def replaced_path(path: str) -> str | None:
+    """The regular file that atomic_open(path) replaces: path with its
+    links resolved. None where path names an existing file that is not
+    regular (a device or a pipe, such as /dev/stdout), which atomic_open
+    writes directly. Stat follows the links itself, because the resolved
+    name of a pipe behind /dev/stdout is no path that exists."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
+    return os.path.realpath(path)
+
+
 @contextlib.contextmanager
 def atomic_open(path: str, mode: str = "wb", **kwargs):
     """Open a file whose contents replace `path` when the block completes.
@@ -170,9 +181,9 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
     regular file (a device or a pipe, such as /dev/stdout) is written
     directly.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, mode, **kwargs) as fh:
+    target = replaced_path(path)
+    if target is None:
+        with open(path, mode, **kwargs) as fh:
             yield fh
         return
     temp = f"{target}.{os.urandom(6).hex()}.tmp"

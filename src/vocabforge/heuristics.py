@@ -104,8 +104,8 @@ class AdaptationReport:
 # on the novel target ids (FVT: their pieces) in partition order, and it
 # returns float64 rows, plus, where a row can fail, a bool mask of rows
 # it could build, which assemble takes as they are. The one-row forms
-# (g_random, g_fvt, g_sava, and ClpInitializer's weights and __call__)
-# build one id's row the same way.
+# g_random, g_fvt, g_sava and ClpInitializer's __call__ are one row of
+# these kernels; ClpInitializer.weights is one row of its weight pass.
 
 
 def random_rows(
@@ -286,8 +286,12 @@ class ClpInitializer:
         return w[0]
 
     def __call__(self, token_id: int) -> np.ndarray:
-        """One id's row: its weights times the shared source rows."""
-        return self.weights(token_id) @ self.shared_source_rows
+        """One row of rows; DegenerateSimilarity if all weights vanished."""
+        row, ok = self.rows([token_id])
+        if not ok[0]:
+            raise DegenerateSimilarity(
+                f"all CLP weights vanished for token id {token_id}")
+        return row[0]
 
 
 def sava_rows(token_ids, helper_emb: EmbeddingMatrix, phi: AffineMap) -> np.ndarray:

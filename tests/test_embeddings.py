@@ -2,6 +2,8 @@ import io
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 from pathlib import Path
@@ -392,3 +394,15 @@ class TestAtomicWrites:
         assert not reader.is_alive()
         assert got == [b"streamed"]
         assert os.listdir(tmp_path) == ["pipe"]
+
+    def test_stdout_that_is_a_pipe_is_written_directly(self):
+        # /dev/stdout resolves to a name like /proc/<pid>/fd/pipe:[<inode>],
+        # which does not exist: the pipe is found by following the links
+        code = ("from vocabforge import embeddings\n"
+                "with embeddings.atomic_open('/dev/stdout', 'w') as fh:\n"
+                "    fh.write('streamed')\n")
+        package_root = os.path.dirname(os.path.dirname(embeddings.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": package_root},
+                              timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"streamed", b"")
