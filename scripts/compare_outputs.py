@@ -2,7 +2,7 @@
 """Compare the CLI outputs of two source trees on the benchmark workloads.
 
     python3 scripts/compare_outputs.py BASE_SRC HEAD_SRC
-        [--workload W ...] [--seed N ...] [--summary FILE]
+        [--workload W ... | --wide] [--seed N ...] [--summary FILE]
 
 BASE_SRC and HEAD_SRC are `src` directories holding the `vocabforge`
 package. For each workload and seed, the inputs are generated once with
@@ -26,12 +26,26 @@ empty and whitespace-only lines placed among the merges with the seed
 (COPIES names both sets of jobs). The benchmark's untied adapt jobs give
 each matrix its own helper, so on an untied workload `adapt --method clp`
 and `--method sava` also run without `--helper-head-emb`: one helper
-then serves both matrices and is loaded once (SHARED_HELPER).
+then serves both matrices and is loaded once (SHARED_HELPER). No
+benchmark job names one matrix file twice, so on an untied workload
+`adapt --method random` and `--method sava` also run with
+`--source-head-emb` naming the `--source-emb` file, and on every
+workload `similarity` runs with `--emb-b` naming the `--emb-a` file:
+each such file is read once and serves both flags (SAME_FILE).
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
 `config` entry and `timing_seconds` fields, which hold per-tree paths and
 wall time.
+
+With --wide, the benchmark workloads are replaced by one untied shape
+at the paper's width, d=4096 (WIDE, kept here rather than in
+perfbench/workloads.py). Only `intersect` and the jobs of
+perfbench/workloads.jobs run on it, since two fits at d=4096 take tens
+of seconds. Both trees run with OPENBLAS_NUM_THREADS=2; the head tree
+then runs again with OPENBLAS_NUM_THREADS=1, and the outputs that differ
+between its two runs are listed as well (reported, never failed). Each
+run's wall time is printed.
 
 Prints one line per differing output and a closing count; with
 --summary, the same lines are appended to FILE as Markdown (a CI step
@@ -50,6 +64,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -60,6 +75,17 @@ import gen  # noqa: E402
 import workloads  # noqa: E402
 
 TREES = ("base", "head")
+
+# --wide: an untied shape at the paper's width. Its 1,200 shared pairs
+# give fit-map's normal equations three blocks, since at d=4096 each
+# block holds the 511-row floor. More pairs would only lengthen the
+# fits, which take most of each tree's run (about 30 s on 2 cores).
+WIDE = {
+    "shared": 1200, "source_only": 200, "target_only": 300,
+    "dim": 4096, "untied": True, "sim_dim": 512,
+    "corpus_words": 40_000, "lexicon": 8_000, "epochs": 1,
+}
+WIDE_THREADS = (("base", "2"), ("head", "2"), ("head", "1"))
 
 
 def check_package(src: Path) -> None:
@@ -118,6 +144,14 @@ VARIANTS = {
 # --helper-head-emb, so that --helper-emb serves both matrices
 SHARED_HELPER = ("adapt_clp", "adapt_sava")
 
+# jobs of the benchmark that run again with the first flag naming the
+# file of the second, where the job has the first
+SAME_FILE = {
+    "adapt_random": ("--source-head-emb", "--source-emb"),
+    "adapt_sava": ("--source-head-emb", "--source-emb"),
+    "similarity": ("--emb-b", "--emb-a"),
+}
+
 # jobs of the benchmark that run again on copies of their inputs, by the
 # name of the copies: vocabularies in a shuffled key order, and merges
 # files with comment and blank lines among the merges
@@ -147,9 +181,9 @@ def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
 
 
 def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
-    """The VARIANTS, SHARED_HELPER and COPIES jobs of `jobs`, the last
-    reading the input copies `copies[name]` (original path -> copy) of
-    their name."""
+    """The VARIANTS, SHARED_HELPER, SAME_FILE and COPIES jobs of `jobs`,
+    the last reading the input copies `copies[name]` (original path ->
+    copy) of their name."""
     extra = []
     for job in jobs:
         if job.name in VARIANTS:
@@ -158,6 +192,11 @@ def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
         if job.name in SHARED_HELPER and "--helper-head-emb" in job.argv:
             extra.append(renamed_job(job, f"{job.name}_shared_helper", out_dir,
                                      drop="--helper-head-emb"))
+        if job.name in SAME_FILE and SAME_FILE[job.name][0] in job.argv:
+            named, other = (job.argv[job.argv.index(flag) + 1]
+                            for flag in SAME_FILE[job.name])
+            extra.append(renamed_job(job, f"{job.name}_same_file", out_dir,
+                                     swap={named: other}))
         for name, readers in COPIES.items():
             if job.name in readers:
                 extra.append(renamed_job(job, f"{job.name}_{name}", out_dir,
@@ -203,11 +242,12 @@ def commented_merges(inputs: dict, seed: int) -> dict:
     return copies
 
 
-def run_job(job: workloads.Job, src: Path, cwd: Path):
-    """(exit code, stdout, stderr) of one job run against `src`."""
+def run_job(job: workloads.Job, src: Path, cwd: Path, env=None):
+    """(exit code, stdout, stderr) of one job run against `src`, with the
+    variables `env` added to the environment."""
     done = subprocess.run(
         [sys.executable, "-m", "vocabforge.cli", *job.argv],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env={**os.environ, **(env or {}), "PYTHONPATH": str(src)},
         cwd=str(cwd), capture_output=True, text=True,
     )
     return done.returncode, done.stdout, done.stderr
@@ -242,6 +282,47 @@ def is_report(path: str) -> bool:
     return path.endswith(".json") and not path.endswith(".map.json")
 
 
+def run_tree(label: str, jobs: list, src: Path, root: Path, out_dir: Path,
+             env=None):
+    """Run `jobs` against `src`, from `root`, with the variables `env`
+    added; return ({job name: file holding its stdout}, failed jobs as
+    lines starting with `label`)."""
+    stdout = {}
+    failed = []
+    for job in jobs:
+        rc, text, err = run_job(job, src, root, env)
+        if rc:
+            last = err.strip().splitlines()[-1:] or [""]
+            failed.append(f"{label} {job.name}: exit {rc}: {last[0]}")
+        if job.captures_stdout:
+            captured = out_dir / f"{job.name}.stdout.json"
+            captured.write_text(text, encoding="utf-8")
+            stdout[job.name] = str(captured)
+    return stdout, failed
+
+
+def differing(label: str, base: tuple, head: tuple) -> list[str]:
+    """The outputs of two runs of the same jobs, each (jobs, stdout files
+    by job name), that differ, as lines starting with `label`."""
+    differ = []
+    for base_job, head_job in zip(base[0], head[0]):
+        pairs = [(b, h, is_report(b)) for b, h in zip(base_job.outputs,
+                                                      head_job.outputs)]
+        if base_job.captures_stdout:
+            pairs.append((base[1][base_job.name], head[1][head_job.name], True))
+        for base_path, head_path, report in pairs:
+            line = f"{label} {base_job.name}: {os.path.basename(head_path)}"
+            if not (os.path.exists(base_path) and os.path.exists(head_path)):
+                differ.append(f"{line} (missing)")
+            else:
+                try:
+                    if not same_output(base_path, head_path, report):
+                        differ.append(line)
+                except ValueError:  # a report that is not JSON
+                    differ.append(f"{line} (not JSON)")
+    return differ
+
+
 def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
     """Run one workload on both trees, with `intersect` under each pair of
     `markers`; return (differing outputs, failed jobs), each as lines
@@ -250,8 +331,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
     inputs = gen.generate(spec, seed, str(root / "in"))["paths"]
     copies = {"shuffled_vocab": shuffled_vocabs(inputs, seed),
               "commented_merges": commented_merges(inputs, seed)}
-    outs = {}
-    stdout = {}
+    runs = {}
     failed = []
     for tree in TREES:
         out_dir = root / tree
@@ -261,35 +341,39 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
         jobs += marker_pair_jobs(paths, out_dir, markers)
         jobs += workloads.jobs(spec, paths, seed, str(out_dir))
         jobs += variant_jobs(jobs, out_dir, copies)
-        for job in jobs:
-            rc, text, err = run_job(job, srcs[tree], root)
-            if rc:
-                last = err.strip().splitlines()[-1:] or [""]
-                failed.append(f"{name} seed {seed} {tree} {job.name}: "
-                              f"exit {rc}: {last[0]}")
-            if job.captures_stdout:
-                captured = out_dir / f"{job.name}.stdout.json"
-                captured.write_text(text, encoding="utf-8")
-                stdout[tree, job.name] = str(captured)
-        outs[tree] = jobs
-    differ = []
-    for base_job, head_job in zip(outs["base"], outs["head"]):
-        pairs = [(b, h, is_report(b)) for b, h in zip(base_job.outputs,
-                                                      head_job.outputs)]
-        if base_job.captures_stdout:
-            pairs.append((stdout["base", base_job.name],
-                          stdout["head", head_job.name], True))
-        for base, head, report in pairs:
-            label = f"{name} seed {seed} {base_job.name}: {os.path.basename(head)}"
-            if not (os.path.exists(base) and os.path.exists(head)):
-                differ.append(f"{label} (missing)")
-            else:
-                try:
-                    if not same_output(base, head, report):
-                        differ.append(label)
-                except ValueError:  # a report that is not JSON
-                    differ.append(f"{label} (not JSON)")
-    return differ, failed
+        stdout, fails = run_tree(f"{name} seed {seed} {tree}", jobs,
+                                 srcs[tree], root, out_dir)
+        runs[tree] = (jobs, stdout)
+        failed += fails
+    return differing(f"{name} seed {seed}", runs["base"], runs["head"]), failed
+
+
+def compare_wide(seed: int, srcs: dict, root: Path):
+    """Run the WIDE shape's jobs on both trees and on the head tree again,
+    under each WIDE_THREADS count; return (outputs differing between the
+    trees, failed jobs, outputs differing between the head tree's thread
+    counts, wall times), each as lines."""
+    inputs = gen.generate(WIDE, seed, str(root / "in"))["paths"]
+    runs = {}
+    failed = []
+    times = []
+    for tree, threads in WIDE_THREADS:
+        label = f"wide seed {seed} {tree} {threads} BLAS thread(s)"
+        out_dir = root / f"{tree}-{threads}"
+        out_dir.mkdir()
+        paths = {**inputs, "partition": str(out_dir / "partition.json")}
+        jobs = [workloads.intersect_job(paths)]
+        jobs += workloads.jobs(WIDE, paths, seed, str(out_dir))
+        start = time.perf_counter()
+        stdout, fails = run_tree(label, jobs, srcs[tree], root, out_dir,
+                                 {"OPENBLAS_NUM_THREADS": threads})
+        times.append(f"{label}: {time.perf_counter() - start:.1f} s")
+        runs[tree, threads] = (jobs, stdout)
+        failed += fails
+    differ = differing(f"wide seed {seed}", runs["base", "2"], runs["head", "2"])
+    by_threads = differing(f"wide seed {seed} head, 2 vs 1 BLAS threads",
+                           runs["head", "2"], runs["head", "1"])
+    return differ, failed, by_threads, times
 
 
 def main(argv=None) -> int:
@@ -298,9 +382,12 @@ def main(argv=None) -> int:
                     "workloads.")
     parser.add_argument("base_src", type=Path, help="the base tree's src")
     parser.add_argument("head_src", type=Path, help="the head tree's src")
-    parser.add_argument("--workload", action="append",
-                        choices=sorted(workloads.WORKLOADS),
-                        help="a workload to run (repeatable; default: all)")
+    tier = parser.add_mutually_exclusive_group()
+    tier.add_argument("--workload", action="append",
+                      choices=sorted(workloads.WORKLOADS),
+                      help="a workload to run (repeatable; default: all)")
+    tier.add_argument("--wide", action="store_true",
+                      help="run the d=4096 WIDE shape instead of the workloads")
     parser.add_argument("--seed", action="append", type=int,
                         help="an input seed (repeatable; default: 1)")
     parser.add_argument("--summary", help="append a Markdown summary here")
@@ -311,23 +398,33 @@ def main(argv=None) -> int:
         check_package(src)
     base_markers = set(marker_names(srcs["base"]))
     markers = [m for m in marker_names(srcs["head"]) if m in base_markers]
-    differ, failed = [], []
+    differ, failed, by_threads, times = [], [], [], []
     with tempfile.TemporaryDirectory(prefix="compare-outputs-") as tmp:
-        for name in args.workload or list(workloads.WORKLOADS):
+        names = ["wide"] if args.wide else args.workload or list(workloads.WORKLOADS)
+        for name in names:
             for seed in args.seed or [1]:
                 root = Path(tmp) / f"{name}-s{seed}"
                 root.mkdir()
-                differs, fails = compare_workload(name, seed, srcs, root,
-                                                  markers)
-                differ += differs
-                failed += fails
-    lines = [f"differs: {line}" for line in differ]
+                if args.wide:
+                    results = compare_wide(seed, srcs, root)
+                else:
+                    results = compare_workload(name, seed, srcs, root, markers)
+                # compare_workload returns the first two only
+                for total, part in zip((differ, failed, by_threads, times),
+                                       results):
+                    total += part
+    lines = [f"wall time: {line}" for line in times]
+    lines += [f"differs: {line}" for line in differ]
     lines += [f"failed: {line}" for line in failed]
-    lines.append(f"{len(differ)} differing outputs, {len(failed)} failed jobs")
+    lines += [f"differs by BLAS threads: {line}" for line in by_threads]
+    lines.append(f"{len(differ)} differing outputs, {len(failed)} failed jobs"
+                 + (f", {len(by_threads)} outputs differing by BLAS threads"
+                    if args.wide else ""))
     print("\n".join(lines))
     if args.summary:
         with open(args.summary, "a", encoding="utf-8") as fh:
-            fh.write("### Outputs against the base commit\n\n")
+            fh.write("### Outputs against the base commit"
+                     + (" at d=4096\n\n" if args.wide else "\n\n"))
             fh.write("".join(f"- {line}\n" for line in lines) + "\n")
     return 1 if failed else 0
 

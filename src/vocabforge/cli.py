@@ -14,7 +14,6 @@ import gc
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -207,36 +206,21 @@ def cmd_adapt(args) -> int:
         jobs["head_adaptation"] = (args.source_head_emb, args.helper_head_emb
                                    or args.helper_emb, args.out_head)
 
-    shapes = {}
-
-    def rows(path, loaded, default=None):
-        # A pipe can be read only once: one whose rows are loaded later
-        # has its header checked then, by load_matrix and adapt_matrix.
-        # Any other path has its header read once.
-        if path is None or loaded and not os.path.isfile(path):
-            return default
-        if path not in shapes:
-            shapes[path] = embeddings.matrix_shape(path)[0]
-        return shapes[path]
-
-    # Every header, then every row count, before any row is read.
+    # Each source, and its helper if the method reads one, in adapt_file's order
+    loaded = [path for job in jobs.values()
+              for path in job[:2 if loads_helper else 1]]
+    load = embeddings.matrix_loader(loaded)
+    # Every header once, then every row count, before any row is read. A
+    # pipe can be read only once: one that the run loads has its header
+    # checked then, by load_matrix and check_partition.
+    inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
+    rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
+            if path is not None and (path not in loaded or os.path.isfile(path))}
     vocab_size = source_model.vocab.size
-    counts = [(rows(s, True, vocab_size), rows(h, loads_helper))
-              for s, h, _ in jobs.values()]
-    for source_rows, helper_rows in counts:
-        heuristics.check_rows(part, vocab_size, source_rows, helper_rows)
-
-    # A helper that serves both matrices is loaded once (a pipe can be read
-    # only once) and kept until the second.
-    helper_uses = Counter(helper for _, helper, _ in jobs.values())
-    kept = {}
-
-    def load_helper(path):
-        helper_uses[path] -= 1
-        matrix = kept.pop(path) if path in kept else embeddings.load_matrix(path)
-        if helper_uses[path]:
-            kept[path] = matrix
-        return matrix
+    for source, helper, _ in jobs.values():
+        check_partition(part, rows.get(source, vocab_size), rows.get(helper),
+                        vocab_size)
+    helpers = {helper for _, helper, _ in jobs.values()}
 
     # Every output is written to its own temporary file once it is built;
     # all of them replace their paths only when the last is complete, so a
@@ -244,10 +228,13 @@ def cmd_adapt(args) -> int:
     outputs = contextlib.ExitStack()
 
     def adapt_file(source_path, helper_path, out_path) -> dict:
-        # Only the report outlives the call, so an untied model holds one
-        # matrix's source, helper and output at a time.
-        source_emb = embeddings.load_matrix(source_path)
-        helper_emb = load_helper(helper_path) if loads_helper else None
+        # Only the report (and what load keeps for the head) outlives the
+        # call, so an untied model holds one matrix's source, helper and
+        # output at a time.
+        source_emb = load(source_path)
+        if source_path in helpers:  # also a helper; as a pipe, checked only now
+            check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
+        helper_emb = load(helper_path) if loads_helper else None
         adapted, report = heuristics.adapt_matrix(
             source_emb, source_model, target_model, part, helper_emb, cfg,
             train_cfg)
@@ -265,8 +252,8 @@ def cmd_adapt(args) -> int:
 def cmd_fit_map(args) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
     _at_least(args, 0, "batch", "limit")
-    matrices = [embeddings.load_matrix(args.helper_emb),
-                embeddings.load_matrix(args.source_emb)]
+    load = embeddings.matrix_loader([args.helper_emb, args.source_emb])
+    matrices = [load(args.helper_emb), load(args.source_emb)]
     part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
     train_cfg = _train_config(args)
     # fit_map's own check, run here so that its error names the file
@@ -314,8 +301,8 @@ def cmd_similarity(args) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
     _at_least(args, 0, "n-prefix", "n-nonprefix")
     _at_least(args, 1, "sample")
-    emb_a = embeddings.load_matrix(args.emb_a)
-    emb_b = embeddings.load_matrix(args.emb_b)
+    load = embeddings.matrix_loader([args.emb_a, args.emb_b])
+    emb_a, emb_b = load(args.emb_a), load(args.emb_b)
     vocab = load_vocab(args.vocab)
     if vocab.size != emb_a.rows:
         raise DimensionMismatch(

@@ -22,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,6 +207,23 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     with open(path, "rb") as fh:
         data = read_record(fh, path, last=True)
     return EmbeddingMatrix(data, label=path)
+
+
+def matrix_loader(paths):
+    """load_matrix for a command that loads `paths` in that order, repeats
+    included: each distinct path is read at its first request and kept only
+    until its last, so a pipe is opened once and a file is read once."""
+    uses = Counter(paths)
+    kept = {}
+
+    def load(path: str) -> EmbeddingMatrix:
+        uses[path] -= 1
+        matrix = kept.pop(path) if path in kept else load_matrix(path)
+        if uses[path]:
+            kept[path] = matrix
+        return matrix
+
+    return load
 
 
 def row_blocks(data: np.ndarray, ids: np.ndarray | None = None):

@@ -359,16 +359,6 @@ def assemble(
     return EmbeddingMatrix(out, label="adapted"), report
 
 
-def check_rows(part: TokenPartition, vocab_size: int, source_rows: int,
-               helper_rows: int | None = None) -> None:
-    """DimensionMismatch unless the source matrix has one row per source
-    token, then check_partition: the checks that need only row counts."""
-    if source_rows != vocab_size:
-        raise DimensionMismatch(f"source matrix has {source_rows} rows, source "
-                                f"vocabulary has {vocab_size} tokens")
-    check_partition(part, source_rows, helper_rows)
-
-
 def adapt_matrix(
     source_emb: EmbeddingMatrix,
     source_model: TokenizerModel,
@@ -390,7 +380,7 @@ def adapt_matrix(
             f"method {cfg.method!r} requires helper embeddings (--helper-emb)"
         )
     helper_rows = helper_emb.rows if cfg.method in HELPER_METHODS else None
-    check_rows(part, source_model.vocab.size, source_emb.rows, helper_rows)
+    check_partition(part, source_emb.rows, helper_rows, source_model.vocab.size)
     tids, ok = part.novel_target_ids, None
     if cfg.method == "random":
         rows = random_rows(tids, matrix_stats(source_emb), cfg.seed,

@@ -672,11 +672,14 @@ class TokenPartition:
 
 
 def check_partition(part: TokenPartition, source_rows: int,
-                    helper_rows: int | None = None):
+                    helper_rows: int | None = None, vocab_size: int | None = None):
     """part's shared source, shared target and novel target ids. Raises
-    DimensionMismatch unless a helper of helper_rows rows (if given) has one
-    row per target token, then PartitionInconsistent unless each source id
-    indexes a source row and the target ids are 0 .. shared + novel - 1."""
+    DimensionMismatch unless source_rows is vocab_size and helper_rows the
+    target size (each if given), then PartitionInconsistent unless each
+    source id indexes a source row and the target ids are 0 .. shared + novel - 1."""
+    if vocab_size is not None and source_rows != vocab_size:
+        raise DimensionMismatch(f"source matrix has {source_rows} rows, source "
+                                f"vocabulary has {vocab_size} tokens")
     target_size = part.shared_count + part.novel_count
     if helper_rows is not None and helper_rows != target_size:
         raise DimensionMismatch(

@@ -523,7 +523,8 @@ class TestAdapt:
             args[2] = method
             assert run(capsys, *args)[0] == 0
             outputs.append([Path(p).read_bytes() for p in (out, out + ".head")])
-        assert loaded == [world["source_emb"]] * 4
+        # one file as both source matrices: read once per run
+        assert loaded == [world["source_emb"]] * 2
         assert outputs[0] == outputs[1]
 
     def test_failed_output_write_keeps_previous_files(self, capsys, world,
@@ -834,7 +835,8 @@ class TestAdapt:
                                                 monkeypatch, helper_head):
         # each output's temporary file is opened once its matrix is built,
         # before the head's inputs are loaded; a helper that serves both
-        # matrices is loaded once
+        # matrices, or a head helper that is the embedding source, is
+        # loaded once
         from vocabforge import embeddings
         calls = []
         load, atomic_open = embeddings.load_matrix, embeddings.atomic_open
@@ -852,13 +854,10 @@ class TestAdapt:
         monkeypatch.setattr(embeddings, "load_matrix", logged_load)
         monkeypatch.setattr(embeddings, "atomic_open", logged_open)
         assert run(capsys, *args)[0] == 0
-        head_loads = [("load", head)]
-        if helper_head:
-            head_loads.append(("load", world["source_emb"]))
         assert calls == [
             ("load", world["source_emb"]), ("load", world["helper_emb"]),
             ("save", world["tmp"] + "/embed_out.emb1"),
-            *head_loads,
+            ("load", head),
             ("save", world["tmp"] + "/head_out.emb1"),
             ("save", world["tmp"] + "/untied.json"),
         ]

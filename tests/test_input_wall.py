@@ -22,7 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocabforge import AffineMap, fit_closed_form, heuristics, load_map, save_map
+from vocabforge import (AffineMap, embeddings, fit_closed_form, heuristics,
+                        load_map, save_map)
 from vocabforge.cli import main
 from vocabforge.embeddings import HEADER_SIZE, write_record
 from vocabforge.errors import VocabForgeError
@@ -286,6 +287,98 @@ def test_piped_helper_of_both_matrices_is_read_once(untied, method):
     result = run_reading_pipe(argv(fifo), fifo, helper.read_bytes())
     assert result[0] == 0, result
     assert [(untied / name).read_bytes() for name in OUTPUTS] == want
+
+
+def outputs_through_one_pipe(monkeypatch, argv, path, outputs):
+    """Run argv, which names the matrix file `path` twice, then again with
+    both names replaced by one pipe that is fed path's bytes once. Both
+    runs must exit 0, and the piped one must load each distinct path once.
+    Returns the bytes of `outputs` after each run."""
+    assert run_cli(*argv)[0] == 0
+    want = [Path(name).read_bytes() for name in outputs]
+    for name in outputs:
+        Path(name).unlink()
+    fifo = path.with_suffix(".pipe")
+    loads = []
+    real = embeddings.load_matrix
+
+    def spy(name):
+        loads.append(name)
+        return real(name)
+
+    monkeypatch.setattr(embeddings, "load_matrix", spy)
+    piped = [fifo if arg == path else arg for arg in argv]
+    result = run_reading_pipe(piped, fifo, path.read_bytes())
+    assert result[0] == 0, result
+    assert str(fifo) in loads and len(loads) == len(set(loads)), loads
+    return want, [Path(name).read_bytes() for name in outputs]
+
+
+@pytest.mark.parametrize("method", ["random", "sava"])
+def test_piped_source_of_both_matrices_is_read_once(untied, monkeypatch, method):
+    # one file as the embedding matrix and as the head
+    embed = untied / "embed.emb1"
+    (untied / "helper.emb1").write_bytes(emb1_bytes(7, 4, seed=3))
+    argv = adapt_argv(untied, embed, 1)
+    argv[argv.index("random")] = method
+    if method == "sava":
+        argv += ["--helper-emb", untied / "helper.emb1", "--steps", "2"]
+    want, got = outputs_through_one_pipe(monkeypatch, argv, embed,
+                                         [untied / name for name in OUTPUTS])
+    assert got == want
+
+
+def test_piped_source_that_is_also_the_helper(untied, monkeypatch):
+    # random reads no helper row, so the header pass would read a helper's
+    # header; a pipe that is also the source is checked once it is loaded
+    embed = untied / "embed.emb1"
+    argv = adapt_argv(untied, untied / "head.emb1", 1) + ["--helper-emb", embed]
+    fifo = untied / "embed.pipe"
+    piped = [fifo if arg == embed else arg for arg in argv]
+    message = ("error: helper matrix has 8 rows but the target vocabulary has "
+               "7 tokens; the helper must be trained with the target tokenizer\n")
+    assert run_cli(*argv) == (1, "", message)
+    assert run_reading_pipe(piped, fifo, embed.read_bytes()) == (1, "", message)
+    assert not any((untied / name).exists() for name in OUTPUTS)
+    fifo.unlink()
+    # with one target token per source token the helper fits
+    (untied / "target.json").write_text(json.dumps(
+        {t: i for i, t in enumerate([f"s{i}" for i in range(6)] + ["n0", "n1"])}),
+        encoding="utf-8")
+    want, got = outputs_through_one_pipe(monkeypatch, argv, embed,
+                                         [untied / name for name in OUTPUTS])
+    assert got == want
+
+
+def test_piped_matrix_of_both_similarity_sides_is_read_once(files, tmp_path,
+                                                            monkeypatch):
+    vocab = tmp_path / "vocab8.json"
+    tokens = [f"▁w{i}" for i in range(4)] + [f"w{i}" for i in range(4)]
+    vocab.write_text(json.dumps({t: i for i, t in enumerate(tokens)}),
+                     encoding="utf-8")
+    matrix, report = tmp_path / "m.emb1", tmp_path / "report.json"
+    matrix.write_bytes(files["helper"].read_bytes())
+    want, got = outputs_through_one_pipe(monkeypatch, [
+        "similarity", "--emb-a", matrix, "--emb-b", matrix, "--vocab", vocab,
+        "--n-prefix", "2", "--n-nonprefix", "2", "--out", report,
+    ], matrix, [report])
+    # the config entry names the inputs, a file in one run, a pipe in the other
+    assert [json.loads(text)["similarity"] for text in got] == \
+        [json.loads(text)["similarity"] for text in want]
+
+
+def test_piped_helper_and_source_of_fit_map_is_read_once(files, tmp_path,
+                                                         monkeypatch):
+    # the 8-row helper is also a source for the partition's source ids 0..5
+    matrix, part = tmp_path / "m.emb1", tmp_path / "part.json"
+    matrix.write_bytes(files["helper"].read_bytes())
+    part.write_bytes(files["partition"])
+    out = tmp_path / "fit.map"
+    want, got = outputs_through_one_pipe(monkeypatch, [
+        "fit-map", "--helper-emb", matrix, "--source-emb", matrix,
+        "--partition", part, "--steps", "2", "--out", out,
+    ], matrix, [out, tmp_path / "fit.map.json"])
+    assert got == want
 
 
 def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
