@@ -27,11 +27,12 @@ empty and whitespace-only lines placed among the merges with the seed
 each matrix its own helper, so on an untied workload `adapt --method clp`
 and `--method sava` also run without `--helper-head-emb`: one helper
 then serves both matrices and is loaded once (SHARED_HELPER). No
-benchmark job names one matrix file twice, so on an untied workload
-`adapt --method random` and `--method sava` also run with
-`--source-head-emb` naming the `--source-emb` file, and on every
-workload `similarity` runs with `--emb-b` naming the `--emb-a` file:
-each such file is read once and serves both flags (SAME_FILE).
+benchmark job names one input file twice, so on every workload
+`intersect` also runs with `--target-vocab` naming the `--source-vocab`
+file and `similarity` with `--emb-b` naming the `--emb-a` file, and on
+an untied workload `adapt --method random` and `--method sava` also run
+with `--source-head-emb` naming the `--source-emb` file: each such file
+is read once and serves both flags (SAME_FILE).
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -147,6 +148,7 @@ SHARED_HELPER = ("adapt_clp", "adapt_sava")
 # jobs of the benchmark that run again with the first flag naming the
 # file of the second, where the job has the first
 SAME_FILE = {
+    "intersect": ("--target-vocab", "--source-vocab"),
     "adapt_random": ("--source-head-emb", "--source-emb"),
     "adapt_sava": ("--source-head-emb", "--source-emb"),
     "similarity": ("--emb-b", "--emb-a"),

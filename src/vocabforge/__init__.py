@@ -10,7 +10,6 @@ from .alignment import (
     collect_pairs,
     fit_closed_form,
     fit_gradient,
-    load_map,
     save_map,
 )
 from .analysis import (
@@ -76,7 +75,6 @@ __all__ = [
     "g_fvt",
     "g_random",
     "g_sava",
-    "load_map",
     "load_matrix",
     "load_tokenizer",
     "load_vocab",

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import embeddings
-from .embeddings import EmbeddingMatrix, read_record, write_record
-from .errors import DimensionMismatch, EmptyIntersection, MalformedMap, NonFiniteLoss
-from .tokenizer import TokenPartition, check_partition, load_json
+from .embeddings import EmbeddingMatrix, write_record
+from .errors import DimensionMismatch, EmptyIntersection, NonFiniteLoss
+from .tokenizer import TokenPartition, check_partition
 
 # Bytes of one flat block of the Adam state: each update finishes its
 # elementwise passes over one block of parameter, moment and gradient
@@ -455,27 +455,12 @@ def fit_closed_form(x: np.ndarray, y: np.ndarray) -> AffineMap:
 #
 # A trained map is stored as consecutive EMB1 records in one container
 # file, with a JSON sidecar (<path>.json) naming the record order and
-# the scalar metadata.
+# the scalar metadata. `fit-map` writes it for use outside the package;
+# no command reads one back.
 
 _RECORD_ORDER = (
     "weight", "bias", "input_mean", "input_std", "output_mean", "output_std",
 )
-
-
-# Each sidecar key and the test its value must pass, in the order load_map
-# runs them: a list of zero-variance dims after the dim it indexes.
-_SIDECAR = {
-    "schema_version": lambda v, meta: v == "1",
-    "records": lambda v, meta: v == list(_RECORD_ORDER),
-    "in_dim": lambda v, meta: type(v) is int and v > 0,
-    "out_dim": lambda v, meta: type(v) is int and v > 0,
-    "input_norm": lambda v, meta: type(v) is float and 0 < v < math.inf,
-    "l2_normalize_inputs": lambda v, meta: type(v) is bool,
-    "input_zero_variance_dims": lambda v, meta: type(v) is list and all(
-        type(d) is int and 0 <= d < meta["in_dim"] for d in v),
-    "output_zero_variance_dims": lambda v, meta: type(v) is list and all(
-        type(d) is int and 0 <= d < meta["out_dim"] for d in v),
-}
 
 
 def save_map(phi: AffineMap, path: str) -> None:
@@ -507,41 +492,3 @@ def save_map(phi: AffineMap, path: str) -> None:
             write_record(fh, np.atleast_2d(array))
         json.dump(sidecar, side, indent=2, sort_keys=True)
         side.write("\n")
-
-
-def load_map(path: str) -> AffineMap:
-    """Read a map that save_map wrote. A sidecar key or value, or a record
-    shape, that does not fit one raises MalformedMap; read_record and
-    EmbeddingMatrix check each record's bytes and values. A sidecar with
-    "l2_normalize_inputs": false reads as input_norm 1.0."""
-    side = path + ".json"
-    meta = load_json(side, MalformedMap)
-    if not isinstance(meta, dict) or meta.keys() != _SIDECAR.keys():
-        raise MalformedMap(f"{side}: expected the keys {sorted(_SIDECAR)}")
-    for key, valid in _SIDECAR.items():
-        if not valid(meta[key], meta):
-            raise MalformedMap(f"{side}: invalid {key!r}")
-    m, n = meta["in_dim"], meta["out_dim"]
-    records = {}
-    with open(path, "rb") as fh:
-        for name in _RECORD_ORDER:
-            data = read_record(fh, path, last=name == _RECORD_ORDER[-1])
-            shape = (n, m) if name == "weight" else (1, m if "input" in name else n)
-            if data.shape != shape:
-                raise MalformedMap(
-                    f"{path}: record {name!r} has shape {data.shape}, not {shape}")
-            records[name] = EmbeddingMatrix(data, f"{path} {name}").data.astype(
-                np.float64)
-
-    def scaler(mean_key: str, std_key: str, dim: int, zero_key: str) -> Scaler:
-        zero = np.zeros(dim, dtype=bool)
-        zero[meta[zero_key]] = True
-        return Scaler(records[mean_key][0], records[std_key][0], zero)
-
-    return AffineMap(
-        records["weight"],
-        records["bias"][0],
-        scaler("input_mean", "input_std", m, "input_zero_variance_dims"),
-        scaler("output_mean", "output_std", n, "output_zero_variance_dims"),
-        meta["input_norm"] if meta["l2_normalize_inputs"] else 1.0,
-    )

@@ -71,6 +71,22 @@ def _at_least(args, low, *names):
             raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
+def _distinct_outputs(args, *names):
+    """Two outputs on one file would silently replace each other, so that
+    is a usage error; a device or a pipe (such as /dev/null) is written
+    directly, as often as asked."""
+    claimed = {}
+    for name in names:
+        path = getattr(args, name.replace("-", "_"))
+        real = path and embeddings.replaced_path(path)
+        if not real:
+            continue
+        if real in claimed:
+            raise UsageError(f"--{claimed[real]} and --{name} name the same "
+                             f"file {real!r}")
+        claimed[real] = name
+
+
 def _write(data: bytes, dest: str | None) -> None:
     """Write data over the file `dest` (whole or not at all), or to
     stdout."""
@@ -115,7 +131,9 @@ def _report(args, payload: dict) -> bytes:
 def cmd_intersect(args) -> int:
     _require(args, "source-vocab", "target-vocab")
     source = load_vocab(args.source_vocab)
-    target = load_vocab(args.target_vocab)
+    # one path (as given) named twice is read once, so a pipe works
+    target = (source if args.target_vocab == args.source_vocab
+              else load_vocab(args.target_vocab))
     src_marker = MarkerConvention.from_name(args.source_marker)
     tgt_marker = MarkerConvention.from_name(args.target_marker)
     part = partition(source, target, src_marker, tgt_marker)
@@ -166,18 +184,7 @@ def cmd_adapt(args) -> int:
     for name in ("helper-head-emb", "out-head"):
         if not untied and getattr(args, name.replace("-", "_")) is not None:
             raise UsageError(f"--{name} requires --source-head-emb")
-    # Two outputs on one file would silently replace each other; a device
-    # or a pipe (such as /dev/null) is written directly, as often as asked.
-    claimed = {}
-    for name in ("out", "out-head", "report"):
-        path = getattr(args, name.replace("-", "_"))
-        real = path and embeddings.replaced_path(path)
-        if not real:
-            continue
-        if real in claimed:
-            raise UsageError(f"--{claimed[real]} and --{name} name the same "
-                             f"file {real!r}")
-        claimed[real] = name
+    _distinct_outputs(args, "out", "out-head", "report")
     cfg = heuristics.HeuristicConfig(**{  # each field has the flag of its name
         f.name: getattr(args, f.name) for f in fields(heuristics.HeuristicConfig)
     })
@@ -275,6 +282,7 @@ def cmd_fit_map(args) -> int:
 
 def cmd_fertility(args) -> int:
     _require(args, "vocab", "merges", "corpus")
+    _distinct_outputs(args, "out", "hist-out")
     model = load_tokenizer(
         args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
     )

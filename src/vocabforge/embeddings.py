@@ -122,25 +122,6 @@ def _check_payload(path: str, rows: int, dim: int, found: int) -> None:
         )
 
 
-def read_record(fh, path: str, last: bool = False) -> np.ndarray:
-    """Read one EMB1 record at the file position as a read-only float32 array.
-
-    The payload is read no further than the file goes, whatever the header
-    claims; with `last` it must also end the file.
-    """
-    rows, dim = _read_header(fh, path)
-    expected = rows * dim * 4
-    # An exact-size read fills one buffer; read() after the buffered header
-    # would join two and hold the payload twice.
-    size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: read to the end
-    payload = fh.read(min(expected, size - fh.tell()) if size else None)
-    found = len(payload)
-    if last and found == expected:
-        found += len(fh.read())
-    _check_payload(path, rows, dim, found)
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
-
-
 def matrix_shape(path: str) -> tuple[int, int]:
     """(rows, dim) of an EMB1 file, without reading its rows.
 
@@ -204,8 +185,20 @@ def save_matrix(matrix: EmbeddingMatrix, path: str) -> None:
 
 
 def load_matrix(path: str) -> EmbeddingMatrix:
+    """The EMB1 file at path. Its payload is read no further than the file
+    goes, whatever the header claims, and must end the file."""
     with open(path, "rb") as fh:
-        data = read_record(fh, path, last=True)
+        rows, dim = _read_header(fh, path)
+        expected = rows * dim * 4
+        # An exact-size read fills one buffer; read() after the buffered
+        # header would join two and hold the payload twice.
+        size = os.fstat(fh.fileno()).st_size  # 0 for a pipe: read to the end
+        payload = fh.read(min(expected, size - fh.tell()) if size else None)
+        found = len(payload)
+        if found == expected:
+            found += len(fh.read())
+    _check_payload(path, rows, dim, found)
+    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
     return EmbeddingMatrix(data, label=path)
 
 

@@ -79,10 +79,6 @@ class NonFiniteLoss(VocabForgeError):
     """Gradient training diverged."""
 
 
-class MalformedMap(VocabForgeError):
-    """A saved map's sidecar or records do not describe an affine map."""
-
-
 # --- analysis ----------------------------------------------------------
 
 

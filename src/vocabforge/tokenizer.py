@@ -18,6 +18,7 @@ pairs up in one sorted table of merge keys; `encode_piece` and
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from collections.abc import Sequence
@@ -543,24 +544,29 @@ def _split_merges(path: str, text: str):
 
 
 def _read_merges(path: str):
-    """_split_merges of the file at path, read whole in text mode (so CRLF
-    and a lone CR end a line, as when iterating it). Text that is not UTF-8
-    raises UnknownMergeSymbol, but after any bad line that a line-by-line
-    reader meets first; its message is that reader's too."""
+    """_split_merges of the file at path, read once as bytes and decoded
+    as text mode would (CRLF and a lone CR end a line). Text that is not
+    UTF-8 raises UnknownMergeSymbol, but after any bad line that a
+    line-by-line reader meets first; its message is that reader's too."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, encoding="utf-8") as fh:
-            return _split_merges(path, fh.read())
+        text = data.decode("utf-8")
     except UnicodeDecodeError:
-        pass
-    lines: list[str] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
+        # Replay the bytes line by line, as a text-mode reader meets them:
+        # it decodes in 8192-byte chunks, so a bad line in an earlier chunk
+        # comes first, and its message counts from its chunk. The same
+        # bytes fail it too, so the loop never runs to its end.
+        lines: list[str] = []
+        try:
+            for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
                 lines.append(line)
-    except UnicodeDecodeError as exc:
-        _split_merges(path, "".join(lines))
-        raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
-    return _split_merges(path, "".join(lines))  # the file changed between the reads
+        except UnicodeDecodeError as exc:
+            _split_merges(path, "".join(lines))
+            raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
+    if "\r" in text:  # a search for "\r\n" alone takes half the decode's time
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return _split_merges(path, text)
 
 
 def load_tokenizer(

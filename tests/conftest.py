@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from vocabforge import (
     save_matrix,
 )
 from vocabforge.alignment import Scaler
+from vocabforge.embeddings import HEADER_SIZE
 from vocabforge.errors import MalformedVocab, UnencodableInput
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
@@ -71,6 +73,31 @@ def identity_map(dim):
     """The AffineMap x -> x on dim dimensions."""
     return AffineMap(np.eye(dim), np.zeros(dim), identity_scaler(dim),
                      identity_scaler(dim))
+
+
+def reference_load_map(path):
+    """The AffineMap in the container and sidecar that save_map wrote at
+    path, read as the sidecar describes them and checked for nothing."""
+    with open(path + ".json", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    records, pos = {}, 0
+    for name in meta["records"]:
+        rows, dim = struct.unpack("<II", data[pos + 4:pos + 12])
+        pos += HEADER_SIZE
+        records[name] = np.frombuffer(data, "<f4", rows * dim, pos).reshape(
+            rows, dim).astype(np.float64)
+        pos += 4 * rows * dim
+
+    def scaler(side, dim):
+        zero = np.zeros(dim, dtype=bool)
+        zero[meta[f"{side}_zero_variance_dims"]] = True
+        return Scaler(records[f"{side}_mean"][0], records[f"{side}_std"][0], zero)
+
+    return AffineMap(records["weight"], records["bias"][0],
+                     scaler("input", meta["in_dim"]),
+                     scaler("output", meta["out_dim"]), meta["input_norm"])
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

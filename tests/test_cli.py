@@ -1105,6 +1105,25 @@ class TestFertility:
         assert report["fertility"]["fertility"] == 1.5
         assert open(hist).readline().startswith("bin_left")
 
+    @pytest.mark.parametrize("dest", ["file", "null-device"])
+    def test_report_and_histogram_on_one_path(self, capsys, world, tmp_path,
+                                              dest):
+        # the histogram would be replaced by the report; a device takes both
+        vocab = tmp_path / "fvocab.json"
+        vocab.write_text(json.dumps({"a": 0, "b": 1}), encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b ab\nba\n", encoding="utf-8")
+        same = str(tmp_path / "same") if dest == "file" else os.devnull
+        result = run(capsys, "fertility", "--vocab", str(vocab),
+                     "--merges", world["merges"], "--corpus", str(corpus),
+                     "--marker", "none", "--out", same, "--hist-out", same)
+        if dest == "file":
+            assert result == (
+                1, "", f"--out and --hist-out name the same file {same!r}\n")
+            assert not os.path.exists(same)
+        else:
+            assert result == (0, "", "")
+
     def test_per_doc(self, capsys, world, tmp_path):
         vocab = tmp_path / "fvocab.json"
         vocab.write_text(json.dumps({"a": 0}), encoding="utf-8")

@@ -1,7 +1,6 @@
 """Truncated and corrupted input files end in one typed error, never a
 traceback: EMB1 matrices, partition files, vocab, merges, corpus and
-`--config` files through `cli.main`, a saved map's container and sidecar
-through `load_map`.
+`--config` files through `cli.main`.
 
 A file cut short or with a corrupted header must fail (exit 1 or 2, one
 line on stderr). A byte changed inside JSON may still leave a valid file
@@ -22,11 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocabforge import (AffineMap, embeddings, fit_closed_form, heuristics,
-                        load_map, save_map)
+from vocabforge import embeddings, heuristics
 from vocabforge.cli import main
 from vocabforge.embeddings import HEADER_SIZE, write_record
-from vocabforge.errors import VocabForgeError
 
 # Few examples per property: each one runs a whole CLI call or load.
 EXAMPLES = settings(max_examples=40, deadline=None)
@@ -53,16 +50,6 @@ def emb1_bytes(rows, dim, seed):
     return buf.getvalue()
 
 
-def record_starts(data: bytes) -> list[int]:
-    """Offsets of the EMB1 records one after another in data."""
-    starts, pos = [], 0
-    while pos < len(data):
-        starts.append(pos)
-        rows, dim = struct.unpack("<II", data[pos + 4:pos + 12])
-        pos += HEADER_SIZE + 4 * rows * dim
-    return starts
-
-
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Valid inputs, and where corrupted copies of them are written."""
@@ -76,12 +63,6 @@ def files(tmp_path_factory):
         "novel": [["n0", 0], ["n1", 1]],
         "warnings": [],
     }).encode()
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(20, 3))
-    save_map(fit_closed_form(x, x @ rng.normal(size=(3, 2)) + 1.0),
-             str(root / "good.map"))
-    paths["container"] = (root / "good.map").read_bytes()
-    paths["sidecar"] = (root / "good.map.json").read_bytes()
     paths["vocab"] = json.dumps(VOCAB, ensure_ascii=False).encode()
     paths["merges"] = MERGES.encode()
     paths["corpus"] = root / "corpus.txt"
@@ -381,6 +362,44 @@ def test_piped_helper_and_source_of_fit_map_is_read_once(files, tmp_path,
     assert got == want
 
 
+def test_piped_vocabulary_of_both_intersect_sides_is_read_once(files, tmp_path):
+    vocab, report = tmp_path / "vocab.json", tmp_path / "report.json"
+    vocab.write_bytes(files["vocab"])
+
+    def argv(path):
+        return ["intersect", "--source-vocab", path, "--target-vocab", path,
+                "--target-marker", "byte-marker", "--out", report]
+
+    assert run_cli(*argv(vocab)) == (0, "", "")
+    want = json.loads(report.read_text(encoding="utf-8"))
+    report.unlink()
+    fifo = tmp_path / "vocab.pipe"
+    assert run_reading_pipe(argv(fifo), fifo, files["vocab"]) == (0, "", "")
+    got = json.loads(report.read_text(encoding="utf-8"))
+    # the config entry names the input, a file in one run, a pipe in the other
+    del want["config"], got["config"]
+    assert got == want
+
+
+def test_piped_merges_that_are_not_utf8_are_read_once(files, tmp_path):
+    # the error is found by replaying the bytes already read, not by a
+    # second open, which would wait for a second writer
+    merges = files["merges"] + b"\xff b\n"
+    vocab, plain = tmp_path / "vocab.json", tmp_path / "merges.txt"
+    vocab.write_bytes(files["vocab"])
+    plain.write_bytes(merges)
+
+    def argv(path):
+        return ["fertility", "--vocab", vocab, "--merges", path,
+                "--corpus", files["corpus"]]
+
+    code, out, err = run_cli(*argv(plain))
+    assert (code, out) == (1, "") and "not UTF-8 text" in err
+    fifo = tmp_path / "merges.pipe"
+    assert run_reading_pipe(argv(fifo), fifo, merges) == (
+        1, "", err.replace(str(plain), str(fifo)))
+
+
 def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
     # Finiteness needs every row, so a NaN in the head is found after the
     # embedding matrix is adapted and written to its temporary file; no
@@ -601,63 +620,3 @@ def test_corrupt_vocab_byte_intersect(files, data, side):
     check_outcome(*intersect_with(files, flip(data, files["vocab"]), side),
                   must_fail=False)
 
-
-# --- a saved map through load_map ---------------------------------------
-
-
-def load_written(files, container: bytes, sidecar: bytes, must_fail=True):
-    path = files["root"] / "probe.map"
-    path.write_bytes(container)
-    Path(f"{path}.json").write_bytes(sidecar)
-    try:
-        phi = load_map(str(path))
-    except (VocabForgeError, OSError) as exc:
-        assert "\n" not in str(exc)
-        return
-    assert not must_fail, "a damaged map loaded"
-    assert isinstance(phi, AffineMap)
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_truncated_container(files, data):
-    load_written(files, cut(data, files["container"]), files["sidecar"])
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_corrupt_container_header(files, data):
-    # magic, rows, dim or reserved bytes of any record
-    container = bytearray(files["container"])
-    start = data.draw(st.sampled_from(record_starts(files["container"])))
-    container[start + data.draw(st.integers(0, 15))] ^= data.draw(st.integers(1, 255))
-    load_written(files, bytes(container), files["sidecar"])
-
-
-@EXAMPLES
-@given(extra=st.binary(min_size=1, max_size=64))
-def test_container_trailing_bytes(files, extra):
-    load_written(files, files["container"] + extra, files["sidecar"])
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_truncated_sidecar(files, data):
-    # a JSON object ends at its "}"
-    load_written(files, files["container"], cut(data, files["sidecar"].rstrip()))
-
-
-@EXAMPLES
-@given(data=st.data())
-def test_corrupt_sidecar_byte(files, data):
-    load_written(files, files["container"], flip(data, files["sidecar"]),
-                 must_fail=False)
-
-
-@EXAMPLES
-@given(data=st.data(), value=JSON_VALUES)
-def test_sidecar_value_replaced(files, data, value):
-    meta = json.loads(files["sidecar"])
-    meta[data.draw(st.sampled_from(sorted(meta)))] = value
-    load_written(files, files["container"], json.dumps(meta).encode(),
-                 must_fail=False)

@@ -30,7 +30,6 @@ from vocabforge import (
 )
 from vocabforge.cli import UsageError
 from vocabforge.errors import (
-    MalformedMap,
     MalformedVocab,
     PartitionInconsistent,
     UnencodableInput,
@@ -882,9 +881,9 @@ def json_files(draw):
 
 
 class TestLoadJson:
-    # each reader's own error type: vocab, partition, map sidecar, --config
+    # each reader's own error type: vocab, partition, --config
     @pytest.mark.parametrize("error", [MalformedVocab, PartitionInconsistent,
-                                       MalformedMap, UsageError])
+                                       UsageError])
     @pytest.mark.parametrize("data, message", [
         (b'{"a": "\xff"}', "not valid JSON: 'utf-8' codec can't decode byte "
                            "0xff in position 7: invalid start byte"),
