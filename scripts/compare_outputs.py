@@ -29,10 +29,13 @@ and `--method sava` also run without `--helper-head-emb`: one helper
 then serves both matrices and is loaded once (SHARED_HELPER). No
 benchmark job names one input file twice, so on every workload
 `intersect` also runs with `--target-vocab` naming the `--source-vocab`
-file and `similarity` with `--emb-b` naming the `--emb-a` file, and on
-an untied workload `adapt --method random` and `--method sava` also run
-with `--source-head-emb` naming the `--source-emb` file: each such file
-is read once and serves both flags (SAME_FILE).
+file and `similarity` with `--emb-b` naming the `--emb-a` file; on a
+tied workload `adapt --method fvt` also runs with `--target-vocab` and
+`--target-merges` naming the source's files and without `--helper-emb`,
+whose rows no longer match the target; and on an untied workload `adapt
+--method random` and `--method sava` also run with `--source-head-emb`
+naming the `--source-emb` file: each such file is read once and serves
+both flags (SAME_FILE, SAME_TARGET).
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -145,14 +148,20 @@ VARIANTS = {
 # --helper-head-emb, so that --helper-emb serves both matrices
 SHARED_HELPER = ("adapt_clp", "adapt_sava")
 
-# jobs of the benchmark that run again with the first flag naming the
-# file of the second, where the job has the first
+# jobs of the benchmark that run again with the first flag of each pair
+# naming the file of the second, where the job has the first flag
 SAME_FILE = {
-    "intersect": ("--target-vocab", "--source-vocab"),
-    "adapt_random": ("--source-head-emb", "--source-emb"),
-    "adapt_sava": ("--source-head-emb", "--source-emb"),
-    "similarity": ("--emb-b", "--emb-a"),
+    "intersect": (("--target-vocab", "--source-vocab"),),
+    "adapt_fvt": (("--target-vocab", "--source-vocab"),
+                  ("--target-merges", "--source-merges")),
+    "adapt_random": (("--source-head-emb", "--source-emb"),),
+    "adapt_sava": (("--source-head-emb", "--source-emb"),),
+    "similarity": (("--emb-b", "--emb-a"),),
 }
+# SAME_FILE jobs whose target vocabulary becomes the source's: a helper
+# has one row per target token, so they drop --helper-emb (FVT reads no
+# helper row) and run only where the job has no --helper-head-emb
+SAME_TARGET = ("adapt_fvt",)
 
 # jobs of the benchmark that run again on copies of their inputs, by the
 # name of the copies: vocabularies in a shuffled key order, and merges
@@ -194,11 +203,14 @@ def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
         if job.name in SHARED_HELPER and "--helper-head-emb" in job.argv:
             extra.append(renamed_job(job, f"{job.name}_shared_helper", out_dir,
                                      drop="--helper-head-emb"))
-        if job.name in SAME_FILE and SAME_FILE[job.name][0] in job.argv:
-            named, other = (job.argv[job.argv.index(flag) + 1]
-                            for flag in SAME_FILE[job.name])
+        pairs = SAME_FILE.get(job.name, ())
+        drop = "--helper-emb" if job.name in SAME_TARGET else None
+        if pairs and pairs[0][0] in job.argv and not (
+                drop and "--helper-head-emb" in job.argv):
+            value = dict(zip(job.argv, job.argv[1:]))  # each flag's value
             extra.append(renamed_job(job, f"{job.name}_same_file", out_dir,
-                                     swap={named: other}))
+                                     swap={value[a]: value[b] for a, b in pairs},
+                                     drop=drop))
         for name, readers in COPIES.items():
             if job.name in readers:
                 extra.append(renamed_job(job, f"{job.name}_{name}", out_dir,

@@ -14,6 +14,7 @@ import gc
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -29,6 +30,8 @@ from .tokenizer import (
     load_tokenizer,
     load_vocab,
     partition,
+    read_merges,
+    tokenizer_model,
 )
 
 SCHEMA_VERSION = "1"
@@ -87,6 +90,24 @@ def _distinct_outputs(args, *names):
         claimed[real] = name
 
 
+def _read_once(read, paths):
+    """read for a command that reads `paths` in that order, repeats
+    included: each distinct path (as given) is read at its first request
+    and kept only until its last, so a pipe is opened once and a file is
+    read once."""
+    uses = Counter(paths)
+    kept = {}
+
+    def load(path):
+        uses[path] -= 1
+        value = kept.pop(path) if path in kept else read(path)
+        if uses[path]:
+            kept[path] = value
+        return value
+
+    return load
+
+
 def _write(data: bytes, dest: str | None) -> None:
     """Write data over the file `dest` (whole or not at all), or to
     stdout."""
@@ -130,10 +151,8 @@ def _report(args, payload: dict) -> bytes:
 
 def cmd_intersect(args) -> int:
     _require(args, "source-vocab", "target-vocab")
-    source = load_vocab(args.source_vocab)
-    # one path (as given) named twice is read once, so a pipe works
-    target = (source if args.target_vocab == args.source_vocab
-              else load_vocab(args.target_vocab))
+    vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
+    source, target = vocab(args.source_vocab), vocab(args.target_vocab)
     src_marker = MarkerConvention.from_name(args.source_marker)
     tgt_marker = MarkerConvention.from_name(args.target_marker)
     part = partition(source, target, src_marker, tgt_marker)
@@ -192,15 +211,14 @@ def cmd_adapt(args) -> int:
     if loads_helper and args.helper_emb is None:
         raise UsageError(f"method {cfg.method!r} requires --helper-emb (a helper "
                          f"model trained with the target tokenizer)")
-    source_model = load_tokenizer(
-        args.source_vocab, args.source_merges, args.source_marker,
-        args.byte_level, args.unk_token,
-    )
-    target_model = load_tokenizer(
-        args.target_vocab, args.target_merges, args.target_marker,
-        args.byte_level, args.unk_token,
-    )
     train_cfg = _train_config(args)
+    vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
+    merges = _read_once(read_merges, [args.source_merges, args.target_merges])
+    source_model = tokenizer_model(vocab(args.source_vocab), merges(args.source_merges),
+                                   args.source_marker, args.byte_level, args.unk_token)
+    # only the source model encodes, so only it takes the encoding flags
+    target_model = tokenizer_model(vocab(args.target_vocab),
+                                   merges(args.target_merges), args.target_marker)
     part = partition(
         source_model.vocab, target_model.vocab,
         source_model.marker, target_model.marker,
@@ -216,7 +234,7 @@ def cmd_adapt(args) -> int:
     # Each source, and its helper if the method reads one, in adapt_file's order
     loaded = [path for job in jobs.values()
               for path in job[:2 if loads_helper else 1]]
-    load = embeddings.matrix_loader(loaded)
+    load = _read_once(embeddings.load_matrix, loaded)
     # Every header once, then every row count, before any row is read. A
     # pipe can be read only once: one that the run loads has its header
     # checked then, by load_matrix and check_partition.
@@ -259,10 +277,10 @@ def cmd_adapt(args) -> int:
 def cmd_fit_map(args) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
     _at_least(args, 0, "batch", "limit")
-    load = embeddings.matrix_loader([args.helper_emb, args.source_emb])
+    train_cfg = _train_config(args)
+    load = _read_once(embeddings.load_matrix, [args.helper_emb, args.source_emb])
     matrices = [load(args.helper_emb), load(args.source_emb)]
     part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
-    train_cfg = _train_config(args)
     # fit_map's own check, run here so that its error names the file
     try:
         check_partition(part, matrices[1].rows, matrices[0].rows)
@@ -309,7 +327,7 @@ def cmd_similarity(args) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
     _at_least(args, 0, "n-prefix", "n-nonprefix")
     _at_least(args, 1, "sample")
-    load = embeddings.matrix_loader([args.emb_a, args.emb_b])
+    load = _read_once(embeddings.load_matrix, [args.emb_a, args.emb_b])
     emb_a, emb_b = load(args.emb_a), load(args.emb_b)
     vocab = load_vocab(args.vocab)
     if vocab.size != emb_a.rows:

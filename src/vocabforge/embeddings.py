@@ -22,7 +22,6 @@ from __future__ import annotations
 import contextlib
 import os
 import struct
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,23 +199,6 @@ def load_matrix(path: str) -> EmbeddingMatrix:
     _check_payload(path, rows, dim, found)
     data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim)
     return EmbeddingMatrix(data, label=path)
-
-
-def matrix_loader(paths):
-    """load_matrix for a command that loads `paths` in that order, repeats
-    included: each distinct path is read at its first request and kept only
-    until its last, so a pipe is opened once and a file is read once."""
-    uses = Counter(paths)
-    kept = {}
-
-    def load(path: str) -> EmbeddingMatrix:
-        uses[path] -= 1
-        matrix = kept.pop(path) if path in kept else load_matrix(path)
-        if uses[path]:
-            kept[path] = matrix
-        return matrix
-
-    return load
 
 
 def row_blocks(data: np.ndarray, ids: np.ndarray | None = None):

@@ -72,7 +72,7 @@ class ZeroNormRow(VocabForgeError):
 
 
 class EmptyIntersection(VocabForgeError):
-    """No shared tokens to collect training pairs from."""
+    """No shared tokens, which CLP weights and SAVA fits its map on."""
 
 
 class NonFiniteLoss(VocabForgeError):

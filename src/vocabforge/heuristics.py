@@ -16,8 +16,8 @@ from .embeddings import stats as matrix_stats
 from .errors import (
     DegenerateSimilarity,
     DimensionMismatch,
+    EmptyIntersection,
     FallbackRequired,
-    PartitionInconsistent,
     VocabForgeError,
 )
 from .tokenizer import (
@@ -233,7 +233,7 @@ class ClpInitializer:
         cfg: HeuristicConfig,
     ):
         if part.shared_count == 0:
-            raise PartitionInconsistent("CLP needs a non-empty intersection")
+            raise EmptyIntersection("CLP needs a non-empty intersection")
         self.cfg = cfg
         self.helper = helper_emb.data  # float32; blocks are converted as used
         self.shared_source_rows = source_emb.data[part.source_ids].astype(np.float64)

@@ -197,9 +197,8 @@ class TokenizerModel:
         unk_id: int | None = None,
     ) -> "TokenizerModel":
         merges = list(merges)
-        return _checked_model(vocab, [a for a, _ in merges],
-                              [b for _, b in merges],
-                              [a + b for a, b in merges], marker, unk_id)
+        return _checked_model(vocab, marker, unk_id, [a for a, _ in merges],
+                              [b for _, b in merges], [a + b for a, b in merges])
 
     @cached_property
     def merges(self) -> tuple[tuple[str, str], ...]:
@@ -477,7 +476,7 @@ def load_vocab(path: str) -> Vocabulary:
     return Vocabulary.from_mapping(mapping)
 
 
-def _checked_model(vocab: Vocabulary, lefts, rights, joined, marker, unk_id,
+def _checked_model(vocab: Vocabulary, marker, unk_id, lefts, rights, joined,
                    where=lambda k: "") -> TokenizerModel:
     """The model of vocab and the merges lefts[k] + rights[k] in rank
     order, whose concatenations joined[k] holds. The first merge whose
@@ -521,9 +520,9 @@ def _merge_lines(text: str) -> list[tuple[int, str]]:
 def _split_merges(path: str, text: str):
     """The left symbols, right symbols and concatenations of the merges in
     `text` (a merges file's text, its lines split at newlines only), and a
-    function from a merge's index to its line number, which walks the
-    lines only when it is called. The first merge line that is not two
-    space-separated symbols raises UnknownMergeSymbol.
+    function from a merge's index to the prefix `path:line: ` naming its
+    line, which walks the lines only when it is called. The first merge
+    line that is not two space-separated symbols raises UnknownMergeSymbol.
 
     Whole-text passes, whatever comment or blank lines the text holds:
     drop those lines, check that the separators left alternate space and
@@ -540,10 +539,10 @@ def _split_merges(path: str, text: str):
     symbols = body.replace("\n", " ").split(" ") if body else []
     joined = body.replace(" ", "").split("\n") if body else []
     return (symbols[0::2], symbols[1::2], joined,
-            lambda k: _merge_lines(text)[k][0])
+            lambda k: f"{path}:{_merge_lines(text)[k][0]}: ")
 
 
-def _read_merges(path: str):
+def read_merges(path: str):
     """_split_merges of the file at path, read once as bytes and decoded
     as text mode would (CRLF and a lone CR end a line). Text that is not
     UTF-8 raises UnknownMergeSymbol, but after any bad line that a
@@ -569,6 +568,25 @@ def _read_merges(path: str):
     return _split_merges(path, text)
 
 
+def tokenizer_model(vocab: Vocabulary, merges, marker: MarkerConvention | str,
+                    byte_level=False, unk_token=None) -> TokenizerModel:
+    """The model of vocab and merges (what `read_merges` returns). Errors
+    come in this order: the unknown token, then the first merge whose
+    symbols or concatenation are not in the vocab (named by its line).
+    The rank table is built at the first encode. byte_level turns on the
+    marker's byte fallback."""
+    if isinstance(marker, str):
+        marker = MarkerConvention.from_name(marker)
+    if byte_level:
+        marker = replace(marker, byte_fallback=True)
+    unk_id = None
+    if unk_token is not None:
+        if unk_token not in vocab:
+            raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
+        unk_id = vocab.token_to_id[unk_token]
+    return _checked_model(vocab, marker, unk_id, *merges)
+
+
 def load_tokenizer(
     vocab_path: str,
     merges_path: str,
@@ -580,25 +598,11 @@ def load_tokenizer(
 
     Merge lines are two space-separated symbols; '#'-prefixed lines and
     blank lines are ignored; line order is rank order. Errors come in
-    this order: the vocab, then the first malformed merge line, then the
-    unknown token, then the first merge whose symbols or concatenation
-    are not in the vocab (named by its line). The rank table is built at
-    the first encode. byte_level turns on the marker's byte fallback.
+    this order: the vocab, then the first malformed merge line, then
+    `tokenizer_model`'s.
     """
-    if isinstance(marker, str):
-        marker = MarkerConvention.from_name(marker)
-    if byte_level:
-        marker = replace(marker, byte_fallback=True)
-    vocab = load_vocab(vocab_path)
-    lefts, rights, joined, lineno = _read_merges(merges_path)
-
-    unk_id = None
-    if unk_token is not None:
-        if unk_token not in vocab:
-            raise MalformedVocab(f"unknown token {unk_token!r} not in vocabulary")
-        unk_id = vocab.token_to_id[unk_token]
-    return _checked_model(vocab, lefts, rights, joined, marker, unk_id,
-                          lambda k: f"{merges_path}:{lineno(k)}: ")
+    return tokenizer_model(load_vocab(vocab_path), read_merges(merges_path),
+                           marker, byte_level, unk_token)
 
 
 @dataclass(frozen=True)

@@ -406,6 +406,21 @@ class TestIntersectAndFitMap:
         assert err == f"{flag} must be at least 0, got {value}\n"
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
+    # checked before any input is read: none of them exists
+    @pytest.mark.parametrize("command, inputs", [
+        (["fit-map"], ["--helper-emb", "--source-emb", "--partition"]),
+        (["adapt", "--method", "sava"],
+         ["--source-emb", "--helper-emb", "--source-vocab", "--source-merges",
+          "--target-vocab", "--target-merges", "--report"]),
+    ], ids=["fit-map", "adapt"])
+    def test_zero_steps_is_reported_before_any_file_is_read(
+            self, capsys, tmp_path, command, inputs):
+        argv = [*command, "--out", str(tmp_path / "out"), "--steps", "0"]
+        for flag in inputs:
+            argv += [flag, str(tmp_path / flag.lstrip("-"))]
+        assert run(capsys, *argv) == (1, "", "error: steps must be >= 1\n")
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("flag", ["--source-vocab", "--target-vocab"])
     def test_array_vocab_is_validation_error(self, capsys, world, flag):
         bad = world["tmp"] + "/array_vocab.json"
@@ -616,6 +631,39 @@ class TestAdapt:
         assert stdout == ""
         assert err == "error: fitting requires at least 2 pairs\n"
         assert not os.path.exists(out)
+
+    def test_clp_with_an_empty_intersection_is_one_error_line(self, capsys,
+                                                             world, write_json):
+        # no target token is a source token
+        world["target_vocab"] = write_json("disjoint.json",
+                                           {"n0": 0, "n1": 1, "n2": 2})
+        world["helper_emb"] = world["helper_emb"].replace(
+            "helper.emb1", "helper3.emb1")
+        from vocabforge import EmbeddingMatrix, save_matrix
+        save_matrix(EmbeddingMatrix(np.ones((3, 4), dtype=np.float32)),
+                    world["helper_emb"])
+        out = world["tmp"] + "/clp.emb1"
+        argv = self.adapt_args(world, out, world["tmp"] + "/clp.json",
+                               "--helper-emb", world["helper_emb"])
+        argv[argv.index("--method") + 1] = "clp"
+        assert run(capsys, *argv) == (
+            1, "", "error: CLP needs a non-empty intersection\n")
+        assert not os.path.exists(out)
+
+    def test_unk_token_is_checked_against_the_source_only(self, capsys, world,
+                                                          write_json):
+        # only the source model encodes; this target has no "<unk>"
+        world["source_vocab"] = write_json(
+            "unk_source.json", {t: i for i, t in enumerate(
+                [f"s{i}" for i in range(7)] + ["<unk>"])})
+        outputs = []
+        for extra in ((), ("--unk-token", "<unk>")):
+            out = world["tmp"] + f"/unk{len(extra)}.emb1"
+            argv = self.adapt_args(world, out, world["tmp"] + "/unk.json",
+                                   *extra)
+            assert run(capsys, *argv) == (0, "", "")
+            outputs.append(Path(out).read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_negative_batch_is_usage_error(self, capsys, world):
         out = world["tmp"] + "/adapted.emb1"

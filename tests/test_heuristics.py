@@ -32,6 +32,7 @@ from vocabforge import (
 from vocabforge.errors import (
     DegenerateSimilarity,
     DimensionMismatch,
+    EmptyIntersection,
     FallbackRequired,
     PartitionInconsistent,
     UnencodableInput,
@@ -730,6 +731,17 @@ class TestAdapt:
         part = replace(
             part, shared=((token, source_emb.rows + 3, tid),) + part.shared[1:])
         with pytest.raises(PartitionInconsistent, match="outside the 9-row"):
+            adapt_matrix(source_emb, source, target, part, helper_emb,
+                         HeuristicConfig(method=method), TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("method", ["clp", "sava"])
+    def test_empty_intersection_is_one_error_type(self, method):
+        # CLP has no shared rows to weight, SAVA no pairs to fit
+        source, target, source_emb, helper_emb = adaptation_fixture(shared=0)
+        part = partition(source.vocab, target.vocab, source.marker,
+                         target.marker)
+        assert part.shared == ()
+        with pytest.raises(EmptyIntersection):
             adapt_matrix(source_emb, source, target, part, helper_emb,
                          HeuristicConfig(method=method), TrainConfig(steps=1))
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vocabforge import embeddings, heuristics
+from vocabforge import cli, embeddings, heuristics
 from vocabforge.cli import main
 from vocabforge.embeddings import HEADER_SIZE, write_record
 
@@ -398,6 +398,59 @@ def test_piped_merges_that_are_not_utf8_are_read_once(files, tmp_path):
     fifo = tmp_path / "merges.pipe"
     assert run_reading_pipe(argv(fifo), fifo, merges) == (
         1, "", err.replace(str(plain), str(fifo)))
+
+
+def adapt_through_one_pipe(root, flags, path):
+    """The outputs of adapt_argv's run with the file `path` named by each
+    of `flags`, then of the same run with one pipe in its place, fed
+    path's bytes once; both runs must exit 0."""
+    argv = adapt_argv(root, root / "head.emb1", 1)
+    for flag in flags:
+        argv[argv.index(flag) + 1] = path
+    assert run_cli(*argv) == (0, "", "")
+    want = [(root / name).read_bytes() for name in OUTPUTS]
+    for name in OUTPUTS:
+        (root / name).unlink()
+    fifo = path.with_suffix(".pipe")
+    piped = [fifo if arg == path else arg for arg in argv]
+    assert run_reading_pipe(piped, fifo, path.read_bytes()) == (0, "", "")
+    return want, [(root / name).read_bytes() for name in OUTPUTS]
+
+
+def test_piped_vocabulary_of_both_adapt_sides_is_read_once(untied):
+    want, got = adapt_through_one_pipe(
+        untied, ["--source-vocab", "--target-vocab"], untied / "source.json")
+    assert got == want
+
+
+def test_piped_merges_of_both_adapt_sides_is_read_once(untied):
+    merges = untied / "merges.txt"
+    merges.write_text("#version: 0.2\n", encoding="utf-8")
+    want, got = adapt_through_one_pipe(
+        untied, ["--source-merges", "--target-merges"], merges)
+    assert got == want
+
+
+@pytest.mark.parametrize("same_vocab", [False, True])
+def test_adapt_reads_each_distinct_text_input_once(untied, monkeypatch,
+                                                   same_vocab):
+    # the untied fixture names one merges file for both sides
+    calls = []
+    for name in ("load_vocab", "read_merges"):
+        def spy(path, name=name, real=getattr(cli, name)):
+            calls.append((name, path))
+            return real(path)
+
+        monkeypatch.setattr(cli, name, spy)
+    argv = adapt_argv(untied, untied / "head.emb1", 1)
+    if same_vocab:
+        argv[argv.index("--target-vocab") + 1] = untied / "source.json"
+    assert run_cli(*argv)[0] == 0
+    # in the source's order, then the target's: the same errors come first
+    want = [("load_vocab", "source.json"), ("read_merges", "merges.txt")]
+    if not same_vocab:
+        want.append(("load_vocab", "target.json"))
+    assert calls == [(name, str(untied / file)) for name, file in want]
 
 
 def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
