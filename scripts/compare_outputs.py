@@ -35,7 +35,10 @@ tied workload `adapt --method fvt` also runs with `--target-vocab` and
 whose rows no longer match the target; and on an untied workload `adapt
 --method random` and `--method sava` also run with `--source-head-emb`
 naming the `--source-emb` file: each such file is read once and serves
-both flags (SAME_FILE, SAME_TARGET).
+both flags (SAME_FILE, SAME_TARGET). Each of these jobs runs once more
+with the second of each pair of flags naming the file through a symbolic
+link in the job's output directory, since a file is one input however
+its names spell it.
 
 Embedding matrices, maps and map sidecars must be byte-equal. JSON
 reports, and fit-map's stdout, are compared as JSON without their
@@ -149,7 +152,8 @@ VARIANTS = {
 SHARED_HELPER = ("adapt_clp", "adapt_sava")
 
 # jobs of the benchmark that run again with the first flag of each pair
-# naming the file of the second, where the job has the first flag
+# naming the file of the second, where the job has the first flag, and
+# once more with the second flag naming it through a symbolic link
 SAME_FILE = {
     "intersect": (("--target-vocab", "--source-vocab"),),
     "adapt_fvt": (("--target-vocab", "--source-vocab"),
@@ -208,9 +212,15 @@ def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
         if pairs and pairs[0][0] in job.argv and not (
                 drop and "--helper-head-emb" in job.argv):
             value = dict(zip(job.argv, job.argv[1:]))  # each flag's value
+            swap = {value[a]: value[b] for a, b in pairs}
             extra.append(renamed_job(job, f"{job.name}_same_file", out_dir,
-                                     swap={value[a]: value[b] for a, b in pairs},
-                                     drop=drop))
+                                     swap=swap, drop=drop))
+            linked = f"{job.name}_same_file_link"
+            for _, b in pairs:  # the second flag names the file through a link
+                link = out_dir / f"{linked}-{os.path.basename(value[b])}"
+                link.symlink_to(os.path.abspath(value[b]))
+                swap[value[b]] = str(link)
+            extra.append(renamed_job(job, linked, out_dir, swap=swap, drop=drop))
         for name, readers in COPIES.items():
             if job.name in readers:
                 extra.append(renamed_job(job, f"{job.name}_{name}", out_dir,

@@ -90,19 +90,31 @@ def _distinct_outputs(args, *names):
         claimed[real] = name
 
 
+def _file(path):
+    """The file at path as (device, inode), so that every name of one file
+    is one input; the path itself when stat fails, so that its reader
+    reports the error. stat opens no pipe."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return path
+    return st.st_dev, st.st_ino
+
+
 def _read_once(read, paths):
     """read for a command that reads `paths` in that order, repeats
-    included: each distinct path (as given) is read at its first request
-    and kept only until its last, so a pipe is opened once and a file is
-    read once."""
-    uses = Counter(paths)
+    included: each distinct file, however its paths spell it, is read at
+    its first request and kept only until its last, so a pipe is opened
+    once and a file is read once."""
+    uses = Counter(map(_file, paths))
     kept = {}
 
     def load(path):
-        uses[path] -= 1
-        value = kept.pop(path) if path in kept else read(path)
-        if uses[path]:
-            kept[path] = value
+        file = _file(path)
+        uses[file] -= 1
+        value = kept.pop(file) if file in kept else read(path)
+        if uses[file]:
+            kept[file] = value
         return value
 
     return load
@@ -237,15 +249,20 @@ def cmd_adapt(args) -> int:
     load = _read_once(embeddings.load_matrix, loaded)
     # Every header once, then every row count, before any row is read. A
     # pipe can be read only once: one that the run loads has its header
-    # checked then, by load_matrix and check_partition.
-    inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
-    rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
-            if path is not None and (path not in loaded or os.path.isfile(path))}
+    # checked then, by load_matrix and check_partition. Inputs are files,
+    # as _read_once counts them, each read under its first name.
+    file = {path: _file(path) for job in jobs.values() for path in job[:2]
+            if path is not None}
+    loaded_files = set(map(file.get, loaded))
+    rows = {}
+    for path, key in file.items():
+        if key not in rows and (key not in loaded_files or os.path.isfile(path)):
+            rows[key] = embeddings.matrix_shape(path)[0]
     vocab_size = source_model.vocab.size
     for source, helper, _ in jobs.values():
-        check_partition(part, rows.get(source, vocab_size), rows.get(helper),
-                        vocab_size)
-    helpers = {helper for _, helper, _ in jobs.values()}
+        check_partition(part, rows.get(file[source], vocab_size),
+                        rows.get(file.get(helper)), vocab_size)
+    helpers = {file.get(helper) for _, helper, _ in jobs.values()}
 
     # Every output is written to its own temporary file once it is built;
     # all of them replace their paths only when the last is complete, so a
@@ -257,7 +274,7 @@ def cmd_adapt(args) -> int:
         # call, so an untied model holds one matrix's source, helper and
         # output at a time.
         source_emb = load(source_path)
-        if source_path in helpers:  # also a helper; as a pipe, checked only now
+        if file[source_path] in helpers:  # also a helper; a pipe is checked only now
             check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
         helper_emb = load(helper_path) if loads_helper else None
         adapted, report = heuristics.adapt_matrix(

@@ -214,15 +214,27 @@ def g_fvt(
     return rows[0]
 
 
+def _keep_top_k(w: np.ndarray, k: int) -> None:
+    """Zero all but the k largest weights of each row of w, in place, the
+    lowest index first among equal ones (what a stable sort keeps): all
+    above the k-th largest, then the first of its ties, up to k in all."""
+    kth = np.partition(w, w.shape[1] - k, axis=1)[:, -k, None]
+    above = w > kth
+    tied = w == kth
+    room = k - above.sum(axis=1, keepdims=True)
+    w[~(above | tied & (np.cumsum(tied, axis=1) <= room))] = 0.0
+
+
 class ClpInitializer:
     """Similarity-weighted combination of intersection source rows.
 
     Weights are cosine similarities in the helper space, post-processed
-    by the negative policy, optionally truncated to the top-k support,
-    and normalized to sum to 1. Rows are computed _CLP_BUDGET bytes of
-    similarities at a time: one GEMM against the shared helper rows for
-    the weights, one against the shared source rows for the result. A
-    zero-norm shared or novel helper row raises ZeroNormRow naming its id.
+    by the negative policy, optionally truncated to the top-k support
+    (ties to the lowest shared index), and normalized to sum to 1. Rows
+    are computed _CLP_BUDGET bytes of similarities at a time: one GEMM
+    against the shared helper rows for the weights, one against the
+    shared source rows for the result. A zero-norm shared or novel helper
+    row raises ZeroNormRow naming its id.
     """
 
     def __init__(
@@ -255,11 +267,7 @@ class ClpInitializer:
             np.abs(w, out=w)
         k = self.cfg.clp_top_k
         if 0 < k < w.shape[1]:
-            # a stable sort keeps the lowest shared index first among ties
-            top = np.argsort(-w, axis=1, kind="stable")[:, :k]
-            kept = np.take_along_axis(w, top, axis=1)
-            w[:] = 0.0
-            np.put_along_axis(w, top, kept, axis=1)
+            _keep_top_k(w, k)
         total = w.sum(axis=1)
         ok = total > 0.0
         w /= np.where(ok, total, 1.0)[:, None]

@@ -177,42 +177,15 @@ class TokenizerModel:
     Immutable after construction; tokenize/decode are pure functions.
     _symbols holds the checked merges' left and right symbols in rank
     order, repeats included, and each one's merged id. The merge table
-    (`_merge_table`) and `merges` are built from them at first use, so a
-    model that never encodes never builds a table; after that each is a
-    plain instance attribute.
+    (`_merge_table`) is built from them at first use, so a model that
+    never encodes never builds a table; after that it is a plain instance
+    attribute. `tokenizer_model` builds one.
     """
 
     vocab: Vocabulary
     marker: MarkerConvention
-    unk_id: int | None = None
-    _symbols: tuple[Sequence[str], Sequence[str], np.ndarray] = field(
-        repr=False, default=((), (), np.empty(0, np.int64)))
-
-    @classmethod
-    def build(
-        cls,
-        vocab: Vocabulary,
-        merges: list[tuple[str, str]],
-        marker: MarkerConvention,
-        unk_id: int | None = None,
-    ) -> "TokenizerModel":
-        merges = list(merges)
-        return _checked_model(vocab, marker, unk_id, [a for a, _ in merges],
-                              [b for _, b in merges], [a + b for a, b in merges])
-
-    @cached_property
-    def merges(self) -> tuple[tuple[str, str], ...]:
-        """The distinct merges in rank order."""
-        lefts, rights, _ = self._symbols
-        return tuple(dict.fromkeys(zip(lefts, rights)))
-
-    def __eq__(self, other):
-        """Equal vocab, distinct merges in rank order, marker and unk_id;
-        repeated merge lines do not count."""
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.vocab, self.merges, self.marker, self.unk_id)
-                == (other.vocab, other.merges, other.marker, other.unk_id))
+    unk_id: int | None
+    _symbols: tuple[Sequence[str], Sequence[str], np.ndarray] = field(repr=False)
 
     # --- encoding ------------------------------------------------------
 

@@ -11,13 +11,13 @@ from vocabforge import (
     AffineMap,
     EmbeddingMatrix,
     MarkerConvention,
-    TokenizerModel,
     Vocabulary,
     save_matrix,
 )
 from vocabforge.alignment import Scaler
 from vocabforge.embeddings import HEADER_SIZE
 from vocabforge.errors import MalformedVocab, UnencodableInput
+from vocabforge.tokenizer import tokenizer_model
 
 # HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a CI
 # failure reproduces locally with the same setting.
@@ -45,9 +45,10 @@ def char_tokenizer(extra_tokens=(), merges=(), marker=NONE, alphabet="abcd",
     for a, b in merges:
         if a + b not in tokens:
             tokens.append(a + b)
-    vocab = vocab_of(tokens)
-    unk_id = vocab.token_to_id[unk_token] if unk_token else None
-    return TokenizerModel.build(vocab, list(merges), marker, unk_id)
+    lefts, rights = [a for a, _ in merges], [b for _, b in merges]
+    joined = [a + b for a, b in merges]
+    return tokenizer_model(vocab_of(tokens), (lefts, rights, joined), marker,
+                           unk_token=unk_token)
 
 
 def word_list_tokenizer(names, marker=NONE):
@@ -55,7 +56,7 @@ def word_list_tokenizer(names, marker=NONE):
 
     Good enough for partition/adaptation paths that never tokenize text.
     """
-    return TokenizerModel.build(vocab_of(names), [], marker)
+    return tokenizer_model(vocab_of(names), ([], [], []), marker)
 
 
 def random_matrix(rng, rows, dim, label=""):
@@ -144,6 +145,16 @@ def write_emb(tmp_path):
         return path
 
     return _write
+
+
+def reference_top_k(w, k):
+    """CLP's first top-k, a copy of w with all but the k largest weights of
+    each row zeroed: a stable sort of each row, so the lowest index comes
+    first among equal weights."""
+    top = np.argsort(-w, axis=1, kind="stable")[:, :k]
+    out = np.zeros_like(w)
+    np.put_along_axis(out, top, np.take_along_axis(w, top, axis=1), axis=1)
+    return out
 
 
 # --- the per-piece BPE encoder that TokenizerModel.encode_pieces replaced,

@@ -35,6 +35,7 @@ from vocabforge.errors import (
     VocabForgeError,
     ZeroNormRow,
 )
+from vocabforge.tokenizer import tokenizer_model
 
 
 class TestFertility:
@@ -151,7 +152,7 @@ class TestFertility:
         (char_tokenizer(alphabet="ab"), "symbol 'z' is outside the alphabet"),
         (char_tokenizer(alphabet="ab", byte_level=True, extra_tokens=["<0x7A>"]),
          "no byte fallback token <0xC3> for symbol 'é'"),
-        (TokenizerModel.build(vocab_of("abz"), [], META),
+        (tokenizer_model(vocab_of("abz"), ([], [], []), META),
          "symbol '▁' is outside the alphabet"),
     ], ids=["outside-the-alphabet", "missing-byte-token", "marker"])
     def test_first_unencodable_word_raises_before_later_documents(

@@ -271,15 +271,20 @@ def test_piped_helper_of_both_matrices_is_read_once(untied, method):
 
 
 def outputs_through_one_pipe(monkeypatch, argv, path, outputs):
-    """Run argv, which names the matrix file `path` twice, then again with
-    both names replaced by one pipe that is fed path's bytes once. Both
-    runs must exit 0, and the piped one must load each distinct path once.
+    """Run argv, which names the matrix file `path` twice (or once and once
+    through a symbolic link to it), then again with path replaced by one
+    pipe, to which each link now leads, fed path's bytes once. Both runs
+    must exit 0, and the piped one must load each distinct path once.
     Returns the bytes of `outputs` after each run."""
     assert run_cli(*argv)[0] == 0
     want = [Path(name).read_bytes() for name in outputs]
     for name in outputs:
         Path(name).unlink()
     fifo = path.with_suffix(".pipe")
+    for arg in argv:
+        if isinstance(arg, Path) and arg.is_symlink():
+            arg.unlink()
+            arg.symlink_to(fifo)
     loads = []
     real = embeddings.load_matrix
 
@@ -466,6 +471,116 @@ def test_nonfinite_head_is_found_when_its_rows_are_read(untied, monkeypatch):
     assert after == before  # --out, --out-head and --report
     assert same_files
     assert len(calls) == 1
+
+
+# --- one input per file, however the flags name it -----------------------
+
+
+def link_to(path):
+    """A new symbolic link to path, beside it."""
+    link = path.with_name(f"link-{path.name}")
+    link.symlink_to(path)
+    return link
+
+
+def similarity_argv(files, tmp_path, name_b):
+    """similarity's argv with --emb-a a copy of the 8-row helper and --emb-b
+    the name name_b(copy) gives it, and the copy; the report goes to
+    report.json."""
+    vocab = tmp_path / "vocab8.json"
+    tokens = [f"▁w{i}" for i in range(4)] + [f"w{i}" for i in range(4)]
+    vocab.write_text(json.dumps({t: i for i, t in enumerate(tokens)}),
+                     encoding="utf-8")
+    matrix = tmp_path / "m.emb1"
+    matrix.write_bytes(files["helper"].read_bytes())
+    return ["similarity", "--emb-a", matrix, "--emb-b", name_b(matrix),
+            "--vocab", vocab, "--n-prefix", "2", "--n-nonprefix", "2",
+            "--out", tmp_path / "report.json"], matrix
+
+
+@pytest.mark.parametrize("name_b", [
+    link_to, lambda path: f"{path.parent}/./{path.name}"], ids=["link", "dot"])
+def test_file_under_two_names_is_loaded_once(files, tmp_path, monkeypatch,
+                                             name_b):
+    argv, matrix = similarity_argv(files, tmp_path, name_b)
+    loads = []
+    real = embeddings.load_matrix
+
+    def spy(name):
+        loads.append(name)
+        return real(name)
+
+    monkeypatch.setattr(embeddings, "load_matrix", spy)
+    assert run_cli(*argv)[0] == 0
+    assert loads == [str(matrix)]
+
+
+def test_piped_matrix_of_both_similarity_sides_under_two_names(files, tmp_path,
+                                                               monkeypatch):
+    argv, matrix = similarity_argv(files, tmp_path, link_to)
+    want, got = outputs_through_one_pipe(monkeypatch, argv, matrix,
+                                         [tmp_path / "report.json"])
+    # the config entry names the inputs, a file in one run, a pipe in the other
+    assert [json.loads(text)["similarity"] for text in got] == \
+        [json.loads(text)["similarity"] for text in want]
+
+
+def test_piped_helper_and_source_of_fit_map_under_two_names(files, tmp_path,
+                                                            monkeypatch):
+    matrix, part = tmp_path / "m.emb1", tmp_path / "part.json"
+    matrix.write_bytes(files["helper"].read_bytes())
+    part.write_bytes(files["partition"])
+    out = tmp_path / "fit.map"
+    want, got = outputs_through_one_pipe(monkeypatch, [
+        "fit-map", "--helper-emb", matrix, "--source-emb", link_to(matrix),
+        "--partition", part, "--steps", "2", "--out", out,
+    ], matrix, [out, tmp_path / "fit.map.json"])
+    assert got == want
+
+
+def test_piped_vocabulary_of_both_intersect_sides_under_two_names(files,
+                                                                  tmp_path):
+    vocab, report = tmp_path / "vocab.json", tmp_path / "report.json"
+    vocab.write_bytes(files["vocab"])
+    link = link_to(vocab)
+    argv = ["intersect", "--source-vocab", vocab, "--target-vocab", link,
+            "--target-marker", "byte-marker", "--out", report]
+    assert run_cli(*argv) == (0, "", "")
+    want = json.loads(report.read_text(encoding="utf-8"))
+    report.unlink()
+    fifo = tmp_path / "vocab.pipe"
+    link.unlink()
+    link.symlink_to(fifo)
+    argv[argv.index(vocab)] = fifo
+    assert run_reading_pipe(argv, fifo, files["vocab"]) == (0, "", "")
+    got = json.loads(report.read_text(encoding="utf-8"))
+    del want["config"], got["config"]
+    assert got == want
+
+
+def test_piped_source_of_both_matrices_under_two_names(untied, monkeypatch):
+    embed = untied / "embed.emb1"
+    want, got = outputs_through_one_pipe(
+        monkeypatch, adapt_argv(untied, link_to(embed), 1), embed,
+        [untied / name for name in OUTPUTS])
+    assert got == want
+
+
+def test_piped_tied_source_that_is_also_the_helper_under_two_names(untied,
+                                                                   monkeypatch):
+    # random loads the source and reads only the helper's header, which a
+    # pipe under another name must not give up to the header pass
+    (untied / "target.json").write_text(json.dumps(
+        {t: i for i, t in enumerate([f"s{i}" for i in range(6)] + ["n0", "n1"])}),
+        encoding="utf-8")
+    embed = untied / "embed.emb1"
+    argv = adapt_argv(untied, None, 1)
+    for flag in ("--source-head-emb", "--out-head"):
+        del argv[argv.index(flag):argv.index(flag) + 2]
+    want, got = outputs_through_one_pipe(
+        monkeypatch, argv + ["--helper-emb", link_to(embed)], embed,
+        [untied / "out.emb1"])
+    assert got == want
 
 
 # --- partition JSON through fit-map -------------------------------------

@@ -35,7 +35,7 @@ from vocabforge.errors import (
     UnencodableInput,
     UnknownMergeSymbol,
 )
-from vocabforge.tokenizer import MARKERS, load_json
+from vocabforge.tokenizer import MARKERS, load_json, tokenizer_model
 
 
 class TestLoadTokenizer:
@@ -44,7 +44,7 @@ class TestLoadTokenizer:
         merges = write_text("merges.txt", "a b\n")
         model = load_tokenizer(vocab, merges, marker="none")
         assert model.vocab.size == 3
-        assert model.merges == (("a", "b"),)
+        assert reference_ranks(model) == {("a", "b"): 0}
 
     def test_id_gap_rejected(self, write_json, write_text):
         vocab = write_json("vocab.json", {"a": 0, "b": 2})
@@ -75,7 +75,8 @@ class TestLoadTokenizer:
 
     def test_build_names_no_line(self):
         with pytest.raises(UnknownMergeSymbol) as info:
-            TokenizerModel.build(vocab_of("abc"), [("a", "b"), ("b", "c")], NONE)
+            tokenizer_model(vocab_of("abc"),
+                            (["a", "b"], ["b", "c"], ["ab", "bc"]), NONE)
         assert str(info.value) == (
             "merge 'a' + 'b' references symbols missing from the vocabulary")
 
@@ -83,7 +84,7 @@ class TestLoadTokenizer:
         vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2})
         merges = write_text("merges.txt", "#version: 0.2\n\na b\n")
         model = load_tokenizer(vocab, merges, marker="none")
-        assert model.merges == (("a", "b"),)
+        assert reference_ranks(model) == {("a", "b"): 0}
 
     def test_non_utf8_merges_name_the_file(self, write_json, tmp_path):
         vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2})
@@ -703,10 +704,9 @@ class TestLoaderEquivalence:
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want
             return
-        vocab, merges_, ranks, unk_id = want
+        vocab, _, ranks, unk_id = want
         assert isinstance(got, TokenizerModel)
         assert (got.vocab, got.unk_id) == (vocab, unk_id)
-        assert got.merges == merges_
         assert list(reference_ranks(got).items()) == list(ranks.items())
         lefts, rights, merged = got._symbols
         assert merged.tolist() == [vocab.token_to_id[a + b]
@@ -791,9 +791,9 @@ class TestMergesEdgeCases:
         if isinstance(want, tuple) and isinstance(want[0], type):
             assert got == want
             return
-        vocab, merges_, ranks, unk_id = want
+        vocab, _, ranks, unk_id = want
         assert isinstance(got, TokenizerModel)
-        assert (got.vocab, got.unk_id, got.merges) == (vocab, unk_id, merges_)
+        assert (got.vocab, got.unk_id) == (vocab, unk_id)
         assert list(reference_ranks(got).items()) == list(ranks.items())
         lefts, rights, merged = got._symbols
         assert merged.tolist() == [vocab.token_to_id[a + b]
@@ -805,12 +805,9 @@ class TestRankTableOnFirstUse:
         vocab = write_json("vocab.json", {"a": 0, "b": 1, "ab": 2, "c": 3,
                                           "abc": 4})
         merges = write_text("merges.txt", "a b\nab c\na b\n")
-        model = load_tokenizer(vocab, merges, marker="none")
-        assert "_merge_table" not in vars(model) and "merges" not in vars(model)
-        twin = load_tokenizer(vocab, merges, marker="none")
-        assert model == twin  # == reads the merges, not the table
-        assert "merges" in vars(model) and "_merge_table" not in vars(model)
         fresh = load_tokenizer(vocab, merges, marker="none")
+        assert "_merge_table" not in vars(fresh)
+        assert reference_ranks(fresh) == {("a", "b"): 0, ("ab", "c"): 1}
         assert fresh.encode_piece("abcab") == [4, 2]
         keys, ranks, merged = vars(fresh)["_merge_table"]
         # keys left * (5 + 2) + right, then the sentinel; the first "a b"
@@ -821,20 +818,13 @@ class TestRankTableOnFirstUse:
         # after the build the table is a plain attribute, read as it is
         assert fresh._merge_table is vars(fresh)["_merge_table"]
         assert fresh.encode_piece("abcab") == [4, 2]
-        assert fresh.merges == (("a", "b"), ("ab", "c"))
-        assert fresh == model
 
     def test_built_model_builds_at_first_encode(self):
         model = char_tokenizer(merges=[("a", "b"), ("ab", "c")], alphabet="abc")
         assert "_merge_table" not in vars(model)
-        assert model.merges == (("a", "b"), ("ab", "c"))
-        assert "_merge_table" not in vars(model)
+        assert reference_ranks(model) == {("a", "b"): 0, ("ab", "c"): 1}
         assert model.encode_piece("abc") == [model.vocab.token_to_id["abc"]]
         assert "_merge_table" in vars(model)
-        assert model == char_tokenizer(merges=[("a", "b"), ("ab", "c")],
-                                       alphabet="abc")
-        assert model != char_tokenizer(merges=[("ab", "c"), ("a", "b")],
-                                       alphabet="abc")
 
     def test_a_model_that_never_encodes_builds_none(self):
         source = char_tokenizer(merges=[("a", "b")], marker=META)
