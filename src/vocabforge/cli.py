@@ -238,10 +238,16 @@ def cmd_adapt(args) -> int:
     for warning in part.warnings:
         print(f"warning: {warning}", file=sys.stderr)
 
-    jobs = {"adaptation": (args.source_emb, args.helper_emb, args.out)}
+    first = {}  # each input file's first name, which every later name becomes
+
+    def name(path):
+        return path and first.setdefault(_file(path), path)
+
+    jobs = {"adaptation": (name(args.source_emb), name(args.helper_emb), args.out)}
     if untied:
-        jobs["head_adaptation"] = (args.source_head_emb, args.helper_head_emb
-                                   or args.helper_emb, args.out_head)
+        jobs["head_adaptation"] = (name(args.source_head_emb),
+                                   name(args.helper_head_emb or args.helper_emb),
+                                   args.out_head)
 
     # Each source, and its helper if the method reads one, in adapt_file's order
     loaded = [path for job in jobs.values()
@@ -249,20 +255,15 @@ def cmd_adapt(args) -> int:
     load = _read_once(embeddings.load_matrix, loaded)
     # Every header once, then every row count, before any row is read. A
     # pipe can be read only once: one that the run loads has its header
-    # checked then, by load_matrix and check_partition. Inputs are files,
-    # as _read_once counts them, each read under its first name.
-    file = {path: _file(path) for job in jobs.values() for path in job[:2]
-            if path is not None}
-    loaded_files = set(map(file.get, loaded))
-    rows = {}
-    for path, key in file.items():
-        if key not in rows and (key not in loaded_files or os.path.isfile(path)):
-            rows[key] = embeddings.matrix_shape(path)[0]
+    # checked then, by load_matrix and check_partition.
+    inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
+    rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
+            if path is not None and (path not in loaded or os.path.isfile(path))}
     vocab_size = source_model.vocab.size
     for source, helper, _ in jobs.values():
-        check_partition(part, rows.get(file[source], vocab_size),
-                        rows.get(file.get(helper)), vocab_size)
-    helpers = {file.get(helper) for _, helper, _ in jobs.values()}
+        check_partition(part, rows.get(source, vocab_size), rows.get(helper),
+                        vocab_size)
+    helpers = {helper for _, helper, _ in jobs.values()}
 
     # Every output is written to its own temporary file once it is built;
     # all of them replace their paths only when the last is complete, so a
@@ -274,7 +275,7 @@ def cmd_adapt(args) -> int:
         # call, so an untied model holds one matrix's source, helper and
         # output at a time.
         source_emb = load(source_path)
-        if file[source_path] in helpers:  # also a helper; a pipe is checked only now
+        if source_path in helpers:  # also a helper; as a pipe, checked only now
             check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
         helper_emb = load(helper_path) if loads_helper else None
         adapted, report = heuristics.adapt_matrix(

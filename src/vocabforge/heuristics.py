@@ -214,17 +214,6 @@ def g_fvt(
     return rows[0]
 
 
-def _keep_top_k(w: np.ndarray, k: int) -> None:
-    """Zero all but the k largest weights of each row of w, in place, the
-    lowest index first among equal ones (what a stable sort keeps): all
-    above the k-th largest, then the first of its ties, up to k in all."""
-    kth = np.partition(w, w.shape[1] - k, axis=1)[:, -k, None]
-    above = w > kth
-    tied = w == kth
-    room = k - above.sum(axis=1, keepdims=True)
-    w[~(above | tied & (np.cumsum(tied, axis=1) <= room))] = 0.0
-
-
 class ClpInitializer:
     """Similarity-weighted combination of intersection source rows.
 
@@ -267,7 +256,11 @@ class ClpInitializer:
             np.abs(w, out=w)
         k = self.cfg.clp_top_k
         if 0 < k < w.shape[1]:
-            _keep_top_k(w, k)
+            # a stable sort keeps the lowest shared index first among ties
+            top = np.argsort(-w, axis=1, kind="stable")[:, :k]
+            kept = np.take_along_axis(w, top, axis=1)
+            w[:] = 0.0
+            np.put_along_axis(w, top, kept, axis=1)
         total = w.sum(axis=1)
         ok = total > 0.0
         w /= np.where(ok, total, 1.0)[:, None]

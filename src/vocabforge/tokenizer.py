@@ -543,11 +543,12 @@ def read_merges(path: str):
 
 def tokenizer_model(vocab: Vocabulary, merges, marker: MarkerConvention | str,
                     byte_level=False, unk_token=None) -> TokenizerModel:
-    """The model of vocab and merges (what `read_merges` returns). Errors
-    come in this order: the unknown token, then the first merge whose
-    symbols or concatenation are not in the vocab (named by its line).
-    The rank table is built at the first encode. byte_level turns on the
-    marker's byte fallback."""
+    """The model of vocab and merges: what `read_merges` returns, or the
+    three lists (lefts, rights, concatenations) in rank order, whose
+    errors then name no line. Errors come in this order: the unknown
+    token, then the first merge whose symbols or concatenation are not in
+    the vocab. The rank table is built at the first encode. byte_level
+    turns on the marker's byte fallback."""
     if isinstance(marker, str):
         marker = MarkerConvention.from_name(marker)
     if byte_level:

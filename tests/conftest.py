@@ -147,16 +147,6 @@ def write_emb(tmp_path):
     return _write
 
 
-def reference_top_k(w, k):
-    """CLP's first top-k, a copy of w with all but the k largest weights of
-    each row zeroed: a stable sort of each row, so the lowest index comes
-    first among equal weights."""
-    top = np.argsort(-w, axis=1, kind="stable")[:, :k]
-    out = np.zeros_like(w)
-    np.put_along_axis(out, top, np.take_along_axis(w, top, axis=1), axis=1)
-    return out
-
-
 # --- the per-piece BPE encoder that TokenizerModel.encode_pieces replaced,
 # kept as the reference for the batch kernel's ids, counts and errors ---
 

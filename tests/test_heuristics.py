@@ -3,8 +3,6 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import (
     META,
@@ -12,7 +10,6 @@ from conftest import (
     char_tokenizer,
     identity_map,
     random_matrix,
-    reference_top_k,
     word_list_tokenizer,
 )
 from vocabforge import (
@@ -42,7 +39,7 @@ from vocabforge.errors import (
     VocabForgeError,
     ZeroNormRow,
 )
-from vocabforge.heuristics import ClpInitializer, _keep_top_k, random_rows
+from vocabforge.heuristics import ClpInitializer, random_rows
 
 
 def stats_of(array):
@@ -449,19 +446,6 @@ class TestClpKernel:
         for out, report in rest:
             assert out.data.tobytes() == first.data.tobytes()
             assert report.per_token == first_report.per_token
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_top_k_keeps_what_a_stable_sort_keeps(self, data):
-        # few distinct weights, so ties are common, and -0.0 equal to 0.0
-        n = data.draw(st.integers(2, 12))
-        values = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0])
-        w = np.array(data.draw(st.lists(st.lists(values, min_size=n, max_size=n),
-                                        min_size=1, max_size=4)))
-        k = data.draw(st.sampled_from([1, 2, n - 1, n]))
-        want = reference_top_k(w, k)
-        _keep_top_k(w, k)
-        assert w.tobytes() == want.tobytes()
 
     def test_zero_norm_novel_row_raises(self):
         part, source_emb, helper, source, target = tied_clp_fixture()
