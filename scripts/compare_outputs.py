@@ -13,9 +13,12 @@ intersects meta-space source tokens with byte-marker target tokens only,
 so `intersect` also runs on the same vocabularies for every (source,
 target) pair of marker conventions that both trees name in
 `vocabforge.tokenizer.MARKERS`. The benchmark's only fallback rows are
-FVT's, all random, and its CLP is dense with clamp-zero weights, so two
-more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row` and
-`adapt --method clp --clp-top-k 16 --clp-negative-policy shift-min`.
+FVT's, all random, its CLP is dense with clamp-zero weights, and it asks
+for no per-token provenance, per-document counts or histogram, so three
+more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row
+--verbose-report`, `adapt --method clp --clp-top-k 16
+--clp-negative-policy shift-min` and the source side's `fertility
+--per-doc --hist-out`, whose histogram CSV is compared byte for byte.
 gen.py writes every vocabulary with its ids in key order, so `intersect`
 and `adapt --method fvt` also run on copies of the source and target
 vocabularies that hold the same token -> id pairs in a key order
@@ -138,12 +141,16 @@ def marker_pair_jobs(paths: dict, out_dir: Path, markers) -> list:
     return jobs
 
 
-# adapt jobs of the benchmark, each with the name and the extra flags of
-# a variant that takes a path the benchmark never does
+# jobs of the benchmark, each with the name, the extra flags and the extra
+# output files (flag, file name) of a variant that takes a path the
+# benchmark never does
 VARIANTS = {
-    "adapt_fvt": ("adapt_fvt_mean_row", ("--fallback", "mean-row")),
+    "adapt_fvt": ("adapt_fvt_mean_row",
+                  ("--fallback", "mean-row", "--verbose-report"), ()),
     "adapt_clp": ("adapt_clp_top16_shift_min",
-                  ("--clp-top-k", "16", "--clp-negative-policy", "shift-min")),
+                  ("--clp-top-k", "16", "--clp-negative-policy", "shift-min"), ()),
+    "fertility_source": ("fertility_source_per_doc", ("--per-doc",),
+                         (("--hist-out", "hist.csv"),)),
 }
 
 
@@ -181,10 +188,11 @@ SKIPPED_LINES = ("#", "# a comment", "#\tx  y", "", " ", "\t", "\u3000",
 
 
 def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
-                flags=(), drop=None) -> workloads.Job:
+                flags=(), drop=None, files=()) -> workloads.Job:
     """`job` as `name`, writing its own files in `out_dir`, with each
     argument found in `swap` replaced, the flag `drop` and its value
-    removed, and `flags` appended."""
+    removed, `flags` appended, and each (flag, file name) of `files`
+    appended as that flag naming a further output file in `out_dir`."""
     renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
                for path in job.outputs}
     swap = {**(swap or {}), **renamed}
@@ -192,7 +200,9 @@ def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
     if drop is not None:
         at = argv.index(drop)
         del argv[at:at + 2]
-    return workloads.Job(name, (*argv, *flags), tuple(renamed.values()))
+    added = {flag: str(out_dir / f"{name}-{file}") for flag, file in files}
+    return workloads.Job(name, (*argv, *flags, *itertools.chain(*added.items())),
+                         (*renamed.values(), *added.values()))
 
 
 def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
@@ -202,8 +212,9 @@ def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:
     extra = []
     for job in jobs:
         if job.name in VARIANTS:
-            name, flags = VARIANTS[job.name]
-            extra.append(renamed_job(job, name, out_dir, flags=flags))
+            name, flags, files = VARIANTS[job.name]
+            extra.append(renamed_job(job, name, out_dir, flags=flags,
+                                     files=files))
         if job.name in SHARED_HELPER and "--helper-head-emb" in job.argv:
             extra.append(renamed_job(job, f"{job.name}_shared_helper", out_dir,
                                      drop="--helper-head-emb"))

@@ -33,7 +33,6 @@ from .heuristics import (
     HeuristicConfig,
     adapt,
     adapt_matrix,
-    assemble,
     g_fvt,
     g_random,
     g_sava,
@@ -67,7 +66,6 @@ __all__ = [
     "Vocabulary",
     "adapt",
     "adapt_matrix",
-    "assemble",
     "collect_pairs",
     "fertility",
     "fit_closed_form",

@@ -120,6 +120,14 @@ def _read_once(read, paths):
     return load
 
 
+def _open_outputs(outputs: contextlib.ExitStack, *paths) -> list:
+    """atomic_open's file for each path given (else None), entered on
+    outputs in order before any input is read; all of them replace their
+    paths only when outputs closes, so a failed run leaves them as they were."""
+    return [path and outputs.enter_context(embeddings.atomic_open(path))
+            for path in paths]
+
+
 def _write(data: bytes, dest: str | None) -> None:
     """Write data over the file `dest` (whole or not at all), or to
     stdout."""
@@ -224,71 +232,67 @@ def cmd_adapt(args) -> int:
         raise UsageError(f"method {cfg.method!r} requires --helper-emb (a helper "
                          f"model trained with the target tokenizer)")
     train_cfg = _train_config(args)
-    vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
-    merges = _read_once(read_merges, [args.source_merges, args.target_merges])
-    source_model = tokenizer_model(vocab(args.source_vocab), merges(args.source_merges),
-                                   args.source_marker, args.byte_level, args.unk_token)
-    # only the source model encodes, so only it takes the encoding flags
-    target_model = tokenizer_model(vocab(args.target_vocab),
-                                   merges(args.target_merges), args.target_marker)
-    part = partition(
-        source_model.vocab, target_model.vocab,
-        source_model.marker, target_model.marker,
-    )
-    for warning in part.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    with contextlib.ExitStack() as outputs:
+        out, out_head, report_out = _open_outputs(outputs, args.out,
+                                                  args.out_head, args.report)
+        vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
+        merges = _read_once(read_merges, [args.source_merges, args.target_merges])
+        source_model = tokenizer_model(
+            vocab(args.source_vocab), merges(args.source_merges),
+            args.source_marker, args.byte_level, args.unk_token)
+        # only the source model encodes, so only it takes the encoding flags
+        target_model = tokenizer_model(vocab(args.target_vocab),
+                                       merges(args.target_merges), args.target_marker)
+        part = partition(
+            source_model.vocab, target_model.vocab,
+            source_model.marker, target_model.marker,
+        )
+        for warning in part.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
 
-    first = {}  # each input file's first name, which every later name becomes
+        first = {}  # each input file's first name, which every later name becomes
 
-    def name(path):
-        return path and first.setdefault(_file(path), path)
+        def name(path):
+            return path and first.setdefault(_file(path), path)
 
-    jobs = {"adaptation": (name(args.source_emb), name(args.helper_emb), args.out)}
-    if untied:
-        jobs["head_adaptation"] = (name(args.source_head_emb),
-                                   name(args.helper_head_emb or args.helper_emb),
-                                   args.out_head)
+        jobs = {"adaptation": (name(args.source_emb), name(args.helper_emb), out)}
+        if untied:
+            jobs["head_adaptation"] = (name(args.source_head_emb),
+                                       name(args.helper_head_emb or args.helper_emb),
+                                       out_head)
 
-    # Each source, and its helper if the method reads one, in adapt_file's order
-    loaded = [path for job in jobs.values()
-              for path in job[:2 if loads_helper else 1]]
-    load = _read_once(embeddings.load_matrix, loaded)
-    # Every header once, then every row count, before any row is read. A
-    # pipe can be read only once: one that the run loads has its header
-    # checked then, by load_matrix and check_partition.
-    inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
-    rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
-            if path is not None and (path not in loaded or os.path.isfile(path))}
-    vocab_size = source_model.vocab.size
-    for source, helper, _ in jobs.values():
-        check_partition(part, rows.get(source, vocab_size), rows.get(helper),
-                        vocab_size)
-    helpers = {helper for _, helper, _ in jobs.values()}
+        # Each source, and its helper if the method reads one, in adapt_file's order
+        loaded = [path for job in jobs.values()
+                  for path in job[:2 if loads_helper else 1]]
+        load = _read_once(embeddings.load_matrix, loaded)
+        # Every header once, then every row count, before any row is read. A
+        # pipe can be read only once: one that the run loads has its header
+        # checked then, by load_matrix and check_partition.
+        inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
+        rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
+                if path is not None and (path not in loaded or os.path.isfile(path))}
+        vocab_size = source_model.vocab.size
+        for source, helper, _ in jobs.values():
+            check_partition(part, rows.get(source, vocab_size), rows.get(helper),
+                            vocab_size)
+        helpers = {helper for _, helper, _ in jobs.values()}
 
-    # Every output is written to its own temporary file once it is built;
-    # all of them replace their paths only when the last is complete, so a
-    # run that fails leaves every previous output as it was.
-    outputs = contextlib.ExitStack()
+        def adapt_file(source_path, helper_path, out_file) -> dict:
+            # Only the report (and what load keeps for the head) outlives the
+            # call, so an untied model holds one matrix's source, helper and
+            # output at a time.
+            source_emb = load(source_path)
+            if source_path in helpers:  # also a helper; as a pipe, checked only now
+                check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
+            helper_emb = load(helper_path) if loads_helper else None
+            adapted, report = heuristics.adapt_matrix(
+                source_emb, source_model, target_model, part, helper_emb, cfg,
+                train_cfg)
+            embeddings.write_record(out_file, adapted.data)
+            return report.to_dict(args.verbose_report)
 
-    def adapt_file(source_path, helper_path, out_path) -> dict:
-        # Only the report (and what load keeps for the head) outlives the
-        # call, so an untied model holds one matrix's source, helper and
-        # output at a time.
-        source_emb = load(source_path)
-        if source_path in helpers:  # also a helper; as a pipe, checked only now
-            check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
-        helper_emb = load(helper_path) if loads_helper else None
-        adapted, report = heuristics.adapt_matrix(
-            source_emb, source_model, target_model, part, helper_emb, cfg,
-            train_cfg)
-        out = outputs.enter_context(embeddings.atomic_open(out_path))
-        embeddings.write_record(out, adapted.data)
-        return report.to_dict(args.verbose_report)
-
-    with outputs:
         payload = {key: adapt_file(*job) for key, job in jobs.items()}
-        outputs.enter_context(embeddings.atomic_open(args.report)).write(
-            _report(args, payload))
+        report_out.write(_report(args, payload))
     return 0
 
 
@@ -319,25 +323,28 @@ def cmd_fit_map(args) -> int:
 def cmd_fertility(args) -> int:
     _require(args, "vocab", "merges", "corpus")
     _distinct_outputs(args, "out", "hist-out")
-    model = load_tokenizer(
-        args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
-    )
-    report = analysis.fertility(
-        model,
-        analysis.iter_corpus(args.corpus),
-        corpus_label=args.corpus,
-        tokenizer_label=args.vocab,
-        per_document=args.per_doc or args.hist_out is not None,
-    )
-    if args.hist_out:
-        if not report.per_document:
-            raise UsageError("--hist-out requires a non-empty corpus")
-        _write(analysis.histogram_csv(report.per_document).encode("utf-8"),
-               args.hist_out)
-    payload = _fields(report)
-    if not args.per_doc:
-        del payload["per_document"]
-    _write(_report(args, {"fertility": payload}), args.out)
+    with contextlib.ExitStack() as outputs:
+        hist, out = _open_outputs(outputs, args.hist_out, args.out)
+        model = load_tokenizer(
+            args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
+        )
+        report = analysis.fertility(
+            model,
+            analysis.iter_corpus(args.corpus),
+            corpus_label=args.corpus,
+            tokenizer_label=args.vocab,
+            per_document=args.per_doc or args.hist_out is not None,
+        )
+        if hist:
+            hist.write(analysis.histogram_csv(report.per_document).encode("utf-8"))
+        payload = _fields(report)
+        if not args.per_doc:
+            del payload["per_document"]
+        text = _report(args, {"fertility": payload})
+        if out:
+            out.write(text)
+        else:
+            _write(text, None)
     return 0
 
 
@@ -565,6 +572,9 @@ def main(argv=None) -> int:
             return 1
         if getattr(args, "config", None):
             args = _merge_config(parser, subs, argv, args)
+        seed = getattr(args, "seed", None)
+        if seed is not None and not 0 <= seed < 2**64:
+            raise UsageError(f"--seed must be from 0 to 2**64 - 1, got {seed}")
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

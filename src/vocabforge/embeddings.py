@@ -172,9 +172,11 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
         with open(temp, mode.replace("w", "x"), **kwargs) as fh:
             yield fh
         os.replace(temp, target)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.remove(temp)
+        if getattr(exc, "filename", None) == temp:
+            exc.filename = path  # the path asked for, not its temporary file
         raise
 
 

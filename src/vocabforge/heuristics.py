@@ -15,7 +15,6 @@ from .embeddings import EmbeddingMatrix, EmbeddingStats, unit_rows
 from .embeddings import stats as matrix_stats
 from .errors import (
     DegenerateSimilarity,
-    DimensionMismatch,
     EmptyIntersection,
     FallbackRequired,
     VocabForgeError,
@@ -314,33 +313,22 @@ def assemble(
     source_emb: EmbeddingMatrix,
     part: TokenPartition,
     rows: np.ndarray,
-    ok: np.ndarray | None = None,
-    method: HeuristicConfig | None = None,
+    ok: np.ndarray | None,
+    cfg: HeuristicConfig,
 ) -> tuple[EmbeddingMatrix, AdaptationReport]:
-    """Build the target matrix: copy the shared rows bit-exactly and place
-    rows, the novel tokens' float64 rows in partition order (novel, dim).
-    Rows that the bool mask ok marks False (None: none) get method's
-    fallback, computed here: the source mean row or random_rows under its
-    seed and moments. timing_seconds is left at 0; adapt_matrix times the
-    whole build."""
-    cfg = method or HeuristicConfig()
-    sids, shared_tids, novel_tids = check_partition(part, source_emb.rows)
-    target_size = part.shared_count + part.novel_count
-    dim = source_emb.dim
-    out = np.empty((target_size, dim), dtype=np.float32)
-    out[shared_tids] = source_emb.data[sids]
-    kind = np.zeros(target_size, dtype=np.int8)  # index into PROVENANCE
-    if np.shape(rows) != (part.novel_count, dim):
-        raise DimensionMismatch(f"rows have shape {np.shape(rows)}, "
-                                f"expected ({part.novel_count}, {dim})")
+    """adapt_matrix's last step, on the partition it has checked: copy the
+    shared rows bit-exactly and place rows, the kernel's (novel, dim)
+    float64 rows in partition order. Rows that the kernel's bool mask ok
+    marks False (None: none) get cfg's fallback: the source mean row or
+    random_rows under its seed and moments. timing_seconds is left at 0."""
+    novel_tids = part.novel_target_ids
+    out = np.empty((part.shared_count + part.novel_count, source_emb.dim),
+                   dtype=np.float32)
+    out[part.shared_target_ids] = source_emb.data[part.source_ids]
+    kind = np.zeros(len(out), dtype=np.int8)  # index into PROVENANCE
     out[novel_tids] = rows
     kind[novel_tids] = 1
-    missing = novel_tids[:0]
-    if ok is not None:
-        if np.shape(ok) != (part.novel_count,):
-            raise DimensionMismatch(f"ok has shape {np.shape(ok)}, "
-                                    f"expected ({part.novel_count},)")
-        missing = novel_tids[~np.asarray(ok, dtype=bool)]
+    missing = novel_tids[:0] if ok is None else novel_tids[~ok]
     if missing.size:
         source_stats = matrix_stats(source_emb)
         if cfg.fallback == "mean-row":
@@ -395,7 +383,7 @@ def adapt_matrix(
     else:  # sava
         phi = alignment.train_map(helper_emb, source_emb, part, train_cfg)
         rows = sava_rows(tids, helper_emb, phi)
-    out, report = assemble(source_emb, part, rows, ok, method=cfg)
+    out, report = assemble(source_emb, part, rows, ok, cfg)
     report.timing_seconds = time.perf_counter() - start
     return out, report
 

@@ -227,6 +227,26 @@ class TestIntersectAndFitMap:
         assert report["fit"]["pair_count"] == 6
         assert report["fit"]["oracle_mse"] is not None
 
+    def test_each_colliding_source_token_is_warned(self, capsys, tmp_path):
+        # "▁a" and "Ġa" both spell "Ġa" in the byte-marker convention
+        paths = {}
+        for name, obj in (("source", {"▁a": 0, "Ġa": 1, "▁b": 2, "Ġb": 3}),
+                          ("target", {"Ġa": 0, "Ġb": 1, "c": 2})):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = run(capsys, "intersect",
+                             "--source-vocab", str(paths["source"]),
+                             "--target-vocab", str(paths["target"]),
+                             "--source-marker", "meta-space",
+                             "--target-marker", "byte-marker")
+        assert code == 0
+        assert err == (
+            "warning: source ids 0 and 1 both canonicalize to 'Ġa'; keeping id 0\n"
+            "warning: source ids 2 and 3 both canonicalize to 'Ġb'; keeping id 2\n")
+        report = json.loads(out)
+        assert report["shared"] == [["Ġa", 0, 0], ["Ġb", 2, 1]]
+        assert len(report["warnings"]) == 2
+
     @pytest.mark.parametrize("dest", ["out", "stdout"])
     def test_report_with_a_lone_surrogate_is_written_escaped(self, capsys,
                                                              tmp_path, dest):
@@ -881,34 +901,60 @@ class TestAdapt:
                              ids=["helper-shared", "helper-head"])
     def test_untied_adapts_one_matrix_at_a_time(self, capsys, world,
                                                 monkeypatch, helper_head):
-        # each output's temporary file is opened once its matrix is built,
-        # before the head's inputs are loaded; a helper that serves both
-        # matrices, or a head helper that is the embedding source, is
-        # loaded once
+        # every output's temporary file is opened before any input is
+        # read; the embedding's record is written before the head's inputs
+        # are loaded; a helper that serves both matrices, or a head helper
+        # that is the embedding source, is loaded once
         from vocabforge import embeddings
         calls = []
         load, atomic_open = embeddings.load_matrix, embeddings.atomic_open
+        write_record = embeddings.write_record
 
         def logged_load(path, *rest):
             calls.append(("load", path))
             return load(path, *rest)
 
         def logged_open(path, *rest, **kwargs):
-            calls.append(("save", path))
+            calls.append(("open", path))
             return atomic_open(path, *rest, **kwargs)
+
+        def logged_write(fh, data):
+            # the temporary file is named <path>.<random hex>.tmp
+            calls.append(("write", fh.name.rsplit(".", 2)[0]))
+            return write_record(fh, data)
 
         extra = ["--helper-head-emb", world["source_emb"]] if helper_head else []
         args, head = self.untied_args(world, "sava", *extra)
         monkeypatch.setattr(embeddings, "load_matrix", logged_load)
         monkeypatch.setattr(embeddings, "atomic_open", logged_open)
+        monkeypatch.setattr(embeddings, "write_record", logged_write)
         assert run(capsys, *args)[0] == 0
         assert calls == [
+            ("open", world["tmp"] + "/embed_out.emb1"),
+            ("open", world["tmp"] + "/head_out.emb1"),
+            ("open", world["tmp"] + "/untied.json"),
             ("load", world["source_emb"]), ("load", world["helper_emb"]),
-            ("save", world["tmp"] + "/embed_out.emb1"),
+            ("write", world["tmp"] + "/embed_out.emb1"),
             ("load", head),
-            ("save", world["tmp"] + "/head_out.emb1"),
-            ("save", world["tmp"] + "/untied.json"),
+            ("write", world["tmp"] + "/head_out.emb1"),
         ]
+
+    @pytest.mark.parametrize("flag", ["--out", "--out-head", "--report"])
+    def test_unwritable_output_fails_before_any_input_is_read(
+            self, capsys, world, monkeypatch, flag):
+        from vocabforge import cli, embeddings
+        read = []
+        monkeypatch.setattr(cli, "load_vocab", lambda *a: read.append(a))
+        monkeypatch.setattr(embeddings, "load_matrix", lambda *a: read.append(a))
+        args, _ = self.untied_args(world, "sava")
+        bad = world["tmp"] + "/missing/out"
+        args[args.index(flag) + 1] = bad
+        before = sorted(os.listdir(world["tmp"]))
+        code, stdout, err = run(capsys, *args)
+        assert (code, stdout) == (2, "")
+        assert err == f"i/o error: [Errno 2] No such file or directory: {bad!r}\n"
+        assert read == []
+        assert sorted(os.listdir(world["tmp"])) == before
 
     def test_unreadable_head_writes_no_report(self, capsys, world):
         args, head = self.untied_args(world, "random")
@@ -1153,6 +1199,26 @@ class TestFertility:
         assert report["fertility"]["fertility"] == 1.5
         assert open(hist).readline().startswith("bin_left")
 
+    def test_unwritable_report_leaves_the_histogram(self, capsys, world,
+                                                     tmp_path):
+        # the two outputs are committed together: --out cannot be written,
+        # so --hist-out keeps its previous contents
+        vocab = tmp_path / "fvocab.json"
+        vocab.write_text(json.dumps({"a": 0, "b": 1}), encoding="utf-8")
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b ab\nba\n", encoding="utf-8")
+        hist = tmp_path / "hist.csv"
+        hist.write_text("old\n", encoding="utf-8")
+        bad = str(tmp_path / "missing" / "fert.json")
+        code, out, err = run(
+            capsys, "fertility", "--vocab", str(vocab),
+            "--merges", world["merges"], "--corpus", str(corpus),
+            "--marker", "none", "--hist-out", str(hist), "--out", bad)
+        assert (code, out) == (2, "")
+        assert err == f"i/o error: [Errno 2] No such file or directory: {bad!r}\n"
+        assert hist.read_text(encoding="utf-8") == "old\n"
+        assert not [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
+
     @pytest.mark.parametrize("dest", ["file", "null-device"])
     def test_report_and_histogram_on_one_path(self, capsys, world, tmp_path,
                                               dest):
@@ -1312,6 +1378,12 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
+    def test_array_config_is_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps([["before", 100]]), encoding="utf-8")
+        assert run(capsys, "params", "--config", str(cfg)) == (
+            1, "", "config file must be a flat JSON object\n")
+
     @pytest.mark.parametrize("tied, code", [(True, 0), (1, 1)])
     def test_switch_takes_a_boolean(self, capsys, tmp_path, tied, code):
         cfg = tmp_path / "cfg.json"
@@ -1401,6 +1473,69 @@ class TestFlagSurface:
     def test_seed_accepted_where_read(self, command):
         parser, _ = build_parser()
         assert parser.parse_args([command, "--seed", "5"]).seed == 5
+
+    @staticmethod
+    def seeded_argv(command, paths, out):
+        """argv of one command that reads --seed, over the inputs in paths,
+        writing beside the path out."""
+        adapt = ["adapt", "--source-emb", paths["source_emb"],
+                 "--source-vocab", paths["source_vocab"],
+                 "--source-merges", paths["merges"],
+                 "--target-vocab", paths["target_vocab"],
+                 "--target-merges", paths["merges"],
+                 "--source-marker", "none", "--target-marker", "none",
+                 "--out", out + ".emb1", "--report", out + ".json"]
+        return {
+            "adapt-random": [*adapt, "--method", "random"],
+            "adapt-sava": [*adapt, "--method", "sava", "--steps", "1",
+                           "--helper-emb", paths["helper_emb"]],
+            "fit-map": ["fit-map", "--helper-emb", paths["helper_emb"],
+                        "--source-emb", paths["source_emb"],
+                        "--partition", paths["partition"], "--steps", "1",
+                        "--out", out + ".map"],
+            "similarity": ["similarity", "--emb-a", paths["source_emb"],
+                           "--emb-b", paths["helper_emb"],
+                           "--vocab", paths["source_vocab"], "--marker", "none",
+                           "--n-prefix", "0", "--n-nonprefix", "4",
+                           "--sample", "3", "--out", out + ".json"],
+            "fertility": ["fertility", "--vocab", paths["char_vocab"],
+                          "--merges", paths["merges"], "--corpus", paths["corpus"],
+                          "--marker", "none", "--out", out + ".json"],
+        }[command]
+
+    SEEDED = ("adapt-random", "adapt-sava", "fit-map", "similarity", "fertility")
+    INPUTS = ("source_emb", "helper_emb", "source_vocab", "target_vocab",
+              "merges", "partition", "corpus", "char_vocab")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_seed_out_of_range_fails_before_any_input(self, capsys, tmp_path,
+                                                      command, seed):
+        # no input exists: the seed is checked first
+        missing = {key: str(tmp_path / key) for key in self.INPUTS}
+        argv = self.seeded_argv(command, missing, str(tmp_path / "out"))
+        message = f"--seed must be from 0 to 2**64 - 1, got {seed}\n"
+        assert run(capsys, *argv, "--seed", str(seed)) == (1, "", message)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        assert run(capsys, *argv, "--config", str(cfg)) == (1, "", message)
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_largest_seed_accepted(self, capsys, world, tmp_path, command):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b ab\nba\n", encoding="utf-8")
+        char_vocab = tmp_path / "char_vocab.json"
+        char_vocab.write_text(json.dumps({"a": 0, "b": 1}), encoding="utf-8")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps({"shared": [[f"s{i}", i, i] for i in range(6)],
+                                    "novel": [["n0", 6], ["n1", 7]]}),
+                        encoding="utf-8")
+        paths = {**world, "corpus": str(corpus), "partition": str(part),
+                 "char_vocab": str(char_vocab)}
+        argv = self.seeded_argv(command, paths, str(tmp_path / "out"))
+        code, _, err = run(capsys, *argv, "--seed", str(2**64 - 1))
+        assert (code, err) == (0, "")
 
     def test_choice_flags_read_the_config_table(self):
         _, subs = build_parser()

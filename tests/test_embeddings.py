@@ -173,6 +173,11 @@ class TestFormat:
             assert type(got) is type(want)
             assert str(got) == str(want).replace(record, str(tmp_path / "pipe"))
 
+    def test_one_dimensional_array_rejected(self):
+        with pytest.raises(SizeMismatch,
+                           match=r"^expected a 2-D matrix, got shape \(3,\)$"):
+            EmbeddingMatrix(np.zeros(3, dtype=np.float32))
+
     def test_nonfinite_construction_rejected(self):
         with pytest.raises(NonFiniteValue):
             EmbeddingMatrix(np.array([[np.inf, 0.0]], dtype=np.float32))
@@ -365,6 +370,17 @@ class TestAtomicWrites:
             fh.write(text)
         assert Path(path).read_text() == "new"
         assert os.listdir(tmp_path) == ["out"]
+
+    def test_unwritable_path_is_named_as_given(self, tmp_path):
+        # the temporary file beside it cannot be made: the error names the
+        # path asked for, not the temporary file's name
+        path = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(FileNotFoundError) as caught:
+            with embeddings.atomic_open(path):
+                pass
+        assert caught.value.filename == path
+        assert str(caught.value).endswith(f": {path!r}")
+        assert os.listdir(tmp_path) == []
 
     def test_writes_through_a_symlink(self, tmp_path):
         real = tmp_path / "real.txt"

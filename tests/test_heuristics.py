@@ -20,7 +20,6 @@ from vocabforge import (
     TrainConfig,
     adapt,
     adapt_matrix,
-    assemble,
     fit_gradient,
     g_fvt,
     g_random,
@@ -39,7 +38,7 @@ from vocabforge.errors import (
     VocabForgeError,
     ZeroNormRow,
 )
-from vocabforge.heuristics import ClpInitializer, random_rows
+from vocabforge.heuristics import ClpInitializer, assemble, random_rows
 
 
 def stats_of(array):
@@ -238,7 +237,8 @@ class TestAssemble:
         part = TokenPartition(
             shared=(("a", 3, 0), ("b", 1, 1)), novel=(), warnings=()
         )
-        out, report = assemble(source_emb, part, np.zeros((0, 3)))
+        out, report = assemble(source_emb, part, np.zeros((0, 3)), None,
+                               HeuristicConfig())
         assert out.data[0].tobytes() == source_emb.data[3].tobytes()
         assert out.data[1].tobytes() == source_emb.data[1].tobytes()
         assert (report.copied_count, report.initialized_count,
@@ -252,7 +252,7 @@ class TestAssemble:
         )
         # the rows of x and y, in partition order
         rows = np.array([[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-        out, report = assemble(source_emb, part, rows)
+        out, report = assemble(source_emb, part, rows, None, HeuristicConfig())
         np.testing.assert_array_equal(out.data[1], [1, 1, 1])
         np.testing.assert_array_equal(out.data[2], [2, 2, 2])
         assert report.initialized_count == 2
@@ -268,7 +268,7 @@ class TestAssemble:
         )
         cfg = HeuristicConfig(method="fvt", seed=4, random_moments="scalar")
         out, report = assemble(source_emb, part, np.zeros((2, 3)),
-                               np.array([True, False]), method=cfg)
+                               np.array([True, False]), cfg)
         np.testing.assert_array_equal(out.data[1], [0, 0, 0])
         # the random fallback under the method's seed and moments
         want = random_rows([2], stats(source_emb), 4, "scalar")
@@ -285,7 +285,7 @@ class TestAssemble:
         )
         out, report = assemble(source_emb, part, np.ones((3, 3)),
                                np.array([False, True, False]),
-                               method=HeuristicConfig(fallback="mean-row"))
+                               HeuristicConfig(fallback="mean-row"))
         mean = stats(source_emb).mean.astype(np.float32)
         for tid in (1, 3):
             assert out.data[tid].tobytes() == mean.tobytes()
@@ -304,13 +304,20 @@ class TestAssemble:
         # every row marked not ok: the default method's random fallback,
         # seed 0
         out, report = assemble(source_emb, part, np.zeros((2, 3)),
-                               np.zeros(2, dtype=bool))
+                               np.zeros(2, dtype=bool), HeuristicConfig())
         want = random_rows([1, 2], stats(source_emb), 0).astype(np.float32)
         assert out.data[1:].tobytes() == want.tobytes()
         assert (report.initialized_count, report.fallback_count) == (0, 2)
         assert sorted(report.per_token) == [
             (0, "copied"), (1, "fallback"), (2, "fallback")
         ]
+
+    @staticmethod
+    def adapt_random(source_emb, part):
+        # adapt_matrix checks the partition before its kernel and assemble
+        source = word_list_tokenizer([f"s{i}" for i in range(source_emb.rows)])
+        return adapt_matrix(source_emb, source, source, part, None,
+                            HeuristicConfig(method="random"), TrainConfig())
 
     def test_duplicate_target_id_rejected(self):
         rng = np.random.default_rng(4)
@@ -319,7 +326,7 @@ class TestAssemble:
             shared=(("a", 0, 0), ("b", 1, 0)), novel=(("x", 1),), warnings=()
         )
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, np.zeros((1, 2)))
+            self.adapt_random(source_emb, part)
 
     def test_coverage_gap_rejected(self):
         rng = np.random.default_rng(5)
@@ -330,7 +337,7 @@ class TestAssemble:
         # the target has shared + novel = 2 ids, so id 2 is out of range
         # and id 0 is never produced
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, np.zeros((1, 2)))
+            self.adapt_random(source_emb, part)
 
     @pytest.mark.parametrize("shared, novel", [
         ((("a", -1, 0),), (("x", 1),)),
@@ -343,18 +350,27 @@ class TestAssemble:
         source_emb = random_matrix(rng, 2, 2)
         part = TokenPartition(shared=shared, novel=novel, warnings=())
         with pytest.raises(PartitionInconsistent):
-            assemble(source_emb, part, np.zeros((1, 2)))
+            self.adapt_random(source_emb, part)
 
-    def test_wrong_row_shape_rejected(self):
-        rng = np.random.default_rng(6)
-        source_emb = random_matrix(rng, 1, 3)
-        part = TokenPartition(shared=(), novel=(("x", 0), ("y", 1)), warnings=())
-        with pytest.raises(DimensionMismatch,
-                           match=r"^rows have shape \(2, 5\), expected \(2, 3\)$"):
-            assemble(source_emb, part, np.zeros((2, 5)))
-        with pytest.raises(DimensionMismatch,
-                           match=r"^ok has shape \(1,\), expected \(2,\)$"):
-            assemble(source_emb, part, np.zeros((2, 3)), np.array([True]))
+    @pytest.mark.parametrize("method", ["random", "fvt", "clp"])
+    def test_one_partition_check_per_adapt_matrix(self, monkeypatch, method):
+        from vocabforge import heuristics
+        calls = []
+        real = heuristics.check_partition
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(heuristics, "check_partition", spy)
+        source, target, source_emb, helper_emb = adaptation_fixture()
+        part = partition(source.vocab, target.vocab, source.marker,
+                         target.marker)
+        for _ in range(2):
+            adapt_matrix(source_emb, source, target, part, helper_emb,
+                         HeuristicConfig(method=method), TrainConfig(steps=1))
+        helper_rows = helper_emb.rows if method == "clp" else None
+        assert calls == 2 * [(source_emb.rows, helper_rows, source.vocab.size)]
 
 
 def clp_reference(helper, part, source_emb, token_id, policy, k):

@@ -15,7 +15,6 @@ from vocabforge import (
     TokenPartition,
     TrainConfig,
     adapt_matrix,
-    assemble,
     collect_pairs,
     save_matrix,
 )
@@ -56,14 +55,11 @@ ENTRY_POINTS = {
     "train_map": lambda h, s, p: alignment.train_map(h, s, p, CFG),
     "collect_pairs": collect_pairs,
     "adapt_matrix": adapt_sava,
-    "assemble": lambda h, s, p: assemble(s, p, np.zeros((len(NOVEL), 3))),
 }
 
 
 @pytest.mark.parametrize("entry, fault", [
-    (entry, fault) for entry in ENTRY_POINTS for fault in FAULTS
-    # assemble takes no helper
-    if (entry, fault) != ("assemble", "helper-row-too-many")])
+    (entry, fault) for entry in ENTRY_POINTS for fault in FAULTS])
 def test_library_entry_points_raise_the_same_error(entry, fault):
     shared, helper_rows, error, message = FAULTS[fault]
     rng = np.random.default_rng(0)
