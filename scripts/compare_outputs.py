@@ -8,10 +8,14 @@ BASE_SRC and HEAD_SRC are `src` directories holding the `vocabforge`
 package. For each workload and seed, the inputs are generated once with
 perfbench/gen.py; then, for each tree, `intersect` and every job of
 perfbench/workloads.jobs run through `python -m vocabforge.cli` with that
-tree on PYTHONPATH, each tree writing to its own directory. The benchmark
-intersects meta-space source tokens with byte-marker target tokens only,
-so `intersect` also runs on the same vocabularies for every (source,
-target) pair of marker conventions that both trees name in
+tree on PYTHONPATH, each tree writing to its own directory. The
+benchmark runs neither `stats` nor `params`, so `stats` also runs on the
+source matrix (its text summary and its `--json` report) and `params` on
+the workload's vocabulary sizes and width (command_jobs): every
+command's output is compared. The benchmark intersects meta-space source
+tokens with byte-marker target tokens only, so `intersect` also runs on
+the same vocabularies for every (source, target) pair of marker
+conventions that both trees name in
 `vocabforge.tokenizer.MARKERS`. The benchmark's only fallback rows are
 FVT's, all random, its CLP is dense with clamp-zero weights, and it asks
 for no per-token provenance, per-document counts or histogram, so three
@@ -43,19 +47,20 @@ with the second of each pair of flags naming the file through a symbolic
 link in the job's output directory, since a file is one input however
 its names spell it.
 
-Embedding matrices, maps and map sidecars must be byte-equal. JSON
-reports, and fit-map's stdout, are compared as JSON without their
-`config` entry and `timing_seconds` fields, which hold per-tree paths and
-wall time.
+Embedding matrices, maps, map sidecars and the `stats` summary must be
+byte-equal. JSON reports, and fit-map's stdout, are compared as JSON
+without their `config` entry and `timing_seconds` fields, which hold
+per-tree paths and wall time.
 
 With --wide, the benchmark workloads are replaced by one untied shape
 at the paper's width, d=4096 (WIDE, kept here rather than in
-perfbench/workloads.py). Only `intersect` and the jobs of
-perfbench/workloads.jobs run on it, since two fits at d=4096 take tens
-of seconds. Both trees run with OPENBLAS_NUM_THREADS=2; the head tree
-then runs again with OPENBLAS_NUM_THREADS=1, and the outputs that differ
-between its two runs are listed as well (reported, never failed). Each
-run's wall time is printed.
+perfbench/workloads.py). Only `intersect`, the jobs of
+perfbench/workloads.jobs and the `stats` and `params` jobs run on it,
+since two fits at d=4096 take tens of seconds. Both trees run with
+OPENBLAS_NUM_THREADS=2; the head tree then runs again with
+OPENBLAS_NUM_THREADS=1, and the outputs that differ between its two
+runs are listed as well (reported, never failed). Each run's wall time
+is printed.
 
 Prints one line per differing output and a closing count; with
 --summary, the same lines are appended to FILE as Markdown (a CI step
@@ -96,6 +101,9 @@ WIDE = {
     "corpus_words": 40_000, "lexicon": 8_000, "epochs": 1,
 }
 WIDE_THREADS = (("base", "2"), ("head", "2"), ("head", "1"))
+# the non-embedding parameter count `params` is given: any count will do,
+# since the report adds it to the embedding counts
+PARAMS_BASE = 7_000_000_000
 
 
 def check_package(src: Path) -> None:
@@ -125,6 +133,30 @@ def marker_names(src: Path) -> list[str]:
         sys.exit(f"{src}: cannot read vocabforge.tokenizer.MARKERS:\n"
                  f"{done.stderr}")
     return done.stdout.split()
+
+
+def command_jobs(spec: dict, paths: dict, out_dir: Path) -> list:
+    """The commands the benchmark never runs: `stats` of the source
+    matrix, as its summary and as `--json`, and `params` for the swap of
+    the source vocabulary for the target's at the workload's width, tied
+    or not as the workload is."""
+    sizes = []
+    for name in ("source_vocab", "target_vocab"):
+        with open(paths[name], encoding="utf-8") as fh:
+            sizes.append(str(len(json.load(fh))))
+    summary, report = str(out_dir / "stats.txt"), str(out_dir / "stats.json")
+    params = str(out_dir / "params.json")
+    tied = () if spec["untied"] else ("--tied",)
+    return [
+        workloads.Job("stats", ("stats", "--matrix", paths["source_emb"],
+                                "--out", summary), (summary,)),
+        workloads.Job("stats_json", ("stats", "--matrix", paths["source_emb"],
+                                     "--json", "--out", report), (report,)),
+        workloads.Job("params", (
+            "params", "--before", sizes[0], "--after", sizes[1],
+            "--dim", str(spec["dim"]), *tied, "--base", str(PARAMS_BASE),
+            "--out", params), (params,)),
+    ]
 
 
 def marker_pair_jobs(paths: dict, out_dir: Path, markers) -> list:
@@ -375,6 +407,7 @@ def compare_workload(name: str, seed: int, srcs: dict, root: Path, markers):
         jobs = [workloads.intersect_job(paths)]
         jobs += marker_pair_jobs(paths, out_dir, markers)
         jobs += workloads.jobs(spec, paths, seed, str(out_dir))
+        jobs += command_jobs(spec, paths, out_dir)
         jobs += variant_jobs(jobs, out_dir, copies)
         stdout, fails = run_tree(f"{name} seed {seed} {tree}", jobs,
                                  srcs[tree], root, out_dir)
@@ -399,6 +432,7 @@ def compare_wide(seed: int, srcs: dict, root: Path):
         paths = {**inputs, "partition": str(out_dir / "partition.json")}
         jobs = [workloads.intersect_job(paths)]
         jobs += workloads.jobs(WIDE, paths, seed, str(out_dir))
+        jobs += command_jobs(WIDE, paths, out_dir)
         start = time.perf_counter()
         stdout, fails = run_tree(label, jobs, srcs[tree], root, out_dir,
                                  {"OPENBLAS_NUM_THREADS": threads})

@@ -463,11 +463,13 @@ _RECORD_ORDER = (
 )
 
 
-def save_map(phi: AffineMap, path: str) -> None:
-    """Write the container and its sidecar.
+def save_map(phi: AffineMap, fh, side) -> None:
+    """Write the map's six records into the binary file fh, and its
+    sidecar, as UTF-8 JSON bytes, into the binary file side.
 
-    Both are written in full before either replaces its previous version,
-    so a failed write leaves the old pair as it was.
+    Opened through embeddings.atomic_open on one stack, as `fit-map`
+    opens them, both are written in full before either replaces its
+    previous version, so a failed write leaves the old pair as it was.
     """
     sidecar = {
         "schema_version": "1",
@@ -484,11 +486,8 @@ def save_map(phi: AffineMap, path: str) -> None:
             phi.output_scaler.zero_variance_dims
         ).tolist(),
     }
-    with embeddings.atomic_open(path) as fh, \
-            embeddings.atomic_open(path + ".json", "w", encoding="utf-8") as side:
-        for array in (phi.weight, phi.bias, phi.input_scaler.mean,
-                      phi.input_scaler.std, phi.output_scaler.mean,
-                      phi.output_scaler.std):
-            write_record(fh, np.atleast_2d(array))
-        json.dump(sidecar, side, indent=2, sort_keys=True)
-        side.write("\n")
+    for array in (phi.weight, phi.bias, phi.input_scaler.mean,
+                  phi.input_scaler.std, phi.output_scaler.mean,
+                  phi.output_scaler.std):
+        write_record(fh, np.atleast_2d(array))
+    side.write((json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode())

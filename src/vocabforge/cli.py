@@ -74,22 +74,6 @@ def _at_least(args, low, *names):
             raise UsageError(f"--{name} must be at least {low}, got {value}")
 
 
-def _distinct_outputs(args, *names):
-    """Two outputs on one file would silently replace each other, so that
-    is a usage error; a device or a pipe (such as /dev/null) is written
-    directly, as often as asked."""
-    claimed = {}
-    for name in names:
-        path = getattr(args, name.replace("-", "_"))
-        real = path and embeddings.replaced_path(path)
-        if not real:
-            continue
-        if real in claimed:
-            raise UsageError(f"--{claimed[real]} and --{name} name the same "
-                             f"file {real!r}")
-        claimed[real] = name
-
-
 def _file(path):
     """The file at path as (device, inode), so that every name of one file
     is one input; the path itself when stat fails, so that its reader
@@ -120,21 +104,36 @@ def _read_once(read, paths):
     return load
 
 
-def _open_outputs(outputs: contextlib.ExitStack, *paths) -> list:
-    """atomic_open's file for each path given (else None), entered on
-    outputs in order before any input is read; all of them replace their
-    paths only when outputs closes, so a failed run leaves them as they were."""
+def _open_outputs(outputs: contextlib.ExitStack, args, *names,
+                  sidecar=False) -> list:
+    """The only way a command creates a file: atomic_open's file for each
+    output flag of names that is given (else None), then for --out's
+    sidecar (<out>.json) when sidecar is set. Every command calls it
+    before it reads any input; each file is entered on outputs, the stack
+    main holds around the command, so all of them replace their paths only
+    when the command completes and are removed when it raises.
+
+    Two outputs on one file would silently replace each other, so that is
+    a usage error; a device or a pipe (such as /dev/null) is written
+    directly, as often as asked."""
+    paths = {f"--{name}": getattr(args, name.replace("-", "_")) for name in names}
+    if sidecar:
+        paths[f"--out's sidecar {args.out + '.json'!r}"] = args.out + ".json"
+    claimed = {}
+    for label, path in paths.items():
+        real = path and embeddings.replaced_path(path)
+        if real in claimed:
+            raise UsageError(f"{claimed[real]} and {label} name the same "
+                             f"file {real!r}")
+        if real:
+            claimed[real] = label
     return [path and outputs.enter_context(embeddings.atomic_open(path))
-            for path in paths]
+            for path in paths.values()]
 
 
-def _write(data: bytes, dest: str | None) -> None:
-    """Write data over the file `dest` (whole or not at all), or to
-    stdout."""
-    if dest:
-        with embeddings.atomic_open(dest) as fh:
-            fh.write(data)
-    elif hasattr(sys.stdout, "buffer"):
+def _write(data: bytes) -> None:
+    """Write data to stdout: a report with no --out."""
+    if hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -169,8 +168,9 @@ def _report(args, payload: dict) -> bytes:
 # --- subcommands -------------------------------------------------------
 
 
-def cmd_intersect(args) -> int:
+def cmd_intersect(args, outputs) -> int:
     _require(args, "source-vocab", "target-vocab")
+    out, = _open_outputs(outputs, args, "out")
     vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
     source, target = vocab(args.source_vocab), vocab(args.target_vocab)
     src_marker = MarkerConvention.from_name(args.source_marker)
@@ -179,25 +179,25 @@ def cmd_intersect(args) -> int:
     for warning in part.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     mode = "marker-canonicalized" if src_marker.rewrites(tgt_marker) else "raw"
-    _write(_report(args, {"canonicalization_mode": mode, **part.to_dict()}),
-           args.out)
+    (out.write if out else _write)(
+        _report(args, {"canonicalization_mode": mode, **part.to_dict()}))
     return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args, outputs) -> int:
     _require(args, "matrix")
+    out, = _open_outputs(outputs, args, "out")
     matrix = embeddings.load_matrix(args.matrix)
     st = embeddings.stats(matrix)
     if args.json:
-        _write(_report(args, {"rows": matrix.rows, "dim": matrix.dim,
-                              **_fields(st)}), args.out)
+        text = _report(args, {"rows": matrix.rows, "dim": matrix.dim, **_fields(st)})
     else:
         text = (
             f"matrix: {matrix.rows} x {matrix.dim}\n"
             f"scalar mean: {st.scalar_mean:.6g}\n"
             f"scalar variance: {st.scalar_variance:.6g}\n"
-        )
-        _write(text.encode("utf-8"), args.out)
+        ).encode("utf-8")
+    (out.write if out else _write)(text)
     return 0
 
 
@@ -206,7 +206,7 @@ def _train_config(args) -> alignment.TrainConfig:
                                  batch=args.batch, seed=args.seed)
 
 
-def cmd_adapt(args) -> int:
+def cmd_adapt(args, outputs) -> int:
     _require(
         args, "method", "source-emb", "source-vocab", "source-merges",
         "target-vocab", "target-merges", "out", "report",
@@ -223,7 +223,6 @@ def cmd_adapt(args) -> int:
     for name in ("helper-head-emb", "out-head"):
         if not untied and getattr(args, name.replace("-", "_")) is not None:
             raise UsageError(f"--{name} requires --source-head-emb")
-    _distinct_outputs(args, "out", "out-head", "report")
     cfg = heuristics.HeuristicConfig(**{  # each field has the flag of its name
         f.name: getattr(args, f.name) for f in fields(heuristics.HeuristicConfig)
     })
@@ -232,74 +231,74 @@ def cmd_adapt(args) -> int:
         raise UsageError(f"method {cfg.method!r} requires --helper-emb (a helper "
                          f"model trained with the target tokenizer)")
     train_cfg = _train_config(args)
-    with contextlib.ExitStack() as outputs:
-        out, out_head, report_out = _open_outputs(outputs, args.out,
-                                                  args.out_head, args.report)
-        vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
-        merges = _read_once(read_merges, [args.source_merges, args.target_merges])
-        source_model = tokenizer_model(
-            vocab(args.source_vocab), merges(args.source_merges),
-            args.source_marker, args.byte_level, args.unk_token)
-        # only the source model encodes, so only it takes the encoding flags
-        target_model = tokenizer_model(vocab(args.target_vocab),
-                                       merges(args.target_merges), args.target_marker)
-        part = partition(
-            source_model.vocab, target_model.vocab,
-            source_model.marker, target_model.marker,
-        )
-        for warning in part.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
+    out, out_head, report_out = _open_outputs(outputs, args, "out", "out-head",
+                                              "report")
+    vocab = _read_once(load_vocab, [args.source_vocab, args.target_vocab])
+    merges = _read_once(read_merges, [args.source_merges, args.target_merges])
+    source_model = tokenizer_model(
+        vocab(args.source_vocab), merges(args.source_merges),
+        args.source_marker, args.byte_level, args.unk_token)
+    # only the source model encodes, so only it takes the encoding flags
+    target_model = tokenizer_model(vocab(args.target_vocab),
+                                   merges(args.target_merges), args.target_marker)
+    part = partition(
+        source_model.vocab, target_model.vocab,
+        source_model.marker, target_model.marker,
+    )
+    for warning in part.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
 
-        first = {}  # each input file's first name, which every later name becomes
+    first = {}  # each input file's first name, which every later name becomes
 
-        def name(path):
-            return path and first.setdefault(_file(path), path)
+    def name(path):
+        return path and first.setdefault(_file(path), path)
 
-        jobs = {"adaptation": (name(args.source_emb), name(args.helper_emb), out)}
-        if untied:
-            jobs["head_adaptation"] = (name(args.source_head_emb),
-                                       name(args.helper_head_emb or args.helper_emb),
-                                       out_head)
+    jobs = {"adaptation": (name(args.source_emb), name(args.helper_emb), out)}
+    if untied:
+        jobs["head_adaptation"] = (name(args.source_head_emb),
+                                   name(args.helper_head_emb or args.helper_emb),
+                                   out_head)
 
-        # Each source, and its helper if the method reads one, in adapt_file's order
-        loaded = [path for job in jobs.values()
-                  for path in job[:2 if loads_helper else 1]]
-        load = _read_once(embeddings.load_matrix, loaded)
-        # Every header once, then every row count, before any row is read. A
-        # pipe can be read only once: one that the run loads has its header
-        # checked then, by load_matrix and check_partition.
-        inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
-        rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
-                if path is not None and (path not in loaded or os.path.isfile(path))}
-        vocab_size = source_model.vocab.size
-        for source, helper, _ in jobs.values():
-            check_partition(part, rows.get(source, vocab_size), rows.get(helper),
-                            vocab_size)
-        helpers = {helper for _, helper, _ in jobs.values()}
+    # Each source, and its helper if the method reads one, in adapt_file's order
+    loaded = [path for job in jobs.values()
+              for path in job[:2 if loads_helper else 1]]
+    load = _read_once(embeddings.load_matrix, loaded)
+    # Every header once, then every row count, before any row is read. A
+    # pipe can be read only once: one that the run loads has its header
+    # checked then, by load_matrix and check_partition.
+    inputs = dict.fromkeys(path for job in jobs.values() for path in job[:2])
+    rows = {path: embeddings.matrix_shape(path)[0] for path in inputs
+            if path is not None and (path not in loaded or os.path.isfile(path))}
+    vocab_size = source_model.vocab.size
+    for source, helper, _ in jobs.values():
+        check_partition(part, rows.get(source, vocab_size), rows.get(helper),
+                        vocab_size)
+    helpers = {helper for _, helper, _ in jobs.values()}
 
-        def adapt_file(source_path, helper_path, out_file) -> dict:
-            # Only the report (and what load keeps for the head) outlives the
-            # call, so an untied model holds one matrix's source, helper and
-            # output at a time.
-            source_emb = load(source_path)
-            if source_path in helpers:  # also a helper; as a pipe, checked only now
-                check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
-            helper_emb = load(helper_path) if loads_helper else None
-            adapted, report = heuristics.adapt_matrix(
-                source_emb, source_model, target_model, part, helper_emb, cfg,
-                train_cfg)
-            embeddings.write_record(out_file, adapted.data)
-            return report.to_dict(args.verbose_report)
+    def adapt_file(source_path, helper_path, out_file) -> dict:
+        # Only the report (and what load keeps for the head) outlives the
+        # call, so an untied model holds one matrix's source, helper and
+        # output at a time.
+        source_emb = load(source_path)
+        if source_path in helpers:  # also a helper; as a pipe, checked only now
+            check_partition(part, source_emb.rows, source_emb.rows, vocab_size)
+        helper_emb = load(helper_path) if loads_helper else None
+        adapted, report = heuristics.adapt_matrix(
+            source_emb, source_model, target_model, part, helper_emb, cfg,
+            train_cfg)
+        embeddings.write_record(out_file, adapted.data)
+        return report.to_dict(args.verbose_report)
 
-        payload = {key: adapt_file(*job) for key, job in jobs.items()}
-        report_out.write(_report(args, payload))
+    payload = {key: adapt_file(*job) for key, job in jobs.items()}
+    report_out.write(_report(args, payload))
     return 0
 
 
-def cmd_fit_map(args) -> int:
+def cmd_fit_map(args, outputs) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
     _at_least(args, 0, "batch", "limit")
     train_cfg = _train_config(args)
+    out, side = _open_outputs(outputs, args, "out", sidecar=True)
     load = _read_once(embeddings.load_matrix, [args.helper_emb, args.source_emb])
     matrices = [load(args.helper_emb), load(args.source_emb)]
     part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
@@ -315,43 +314,38 @@ def cmd_fit_map(args) -> int:
     phi, fit_report = alignment.fit_map(
         matrices.pop(0), matrices.pop(0), part, train_cfg, limit=args.limit,
     )
-    alignment.save_map(phi, args.out)
-    _write(_report(args, {"fit": fit_report}), None)
+    alignment.save_map(phi, out, side)
+    _write(_report(args, {"fit": fit_report}))
     return 0
 
 
-def cmd_fertility(args) -> int:
+def cmd_fertility(args, outputs) -> int:
     _require(args, "vocab", "merges", "corpus")
-    _distinct_outputs(args, "out", "hist-out")
-    with contextlib.ExitStack() as outputs:
-        hist, out = _open_outputs(outputs, args.hist_out, args.out)
-        model = load_tokenizer(
-            args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
-        )
-        report = analysis.fertility(
-            model,
-            analysis.iter_corpus(args.corpus),
-            corpus_label=args.corpus,
-            tokenizer_label=args.vocab,
-            per_document=args.per_doc or args.hist_out is not None,
-        )
-        if hist:
-            hist.write(analysis.histogram_csv(report.per_document).encode("utf-8"))
-        payload = _fields(report)
-        if not args.per_doc:
-            del payload["per_document"]
-        text = _report(args, {"fertility": payload})
-        if out:
-            out.write(text)
-        else:
-            _write(text, None)
+    out, hist = _open_outputs(outputs, args, "out", "hist-out")
+    model = load_tokenizer(
+        args.vocab, args.merges, args.marker, args.byte_level, args.unk_token
+    )
+    report = analysis.fertility(
+        model,
+        analysis.iter_corpus(args.corpus),
+        corpus_label=args.corpus,
+        tokenizer_label=args.vocab,
+        per_document=args.per_doc or args.hist_out is not None,
+    )
+    if hist:
+        hist.write(analysis.histogram_csv(report.per_document).encode("utf-8"))
+    payload = _fields(report)
+    if not args.per_doc:
+        del payload["per_document"]
+    (out.write if out else _write)(_report(args, {"fertility": payload}))
     return 0
 
 
-def cmd_similarity(args) -> int:
+def cmd_similarity(args, outputs) -> int:
     _require(args, "emb-a", "emb-b", "vocab")
     _at_least(args, 0, "n-prefix", "n-nonprefix")
     _at_least(args, 1, "sample")
+    out, = _open_outputs(outputs, args, "out")
     load = _read_once(embeddings.load_matrix, [args.emb_a, args.emb_b])
     emb_a, emb_b = load(args.emb_a), load(args.emb_b)
     vocab = load_vocab(args.vocab)
@@ -375,16 +369,17 @@ def cmd_similarity(args) -> int:
         emb_a, emb_b, anchors, token_sample=sample, seed=args.seed,
         projection=args.projection,
     )
-    _write(_report(args, {"similarity": score}), args.out)
+    (out.write if out else _write)(_report(args, {"similarity": score}))
     return 0
 
 
-def cmd_params(args) -> int:
+def cmd_params(args, outputs) -> int:
     _require(args, "before", "after", "dim", "base")
+    out, = _open_outputs(outputs, args, "out")
     report = analysis.param_report(
         args.before, args.after, args.dim, args.tied, args.base
     )
-    _write(_report(args, {"params": report}), args.out)
+    (out.write if out else _write)(_report(args, {"params": report}))
     return 0
 
 
@@ -575,7 +570,8 @@ def main(argv=None) -> int:
         seed = getattr(args, "seed", None)
         if seed is not None and not 0 <= seed < 2**64:
             raise UsageError(f"--seed must be from 0 to 2**64 - 1, got {seed}")
-        return args.func(args)
+        with contextlib.ExitStack() as outputs:
+            return args.func(args, outputs)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

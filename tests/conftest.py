@@ -12,10 +12,11 @@ from vocabforge import (
     EmbeddingMatrix,
     MarkerConvention,
     Vocabulary,
+    save_map,
     save_matrix,
 )
 from vocabforge.alignment import Scaler
-from vocabforge.embeddings import HEADER_SIZE
+from vocabforge.embeddings import HEADER_SIZE, atomic_open
 from vocabforge.errors import MalformedVocab, UnencodableInput
 from vocabforge.tokenizer import tokenizer_model
 
@@ -74,6 +75,13 @@ def identity_map(dim):
     """The AffineMap x -> x on dim dimensions."""
     return AffineMap(np.eye(dim), np.zeros(dim), identity_scaler(dim),
                      identity_scaler(dim))
+
+
+def save_map_at(phi, path):
+    """save_map into the container at path and its sidecar <path>.json,
+    each opened through atomic_open on one stack, as fit-map opens them."""
+    with atomic_open(path) as fh, atomic_open(path + ".json") as side:
+        save_map(phi, fh, side)
 
 
 def reference_load_map(path):

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (identity_map, identity_scaler, random_matrix,
-                      reference_load_map)
+                      reference_load_map, save_map_at)
 from vocabforge import (
     AffineMap,
     EmbeddingMatrix,
@@ -19,7 +20,7 @@ from vocabforge import (
     collect_pairs,
     fit_closed_form,
     fit_gradient,
-    save_map,
+    save_matrix,
 )
 from vocabforge import alignment, embeddings
 from vocabforge.alignment import Scaler
@@ -846,7 +847,7 @@ class TestAffineMap:
         y = x @ rng.normal(size=(4, 7)) + rng.normal(size=7)
         phi = fit_closed_form(x, y)
         path = str(tmp_path / "map.bin")
-        save_map(phi, path)
+        save_map_at(phi, path)
         back = reference_load_map(path)
         assert (back.in_dim, back.out_dim) == (4, 7)
         assert back.input_norm == phi.input_norm
@@ -854,30 +855,55 @@ class TestAffineMap:
         np.testing.assert_allclose(back.apply(x), phi.apply(x),
                                    rtol=1e-4, atol=1e-4)
 
-    def test_failed_save_keeps_the_previous_map(self, tmp_path, monkeypatch):
+    def test_failed_save_keeps_the_previous_map(self, tmp_path, monkeypatch,
+                                                capsys):
+        # fit-map opens the container and its sidecar on one stack, so a
+        # write failing in either leaves both previous files
+        from vocabforge.cli import main
+        rng = np.random.default_rng(3)
+        inputs = {name: str(tmp_path / name)
+                  for name in ("helper.emb1", "source.emb1", "part.json")}
+        save_matrix(random_matrix(rng, 6, 3), inputs["helper.emb1"])
+        save_matrix(random_matrix(rng, 6, 4), inputs["source.emb1"])
+        Path(inputs["part.json"]).write_text(
+            json.dumps(make_partition(6).to_dict()), encoding="utf-8")
         path = str(tmp_path / "map.bin")
-        save_map(identity_map(3), path)
+        argv = ["fit-map", "--helper-emb", inputs["helper.emb1"],
+                "--source-emb", inputs["source.emb1"],
+                "--partition", inputs["part.json"], "--out", path]
+        assert main([*argv, "--steps", "1"]) == 0
         before = [Path(p).read_bytes() for p in (path, path + ".json")]
-        real = alignment.write_record
-        written = []
+        real = embeddings.atomic_open
+        names = sorted(os.listdir(tmp_path))
+        for full in (path, path + ".json"):
 
-        def write_record(fh, data):
-            if len(written) == 2:
-                raise OSError("No space left on device")
-            written.append(data.shape)
-            real(fh, data)
+            @contextlib.contextmanager
+            def atomic_open(target, *args, **kwargs):
+                # the disk holding `full` fills after its first 16 bytes
+                with real(target, *args, **kwargs) as fh:
+                    if target == full:
+                        write = fh.write
 
-        monkeypatch.setattr(alignment, "write_record", write_record)
-        with pytest.raises(OSError, match="No space"):
-            save_map(identity_map(5), path)
-        assert [Path(p).read_bytes() for p in (path, path + ".json")] == before
-        assert sorted(os.listdir(tmp_path)) == ["map.bin", "map.bin.json"]
+                        def write_until_full(data):
+                            if fh.tell() + len(data) > 16:
+                                raise OSError(28, "No space left on device")
+                            return write(data)
+
+                        fh.write = write_until_full
+                    yield fh
+
+            monkeypatch.setattr(embeddings, "atomic_open", atomic_open)
+            assert main([*argv, "--steps", "3"]) == 2
+            assert capsys.readouterr().err == \
+                "i/o error: [Errno 28] No space left on device\n"
+            assert [Path(p).read_bytes() for p in (path, path + ".json")] == before
+            assert sorted(os.listdir(tmp_path)) == names
 
     def test_roundtrip_keeps_zero_variance_dims(self, tmp_path):
         x = np.column_stack([np.arange(8.0), np.full(8, 2.0), np.arange(8.0) ** 2])
         phi = fit_closed_form(x, x[:, ::-1] + 1.0)
         path = str(tmp_path / "map.bin")
-        save_map(phi, path)
+        save_map_at(phi, path)
         back = reference_load_map(path)
         assert back.input_scaler.zero_variance_dims.tolist() == [False, True, False]
         assert back.output_scaler.zero_variance_dims.tolist() == [False, True, False]

@@ -122,9 +122,9 @@ class TestCollectorPause:
         seen = []
         real = cli.cmd_params
 
-        def spy(args):
+        def spy(args, outputs):
             seen.append(gc.isenabled())
-            return real(args)
+            return real(args, outputs)
 
         monkeypatch.setattr(cli, "cmd_params", spy)
         assert run(capsys, *argv)[0] == code
@@ -140,7 +140,7 @@ class TestCollectorPause:
     def test_exception_out_of_main(self, monkeypatch, collecting):
         from vocabforge import cli
 
-        def crash(args):
+        def crash(args, outputs):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "cmd_params", crash)
@@ -290,9 +290,9 @@ class TestIntersectAndFitMap:
                                                   limit):
         # fit-map reads the pairs by id; gathering them first and fitting
         # the arrays must write the same bytes and report the same values
+        from conftest import save_map_at
         from vocabforge import (EmbeddingMatrix, TokenPartition, TrainConfig,
-                                collect_pairs, fit_gradient, save_map,
-                                save_matrix)
+                                collect_pairs, fit_gradient, save_matrix)
 
         rng = np.random.default_rng(5)
         helper = EmbeddingMatrix(rng.normal(size=(60, 5)).astype(np.float32))
@@ -324,7 +324,7 @@ class TestIntersectAndFitMap:
         phi, report = fit_gradient(
             *collect_pairs(helper, source, part, limit=limit, seed=7), cfg,
             compare_oracle=True)
-        save_map(phi, paths["arrays.map"])
+        save_map_at(phi, paths["arrays.map"])
         for suffix in ("", ".json"):
             assert (Path(paths["cli.map"] + suffix).read_bytes()
                     == Path(paths["arrays.map"] + suffix).read_bytes())
@@ -939,16 +939,44 @@ class TestAdapt:
             ("write", world["tmp"] + "/head_out.emb1"),
         ]
 
-    @pytest.mark.parametrize("flag", ["--out", "--out-head", "--report"])
+    @pytest.mark.parametrize("command, flag", [
+        ("adapt", "--out"), ("adapt", "--out-head"), ("adapt", "--report"),
+        ("intersect", "--out"), ("stats", "--out"), ("similarity", "--out"),
+        ("params", "--out"), ("fit-map", "--out"),
+    ], ids=["--out", "--out-head", "--report", "intersect", "stats",
+            "similarity", "params", "fit-map"])
     def test_unwritable_output_fails_before_any_input_is_read(
-            self, capsys, world, monkeypatch, flag):
-        from vocabforge import cli, embeddings
-        read = []
-        monkeypatch.setattr(cli, "load_vocab", lambda *a: read.append(a))
-        monkeypatch.setattr(embeddings, "load_matrix", lambda *a: read.append(a))
-        args, _ = self.untied_args(world, "sava")
+            self, capsys, world, monkeypatch, command, flag):
+        from vocabforge import alignment, cli, embeddings
+        part = world["tmp"] + "/part.json"
+        assert run(capsys, "intersect", "--source-vocab", world["source_vocab"],
+                   "--target-vocab", world["target_vocab"], "--out", part)[0] == 0
+        args = {
+            "adapt": self.untied_args(world, "sava")[0],
+            "intersect": ["intersect", "--source-vocab", world["source_vocab"],
+                          "--target-vocab", world["target_vocab"]],
+            "stats": ["stats", "--matrix", world["source_emb"], "--json"],
+            "similarity": ["similarity", "--emb-a", world["source_emb"],
+                           "--emb-b", world["helper_emb"],
+                           "--vocab", world["source_vocab"]],
+            "params": ["params", "--before", "10", "--after", "8", "--dim",
+                       "4", "--base", "100"],
+            "fit-map": ["fit-map", "--helper-emb", world["helper_emb"],
+                        "--source-emb", world["source_emb"],
+                        "--partition", part, "--steps", "2"],
+        }[command]
         bad = world["tmp"] + "/missing/out"
-        args[args.index(flag) + 1] = bad
+        if flag in args:
+            args[args.index(flag) + 1] = bad
+        else:
+            args += [flag, bad]
+        # every read, and the work of the commands that read nothing else
+        read = []
+        for owner, name in ((cli, "load_vocab"), (cli, "load_json"),
+                            (embeddings, "load_matrix"),
+                            (alignment, "fit_map"), (analysis, "param_report")):
+            monkeypatch.setattr(owner, name, lambda *a, name=name, **k:
+                                read.append(name))
         before = sorted(os.listdir(world["tmp"]))
         code, stdout, err = run(capsys, *args)
         assert (code, stdout) == (2, "")
@@ -998,6 +1026,21 @@ class TestAdapt:
         code, stdout, err = run(capsys, *self.adapt_args(world, out, link))
         assert (code, stdout) == (1, "")
         assert err == f"--out and --report name the same file {out!r}\n"
+        assert not os.path.exists(out)
+
+    def test_map_sidecar_through_a_symlink_is_the_container(self, capsys,
+                                                            world):
+        # the inputs do not exist: the error comes before any is read
+        out = world["tmp"] + "/m.bin"
+        sidecar = out + ".json"
+        os.symlink(out, sidecar)
+        missing = world["tmp"] + "/missing.emb1"
+        code, stdout, err = run(
+            capsys, "fit-map", "--helper-emb", missing, "--source-emb", missing,
+            "--partition", world["tmp"] + "/missing.json", "--out", out)
+        assert (code, stdout) == (1, "")
+        assert err == (f"--out and --out's sidecar {sidecar!r} name the same "
+                       f"file {out!r}\n")
         assert not os.path.exists(out)
 
     def test_every_output_on_the_null_device(self, capsys, world):
@@ -1175,7 +1218,7 @@ class TestAtomicOutputs:
         for argv in runs:
             assert run(capsys, *argv)[::2] == (0, "")
         assert opened == [
-            "summary.txt", "stats.json", "hist.csv", "fert.json", "part.json",
+            "summary.txt", "stats.json", "fert.json", "hist.csv", "part.json",
             "map.bin", "map.bin.json", "adapted.emb1", "adapt.json",
         ]
 
