@@ -18,11 +18,14 @@ the same vocabularies for every (source, target) pair of marker
 conventions that both trees name in
 `vocabforge.tokenizer.MARKERS`. The benchmark's only fallback rows are
 FVT's, all random, its CLP is dense with clamp-zero weights, and it asks
-for no per-token provenance, per-document counts or histogram, so three
-more jobs (VARIANTS) run `adapt --method fvt --fallback mean-row
---verbose-report`, `adapt --method clp --clp-top-k 16
---clp-negative-policy shift-min` and the source side's `fertility
---per-doc --hist-out`, whose histogram CSV is compared byte for byte.
+for no per-token provenance, per-document counts or histogram, and its
+`fit-map` fits every shared pair, so four more jobs (VARIANTS) run
+`adapt --method fvt --fallback mean-row --verbose-report`, `adapt
+--method clp --clp-top-k 16 --clp-negative-policy shift-min`, the source
+side's `fertility --per-doc --hist-out`, whose histogram CSV is compared
+byte for byte, and `fit-map --limit 1000`. 1000 is below every
+workload's shared count, so that fit runs on a seeded subsample of the
+pairs, gathered as rows.
 gen.py writes every vocabulary with its ids in key order, so `intersect`
 and `adapt --method fvt` also run on copies of the source and target
 vocabularies that hold the same token -> id pairs in a key order
@@ -183,6 +186,7 @@ VARIANTS = {
                   ("--clp-top-k", "16", "--clp-negative-policy", "shift-min"), ()),
     "fertility_source": ("fertility_source_per_doc", ("--per-doc",),
                          (("--hist-out", "hist.csv"),)),
+    "fit_map": ("fit_map_limit", ("--limit", "1000"), ()),
 }
 
 
@@ -224,7 +228,8 @@ def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
     """`job` as `name`, writing its own files in `out_dir`, with each
     argument found in `swap` replaced, the flag `drop` and its value
     removed, `flags` appended, and each (flag, file name) of `files`
-    appended as that flag naming a further output file in `out_dir`."""
+    appended as that flag naming a further output file in `out_dir`; its
+    stdout is captured where `job`'s is."""
     renamed = {path: str(out_dir / f"{name}-{os.path.basename(path)}")
                for path in job.outputs}
     swap = {**(swap or {}), **renamed}
@@ -234,7 +239,8 @@ def renamed_job(job: workloads.Job, name: str, out_dir: Path, swap=None,
         del argv[at:at + 2]
     added = {flag: str(out_dir / f"{name}-{file}") for flag, file in files}
     return workloads.Job(name, (*argv, *flags, *itertools.chain(*added.items())),
-                         (*renamed.values(), *added.values()))
+                         (*renamed.values(), *added.values()),
+                         captures_stdout=job.captures_stdout)
 
 
 def variant_jobs(jobs: list, out_dir: Path, copies: dict) -> list:

@@ -142,9 +142,8 @@ def _pair_ids(
     limit: int | None = None,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """check_partition, then the shared tokens' helper and source row ids in
-    partition order; `limit` keeps a seeded uniform subsample (clamped)."""
-    check_partition(part, source.rows, helper.rows)
+    """The shared tokens' helper and source row ids in partition order;
+    `limit` keeps a seeded uniform subsample (clamped)."""
     if part.shared_count == 0:
         raise EmptyIntersection("partition has no shared tokens")
     target_ids, source_ids = part.shared_target_ids, part.source_ids
@@ -164,6 +163,7 @@ def collect_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gather (helper row, source row) float64 training pairs for shared
     tokens, in partition order; `limit` takes a seeded subsample."""
+    check_partition(part, source.rows, helper.rows)
     helper_ids, source_ids = _pair_ids(helper, source, part, limit, seed)
     return (helper.data[helper_ids].astype(np.float64),
             source.data[source_ids].astype(np.float64))
@@ -420,7 +420,8 @@ def fit_map(
     source, part, limit, cfg.seed), cfg, compare_oracle=True) bit for bit,
     with no whole-pair float64 array built. A limit below the shared count
     gathers the kept float32 rows once, and the fit holds neither matrix:
-    a caller that passes its only references frees them here."""
+    a caller that passes its only references frees them here. part must
+    have passed check_partition against these matrices."""
     x_ids, y_ids = _pair_ids(helper, source, part, limit, cfg.seed)
     if len(x_ids) < part.shared_count:
         pairs = _Pairs(helper.data[x_ids], source.data[y_ids])
@@ -436,7 +437,8 @@ def train_map(
     part: TokenPartition,
     cfg: TrainConfig = TrainConfig(),
 ) -> AffineMap:
-    """fit_map's map over all the shared pairs, without its report."""
+    """fit_map's map over all the shared pairs, without its report; part
+    must have passed check_partition against these matrices."""
     ids = _pair_ids(helper, source, part)
     return _fit(_Pairs(helper.data, source.data, *ids), cfg)[0]
 

@@ -138,9 +138,9 @@ def fertility(
     )
 
 
-def histogram_csv(values, bins: int = 40) -> str:
-    """Bin per-document fertilities into a plottable CSV."""
-    counts, edges = np.histogram(np.asarray(list(values), dtype=float), bins=bins)
+def histogram_csv(values) -> str:
+    """Bin per-document fertilities into a plottable CSV of 40 bins."""
+    counts, edges = np.histogram(np.asarray(list(values), dtype=float), bins=40)
     lines = ["bin_left,bin_right,count"]
     for left, right, count in zip(edges[:-1], edges[1:], counts):
         lines.append(f"{left:.6f},{right:.6f},{int(count)}")

@@ -296,13 +296,14 @@ def cmd_adapt(args, outputs) -> int:
 
 def cmd_fit_map(args, outputs) -> int:
     _require(args, "helper-emb", "source-emb", "partition", "out")
-    _at_least(args, 0, "batch", "limit")
+    _at_least(args, 0, "batch")
+    _at_least(args, 2, "limit")
     train_cfg = _train_config(args)
     out, side = _open_outputs(outputs, args, "out", sidecar=True)
+    part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
     load = _read_once(embeddings.load_matrix, [args.helper_emb, args.source_emb])
     matrices = [load(args.helper_emb), load(args.source_emb)]
-    part = TokenPartition.from_dict(load_json(args.partition, PartitionInconsistent))
-    # fit_map's own check, run here so that its error names the file
+    # the one check of the partition fit_map takes; its error names the file
     try:
         check_partition(part, matrices[1].rows, matrices[0].rows)
     except (DimensionMismatch, PartitionInconsistent) as exc:
@@ -346,9 +347,9 @@ def cmd_similarity(args, outputs) -> int:
     _at_least(args, 0, "n-prefix", "n-nonprefix")
     _at_least(args, 1, "sample")
     out, = _open_outputs(outputs, args, "out")
+    vocab = load_vocab(args.vocab)
     load = _read_once(embeddings.load_matrix, [args.emb_a, args.emb_b])
     emb_a, emb_b = load(args.emb_a), load(args.emb_b)
-    vocab = load_vocab(args.vocab)
     if vocab.size != emb_a.rows:
         raise DimensionMismatch(
             f"the vocabulary has {vocab.size} tokens but the matrices have "

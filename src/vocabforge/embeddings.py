@@ -153,8 +153,8 @@ def replaced_path(path: str) -> str | None:
 
 
 @contextlib.contextmanager
-def atomic_open(path: str, mode: str = "wb", **kwargs):
-    """Open a file whose contents replace `path` when the block completes.
+def atomic_open(path: str):
+    """Open a file whose bytes replace `path` when the block completes.
 
     Writes go to a new file beside `path`, which os.replace then moves
     over it, so a write that fails partway leaves the previous file as it
@@ -164,12 +164,12 @@ def atomic_open(path: str, mode: str = "wb", **kwargs):
     """
     target = replaced_path(path)
     if target is None:
-        with open(path, mode, **kwargs) as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
     temp = f"{target}.{os.urandom(6).hex()}.tmp"
     try:
-        with open(temp, mode.replace("w", "x"), **kwargs) as fh:
+        with open(temp, "xb") as fh:
             yield fh
         os.replace(temp, target)
     except BaseException as exc:

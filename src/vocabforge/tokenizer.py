@@ -18,7 +18,6 @@ pairs up in one sorted table of merge keys; `encode_piece` and
 
 from __future__ import annotations
 
-import io
 import json
 import re
 from collections.abc import Sequence
@@ -60,13 +59,13 @@ class MarkerConvention:
     byte_fallback: bool = False
 
     @classmethod
-    def from_name(cls, name: str, byte_fallback=False) -> "MarkerConvention":
+    def from_name(cls, name: str) -> "MarkerConvention":
         if name not in MARKERS:
             raise ValueError(
                 f"unknown marker convention {name!r}; "
                 f"expected one of {sorted(MARKERS)}"
             )
-        return cls(name, MARKERS[name], byte_fallback)
+        return cls(name, MARKERS[name])
 
     def rewrites(self, to: "MarkerConvention") -> bool:
         """Whether `spell_all` rewrites tokens into `to`'s convention: only
@@ -518,24 +517,13 @@ def _split_merges(path: str, text: str):
 def read_merges(path: str):
     """_split_merges of the file at path, read once as bytes and decoded
     as text mode would (CRLF and a lone CR end a line). Text that is not
-    UTF-8 raises UnknownMergeSymbol, but after any bad line that a
-    line-by-line reader meets first; its message is that reader's too."""
+    UTF-8 raises UnknownMergeSymbol before any line is checked."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        # Replay the bytes line by line, as a text-mode reader meets them:
-        # it decodes in 8192-byte chunks, so a bad line in an earlier chunk
-        # comes first, and its message counts from its chunk. The same
-        # bytes fail it too, so the loop never runs to its end.
-        lines: list[str] = []
-        try:
-            for line in io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"):
-                lines.append(line)
-        except UnicodeDecodeError as exc:
-            _split_merges(path, "".join(lines))
-            raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UnknownMergeSymbol(f"{path}: not UTF-8 text: {exc}") from None
     if "\r" in text:  # a search for "\r\n" alone takes half the decode's time
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return _split_merges(path, text)
@@ -657,10 +645,10 @@ class TokenPartition:
 
 def check_partition(part: TokenPartition, source_rows: int,
                     helper_rows: int | None = None, vocab_size: int | None = None):
-    """part's shared source, shared target and novel target ids. Raises
-    DimensionMismatch unless source_rows is vocab_size and helper_rows the
-    target size (each if given), then PartitionInconsistent unless each
-    source id indexes a source row and the target ids are 0 .. shared + novel - 1."""
+    """Raise DimensionMismatch unless source_rows is vocab_size and
+    helper_rows the target size (each if given), then PartitionInconsistent
+    unless each source id indexes a source row and the target ids are
+    0 .. shared + novel - 1."""
     if vocab_size is not None and source_rows != vocab_size:
         raise DimensionMismatch(f"source matrix has {source_rows} rows, source "
                                 f"vocabulary has {vocab_size} tokens")
@@ -697,7 +685,6 @@ def check_partition(part: TokenPartition, source_rows: int,
             f"target id {counts.argmax()} appears {counts.max()} times; the "
             f"partition does not cover every target id"
         )
-    return sids, shared_tids, novel_tids
 
 
 def _id_array(rows, column: int) -> np.ndarray:

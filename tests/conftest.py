@@ -38,7 +38,7 @@ def char_tokenizer(extra_tokens=(), merges=(), marker=NONE, alphabet="abcd",
                    byte_level=False, unk_token=None):
     """Tokenizer whose alphabet is always encodable, plus optional merges;
     byte_level turns on the marker's byte fallback."""
-    marker = MarkerConvention.from_name(marker.kind, byte_level)
+    marker = MarkerConvention(marker.kind, marker.marker, byte_level)
     tokens = list(alphabet)
     if marker.marker:
         tokens.insert(0, marker.marker)

@@ -185,10 +185,12 @@ class TestCorpusIO:
         assert list(iter_corpus(str(tmp_path))) == ["ay", "bee"]
 
     def test_histogram_csv(self):
-        csv = histogram_csv([1.0, 1.0, 2.0, 3.0], bins=2)
+        csv = histogram_csv([1.0, 1.0, 2.0, 3.0])
         lines = csv.strip().split("\n")
         assert lines[0] == "bin_left,bin_right,count"
-        assert len(lines) == 3
+        assert len(lines) == 41
+        assert lines[1] == "1.000000,1.050000,2"
+        assert lines[-1] == "2.950000,3.000000,1"
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 4
 

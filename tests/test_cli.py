@@ -410,8 +410,10 @@ class TestIntersectAndFitMap:
                             r"weights in epoch [12] of 50\n", err)
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
-    # checked before the (missing) partition file is read
+    # checked before the (missing) partition file is read; fitting needs
+    # at least 2 pairs, and --batch 0 is the full batch
     @pytest.mark.parametrize("flag, value", [("--limit", "-1"),
+                                             ("--limit", "0"), ("--limit", "1"),
                                              ("--batch", "-5")])
     def test_negative_size_is_usage_error(self, capsys, world, flag, value):
         code, out, err = run(
@@ -423,7 +425,27 @@ class TestIntersectAndFitMap:
         )
         assert code == 1
         assert out == ""
-        assert err == f"{flag} must be at least 0, got {value}\n"
+        low = 2 if flag == "--limit" else 0
+        assert err == f"{flag} must be at least {low}, got {value}\n"
+        assert not os.path.exists(world["tmp"] + "/map.bin")
+
+    def test_truncated_partition_is_read_before_any_matrix(self, capsys, world,
+                                                           monkeypatch):
+        from vocabforge import embeddings
+        loaded = []
+        monkeypatch.setattr(embeddings, "load_matrix",
+                            lambda path: loaded.append(path))
+        part = world["tmp"] + "/part.json"
+        with open(part, "w", encoding="utf-8") as fh:
+            fh.write('{"shared": [["s0", 0, 0]')
+        code, out, err = run(
+            capsys, "fit-map",
+            "--helper-emb", world["helper_emb"],
+            "--source-emb", world["source_emb"],
+            "--partition", part, "--out", world["tmp"] + "/map.bin",
+        )
+        assert (code, out, loaded) == (1, "", [])
+        assert err.startswith(f"error: {part}: ") and err.count("\n") == 1
         assert not os.path.exists(world["tmp"] + "/map.bin")
 
     # checked before any input is read: none of them exists
@@ -939,6 +961,40 @@ class TestAdapt:
             ("write", world["tmp"] + "/head_out.emb1"),
         ]
 
+    @pytest.mark.parametrize("command, checks", [
+        ("adapt-tied", 2), ("adapt-untied", 4), ("fit-map", 1)])
+    def test_one_partition_check_per_matrix(self, capsys, world, monkeypatch,
+                                            command, checks):
+        # the command checks each matrix's partition and adapt_matrix
+        # checks it again; the SAVA fits take it as checked
+        from vocabforge import alignment, cli, tokenizer
+        part = world["tmp"] + "/part.json"
+        assert run(capsys, "intersect", "--source-vocab", world["source_vocab"],
+                   "--target-vocab", world["target_vocab"], "--out", part)[0] == 0
+        tied = self.adapt_args(world, world["tmp"] + "/tied.emb1",
+                               world["tmp"] + "/tied.json",
+                               "--helper-emb", world["helper_emb"],
+                               "--steps", "3")
+        tied[2] = "sava"
+        args = {
+            "adapt-tied": tied,
+            "adapt-untied": self.untied_args(world, "sava")[0],
+            "fit-map": ["fit-map", "--helper-emb", world["helper_emb"],
+                        "--source-emb", world["source_emb"], "--partition",
+                        part, "--steps", "2", "--out", world["tmp"] + "/map.bin"],
+        }[command]
+        calls = []
+        real = tokenizer.check_partition
+
+        def spy(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        for module in (tokenizer, cli, heuristics, alignment):
+            monkeypatch.setattr(module, "check_partition", spy)
+        assert run(capsys, *args)[0] == 0
+        assert len(calls) == checks
+
     @pytest.mark.parametrize("command, flag", [
         ("adapt", "--out"), ("adapt", "--out-head"), ("adapt", "--report"),
         ("intersect", "--out"), ("stats", "--out"), ("similarity", "--out"),
@@ -1342,6 +1398,23 @@ class TestSimilarity:
         assert code == 1
         assert out == ""
         assert err == f"{flag} must be at least 0, got -3\n"
+
+    def test_truncated_vocab_is_read_before_any_matrix(self, capsys, world,
+                                                       monkeypatch):
+        from vocabforge import embeddings
+        loaded = []
+        monkeypatch.setattr(embeddings, "load_matrix",
+                            lambda path: loaded.append(path))
+        bad = world["tmp"] + "/truncated_vocab.json"
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write('{"s0": 0, "s1"')
+        code, out, err = run(
+            capsys, "similarity",
+            "--emb-a", world["source_emb"], "--emb-b", world["helper_emb"],
+            "--vocab", bad, "--marker", "none",
+        )
+        assert (code, out, loaded) == (1, "", [])
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
 
     def test_array_vocab_is_validation_error(self, capsys, world):
         bad = world["tmp"] + "/array_vocab.json"

@@ -352,9 +352,9 @@ class TestAssemble:
         with pytest.raises(PartitionInconsistent):
             self.adapt_random(source_emb, part)
 
-    @pytest.mark.parametrize("method", ["random", "fvt", "clp"])
+    @pytest.mark.parametrize("method", ["random", "fvt", "clp", "sava"])
     def test_one_partition_check_per_adapt_matrix(self, monkeypatch, method):
-        from vocabforge import heuristics
+        from vocabforge import alignment, heuristics
         calls = []
         real = heuristics.check_partition
 
@@ -362,14 +362,15 @@ class TestAssemble:
             calls.append(args[1:])
             return real(*args)
 
-        monkeypatch.setattr(heuristics, "check_partition", spy)
+        for module in (heuristics, alignment):
+            monkeypatch.setattr(module, "check_partition", spy)
         source, target, source_emb, helper_emb = adaptation_fixture()
         part = partition(source.vocab, target.vocab, source.marker,
                          target.marker)
         for _ in range(2):
             adapt_matrix(source_emb, source, target, part, helper_emb,
                          HeuristicConfig(method=method), TrainConfig(steps=1))
-        helper_rows = helper_emb.rows if method == "clp" else None
+        helper_rows = helper_emb.rows if method in ("clp", "sava") else None
         assert calls == 2 * [(source_emb.rows, helper_rows, source.vocab.size)]
 
 

@@ -1,7 +1,7 @@
 """One partition check for every entry point: a partition that does not
-fit its matrices raises the same error, with the same message, from the
-library fits, from the adaptation step and from `fit-map`, before any row
-is read (`tokenizer.check_partition`)."""
+fit its matrices raises the same error, with the same message, from
+`collect_pairs`, from the adaptation step and from `fit-map`, before any
+row is read (`tokenizer.check_partition`)."""
 
 import json
 import re
@@ -18,7 +18,6 @@ from vocabforge import (
     collect_pairs,
     save_matrix,
 )
-from vocabforge import alignment
 from vocabforge.cli import main
 from vocabforge.errors import DimensionMismatch, PartitionInconsistent
 
@@ -50,9 +49,10 @@ def adapt_sava(helper, source, part):
                         HeuristicConfig(method="sava"), CFG)
 
 
+# fit_map and train_map take a partition their one caller has checked:
+# the fit-map command (test_fit_map_command_names_the_partition) and
+# adapt_matrix
 ENTRY_POINTS = {
-    "fit_map": lambda h, s, p: alignment.fit_map(h, s, p, CFG),
-    "train_map": lambda h, s, p: alignment.train_map(h, s, p, CFG),
     "collect_pairs": collect_pairs,
     "adapt_matrix": adapt_sava,
 }

@@ -439,8 +439,9 @@ CODEC_TOKENS = st.one_of(
     st.text(alphabet="▁Ġab", min_size=1, max_size=4),
     st.sampled_from(["<0x41>", "<0xC3>", "<0xA9>", "<0xa9>", "<0xFF>",
                      "<unk>"]))
-CONVENTIONS = st.builds(MarkerConvention.from_name, st.sampled_from(
-    sorted(MARKERS)), st.booleans())
+CONVENTIONS = st.builds(
+    lambda kind, fallback: MarkerConvention(kind, MARKERS[kind], fallback),
+    st.sampled_from(sorted(MARKERS)), st.booleans())
 
 
 class TestMarkerCodec:
@@ -508,7 +509,7 @@ class TestMarkerCodec:
             True, False, False]
         assert NONE.word_initials(["▁a"]).tolist() == [False]
         assert META.fallback("é") is None
-        assert MarkerConvention.from_name("none", True).fallback("é") == [
+        assert MarkerConvention("none", "", True).fallback("é") == [
             "<0xC3>", "<0xA9>"]
         assert BYTE.decode(["<0xC3>", "<0xA9>", "Ġa", "<0xFF>"]) == "é a\ufffd"
 
@@ -720,23 +721,25 @@ class TestLoaderEquivalence:
             else:
                 assert got.encode_piece(piece) == ids
 
-    @pytest.mark.parametrize("bad_line", [b"a  b\n", b""],
-                             ids=["malformed-line-first", "undecodable-only"])
+    @pytest.mark.parametrize("merges, position", [
+        (b"a b\na  b\n" + b"a b\n" * 3000 + b"\xff b\n", 12009),
+        (b"a b\n" * 5000 + b"\xff b\n", 20000),
+    ], ids=["malformed-line-first", "undecodable-only"])
     def test_undecodable_text_past_the_first_read_chunk(self, loader_dir,
-                                                         bad_line):
-        # a line-by-line reader decodes the file in chunks: a malformed line
-        # in an earlier chunk is reported before the undecodable bytes, and
-        # the decoder's message counts positions from its chunk
+                                                         merges, position):
+        # the bytes are decoded once, whatever the file's size: the error
+        # counts the position from the start of the file and comes before
+        # any malformed line
         vocab_path = loader_dir / "chunk_vocab.json"
         vocab_path.write_text(json.dumps({"a": 0, "b": 1, "ab": 2}),
                               encoding="utf-8")
         merges_path = loader_dir / "chunk_merges.txt"
-        merges_path.write_bytes(b"a b\n" + bad_line + b"a b\n" * 5000
-                                + b"\xff b\n")
+        merges_path.write_bytes(merges)
         args = (str(vocab_path), str(merges_path), "none")
-        want = outcome(reference_load_tokenizer, *args)
-        assert want[0] is UnknownMergeSymbol
-        assert outcome(load_tokenizer, *args) == want
+        assert outcome(load_tokenizer, *args) == (
+            UnknownMergeSymbol,
+            f"{merges_path}: not UTF-8 text: 'utf-8' codec can't decode byte "
+            f"0xff in position {position}: invalid start byte")
 
 
 # Symbols that start with whitespace or are empty; lines that are blank
